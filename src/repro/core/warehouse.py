@@ -43,6 +43,10 @@ from repro.storage.disk import InMemoryDiskManager
 _ADDITIVE = {SUM.name, COUNT.name, AVG.name}
 #: Aggregates that require tuple retrieval.
 _ORDER = {MIN.name, MAX.name}
+#: Result-cache key name of a :meth:`TemporalWarehouse.aggregate_all`
+#: answer (an :class:`RTAResult`).  Not an aggregate name, so it can
+#: never collide with a planned AVG float stored under ``"AVG"``.
+ALL_KEY = "ALL"
 
 
 @dataclass(frozen=True)
@@ -395,8 +399,8 @@ class TemporalWarehouse:
         query fails only itself, and callers re-raise or report per
         query.  An aggregate of ``None`` requests :meth:`aggregate_all`
         semantics for that slot (an :class:`~repro.core.rta.RTAResult`,
-        no cache, no planner — the sharded router's AVG gather needs the
-        per-shard partials).
+        no planner, cached under :data:`ALL_KEY` — the sharded router's
+        AVG gather needs the per-shard partials).
 
         Three passes: every query probes the result cache first (hits
         drop out immediately, and identical survivor triples collapse to
@@ -430,11 +434,12 @@ class TemporalWarehouse:
         pending: List[int] = []
         meta: dict = {}
         for qi, (key_range, interval, aggregate) in enumerate(queries):
-            if cache is not None and aggregate is not None:
+            if cache is not None:
                 epoch = self.write_epoch
                 closed = interval.end <= self.now
-                cache_key = ResultCache.key(aggregate.name, key_range,
-                                            interval)
+                cache_key = ResultCache.key(
+                    aggregate.name if aggregate is not None else ALL_KEY,
+                    key_range, interval)
                 hit = cache.lookup(cache_key, epoch)
                 if hit is not None:
                     results[qi] = hit[0]
@@ -612,8 +617,31 @@ class TemporalWarehouse:
 
     def aggregate_all(self, key_range: KeyRange,
                       interval: Interval) -> RTAResult:
-        """SUM, COUNT and AVG in one result (always the MVSBT plan)."""
-        return self.aggregates.aggregate_all(key_range, interval)
+        """SUM, COUNT and AVG in one result (always the MVSBT plan).
+
+        With a result cache attached the (immutable) result is cached
+        under :data:`ALL_KEY` by the rules of :meth:`aggregate`: epoch
+        and closedness captured before execution, pinned when closed,
+        epoch-validated when open-present.  This is the entry a sharded
+        router's AVG gathers from, so AVG hits like SUM and COUNT do.
+        """
+        cache = self.result_cache
+        if cache is None:
+            return self.aggregates.aggregate_all(key_range, interval)
+        metrics = self.metrics
+        epoch = self.write_epoch
+        closed = interval.end <= self.now
+        cache_key = ResultCache.key(ALL_KEY, key_range, interval)
+        hit = cache.lookup(cache_key, epoch)
+        if hit is not None:
+            if metrics is not None:
+                metrics.result_cache_hits.inc()
+            return hit[0]
+        result = self.aggregates.aggregate_all(key_range, interval)
+        cache.store(cache_key, result, closed=closed, epoch=epoch)
+        if metrics is not None:
+            metrics.result_cache_misses.inc()
+        return result
 
     # -- read-path caching -------------------------------------------------------------
 
@@ -640,17 +668,24 @@ class TemporalWarehouse:
 
     def cache_probe(self, key_range: KeyRange, interval: Interval,
                     aggregate: Aggregate = SUM) -> Optional[str]:
-        """Would :meth:`aggregate` hit the result cache right now?
+        """Would the rectangle be answered from the result cache right now?
 
         ``"hit"``/``"miss"`` with a cache attached, ``None`` without one.
         Non-mutating (no stats, no recency, no stale drops) — EXPLAIN uses
         it to report the cache outcome without perturbing the cache.
+        AVG also hits on the :data:`ALL_KEY` entry: a sharded router
+        answers AVG from per-shard :meth:`aggregate_all` partials and
+        never stores an ``"AVG"`` entry on a shard.
         """
         cache = self.result_cache
         if cache is None:
             return None
-        key = ResultCache.key(aggregate.name, key_range, interval)
-        return "hit" if cache.peek(key, self.write_epoch) else "miss"
+        names = (AVG.name, ALL_KEY) if aggregate.name == AVG.name \
+            else (aggregate.name,)
+        epoch = self.write_epoch
+        hit = any(cache.peek(ResultCache.key(name, key_range, interval),
+                             epoch) for name in names)
+        return "hit" if hit else "miss"
 
     def batch_snapshot(self) -> dict:
         """Counters of :attr:`batch_stats` (empty when unaccounted)."""

@@ -333,8 +333,8 @@ class MVSBT:
                                         tracer if tracer.enabled else None)
         if tracer.enabled:
             with tracer.span("mvsbt.query", key=key, t=t):
-                return self._descend(key, t, tracer)
-        return self._descend(key, t, None)
+                return self._descend(key, t, tracer)[0]
+        return self._descend(key, t, None)[0]
 
     def _memoized_query(self, key: int, t: int, tracer) -> float:
         """:meth:`query` through the point memo (memo attached only).
@@ -351,14 +351,13 @@ class MVSBT:
                 with tracer.span("mvsbt.query", key=key, t=t) as span:
                     span.attrs["memo"] = "hit"
             return hit[0]
-        path: List[int] = []
         if tracer is not None:
             with tracer.span("mvsbt.query", key=key, t=t) as span:
                 span.attrs["memo"] = "miss"
-                value = self._descend(key, t, tracer, path)
+                value, pages = self._descend(key, t, tracer)
         else:
-            value = self._descend(key, t, None, path)
-        self.memo.put(key, t, value, tuple(path),
+            value, pages = self._descend(key, t, None)
+        self.memo.put(key, t, value, pages,
                       closed=t < self.now, epoch=epoch)
         return value
 
@@ -380,7 +379,7 @@ class MVSBT:
 
         With a :meth:`enable_memo` memo attached, hits are served from it
         and every value the sweep computes is put back with its descent
-        path — the batch prefills the memo exactly as serial misses would.
+        length — the batch prefills the memo exactly as serial misses would.
         ``stats`` (a :class:`repro.core.batch.BatchScanStats`) receives
         the probe/page accounting when provided.
         """
@@ -440,8 +439,6 @@ class MVSBT:
 
         values = [0.0] * len(skeys)
         depths = [0] * len(skeys)
-        paths: Optional[List[List[int]]] = (
-            [[] for _ in range(len(skeys))] if memo is not None else None)
         fetched = 0
         logical = self.config.logical_split
         for root_id, root_slots in frontiers.items():
@@ -462,9 +459,6 @@ class MVSBT:
                     here = groups[pid]
                     page = self.pool.fetch(pid)
                     fetched += 1
-                    if paths is not None:
-                        for s in here:
-                            paths[s].append(pid)
                     page_probes = [(skeys[s], stimes[s]) for s in here]
                     if page.records is None:
                         accs, rows = page.cache.scan_many(page_probes)
@@ -500,7 +494,7 @@ class MVSBT:
             if self.metrics is not None:
                 self.metrics.descent_pages.observe(depths[s])
             if memo is not None:
-                memo.put(skeys[s], stimes[s], values[s], tuple(paths[s]),
+                memo.put(skeys[s], stimes[s], values[s], depths[s],
                          closed=stimes[s] < now, epoch=epoch)
             value = values[s]
             for i in fanout[s]:
@@ -545,9 +539,9 @@ class MVSBT:
                     accs[p] = conts[p].value
         return accs, conts
 
-    def _descend(self, key: int, t: int, tracer,
-                 path: Optional[List[int]] = None) -> float:
-        """Root-to-leaf descent summing per-page contributions at ``t``.
+    def _descend(self, key: int, t: int, tracer) -> Tuple[float, int]:
+        """Root-to-leaf descent summing per-page contributions at ``t``;
+        returns ``(V(key, t), pages visited)``.
 
         With a live ``tracer``, each page visit opens an ``mvsbt.page`` span
         around the fetch *and* the record scan, so per-level I/O deltas sum
@@ -559,8 +553,6 @@ class MVSBT:
         pid = self.roots.find(t).root_id
         pages = 0
         while True:
-            if path is not None:
-                path.append(pid)
             if tracer is not None:
                 with tracer.span("mvsbt.page", page=pid) as span:
                     page = self.pool.fetch(pid)
@@ -583,7 +575,7 @@ class MVSBT:
                 if page.kind == LEAF_KIND:
                     if self.metrics is not None:
                         self.metrics.descent_pages.observe(pages)
-                    return acc
+                    return acc, pages
                 pid = page.cache.childs[row]
                 continue
             delta, containing = self._scan_page(page, key, t, logical)
@@ -596,7 +588,7 @@ class MVSBT:
             if page.kind == LEAF_KIND:
                 if self.metrics is not None:
                     self.metrics.descent_pages.observe(pages)
-                return acc
+                return acc, pages
             pid = containing.child
 
     @staticmethod

@@ -339,13 +339,15 @@ class ServerMetrics:
     ``metrics_text`` protocol ops expose: request counts by op, end-to-end
     latency, per-op latency split into queue-wait and execution phases,
     per-shard execution-time histograms, in-flight and queued request
-    gauges, rejections by reason, sampled-trace and slow-request counters,
-    and per-shard query/write counters.  Per-label instrument handles are
-    cached so the request hot path never re-hashes registry keys.
+    gauges, rejections by reason, sampled-trace, slow-request and
+    inline-hit counters, and per-shard query/write counters.  Per-label
+    instrument handles are cached so the request hot path never
+    re-hashes registry keys.
     """
 
     __slots__ = ("registry", "latency", "queue_depth", "inflight",
-                 "traces_sampled", "slow_requests", "_requests", "_rejected",
+                 "traces_sampled", "slow_requests", "inline_hits",
+                 "_requests", "_rejected",
                  "_op_latency", "_op_phase", "_shard_seconds",
                  "_shard_queries", "_shard_writes")
 
@@ -365,6 +367,9 @@ class ServerMetrics:
         self.slow_requests = registry.counter(
             "repro_serve_slow_requests_total",
             "requests captured by the slow-query log")
+        self.inline_hits = registry.counter(
+            "repro_serve_inline_hits_total",
+            "reads answered on the event loop from the result cache")
         self._requests: Dict[str, Counter] = {}
         self._rejected: Dict[str, Counter] = {}
         self._op_latency: Dict[str, Histogram] = {}

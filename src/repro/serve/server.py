@@ -19,6 +19,11 @@ JSON protocol of :mod:`repro.serve.protocol` over a
   grow without bound.  Each request also has a ``request_timeout``,
   answered with ``TIMEOUT`` (the worker thread finishes in the background
   and keeps its slot until it does, so the pool cannot oversubscribe).
+* **Hit lane** — a plain ``SELECT`` aggregate whose answer is already in
+  the result cache at the current epoch
+  (:meth:`~repro.serve.sharded.ShardRouter.probe`) is answered on the
+  event loop: no admission slot, no pool hop, no scan group.  Anything
+  else takes the admitted path unchanged.
 * **Graceful shutdown** — the ``shutdown`` op (or SIGTERM from the CLI)
   stops admissions, drains in-flight work, checkpoints every shard
   through the WAL/checkpoint path, and closes.  A kill -9 anywhere in
@@ -39,6 +44,7 @@ import concurrent.futures
 import itertools
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
@@ -56,7 +62,7 @@ from repro.errors import (
 from repro.obs.metrics import MetricsRegistry, ServerMetrics
 from repro.obs.tracefile import TraceSink
 from repro.serve import protocol
-from repro.serve.sharded import ShardedWarehouse
+from repro.serve.sharded import MISS, ShardedWarehouse
 from repro.serve.telemetry import (
     MetricsHTTPServer,
     RequestContext,
@@ -76,6 +82,17 @@ from repro.tql.parser import (
     SnapshotStatement,
     parse,
 )
+
+
+#: Longest request line the server reads, in bytes.  asyncio's default
+#: of 64 KiB cuts a ``load`` op off at about 2,000 events; 8 MiB admits
+#: about 250,000 per line.  A longer line is answered with a ``PROTOCOL``
+#: error and discarded — the connection stays usable.
+MAX_REQUEST_LINE_BYTES = 8 * 1024 * 1024
+
+#: Parsed ``SELECT`` statements kept by text (LRU), so a dashboard's
+#: repeated statements are not re-lexed.
+STATEMENT_CACHE_ENTRIES = 256
 
 
 @dataclass
@@ -173,6 +190,9 @@ class TQLServer:
         self._scan_groups = 0
         self._scan_group_queries = 0
         self._scan_max_group = 0
+        # Text -> parsed SELECT (frozen dataclasses, safe to share); only
+        # the event loop touches it.
+        self._statements: "OrderedDict[str, SelectStatement]" = OrderedDict()
         self._admission = asyncio.Condition()
         self._inflight = 0
         self._queued = 0
@@ -303,7 +323,8 @@ class TQLServer:
         port is :attr:`metrics_address`).
         """
         self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port)
+            self._handle_connection, self.config.host, self.config.port,
+            limit=MAX_REQUEST_LINE_BYTES)
         if self.config.metrics_port is not None:
             self._metrics_http = MetricsHTTPServer(
                 self.config.host, self.config.metrics_port,
@@ -336,9 +357,19 @@ class TQLServer:
 
         Safe to call repeatedly; later calls await the first.
         """
+        self._request_shutdown()
+        await asyncio.shield(self._shutdown_task)
+
+    def _request_shutdown(self) -> None:
+        """Start the graceful shutdown without waiting for it.
+
+        A plain function (call it on the loop thread, or hand it to
+        ``loop.call_soon_threadsafe``): no coroutine exists until the
+        loop actually runs it, so a request that reaches a loop which
+        has already finished leaves nothing un-awaited behind.
+        """
         if self._shutdown_task is None:
             self._shutdown_task = asyncio.ensure_future(self._shutdown())
-        await asyncio.shield(self._shutdown_task)
 
     async def _shutdown(self) -> None:
         self._draining = True
@@ -393,10 +424,16 @@ class TQLServer:
         try:
             await writer.drain()
             while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                response = await self._respond(line, session)
+                try:
+                    line = await self._read_line(reader)
+                except ProtocolError as exc:
+                    self.metrics.rejected("oversize").inc()
+                    response = protocol.error_response(
+                        None, error_payload(exc))
+                else:
+                    if not line:
+                        break
+                    response = await self._respond(line, session)
                 writer.write(protocol.encode(response))
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
@@ -412,6 +449,34 @@ class TQLServer:
             except (ConnectionResetError, BrokenPipeError,
                     asyncio.CancelledError):
                 pass
+
+    @staticmethod
+    async def _read_line(reader: asyncio.StreamReader) -> bytes:
+        """The next request line; ``b""`` at end of stream.
+
+        A line over :data:`MAX_REQUEST_LINE_BYTES` is read off the
+        socket through its newline and dropped, then reported as a
+        :class:`~repro.errors.ProtocolError` — the stream is back in
+        step with the client, so the connection stays usable.
+        """
+        try:
+            return await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            return exc.partial  # EOF, or a last line without its newline
+        except asyncio.LimitOverrunError as exc:
+            buffered = exc.consumed
+        while True:
+            await reader.readexactly(buffered)
+            try:
+                await reader.readuntil(b"\n")
+                break
+            except asyncio.LimitOverrunError as exc:
+                buffered = exc.consumed
+            except asyncio.IncompleteReadError:
+                break  # peer hung up mid-line; the next read sees EOF
+        raise ProtocolError(
+            f"request line exceeds {MAX_REQUEST_LINE_BYTES} bytes; "
+            "split the batch over several requests")
 
     async def _respond(self, line: bytes,
                        session: _Session) -> Dict[str, Any]:
@@ -494,6 +559,8 @@ class TQLServer:
         }
         if ctx.tql is not None:
             attrs["tql"] = clip_tql(ctx.tql)
+        if ctx.lane is not None:
+            attrs["lane"] = ctx.lane
         children = ctx.records
         return {
             "name": "request",
@@ -523,6 +590,7 @@ class TQLServer:
             "tql": clip_tql(ctx.tql),
             "mvcc_retries": ctx.mvcc_retries,
             "mvcc_fallbacks": ctx.mvcc_fallbacks,
+            "lane": ctx.lane,
             "explain": None,
         }
         self.slowlog.add(entry)
@@ -627,7 +695,7 @@ class TQLServer:
             session.snapshot = self.warehouse.now
             return session.snapshot, session.snapshot
         if op == "shutdown":
-            asyncio.ensure_future(self.shutdown())
+            self._request_shutdown()
             return "draining", None
         if op == "sleep":
             seconds = float(message.get("seconds", 0.0))
@@ -642,7 +710,7 @@ class TQLServer:
         if not isinstance(tql, str):
             raise ProtocolError('op "query" needs a "tql" string field')
         ctx.tql = tql
-        statement = parse(tql)
+        statement = self._parsed(tql)
         if isinstance(statement, LoadStatement):
             # A LOAD statement is an all-shards write: hold every writer
             # lock (index order) exactly like the "load" op, so it cannot
@@ -685,10 +753,17 @@ class TQLServer:
         as_of = message.get("as_of", session.snapshot)
         if not isinstance(as_of, int) or as_of < 0:
             raise ProtocolError('"as_of" must be a non-negative integer')
-        self._note_explainable(statement, as_of, ctx)
-        if (isinstance(statement, SelectStatement)
-                and statement.agg.timeline_buckets is None
-                and self.config.scan_batch > 1
+        plain_select = (isinstance(statement, SelectStatement)
+                        and statement.agg.timeline_buckets is None)
+        if plain_select:
+            self._note_explainable(statement, as_of, ctx)
+        result = MISS
+        if plain_select and not self._draining:
+            result = self._probe(statement, as_of)
+        if result is not MISS:
+            ctx.lane = "hit"
+            self.metrics.inline_hits.inc()
+        elif (plain_select and self.config.scan_batch > 1
                 and hasattr(self.warehouse, "aggregate_batch")):
             result = await self._group_scan(statement, as_of, ctx)
         else:
@@ -699,7 +774,40 @@ class TQLServer:
             self.metrics.shard_queries(shard).inc()
         return result, as_of
 
-    def _note_explainable(self, statement: Any, as_of: int,
+    def _parsed(self, tql: str) -> Any:
+        """``parse(tql)``, with repeated ``SELECT`` texts served from a
+        bounded LRU.  Only :class:`SelectStatement` is kept: it is small
+        and immutable, whereas a ``LOAD`` carries its whole event batch
+        and DML texts do not repeat."""
+        statements = self._statements
+        statement = statements.get(tql)
+        if statement is not None:
+            statements.move_to_end(tql)
+            return statement
+        statement = parse(tql)
+        if isinstance(statement, SelectStatement):
+            statements[tql] = statement
+            if len(statements) > STATEMENT_CACHE_ENTRIES:
+                statements.popitem(last=False)
+        return statement
+
+    def _probe(self, statement: SelectStatement, as_of: int) -> Any:
+        """The hit lane: a plain SELECT aggregate's answer straight from
+        the router's result caches, or :data:`MISS`.
+
+        Runs on the event loop, so it may only do what
+        :meth:`~repro.serve.sharded.ShardRouter.probe` promises: O(parts)
+        dictionary work, epoch-validated, never blocking.  The rectangle
+        is resolved by the executor's own code — same ``as_of`` clamp,
+        same :class:`~repro.errors.QueryError` for an empty interval.
+        """
+        key_range, interval = tql_executor._resolve_rectangle(
+            self.warehouse, statement, as_of)
+        return self.warehouse.probe(
+            key_range, interval,
+            tql_executor._aggregate_named(statement.agg.name))
+
+    def _note_explainable(self, statement: SelectStatement, as_of: int,
                           ctx: RequestContext) -> None:
         """Stash a plain SELECT aggregate so a slow request can be re-run
         under EXPLAIN after the fact.
@@ -708,12 +816,8 @@ class TQLServer:
         deferred to :meth:`_capture_slow_explain`, because this runs on
         every read request's hot path and almost none of them end up
         slow."""
-        if self.config.slow_ms is None or not self.config.slowlog_explain:
-            return
-        if not isinstance(statement, SelectStatement) \
-                or statement.agg.timeline_buckets is not None:
-            return
-        ctx.explain_args = (statement, as_of)
+        if self.config.slow_ms is not None and self.config.slowlog_explain:
+            ctx.explain_args = (statement, as_of)
 
     # -- commit groups (writers > 1) -----------------------------------------------------
 
@@ -1289,11 +1393,25 @@ class ServerHandle:
         self._thread = thread
 
     def stop(self, timeout: float = 30.0) -> None:
-        """Request graceful shutdown and join the serving thread."""
+        """Request graceful shutdown and join the serving thread.
+
+        Idempotent, and safe against a loop that a client ``shutdown``
+        op has already let finish: the request is a plain callback, so
+        one that lands on a finished loop is dropped (a coroutine would
+        be left never-awaited), and the bounded join is what waits for
+        the drain either way.  Raises :class:`TimeoutError` if the
+        thread is still alive after ``timeout`` seconds.
+        """
         if self._thread.is_alive():
-            asyncio.run_coroutine_threadsafe(
-                self.server.shutdown(), self._loop).result(timeout)
+            try:
+                self._loop.call_soon_threadsafe(
+                    self.server._request_shutdown)
+            except RuntimeError:
+                pass  # loop closed between the liveness check and here
         self._thread.join(timeout)
+        if self._thread.is_alive():
+            raise TimeoutError(
+                f"server thread still running {timeout}s after stop()")
 
 
 def serve_in_thread(config: Optional[ServerConfig] = None,

@@ -12,7 +12,9 @@ Two execution backends share one routing and gather layer:
   single-warehouse answer.  The gather arithmetic (including iteration
   order) lives *only* here, which is what makes answers byte-identical
   across backends.  Backends supply two hooks: ``_shard_query(index,
-  method, *args)`` and ``_shard_write(index, method, *args)``.
+  method, *args)`` and ``_shard_write(index, method, *args)``; a backend
+  that can answer from validated cache entries without blocking also
+  overrides ``probe`` (default: :data:`MISS`).
 * :class:`ShardedWarehouse` — the in-process backend: one
   :class:`TemporalWarehouse` per range in this process, shared-thread
   execution.  :class:`~repro.serve.procpool.ProcessShardedWarehouse` is
@@ -39,17 +41,31 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.aggregates import Aggregate, AVG, COUNT, MAX, MIN, SUM
-from repro.core.cache import CacheConfig, CacheSnapshot
+from repro.core.cache import CacheConfig, CacheSnapshot, ResultCache
 from repro.core.ingest import DEFAULT_BATCH_SIZE, IngestReport, coerce_events
 from repro.core.model import Interval, KeyRange, MAX_KEY, TemporalTuple
 from repro.core.rta import RTAResult
-from repro.core.warehouse import QueryPlan, TemporalWarehouse
+from repro.core.warehouse import ALL_KEY, QueryPlan, TemporalWarehouse
 from repro.errors import QueryError, ShardRoutingError
 from repro.serve.mvcc import DEFAULT_READ_RETRIES, MVCCStats, ShardEpoch
 from repro.serve.rwlock import ReadWriteLock
 from repro.serve.telemetry import current_context
 
 _LAYOUT_FILE = "layout.json"
+
+
+class _Miss:
+    """Type of :data:`MISS` (``None`` is a legal AVG answer)."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "MISS"
+
+
+#: What :meth:`ShardRouter.probe` returns when the router cannot answer
+#: from already-validated cache entries alone.
+MISS = _Miss()
 
 
 @dataclass(frozen=True)
@@ -157,11 +173,12 @@ class ShardRouter:
         tuples), so queries never fail on routing — only updates do.
         """
         parts: List[Tuple[int, KeyRange]] = []
+        low, high = key_range.low, key_range.high
         for index, (lo, hi) in enumerate(
                 zip(self.boundaries, self.boundaries[1:])):
-            clipped = key_range.intersection(KeyRange(lo, hi))
-            if clipped is not None:
-                parts.append((index, clipped))
+            lo, hi = max(lo, low), min(hi, high)
+            if lo < hi:
+                parts.append((index, KeyRange(lo, hi)))
         return parts
 
     # -- update API --------------------------------------------------------------------
@@ -271,13 +288,34 @@ class ShardRouter:
     def aggregate_all(self, key_range: KeyRange,
                       interval: Interval) -> RTAResult:
         """SUM, COUNT and AVG gathered from per-shard totals."""
+        return self._gather_all(
+            self._shard_query(i, "aggregate_all", part, interval)
+            for i, part in self.parts_for(key_range))
+
+    @staticmethod
+    def _gather_all(partials) -> RTAResult:
+        """Per-shard :class:`RTAResult` partials, in shard order, as one
+        total — the single copy of the AVG gather arithmetic."""
         total_sum = 0.0
         total_count = 0.0
-        for i, part in self.parts_for(key_range):
-            partial = self._shard_query(i, "aggregate_all", part, interval)
+        for partial in partials:
             total_sum += partial.sum
             total_count += partial.count
         return RTAResult(sum=total_sum, count=total_count)
+
+    def probe(self, key_range: KeyRange, interval: Interval,
+              aggregate: Aggregate) -> Any:
+        """The rectangle's answer if it can be had *right now* from
+        cache entries alone, else :data:`MISS`.
+
+        A contract for callers that must not block (the server's event
+        loop): O(parts) dictionary work, no traversal, no wait on a lock
+        a writer can hold for long, and the value is byte-identical to
+        what :meth:`aggregate` would return at this instant.  The
+        default is :data:`MISS` — backends whose caches live inside
+        worker processes cannot answer without an RPC.
+        """
+        return MISS
 
     def aggregate_batch(self, queries) -> List[Any]:
         """Scatter-gather many aggregate queries with one batch per shard.
@@ -332,12 +370,7 @@ class ShardRouter:
                 out.append(failed)
                 continue
             if kind == "avg":
-                total_sum = 0.0
-                total_count = 0.0
-                for partial in partials:
-                    total_sum += partial.sum
-                    total_count += partial.count
-                out.append(RTAResult(sum=total_sum, count=total_count).avg)
+                out.append(self._gather_all(partials).avg)
             elif kind in (MIN.name, MAX.name):
                 extrema = [x for x in partials if x is not None]
                 if not extrema:
@@ -706,6 +739,56 @@ class ShardedWarehouse(ShardRouter):
                 ctx = current_context()
                 if ctx is not None:
                     ctx.mvcc_retries += retries
+
+    def probe(self, key_range: KeyRange, interval: Interval,
+              aggregate: Aggregate) -> Any:
+        """Answer from the shards' result caches as a latch-free reader.
+
+        SUM/COUNT gather the per-part entries :meth:`aggregate` stores,
+        AVG the per-part :data:`~repro.core.warehouse.ALL_KEY` partials;
+        everything else (MIN/MAX, no MVCC, no cache) is a :data:`MISS`.
+        Each touched shard's seqlock word is captured first — odd means a
+        write is mid-bracket, so its ``write_epoch`` cannot be trusted —
+        and every part is ``peek``-ed before any is looked up, so a
+        partial hit leaves hit/miss counters and LRU recency exactly as
+        the pooled path will find them.  Only then does each part pay a
+        real ``lookup`` and re-validate its shard's word: unchanged means
+        no write landed between reading ``write_epoch`` and reading the
+        entry, so an open-present entry is current (Sela & Petrank's
+        validated aggregate read) and a closed one always was.  The
+        gather below is the code :meth:`aggregate` / :meth:`aggregate_all`
+        run, so the answer is byte-identical.
+        """
+        if not self.mvcc:
+            return MISS
+        name = aggregate.name
+        if name == AVG.name:
+            name = ALL_KEY
+        elif name not in (SUM.name, COUNT.name):
+            return MISS
+        looks = []
+        for index, part in self.parts_for(key_range):
+            shard = self.shards[index]
+            cache = shard.result_cache
+            if cache is None:
+                return MISS
+            started = self.epochs[index].read_begin()
+            if started % 2:
+                return MISS
+            write_epoch = shard.write_epoch
+            key = ResultCache.key(name, part, interval)
+            if not cache.peek(key, write_epoch):
+                return MISS
+            looks.append((index, cache, key, write_epoch, started))
+        partials = []
+        for index, cache, key, write_epoch, started in looks:
+            hit = cache.lookup(key, write_epoch)
+            if hit is None or not self.epochs[index].read_validate(started):
+                return MISS
+            partials.append(hit[0])
+        if name == ALL_KEY:
+            return self._gather_all(partials).avg
+        return sum(partials)
 
     def _shard_telemetered(self, ctx, index: int, method: str, run) -> Any:
         """One shard call (``run`` already wraps locking or the

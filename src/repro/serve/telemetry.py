@@ -62,7 +62,7 @@ class RequestContext:
     __slots__ = ("request_id", "op", "sampled", "detail", "trace_id",
                  "span_id", "queue_s", "exec_s", "records",
                  "shard_seconds", "tql", "explain_args",
-                 "mvcc_retries", "mvcc_fallbacks")
+                 "mvcc_retries", "mvcc_fallbacks", "lane")
 
     def __init__(self, request_id: str, op: str) -> None:
         self.request_id = request_id
@@ -88,6 +88,9 @@ class RequestContext:
         self.mvcc_retries = 0
         #: Reads that exhausted retries and took the read lock.
         self.mvcc_fallbacks = 0
+        #: ``"hit"`` when the event loop answered the read from the
+        #: result cache (no admission, no pool); ``None`` otherwise.
+        self.lane: Optional[str] = None
 
     def begin_sampling(self, detail: bool = False) -> None:
         """Mark the request sampled and mint its trace/span IDs.

@@ -1,5 +1,7 @@
 """End-to-end protocol tests against a live in-process server."""
 
+import asyncio
+import gc
 import json
 import socket
 import threading
@@ -8,7 +10,8 @@ import time
 import pytest
 
 from repro.serve.client import Client, ServerReplyError
-from repro.serve.server import ServerConfig, serve_in_thread
+from repro.serve.server import (MAX_REQUEST_LINE_BYTES, ServerConfig,
+                                ServerHandle, TQLServer, serve_in_thread)
 
 KEY_SPACE = (1, 1001)
 
@@ -139,6 +142,38 @@ class TestErrorReporting:
             reply = json.loads(fh.readline())
             assert reply["error"]["code"] == "PROTOCOL"
 
+    def test_load_line_beyond_the_old_64k_default(self, client):
+        events = [["insert", key, 1.0, key] for key in range(1, 1001)]
+        for lap in range(2):
+            events += [["delete", key, 0.0, 1001 + 2000 * lap + key]
+                       for key in range(1, 1001)]
+            events += [["insert", key, 2.0, 2001 + 2000 * lap + key]
+                       for key in range(1, 1001)]
+        assert len(events) == 5000
+        report = client.load(events)
+        assert report["events"] == 5000
+        client.repin()
+        assert client.execute("SELECT COUNT(*) WHERE time AT "
+                              f"{client.snapshot}") == 1000
+
+    def test_oversize_line_gets_protocol_error_and_keeps_connection(
+            self, server):
+        with socket.create_connection((server.host, server.port),
+                                      timeout=30) as sock:
+            fh = sock.makefile("rb")
+            fh.readline()  # hello
+            # Longer than the limit whichever way it is cut into reads:
+            # the server must drop all of it, through the newline.
+            sock.sendall(b'{"op": "load", "events": ['
+                         + b"0," * MAX_REQUEST_LINE_BYTES + b"0]}\n")
+            reply = json.loads(fh.readline())
+            assert not reply["ok"]
+            assert reply["error"]["code"] == "PROTOCOL"
+            assert str(MAX_REQUEST_LINE_BYTES) in reply["error"]["message"]
+            sock.sendall(b'{"op": "ping", "id": 7}\n')
+            reply = json.loads(fh.readline())
+            assert reply["ok"] and reply["id"] == 7
+
     def test_errors_do_not_kill_the_connection(self, client):
         with pytest.raises(ServerReplyError):
             client.execute("SELEKT")
@@ -242,6 +277,75 @@ class TestShutdown:
             time.sleep(0.05)
         else:
             pytest.fail("server kept accepting connections after shutdown")
+
+    def test_stop_after_client_shutdown_is_idempotent(self, recwarn):
+        """A client ``shutdown`` lets the loop finish on its own; a
+        ``stop()`` racing (or following) that must neither hang nor leave
+        a never-awaited coroutine behind."""
+        for attempt in range(50):
+            handle = serve_in_thread(ServerConfig(shards=2,
+                                                  key_space=KEY_SPACE))
+            with Client(handle.host, handle.port) as c:
+                assert c.shutdown() == "draining"
+            if attempt % 2:
+                # Aim for the narrow window: drained, loop winding down,
+                # thread still alive.
+                deadline = time.monotonic() + 10
+                while (not handle.server._stopped.is_set()
+                       and time.monotonic() < deadline):
+                    pass
+            started = time.monotonic()
+            handle.stop(timeout=10)
+            handle.stop(timeout=10)
+            assert time.monotonic() - started < 5
+            assert not handle._thread.is_alive()
+        gc.collect()  # an un-awaited coroutine warns when collected
+        assert not [w for w in recwarn.list
+                    if "never awaited" in str(w.message)]
+
+    def test_stop_on_a_finished_loop_returns_and_leaves_no_coroutine(
+            self, recwarn):
+        """The race above, frozen: the serving thread is still alive (for
+        another 0.3 s) but its loop will never run another callback
+        (stopped), or is closed outright."""
+        server = TQLServer(ServerConfig(shards=2, key_space=KEY_SPACE))
+        try:
+            for closed in (False, True):
+                thread = threading.Thread(target=time.sleep, args=(0.3,),
+                                          daemon=True)
+                thread.start()
+                loop = asyncio.new_event_loop()
+                if closed:
+                    loop.close()
+                started = time.monotonic()
+                ServerHandle("127.0.0.1", 0, loop, server,
+                             thread).stop(timeout=5)
+                assert time.monotonic() - started < 2
+                assert not thread.is_alive()
+                loop.close()
+        finally:
+            server.warehouse.close()
+            server._pool.shutdown()
+        gc.collect()  # an un-awaited coroutine warns when collected
+        assert not [w for w in recwarn.list
+                    if "never awaited" in str(w.message)]
+
+    def test_stop_reports_a_thread_that_will_not_finish(self):
+        server = TQLServer(ServerConfig(shards=2, key_space=KEY_SPACE))
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, daemon=True)
+        thread.start()
+        loop = asyncio.new_event_loop()
+        try:
+            with pytest.raises(TimeoutError):
+                ServerHandle("127.0.0.1", 0, loop, server,
+                             thread).stop(timeout=0.1)
+        finally:
+            release.set()
+            thread.join(timeout=5)
+            loop.close()
+            server.warehouse.close()
+            server._pool.shutdown()
 
     def test_requests_during_drain_get_shutting_down(self):
         handle = serve_in_thread(ServerConfig(
