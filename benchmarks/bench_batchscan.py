@@ -87,8 +87,7 @@ def _gate_state() -> tuple[bool, str]:
 
 def _seed_warehouse(keys: int) -> tuple[ShardedWarehouse, int]:
     warehouse = ShardedWarehouse(
-        shards=SHARDS, key_space=(1, keys + 1), thread_safe=True,
-        mvcc=True)
+        shards=SHARDS, key_space=(1, keys + 1), thread_safe=True)
     rng = random.Random(SEED)
     t = 1
     for key in range(1, keys + 1):

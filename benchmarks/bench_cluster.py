@@ -166,7 +166,7 @@ def _autosplit_experiment(keys: int, duration: float, root: str) -> dict:
         warehouse.load_events(_seed_events(keys))
         now = warehouse.now
         hot_gid = warehouse.topology_info()["groups"][0]["gid"]
-        group = warehouse._groups_by_gid[hot_gid]
+        group = warehouse.handle(hot_gid)
         hot_span = (group.lo, group.hi)
 
         qps_pre = _hot_drive(warehouse, hot_span, now, duration, SEED)
@@ -204,7 +204,7 @@ def _replica_experiment(keys: int, root: str) -> dict:
         for info in warehouse.topology_info()["groups"]:
             gid = info["gid"]
             warehouse.sync_replicas(gid)
-            span = KeyRange(*warehouse._groups_by_gid[gid].wh_key_space)
+            span = KeyRange(*warehouse.handle(gid).spec.key_space)
             for method in ("sum", "count", "aggregate_all", "tuples_in"):
                 primary = warehouse.primary_probe(gid, method, span,
                                                   interval)

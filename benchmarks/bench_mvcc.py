@@ -12,8 +12,8 @@ Three drives over the PR-9 write path:
   below that the bench fails loudly unless ``REPRO_MVCC_GATE=0``
   acknowledges a report-only run (``=1`` forces the gate) — the
   PR-6 pattern, so CI can't silently skip the headline number.
-* **Reader isolation** — a :class:`ShardedWarehouse` with the seqlock
-  read path (``mvcc=True``) serves reads while writer threads churn in
+* **Reader isolation** — a thread-safe :class:`ShardedWarehouse` (the
+  seqlock read path) serves reads while writer threads churn in
   bursts.  Epoch-validated readers never touch the write lock in the
   happy path: the drive asserts ``fallbacks == 0`` *always*, and (under
   the gate) that read p99 under writes stays within
@@ -279,12 +279,12 @@ def _reader_isolation(keys: int, enforced: bool):
     """Idle read p99 versus p99 under bursty writes, plus the honesty
     counter: optimistic readers must never fall back to the read lock."""
     warehouse = ShardedWarehouse(
-        shards=SHARDS, key_space=(1, keys + 1), thread_safe=True,
-        mvcc=True)
+        shards=SHARDS, key_space=(1, keys + 1), thread_safe=True)
     # Ride out a full write burst before falling back: the bench asserts
     # the happy path stays lock-free, so the retry budget must exceed
     # one burst's validation failures.
-    warehouse.read_retries = 50
+    for sid in warehouse.shard_ids():
+        warehouse.handle(sid).read_retries = 50
     rng = random.Random(SEED + 7)
     t = 1
     for key in range(1, keys + 1):
@@ -359,7 +359,7 @@ def _rpc_framing_ab(keys: int, ops: int = 2000):
         if mode == "pickle":
             procpool._pack_request = lambda *a: None  # legacy framing
         try:
-            client = warehouse._clients[0]
+            client = warehouse.handle(0).primary
             for i in range(warmup):  # absorb worker cold start
                 client.call("insert", ops + i + 1, 1.0, 1)
             start = time.perf_counter()

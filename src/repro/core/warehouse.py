@@ -286,6 +286,20 @@ class TemporalWarehouse:
             estimated_tuples=tuples,
         )
 
+    def explain_trace(self, key_range: KeyRange, interval: Interval,
+                      aggregate: Aggregate = SUM) -> dict:
+        """:func:`repro.obs.explain_query` as a picklable payload —
+        ``plan``, ``result``, the span tree as a JSONL ``record``, the
+        ``cache`` outcome — so a shard router gets the same row from a
+        warehouse in its own process and from one behind a pipe."""
+        from repro.obs.explain import explain_query
+        from repro.obs.tracefile import span_to_record
+
+        report = explain_query(self, key_range, interval, aggregate)
+        return {"plan": report.plan, "result": report.result,
+                "record": span_to_record(report.root),
+                "cache": report.cache}
+
     def _mvsbt_cost(self, aggregate: Aggregate) -> float:
         height = self.aggregates.trees()[SUM.name][0].height()
         probes = 12 if aggregate.name == AVG.name else 6
@@ -748,16 +762,17 @@ class TemporalWarehouse:
 
     @classmethod
     def load(cls, directory: str, buffer_pages: int = 64,
-             page_capacity: int = 32) -> "TemporalWarehouse":
+             page_capacity: int = 32,
+             buffer_policy: str = "lru") -> "TemporalWarehouse":
         """Reopen a warehouse from :meth:`save` output."""
         import os
 
         warehouse = cls.__new__(cls)
         warehouse.tuples = MVBT.load(os.path.join(directory, "tuples"),
-                                     buffer_pages)
+                                     buffer_pages, buffer_policy)
         warehouse.aggregates = RTAIndex.load(
-            os.path.join(directory, "aggregates"), buffer_pages
-        )
+            os.path.join(directory, "aggregates"), buffer_pages,
+            buffer_policy)
         warehouse.key_space = warehouse.tuples.key_space
         warehouse._page_capacity = warehouse.tuples.config.capacity
         warehouse._wal = None
@@ -809,7 +824,8 @@ class TemporalWarehouse:
 
         If a checkpoint exists it is loaded and the update-log tail is
         replayed (checkpoint + WAL recovery); otherwise a fresh warehouse
-        is created with ``fresh_kwargs``.  Every subsequent update is
+        is created with ``fresh_kwargs``.  ``buffer_policy`` applies
+        either way.  Every subsequent update is
         logged before acknowledgement; call :meth:`checkpoint`
         periodically to bound the log.
 
@@ -834,7 +850,9 @@ class TemporalWarehouse:
             if os.path.exists(os.path.join(legacy, "tuples")):
                 checkpoint_dir = legacy
         if checkpoint_dir is not None:
-            warehouse = cls.load(checkpoint_dir, buffer_pages)
+            warehouse = cls.load(
+                checkpoint_dir, buffer_pages,
+                buffer_policy=fresh_kwargs.get("buffer_policy", "lru"))
         else:
             warehouse = cls(**fresh_kwargs)
         wal.bump_seq(last_seq)

@@ -622,11 +622,13 @@ class MVBT:
         write_checkpoint(self.pool, self.state(), directory)
 
     @classmethod
-    def load(cls, directory: str, buffer_pages: int = 64) -> "MVBT":
+    def load(cls, directory: str, buffer_pages: int = 64,
+             buffer_policy: str = "lru") -> "MVBT":
         """Reopen a tree from a checkpoint written by :meth:`save`."""
         from repro.storage.checkpoint import read_checkpoint
 
-        pool, state = read_checkpoint(directory, buffer_pages)
+        pool, state = read_checkpoint(directory, buffer_pages,
+                                      buffer_policy)
         if state.get("type") != "mvbt":
             raise ValueError(
                 f"checkpoint holds a {state.get('type')!r}, not an MVBT"

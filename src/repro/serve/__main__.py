@@ -116,10 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "batches same-shard DML into commit groups "
                              "flushed with one WAL write per group "
                              "(answers stay byte-identical to --writers 1)")
-    parser.add_argument("--no-mvcc", dest="mvcc", action="store_false",
-                        help="disable epoch-validated lock-free snapshot "
-                             "reads (thread executor); reads then take "
-                             "the per-shard read lock as before")
     return parser
 
 
@@ -164,7 +160,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         replicas=args.replicas, autosplit=args.autosplit,
         split_qps=args.split_qps,
         planner_interval=args.planner_interval,
-        merge_qps=args.merge_qps, writers=args.writers, mvcc=args.mvcc,
+        merge_qps=args.merge_qps, writers=args.writers,
     )
     return asyncio.run(amain(config))
 

@@ -1,8 +1,9 @@
 """Elastic cluster plane: dynamic topology over process-per-shard workers.
 
-:class:`ClusterWarehouse` extends the process backend
-(:mod:`repro.serve.procpool`) with the three capabilities a static shard
-map lacks:
+:class:`ClusterWarehouse` is the process router
+(:class:`~repro.serve.procpool.ProcessShardedWarehouse`: same routing,
+same reads, same write fencing, same worker groups) plus the three
+capabilities a static shard map lacks:
 
 * **online split/merge** — a hot key range is split by checkpointing the
   owning primary, cloning that checkpoint into a new shard directory
@@ -14,20 +15,24 @@ map lacks:
   from their temporal tuples, bulk-load it into a fresh worker, swap.
 * **read replicas via WAL shipping** — each shard group runs N
   :mod:`~repro.serve.replica` workers that tail the primary's durable log
-  and serve version-pinned reads; the router fences every replica read
-  with the group's acked-write watermark, preserving read-your-writes.
+  and serve version-pinned reads; the group
+  (:class:`~repro.serve.procpool.WorkerGroup`) fences every replica read
+  with its acked-write watermark, preserving read-your-writes.
 * **failover** — a dead primary (pipe EOF, kill -9) redirects reads to a
   caught-up replica while a background respawn replays the WAL; if the
   respawn fails, a replica is *promoted* to writer.  Mid-loadgen SIGKILL
-  of a primary is therefore invisible to clients.
+  of a primary is therefore invisible to clients.  The read rotation and
+  the heal-and-retry write live in the group; *what healing means*
+  (:meth:`ClusterWarehouse._revive`) is this module's.
 
 Stable group ids, not positional indexes
 ----------------------------------------
-The procpool identifies shards by position in a frozen boundary list.
-A dynamic topology cannot: splits insert ranges and merges remove them.
-Shard groups therefore carry a **gid** — a monotonically increasing id
-allocated at creation and never reused.  Routing resolves a key to a gid
-against an immutable :class:`Topology` snapshot (swapped atomically under
+A static table's shard ids are positions in a frozen boundary list.
+A dynamic topology cannot use those: splits insert ranges and merges
+remove them.  Shard groups therefore carry a **gid** — a monotonically
+increasing id allocated at creation and never reused.  Routing resolves a
+key to a gid against an immutable
+:class:`~repro.serve.sharded.Topology` snapshot (swapped atomically under
 the topology lock), and queries in flight across a swap still resolve
 their gid to a live worker: a split leaves the parent group serving the
 lower half with its full pre-split data (range-clipped queries mask the
@@ -37,10 +42,10 @@ sound in :mod:`repro.serve.sharded`.
 
 Locking discipline (deadlock-free by construction)
 --------------------------------------------------
-Every write path (``insert``/``delete``/``update``/``load_events``) holds
-the topology lock **shared** for its whole duration — routing decision
-through worker acknowledgement — plus a per-group mutex ordered *after*
-the topology lock.  A topology swap (split/merge) takes the topology lock
+Every write path of the router (``insert``/``delete``/``update``/
+``apply_shard_batch``/``load_events``) holds the topology lock **shared**
+for its whole duration — routing decision through worker acknowledgement
+— plus a per-group mutex ordered *after* the topology lock.  A topology swap (split/merge) takes the topology lock
 **exclusive**, which alone drains and excludes all writers; it never
 acquires group mutexes, so the lock order is acyclic.  The shared hold is
 also the buffered-ingest drain barrier: a split cannot interleave a
@@ -55,104 +60,28 @@ import os
 import shutil
 import threading
 import time
-from bisect import bisect_right
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.aggregates import Aggregate, SUM
-from repro.core.cache import CacheConfig, CacheSnapshot
-from repro.core.ingest import DEFAULT_BATCH_SIZE, IngestReport
+from repro.core.cache import CacheConfig
 from repro.core.model import Interval, KeyRange, MAX_KEY, NOW
-from repro.errors import (
-    QueryError,
-    ReplicaLagError,
-    ShardDownError,
-    ShardRedirectError,
-    ShardRoutingError,
-    StorageError,
-)
+from repro.errors import QueryError, ShardDownError, StorageError
 from repro.serve.procpool import (
+    ProcessShardedWarehouse,
     ShardClient,
     ShardSpec,
-    _AggRef,
-    _EXPLAIN_TRACE,
-    _REGISTRY,
-    _STATS,
-    rate_since,
-)
-from repro.serve.replica import (
+    WorkerGroup,
     _PROMOTE,
-    _REPLICA_READ,
     _SYNC,
-    REPLICA_READS,
-    ReplicaSpec,
 )
-from repro.serve.rwlock import ReadWriteLock
-from repro.serve.sharded import ShardRouter, _ShardedAggregates
-from repro.serve.telemetry import current_context
+from repro.serve.replica import ReplicaSpec, _replica_main
+from repro.serve.sharded import Topology, shard_dir_name, split_evenly
 from repro.storage.wal import WALCursor
 
 #: Topology persistence file under the cluster's durable root.
 TOPOLOGY_FILE = "cluster.json"
 
-#: Read methods served only by primaries (cache/maintenance surfaces that
-#: describe the writer's state, not the logical data).
-_PRIMARY_ONLY_READS = frozenset({
-    "cache_snapshot", "page_count", "check_invariants", "wal_seq",
-})
 
-
-class ShardGroup:
-    """One key range's worker set: a primary plus its WAL-shipped
-    replicas, with the group-local write bookkeeping."""
-
-    __slots__ = ("gid", "lo", "hi", "wh_key_space", "dirname", "primary",
-                 "replicas", "acked_seq", "write_lock", "heal_lock",
-                 "qps", "rr")
-
-    def __init__(self, gid: int, lo: int, hi: int,
-                 wh_key_space: Tuple[int, int], dirname: str,
-                 primary: ShardClient) -> None:
-        self.gid = gid
-        self.lo = lo
-        self.hi = hi
-        #: The warehouse-level key space the workers were built with; a
-        #: split narrows routing (``lo``/``hi``) but never the warehouse
-        #: domain, so clones stay loadable.
-        self.wh_key_space = wh_key_space
-        self.dirname = dirname
-        self.primary = primary
-        self.replicas: List[ShardClient] = []
-        #: WAL sequence covering every acknowledged write to this group —
-        #: the read-your-writes fence shipped with each replica read.
-        self.acked_seq = 0
-        #: Serializes writers within the group (writers hold the topology
-        #: lock shared, so two writers to one group race without this).
-        self.write_lock = threading.Lock()
-        #: Serializes failover healing (respawn/promote) of the primary.
-        self.heal_lock = threading.Lock()
-        #: Request rate observed by the last stats scrape (planner input).
-        self.qps = 0.0
-        #: Round-robin cursor over read targets.
-        self.rr = 0
-
-
-class Topology:
-    """An immutable routing snapshot: swapped as one reference, so
-    lock-free readers see either the old map or the new one, never a
-    half-updated mix."""
-
-    __slots__ = ("version", "entries", "boundaries")
-
-    def __init__(self, version: int,
-                 entries: List[Tuple[int, int, int]]) -> None:
-        self.version = version
-        #: ``(gid, lo, hi)`` per group, ascending by ``lo``, contiguous.
-        self.entries = entries
-        self.boundaries = [lo for _, lo, _ in entries]
-        self.boundaries.append(entries[-1][2])
-
-
-class ClusterWarehouse(ShardRouter):
+class ClusterWarehouse(ProcessShardedWarehouse):
     """The elastic process-per-shard backend.
 
     Requires a ``durable_dir``: replication *is* the per-shard WAL (the
@@ -161,7 +90,8 @@ class ClusterWarehouse(ShardRouter):
     the :class:`~repro.serve.sharded.ShardRouter` surface — answers are
     byte-identical to the other backends — plus the cluster verbs
     (:meth:`split`, :meth:`merge`, :meth:`promote`, :meth:`topology_info`)
-    and the :class:`ClusterPlanner` autosplit thread.
+    and the :class:`ClusterPlanner` autosplit thread.  Its groups
+    self-heal: a dead primary is respawned, else a replica is promoted.
 
     Parameters beyond the procpool's: ``replicas`` (per group),
     ``autosplit`` (start the planner), ``split_qps`` /
@@ -194,72 +124,45 @@ class ClusterWarehouse(ShardRouter):
             raise ValueError(
                 "ClusterWarehouse requires durable_dir: WAL shipping and "
                 "checkpoint cloning need an on-disk log")
-        import multiprocessing
-
-        self._ctx = multiprocessing.get_context("spawn")
-        self._root = durable_dir
-        self._shape = dict(
-            page_capacity=page_capacity, buffer_pages=buffer_pages,
-            strong_factor=strong_factor, start_time=start_time,
-            buffer_policy=buffer_policy, fsync=fsync,
-            cache_config=cache_config, scan_batch=scan_batch)
         self.replica_count = replicas
         self._sync_timeout = sync_timeout
-        self._start_timeout = start_timeout
-        self.aggregates = _ShardedAggregates(self)
-        #: Writers shared / topology swaps exclusive (see module docs).
-        self._topology_lock = ReadWriteLock()
-        #: Serializes split/merge/checkpoint admin (checkpoint truncates
-        #: the WAL a concurrent split would still be shipping from).
-        self._admin_lock = threading.Lock()
-        self._groups_by_gid: Dict[int, ShardGroup] = {}
-        self._rate_state: Dict[Any, Tuple[float, int]] = {}
         self.splits = 0
         self.merges = 0
         self.failovers = 0
         self.promotions = 0
         self._last_split = 0.0
-        self._closed = False
         self._planner: Optional[ClusterPlanner] = None
 
-        layout = self._read_topology_file()
-        if layout is None:
-            boundaries = self._split(key_space, shards)
-            self.key_space = key_space
+        path = os.path.join(durable_dir, TOPOLOGY_FILE)
+        if not os.path.exists(path):
+            boundaries = split_evenly(key_space, shards)
             self._next_gid = shards
-            plan = [(gid, lo, hi, (lo, hi), _group_dir_name(gid))
+            plan = [(gid, lo, hi, (lo, hi), shard_dir_name(gid))
                     for gid, (lo, hi) in enumerate(
                         zip(boundaries, boundaries[1:]))]
             version = 1
         else:
-            self.key_space = tuple(layout["key_space"])
+            with open(path) as fh:
+                layout = json.load(fh)
+            key_space = tuple(layout["key_space"])
             self._next_gid = layout["next_gid"]
             plan = [(g["gid"], g["span"][0], g["span"][1],
                      tuple(g["key_space"]), g["dir"])
                     for g in layout["groups"]]
             version = layout["version"]
-
-        # Spawn every primary first, then collect hellos (spawn imports
-        # overlap across cores), then the replicas the same way.
-        groups: List[ShardGroup] = []
+        self._boot(durable_dir, start_timeout, ShardSpec(
+            index=-1, key_space=key_space, page_capacity=page_capacity,
+            buffer_pages=buffer_pages, strong_factor=strong_factor,
+            start_time=start_time, buffer_policy=buffer_policy,
+            fsync=fsync, cache_config=cache_config, scan_batch=scan_batch),
+            version, plan)
         try:
-            for gid, lo, hi, wh_ks, dirname in plan:
-                client = self._spawn_primary(gid, wh_ks, dirname)
-                groups.append(ShardGroup(gid, lo, hi, wh_ks, dirname,
-                                         client))
-            for group in groups:
-                group.primary.wait_ready(start_timeout)
-                self._groups_by_gid[group.gid] = group
-            self._install_topology(groups, version=version)
             self._persist_topology()
-            for group in groups:
+            for group in list(self._handles.values()):
                 group.acked_seq = group.primary.call("wal_seq")
                 self._spawn_replicas(group)
         except Exception:
-            for group in groups:
-                for client in [group.primary] + group.replicas:
-                    client.request_shutdown()
-                    client.reap(5.0)
+            self.close()
             raise
         if autosplit or replicas > 0 or merge_qps is not None:
             self._planner = ClusterPlanner(
@@ -271,18 +174,14 @@ class ClusterWarehouse(ShardRouter):
 
     # -- topology bookkeeping ----------------------------------------------------------
 
-    def _read_topology_file(self) -> Optional[Dict[str, Any]]:
-        path = os.path.join(self._root, TOPOLOGY_FILE)
-        if not os.path.exists(path):
-            return None
-        with open(path) as fh:
-            return json.load(fh)
-
-    def _install_topology(self, groups: Sequence[ShardGroup],
-                          version: int) -> None:
-        ordered = sorted(groups, key=lambda g: g.lo)
+    def _swap_topology(self) -> None:
+        """Install the next routing snapshot over the current groups and
+        persist it (the caller holds the topology lock exclusive)."""
+        ordered = sorted(self._handles.values(), key=lambda g: g.lo)
         self._topology = Topology(
-            version, [(g.gid, g.lo, g.hi) for g in ordered])
+            self._topology.version + 1,
+            [(g.sid, g.lo, g.hi) for g in ordered])
+        self._persist_topology()
 
     def _persist_topology(self) -> None:
         topo = self._topology
@@ -292,8 +191,8 @@ class ClusterWarehouse(ShardRouter):
             "next_gid": self._next_gid,
             "groups": [
                 {"gid": gid, "span": [lo, hi],
-                 "key_space": list(self._groups_by_gid[gid].wh_key_space),
-                 "dir": self._groups_by_gid[gid].dirname}
+                 "key_space": list(self._handles[gid].spec.key_space),
+                 "dir": self._handles[gid].dirname}
                 for gid, lo, hi in topo.entries
             ],
         }
@@ -304,89 +203,20 @@ class ClusterWarehouse(ShardRouter):
         os.replace(tmp, path)
 
     @property
-    def boundaries(self) -> List[int]:
-        """Current partition boundaries (a snapshot; splits change it)."""
-        return self._topology.boundaries
-
-    @property
     def topology_version(self) -> int:
         """Monotonic counter bumped by every split/merge swap."""
         return self._topology.version
 
-    def shard_index(self, key: int) -> int:
-        """The **gid** owning ``key`` under the current topology."""
-        lo, hi = self.key_space
-        if not lo <= key < hi:
-            raise ShardRoutingError(
-                f"key {key} outside key space [{lo}, {hi})")
-        topo = self._topology
-        return topo.entries[bisect_right(topo.boundaries, key) - 1][0]
+    # -- replicas ----------------------------------------------------------------------
 
-    def parts_for(self, key_range: KeyRange) -> List[Tuple[int, KeyRange]]:
-        """``(gid, clipped key range)`` pairs under the current topology."""
-        topo = self._topology
-        parts: List[Tuple[int, KeyRange]] = []
-        for gid, lo, hi in topo.entries:
-            clipped = key_range.intersection(KeyRange(lo, hi))
-            if clipped is not None:
-                parts.append((gid, clipped))
-        return parts
-
-    def _group(self, gid: int) -> ShardGroup:
-        group = self._groups_by_gid.get(gid)
-        if group is None:
-            raise ShardRedirectError(
-                f"shard group {gid} was retired by a topology change; "
-                "re-route against the current topology and retry")
-        return group
-
-    # -- worker spawning ---------------------------------------------------------------
-
-    def _primary_spec(self, gid: int, wh_key_space: Tuple[int, int],
-                      dirname: str) -> ShardSpec:
-        shape = self._shape
-        return ShardSpec(
-            index=gid, key_space=tuple(wh_key_space),
-            page_capacity=shape["page_capacity"],
-            buffer_pages=shape["buffer_pages"],
-            strong_factor=shape["strong_factor"],
-            start_time=shape["start_time"],
-            buffer_policy=shape["buffer_policy"],
-            durable_dir=os.path.join(self._root, dirname),
-            fsync=shape["fsync"], cache_config=shape["cache_config"],
-            scan_batch=shape["scan_batch"])
-
-    def _spawn_primary(self, gid: int, wh_key_space: Tuple[int, int],
-                       dirname: str) -> ShardClient:
-        return ShardClient(self._primary_spec(gid, wh_key_space, dirname),
-                           self._ctx, name=f"repro-group-{gid:02d}")
-
-    def _replica_spec(self, group: ShardGroup,
-                      replica_id: int) -> ReplicaSpec:
-        from repro.serve.replica import ReplicaSpec
-
-        shape = self._shape
-        return ReplicaSpec(
-            gid=group.gid, replica_id=replica_id,
-            primary_dir=os.path.join(self._root, group.dirname),
-            key_space=tuple(group.wh_key_space),
-            page_capacity=shape["page_capacity"],
-            buffer_pages=shape["buffer_pages"],
-            strong_factor=shape["strong_factor"],
-            start_time=shape["start_time"],
-            buffer_policy=shape["buffer_policy"],
-            fsync=shape["fsync"], sync_timeout=self._sync_timeout)
-
-    def _spawn_replicas(self, group: ShardGroup) -> None:
-        from repro.serve.replica import _replica_main
-
+    def _spawn_replicas(self, group: WorkerGroup) -> None:
         fresh: List[ShardClient] = []
-        for replica_id in range(self.replica_count - len(group.replicas)):
-            spec = self._replica_spec(group, len(group.replicas)
-                                      + replica_id)
+        for offset in range(self.replica_count - len(group.replicas)):
+            replica = ReplicaSpec(group.spec, len(group.replicas) + offset,
+                                  sync_timeout=self._sync_timeout)
             fresh.append(ShardClient(
-                spec, self._ctx, main=_replica_main,
-                name=f"repro-group-{group.gid:02d}-r{spec.replica_id}"))
+                replica, self._ctx, main=_replica_main,
+                name=f"repro-shard-{group.sid:02d}-r{replica.replica_id}"))
         for client in fresh:
             client.wait_ready(self._start_timeout)
             group.replicas.append(client)
@@ -396,7 +226,7 @@ class ClusterWarehouse(ShardRouter):
         (the planner calls this every tick; tests call it directly).
         Returns the number of workers spawned."""
         spawned = 0
-        for group in list(self._groups_by_gid.values()):
+        for group in list(self._handles.values()):
             dead = [c for c in group.replicas if c.dead]
             for client in dead:
                 client.reap(1.0)
@@ -408,7 +238,8 @@ class ClusterWarehouse(ShardRouter):
 
     # -- failover ----------------------------------------------------------------------
 
-    def _ensure_primary(self, group: ShardGroup) -> None:
+    def _revive(self, group: WorkerGroup,
+                timeout: Optional[float] = None) -> None:
         """Make the group's primary usable again: respawn it (checkpoint +
         WAL replay restores every acked write), or — if the respawn
         fails — promote a caught-up replica to writer.  Serialized per
@@ -417,21 +248,15 @@ class ClusterWarehouse(ShardRouter):
             if not group.primary.dead:
                 return
             self.failovers += 1
-            old = group.primary
             try:
-                client = self._spawn_primary(group.gid, group.wh_key_space,
-                                             group.dirname)
-                client.wait_ready(self._start_timeout)
-                group.primary = client
+                group.restart(timeout or self._start_timeout)
             except Exception:
                 self._promote_in_group(group)
-            old.reap(1.0)
-            # Re-derive the acked watermark from the healed primary: its
-            # log is the authority on what was durably acknowledged.
-            group.acked_seq = max(group.acked_seq,
-                                  group.primary.call("wal_seq"))
 
-    def _promote_in_group(self, group: ShardGroup) -> None:
+    #: A cluster group heals itself the moment it finds its primary dead.
+    _heal = _revive
+
+    def _promote_in_group(self, group: WorkerGroup) -> None:
         """Promote the first caught-up replica to writer (heal-path; the
         caller holds ``group.heal_lock``)."""
         last_exc: Optional[BaseException] = None
@@ -444,32 +269,18 @@ class ClusterWarehouse(ShardRouter):
                 last_exc = exc
                 continue
             group.replicas.remove(client)
-            group.primary = client
+            group.adopt(client)
             self.promotions += 1
             return
         raise ShardDownError(
-            f"group {group.gid}: primary is down, respawn failed, and no "
+            f"group {group.sid}: primary is down, respawn failed, and no "
             f"replica could be promoted ({last_exc})")
-
-    def _note_primary_down(self, group: ShardGroup) -> None:
-        """Kick a background heal so reads keep flowing to replicas while
-        the primary restarts (single-flight via the heal lock)."""
-        thread = threading.Thread(
-            target=self._heal_quietly, args=(group,), daemon=True,
-            name=f"repro-heal-{group.gid:02d}")
-        thread.start()
-
-    def _heal_quietly(self, group: ShardGroup) -> None:
-        try:
-            self._ensure_primary(group)
-        except Exception:  # noqa: BLE001 — next caller retries/raises
-            pass
 
     def promote(self, gid: int, replica: Optional[int] = None
                 ) -> Dict[str, Any]:
         """Operator-initiated promotion: retire the current primary (if
         alive) and hand the group to one of its replicas."""
-        group = self._group(gid)
+        group = self.handle(gid)
         with self._admin_lock, group.heal_lock:
             if not group.replicas:
                 raise QueryError(f"group {gid} has no replicas to promote")
@@ -489,233 +300,11 @@ class ClusterWarehouse(ShardRouter):
             payload = chosen.call(_PROMOTE,
                                   timeout=self._sync_timeout + 30.0)
             group.replicas.remove(chosen)
-            group.primary = chosen
+            group.adopt(chosen)
             self.promotions += 1
-            group.acked_seq = max(group.acked_seq, payload["applied_seq"])
         self._spawn_replicas(group)
         return {"gid": gid, "pid": payload["pid"],
                 "applied_seq": payload["applied_seq"]}
-
-    # -- backend hooks (reads) ---------------------------------------------------------
-
-    @staticmethod
-    def _wire(args: Tuple[Any, ...]) -> Tuple[Any, ...]:
-        return tuple(
-            _AggRef(a.name) if isinstance(a, Aggregate) else a
-            for a in args)
-
-    def _shard_query(self, gid: int, method: str, *args: Any) -> Any:
-        ctx = current_context()
-        if ctx is None:
-            return self._group_read(self._group(gid), method, args)
-        started = time.perf_counter()
-        try:
-            return self._group_read(self._group(gid), method, args)
-        finally:
-            ctx.note_shard(gid, time.perf_counter() - started)
-
-    def _read_targets(self, group: ShardGroup,
-                      method: str) -> List[Tuple[str, ShardClient]]:
-        if method not in REPLICA_READS or not group.replicas:
-            return [("primary", group.primary)]
-        pool: List[Tuple[str, ShardClient]] = [("primary", group.primary)]
-        pool.extend(("replica", c) for c in group.replicas)
-        group.rr = (group.rr + 1) % len(pool)  # benign data race
-        start = group.rr
-        return pool[start:] + pool[:start]
-
-    def _group_read(self, group: ShardGroup, method: str,
-                    args: Tuple[Any, ...]) -> Any:
-        """One read, failover-aware.
-
-        Targets rotate round-robin over the primary and every replica;
-        replica reads are fenced at the group's acked watermark so a
-        session always sees its own writes.  A dead or lagging target
-        falls through to the next; a dead primary additionally kicks a
-        background respawn.  Only when *every* target fails does the
-        read block on a synchronous heal (respawn-or-promote).
-        """
-        wired = self._wire(args)
-        last_exc: Optional[BaseException] = None
-        for role, client in self._read_targets(group, method):
-            if client.dead:
-                if role == "primary":
-                    self._note_primary_down(group)
-                continue
-            try:
-                if role == "replica":
-                    return client.call(_REPLICA_READ, method, wired,
-                                       group.acked_seq)
-                return client.call(method, *wired)
-            except (ShardDownError, ReplicaLagError) as exc:
-                last_exc = exc
-                if role == "primary":
-                    self._note_primary_down(group)
-                continue
-        try:
-            self._ensure_primary(group)
-        except ShardDownError:
-            raise last_exc or ShardDownError(
-                f"group {group.gid} has no serving worker")
-        return group.primary.call(method, *wired)
-
-    def _shard_query_batch(self, gid: int,
-                           requests: List[Tuple[Any, Any, Any]]
-                           ) -> List[Any]:
-        # One failover-aware RPC per group instead of the base class's
-        # per-query loop: the whole batch rides a single worker sweep.
-        # Aggregate descriptors are wired to name tokens here because
-        # :meth:`_wire` only sees top-level args, not the nested triples.
-        wired = [
-            (kr, iv, _AggRef(agg.name) if isinstance(agg, Aggregate)
-             else agg)
-            for kr, iv, agg in requests
-        ]
-        return self._shard_query(gid, "aggregate_batch", wired)
-
-    # -- backend hooks (writes) --------------------------------------------------------
-
-    def _shard_write(self, gid: int, method: str, *args: Any) -> Any:
-        # Only reached through the base-class update API below when a
-        # subclass misses an override; route it with full fencing.
-        return self._routed_write(method, args)
-
-    def insert(self, key: int, value: float, t: int) -> None:
-        self._routed_write("insert", (key, value, t), key=key, events=1)
-
-    def delete(self, key: int, t: int) -> float:
-        return self._routed_write("delete", (key, t), key=key, events=1)
-
-    def update(self, key: int, value: float, t: int) -> None:
-        # delete + insert, both logged by the owning primary.
-        self._routed_write("update", (key, value, t), key=key, events=2)
-
-    def apply_shard_batch(self, gid: int, ops: Sequence[Any]) -> List[Any]:
-        """Apply one commit group's ops, re-routing each by key.
-
-        ``gid`` is the routing hint the server computed at *enqueue*
-        time; a split or merge may have moved keys since, so every op is
-        re-routed under the topology read lock (the same fencing as
-        :meth:`_routed_write`).  Ops are partitioned per group with their
-        original positions, each partition is applied as one
-        ``apply_batch`` under that group's write lock (order within a
-        partition matches arrival order, so per-key ordering is
-        preserved), and the per-op results are reassembled in the
-        original order.
-        """
-        del gid  # routing hint only — re-resolved per op below
-        ctx = current_context()
-        with self._topology_lock.read_locked():
-            by_gid: Dict[int, List[Tuple[int, Any]]] = {}
-            for pos, op in enumerate(ops):
-                by_gid.setdefault(self.shard_index(op[1]), []).append(
-                    (pos, op))
-            results: List[Any] = [None] * len(ops)
-            for g in sorted(by_gid):
-                entries = by_gid[g]
-                group_ops = [op for _pos, op in entries]
-                group = self._group(g)
-                started = time.perf_counter() if ctx is not None else 0.0
-                with group.write_lock:
-                    group_results = self._primary_write(
-                        group, "apply_batch", (group_ops,),
-                        events=len(group_ops))
-                if ctx is not None:
-                    ctx.note_shard(g, time.perf_counter() - started)
-                for (pos, _op), res in zip(entries, group_results):
-                    results[pos] = res
-            return results
-
-    def _routed_write(self, method: str, args: Tuple[Any, ...],
-                      key: Optional[int] = None,
-                      events: int = 1) -> Any:
-        """Route one DML statement under the topology read lock.
-
-        Holding the lock shared from routing through acknowledgement is
-        what makes the split swap (exclusive) a true barrier: a write
-        either lands wholly before the swap (and the split ships it to
-        the child) or routes against the new topology.  Writes to a dead
-        primary block on the heal path — respawn replays the WAL, so the
-        retry applies to a state containing every previously acked write.
-        """
-        if key is None:
-            key = args[0]
-        ctx = current_context()
-        started = time.perf_counter() if ctx is not None else 0.0
-        gid = -1
-        try:
-            with self._topology_lock.read_locked():
-                gid = self.shard_index(key)
-                group = self._group(gid)
-                with group.write_lock:
-                    return self._primary_write(group, method, args, events)
-        finally:
-            if ctx is not None:
-                ctx.note_shard(gid, time.perf_counter() - started)
-
-    def _primary_write(self, group: ShardGroup, method: str,
-                       args: Tuple[Any, ...], events: int) -> Any:
-        if group.primary.dead:
-            self._ensure_primary(group)
-        try:
-            result = group.primary.call(method, *self._wire(args))
-        except ShardDownError:
-            # The worker died under this write; ambiguous whether it
-            # logged before dying.  Heal and retry once — a duplicate
-            # apply surfaces as a typed 1TNF error rather than silence.
-            self._ensure_primary(group)
-            result = group.primary.call(method, *self._wire(args))
-        group.acked_seq += events
-        return result
-
-    def load_events(self, events: Sequence[Any],
-                    batch_size: int = DEFAULT_BATCH_SIZE,
-                    mode: str = "direct") -> IngestReport:
-        """Bulk load under the topology read lock — the drain barrier
-        that fences splits away from buffered-ingest windows."""
-        with self._topology_lock.read_locked():
-            return super().load_events(events, batch_size, mode)
-
-    def _load_shards(self, partitions: List[Tuple[int, List[Any]]],
-                     batch_size: int, mode: str) -> List[IngestReport]:
-        """Per-group parallel LOAD fan-out (runs under the topology read
-        lock taken by :meth:`load_events`)."""
-        from repro.storage.serialization import pack_events
-
-        resolved: List[Tuple[ShardGroup, int, Any]] = []
-        for gid, group_events in partitions:
-            group = self._group(gid)
-            group.write_lock.acquire()
-            try:
-                if group.primary.dead:
-                    self._ensure_primary(group)
-                future = group.primary.call_async(
-                    "load_events_packed", pack_events(group_events),
-                    batch_size, mode)
-            except BaseException:
-                group.write_lock.release()
-                raise
-            resolved.append((group, len(group_events), future))
-        reports: List[IngestReport] = []
-        failure: Optional[BaseException] = None
-        for group, _count, future in resolved:
-            try:
-                report = future.result()
-                group.acked_seq += report.events
-                reports.append(report)
-            except BaseException as exc:  # noqa: BLE001 — release all
-                failure = failure or exc
-            finally:
-                group.write_lock.release()
-        if failure is not None:
-            raise failure
-        return reports
-
-    @property
-    def now(self) -> int:
-        """The most recent time any group's primary has seen."""
-        return max((g.primary.last_now
-                    for g in self._groups_by_gid.values()), default=0)
 
     # -- split -------------------------------------------------------------------------
 
@@ -738,7 +327,7 @@ class ClusterWarehouse(ShardRouter):
         reads exact during the handoff.
         """
         with self._admin_lock:
-            group = self._group(gid)
+            group = self.handle(gid)
             lo, hi = group.lo, group.hi
             if hi - lo < 2:
                 raise QueryError(
@@ -750,38 +339,32 @@ class ClusterWarehouse(ShardRouter):
                     f"split point {at} outside group {gid}'s open span "
                     f"({lo}, {hi})")
             if group.primary.dead:
-                self._ensure_primary(group)
+                self._revive(group)
             group.primary.call("checkpoint")
             new_gid = self._next_gid
             self._next_gid += 1
-            dirname = _group_dir_name(new_gid)
-            parent_dir = os.path.join(self._root, group.dirname)
-            child_dir = os.path.join(self._root, dirname)
-            covered = clone_shard_state(parent_dir, child_dir)
-            child = self._spawn_primary(new_gid, group.wh_key_space,
-                                        dirname)
-            child.wait_ready(self._start_timeout)
+            dirname = shard_dir_name(new_gid)
+            parent_dir = group.spec.durable_dir
+            covered = clone_shard_state(parent_dir,
+                                        os.path.join(self._root, dirname))
+            child = self._new_group(new_gid, at, hi, group.spec.key_space,
+                                    dirname)
+            child.primary.wait_ready(self._start_timeout)
             cursor = WALCursor(parent_dir, after_seq=covered)
             upper = KeyRange(at, hi)
             # Two bulk rounds with writers still flowing shrink the tail
             # the exclusive window has to ship.
-            self._ship_tail(cursor, child, upper)
-            self._ship_tail(cursor, child, upper)
+            self._ship_tail(cursor, child.primary, upper)
+            self._ship_tail(cursor, child.primary, upper)
             with self._topology_lock.write_locked():
-                self._ship_tail(cursor, child, upper)
-                child_group = ShardGroup(new_gid, at, hi,
-                                         group.wh_key_space, dirname,
-                                         child)
-                child_group.acked_seq = child.call("wal_seq")
+                self._ship_tail(cursor, child.primary, upper)
+                child.acked_seq = child.primary.call("wal_seq")
                 group.hi = at
-                self._groups_by_gid[new_gid] = child_group
-                self._install_topology(
-                    list(self._groups_by_gid.values()),
-                    version=self._topology.version + 1)
-                self._persist_topology()
+                self._handles[new_gid] = child
+                self._swap_topology()
                 self.splits += 1
                 self._last_split = time.monotonic()
-            self._spawn_replicas(child_group)
+            self._spawn_replicas(child)
         return {"parent": gid, "child": new_gid, "at": at,
                 "version": self._topology.version}
 
@@ -822,49 +405,46 @@ class ClusterWarehouse(ShardRouter):
         freshly built tree).
         """
         with self._admin_lock:
-            a, b = self._group(gid_a), self._group(gid_b)
+            a, b = self.handle(gid_a), self.handle(gid_b)
             if a.lo > b.lo:
                 a, b = b, a
             if a.hi != b.lo:
                 raise QueryError(
-                    f"groups {a.gid} [{a.lo},{a.hi}) and {b.gid} "
+                    f"groups {a.sid} [{a.lo},{a.hi}) and {b.sid} "
                     f"[{b.lo},{b.hi}) are not adjacent")
             with self._topology_lock.write_locked():
                 for group in (a, b):
                     if group.primary.dead:
-                        self._ensure_primary(group)
+                        self._revive(group)
                 history = (self._logical_history(a)
                            + self._logical_history(b))
                 history.sort(key=lambda row: (row[3], row[0] != "delete",
                                               row[1]))
                 new_gid = self._next_gid
                 self._next_gid += 1
-                dirname = _group_dir_name(new_gid)
-                wh_ks = (min(a.wh_key_space[0], b.wh_key_space[0]),
-                         max(a.wh_key_space[1], b.wh_key_space[1]))
-                merged = self._spawn_primary(new_gid, wh_ks, dirname)
-                merged.wait_ready(self._start_timeout)
+                a_ks, b_ks = a.spec.key_space, b.spec.key_space
+                merged = self._new_group(
+                    new_gid, a.lo, b.hi,
+                    (min(a_ks[0], b_ks[0]), max(a_ks[1], b_ks[1])),
+                    shard_dir_name(new_gid))
+                merged.primary.wait_ready(self._start_timeout)
                 if history:
-                    merged.call("load_events", history)
-                merged_group = ShardGroup(new_gid, a.lo, b.hi, wh_ks,
-                                          dirname, merged)
-                merged_group.acked_seq = merged.call("wal_seq")
-                del self._groups_by_gid[a.gid]
-                del self._groups_by_gid[b.gid]
-                self._groups_by_gid[new_gid] = merged_group
-                self._install_topology(
-                    list(self._groups_by_gid.values()),
-                    version=self._topology.version + 1)
-                self._persist_topology()
+                    merged.primary.call("load_events", history)
+                merged.acked_seq = merged.primary.call("wal_seq")
+                del self._handles[a.sid]
+                del self._handles[b.sid]
+                self._handles[new_gid] = merged
+                self._swap_topology()
                 self.merges += 1
                 for group in (a, b):
                     for client in [group.primary] + group.replicas:
                         client.request_shutdown()
-            self._spawn_replicas(merged_group)
-        return {"merged": [a.gid, b.gid], "gid": new_gid,
+            self._spawn_replicas(merged)
+        return {"merged": [a.sid, b.sid], "gid": new_gid,
                 "version": self._topology.version}
 
-    def _logical_history(self, group: ShardGroup
+    @staticmethod
+    def _logical_history(group: WorkerGroup
                          ) -> List[Tuple[str, int, float, int]]:
         horizon = max(group.primary.last_now + 1, 2)
         tuples = group.primary.call(
@@ -878,71 +458,7 @@ class ClusterWarehouse(ShardRouter):
                 events.append(("delete", row.key, row.value, end))
         return events
 
-    # -- maintenance / observability ---------------------------------------------------
-
-    def checkpoint(self) -> None:
-        """Checkpoint every live primary (serialized against splits:
-        truncation must not race a split still shipping the tail)."""
-        with self._admin_lock:
-            futures = []
-            for group in list(self._groups_by_gid.values()):
-                if group.primary.dead:
-                    continue
-                try:
-                    futures.append(group.primary.call_async("checkpoint"))
-                except ShardDownError:
-                    continue
-            for future in futures:
-                try:
-                    future.result()
-                except ShardDownError:
-                    continue
-
-    def cache_snapshot(self) -> CacheSnapshot:
-        snapshot = CacheSnapshot()
-        for gid, _lo, _hi in self._topology.entries:
-            snapshot.merge(self._shard_query(gid, "cache_snapshot"))
-        return snapshot
-
-    def batch_snapshot(self) -> Dict[str, int]:
-        """Batch-sweep counters merged across every group primary."""
-        from repro.core.batch import BatchScanStats
-
-        totals = BatchScanStats()
-        for gid, _lo, _hi in self._topology.entries:
-            snapshot = self._shard_query(gid, "batch_snapshot")
-            if snapshot:
-                totals.merge(snapshot)
-        return totals.as_dict()
-
-    def page_count(self) -> int:
-        return sum(self._shard_query(gid, "page_count")
-                   for gid, _lo, _hi in self._topology.entries)
-
-    def check_invariants(self) -> None:
-        for gid, _lo, _hi in self._topology.entries:
-            self._shard_query(gid, "check_invariants")
-
-    def enable_cache(self, config: Optional[CacheConfig] = None) -> None:
-        """Enable the read-path caches on every group primary."""
-        config = config or CacheConfig()
-        for group in self._groups_by_gid.values():
-            group.primary.call("enable_cache", config, False)
-
-    def disable_cache(self) -> None:
-        """Disable and drop the read-path caches on every primary."""
-        for group in self._groups_by_gid.values():
-            group.primary.call("disable_cache")
-
-    def explain_trace(self, key_range: KeyRange, interval: Interval,
-                      aggregate: Aggregate = SUM) -> List[Dict[str, Any]]:
-        """Per-group EXPLAIN with shipped span trees (primary-only)."""
-        rows = []
-        for gid, part in self.parts_for(key_range):
-            payload = self._group(gid).primary.call(
-                _EXPLAIN_TRACE, part, interval, _AggRef(aggregate.name))
-            rows.append(dict(payload, shard=gid, key_range=part))
-        return rows
+    # -- observability -----------------------------------------------------------------
 
     def topology_info(self) -> Dict[str, Any]:
         """The routing table plus per-group worker liveness — the wire
@@ -950,7 +466,7 @@ class ClusterWarehouse(ShardRouter):
         topo = self._topology
         groups = []
         for gid, lo, hi in topo.entries:
-            group = self._groups_by_gid[gid]
+            group = self._handles[gid]
             groups.append({
                 "gid": gid, "span": [lo, hi], "dir": group.dirname,
                 "acked_seq": group.acked_seq,
@@ -969,83 +485,22 @@ class ClusterWarehouse(ShardRouter):
                              "failovers": self.failovers,
                              "promotions": self.promotions}}
 
-    def worker_stats(self) -> List[Dict[str, Any]]:
-        """One row per primary and per replica.
-
-        Primary rows look like the procpool's (plus ``role`` and
-        ``acked_seq``); replica rows add ``replica``, ``applied_seq`` and
-        ``lag`` (primary WAL sequence minus applied).  The planner feeds
-        on the primary rows' ``qps``/``queue_depth``; ``/metrics`` turns
-        ``lag`` into the ``repro_cluster_replica_lag`` gauge.
-        """
-        rows: List[Dict[str, Any]] = []
-        scrape: List[Tuple[str, ShardGroup, Any, Any]] = []
-        for gid, _lo, _hi in self._topology.entries:
-            group = self._groups_by_gid.get(gid)
-            if group is None:
-                continue
-            for role, client in ([("primary", group.primary)]
-                                 + [("replica", c)
-                                    for c in group.replicas]):
-                if client.dead:
-                    scrape.append((role, group, client, None))
-                    continue
-                try:
-                    scrape.append((role, group, client,
-                                   client.call_async(_STATS)))
-                except ShardDownError:
-                    scrape.append((role, group, client, None))
-        primary_seq: Dict[int, int] = {}
-        for role, group, client, future in scrape:
-            gid = group.gid
-            if future is None:
-                row = {"shard": gid, "alive": False, "role": role}
-                if role == "replica":
-                    row["replica"] = client.spec.replica_id
-                rows.append(row)
-                continue
-            try:
-                payload = future.result(10.0)
-            except Exception:  # noqa: BLE001 — scrape survives outages
-                row = {"shard": gid, "alive": False, "role": role}
-                if role == "replica":
-                    row["replica"] = client.spec.replica_id
-                rows.append(row)
-                continue
-            key = (gid, role, payload.get("replica", -1))
-            qps = rate_since(self._rate_state, key, payload["requests"],
-                             time.monotonic())
-            row = dict(payload, alive=True, role=role, qps=qps,
-                       queue_depth=client.queue_depth)
-            if role == "primary":
-                primary_seq[gid] = payload.get("wal_seq", 0)
-                row["acked_seq"] = group.acked_seq
-                group.qps = qps
-            else:
-                base = primary_seq.get(gid, group.acked_seq)
-                row["lag"] = max(0, base - payload.get("applied_seq", 0))
-            rows.append(row)
-        return rows
-
-    def worker_registries(self) -> List[Tuple[int, Dict[str, Any]]]:
-        """Live primaries' metrics registries (same shape as the
-        procpool's; replicas keep no caches worth scraping)."""
-        futures: List[Tuple[int, Any]] = []
-        for gid, _lo, _hi in self._topology.entries:
-            group = self._groups_by_gid.get(gid)
-            if group is None or group.primary.dead:
-                continue
-            try:
-                futures.append((gid, group.primary.call_async(_REGISTRY)))
-            except ShardDownError:
-                continue
-        rows: List[Tuple[int, Dict[str, Any]]] = []
-        for gid, future in futures:
-            try:
-                rows.append((gid, future.result(10.0)))
-            except Exception:  # noqa: BLE001 — scrape survives outages
-                continue
-        return rows
+    def publish_metrics(self, registry) -> None:
+        """The groups' rows plus the topology plane:
+        split/merge/failover/promotion counters, the topology version,
+        and the current group count."""
+        super().publish_metrics(registry)
+        topo = self._topology
+        for name in ("splits", "merges", "failovers", "promotions"):
+            registry.gauge(f"repro_cluster_{name}",
+                           f"cluster lifetime {name}",
+                           {}).set(getattr(self, name))
+        registry.gauge(
+            "repro_cluster_topology_version",
+            "monotonic topology version (bumped per split/merge)",
+            {}).set(topo.version)
+        registry.gauge("repro_cluster_groups", "current shard group count",
+                       {}).set(len(topo.entries))
 
     # -- probes (tests and the bench's byte-identical check) ---------------------------
 
@@ -1053,7 +508,7 @@ class ClusterWarehouse(ShardRouter):
                       timeout: Optional[float] = None) -> List[int]:
         """Block until every live replica of ``gid`` has applied the
         primary's full log; returns their applied sequences."""
-        group = self._group(gid)
+        group = self.handle(gid)
         target = group.primary.call("wal_seq")
         return [c.call(_SYNC, target,
                        timeout if timeout is not None
@@ -1064,58 +519,25 @@ class ClusterWarehouse(ShardRouter):
                       *args: Any) -> Any:
         """Serve ``method`` from one specific replica, fenced at the
         group's acked watermark."""
-        group = self._group(gid)
+        group = self.handle(gid)
         for client in group.replicas:
             if client.spec.replica_id == replica and not client.dead:
-                return client.call(_REPLICA_READ, method,
-                                   self._wire(args), group.acked_seq)
+                return group._rpc(client, method,
+                                  group._wire(method, args),
+                                  group.acked_seq)
         raise ShardDownError(f"group {gid} has no live replica {replica}")
 
     def primary_probe(self, gid: int, method: str, *args: Any) -> Any:
         """Serve ``method`` from the group's primary, bypassing the
         round-robin read rotation."""
-        return self._group(gid).primary.call(method, *self._wire(args))
-
-    # -- worker lifecycle --------------------------------------------------------------
-
-    def shard_pid(self, gid: int) -> Optional[int]:
-        """OS pid of group ``gid``'s primary worker process."""
-        return self._group(gid).primary.pid
-
-    def shard_alive(self, gid: int) -> bool:
-        """Whether group ``gid``'s primary worker is alive."""
-        return not self._group(gid).primary.dead
-
-    def respawn(self, gid: int, start_timeout: float = 60.0) -> int:
-        """Replace the group's primary with a fresh worker (graceful if
-        it is alive, heal-path if it is dead)."""
-        group = self._group(gid)
-        old = group.primary
-        if not old.dead:
-            old.request_shutdown()
-            old.reap(10.0)
-        self._ensure_primary(group)
-        return group.primary.pid  # type: ignore[return-value]
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
+        group = self.handle(gid)
+        return group._rpc(group.primary, method, group._wire(method, args))
 
     def close(self) -> None:
-        """Stop the planner and every worker (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
+        """Stop the planner, then every worker (idempotent)."""
         if self._planner is not None:
             self._planner.stop()
-        clients: List[ShardClient] = []
-        for group in self._groups_by_gid.values():
-            clients.append(group.primary)
-            clients.extend(group.replicas)
-        for client in clients:
-            client.request_shutdown()
-        for client in clients:
-            client.reap()
+        super().close()
 
 
 class ClusterPlanner(threading.Thread):
@@ -1177,13 +599,13 @@ class ClusterPlanner(threading.Thread):
         if self.autosplit and cooled:
             hot = max(primaries, key=lambda r: r["qps"])
             share = hot["qps"] / total_qps if total_qps > 0 else 0.0
-            group = owner._groups_by_gid.get(hot["shard"])
+            group = owner._handles.get(hot["shard"])
             if (group is not None
                     and hot["qps"] >= self.split_qps
                     and share >= self.split_min_share
                     and len(primaries) < self.max_groups
                     and group.hi - group.lo >= 2):
-                owner.split(group.gid)
+                owner.split(group.sid)
                 return
         if self.merge_qps is not None and cooled and len(primaries) > 1:
             by_gid = {r["shard"]: r for r in primaries}
@@ -1197,12 +619,6 @@ class ClusterPlanner(threading.Thread):
                     owner.merge(gid_a, gid_b)
                     owner._last_split = time.monotonic()
                     return
-
-
-def _group_dir_name(gid: int) -> str:
-    """On-disk directory of group ``gid`` (same scheme the static
-    backends use, so an un-split cluster directory is procpool-shaped)."""
-    return f"shard-{gid:02d}"
 
 
 def clone_shard_state(src_dir: str, dst_dir: str) -> int:

@@ -63,18 +63,25 @@ import pickle
 import struct
 import threading
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.aggregates import AVG, Aggregate, COUNT, MAX, MIN, SUM
 from repro.core.cache import CacheConfig
 from repro.core.model import Interval, KeyRange, MAX_KEY
-from repro.errors import ShardDownError, error_from_payload, error_payload
+from repro.errors import (
+    ReplicaLagError,
+    ShardDownError,
+    error_from_payload,
+    error_payload,
+)
 from repro.serve.sharded import (
+    MISS,
     ShardRouter,
-    _ShardedAggregates,
+    Topology,
     load_or_freeze_layout,
     shard_dir_name,
+    split_evenly,
 )
 from repro.serve.telemetry import current_context
 
@@ -88,15 +95,31 @@ _READ_METHODS = frozenset({
     "aggregate", "aggregate_all", "sum", "count", "avg", "min", "max",
     "snapshot", "tuples_in", "history", "explain", "cache_snapshot",
     "page_count", "check_invariants", "wal_seq", "aggregate_batch",
-    "batch_snapshot",
+    "batch_snapshot", "explain_trace",
 })
 
 #: Worker-level control methods (handled by the loop, not the warehouse).
 _SHUTDOWN = "__shutdown__"
 _STATS = "__stats__"
-_EXPLAIN_TRACE = "__explain_trace__"
 _TRACED = "__traced__"
 _REGISTRY = "__registry__"
+
+#: Replica-only control verbs (served by :mod:`repro.serve.replica`).
+_REPLICA_READ = "__replica_read__"
+_SYNC = "__sync__"
+_PROMOTE = "__promote__"
+
+#: Read methods a replica serves; everything else goes to the primary
+#: (cache snapshots, invariant audits, EXPLAIN traces, ...).
+REPLICA_READS = frozenset({
+    "aggregate", "aggregate_all", "aggregate_batch",
+    "sum", "count", "avg", "min", "max",
+    "snapshot", "tuples_in", "history", "explain",
+})
+
+#: WAL records an acknowledged write appends, by method (``apply_batch``
+#: and bulk loads are counted from their results).
+_LOGGED = {"insert": 1, "delete": 1, "update": 2}
 
 #: Memo capacity for the temporary shared-scan memo (caching off).
 _BATCH_MEMO_ENTRIES = 4096
@@ -270,23 +293,18 @@ def _build_warehouse(spec: ShardSpec):
     return warehouse
 
 
-def _resolve_args(args: Tuple[Any, ...]) -> Tuple[Any, ...]:
-    """Swap :class:`_AggRef` tokens back for real descriptors."""
-    return tuple(
-        _AGGREGATES[a.name] if isinstance(a, _AggRef) else a for a in args
-    )
-
-
 def _resolve_method_args(method: str,
                          args: Tuple[Any, ...]) -> Tuple[Any, ...]:
-    """:func:`_resolve_args` plus the nested tokens of a batch request.
+    """Swap :class:`_AggRef` tokens back for real descriptors (the
+    inverse of :meth:`WorkerGroup._wire`).
 
     ``aggregate_batch`` ships its queries as one list argument whose
-    triples carry :class:`_AggRef` tokens (or ``None`` for
-    ``aggregate_all`` slots) — those never surface to the top-level
-    resolver, so they are swapped here.
+    triples carry the tokens (or ``None`` for ``aggregate_all`` slots) —
+    those never surface among the top-level arguments, so they are
+    swapped separately.
     """
-    args = _resolve_args(args)
+    args = tuple(
+        _AGGREGATES[a.name] if isinstance(a, _AggRef) else a for a in args)
     if method == "aggregate_batch" and args:
         queries = [
             (kr, iv, _AGGREGATES[a.name] if isinstance(a, _AggRef) else a)
@@ -294,26 +312,6 @@ def _resolve_method_args(method: str,
         ]
         args = (queries,) + args[1:]
     return args
-
-
-def rate_since(state: Dict[Any, Tuple[float, int]], key: Any,
-               counter: int, now: float) -> float:
-    """Requests/second since the last observation of ``key``.
-
-    ``state`` maps key -> (monotonic time, counter) of the previous call
-    and is updated in place; the first observation (and a counter reset,
-    e.g. after a respawn) reports ``0.0``.  Shared by the procpool stats
-    scrape and the cluster split planner.
-    """
-    prev = state.get(key)
-    state[key] = (now, counter)
-    if prev is None:
-        return 0.0
-    elapsed = now - prev[0]
-    delta = counter - prev[1]
-    if elapsed <= 0.0 or delta < 0:
-        return 0.0
-    return round(delta / elapsed, 3)
 
 
 def _worker_main(conn, spec: ShardSpec) -> None:
@@ -377,9 +375,6 @@ def _worker_main(conn, spec: ShardSpec) -> None:
             payload = dict(stats, pid=os.getpid(), now=warehouse.now,
                            shard=spec.index, wal_seq=warehouse.wal_seq())
             _respond(conn, rid, True, payload, warehouse.now)
-            continue
-        if method == _EXPLAIN_TRACE:
-            _serve_explain_trace(conn, warehouse, rid, args, stats)
             continue
         if method == _TRACED:
             _serve_traced(conn, warehouse, rid, args, stats, spec.index)
@@ -535,39 +530,20 @@ def _serve_one(conn, warehouse, rid, method: str, args, stats) -> None:
     _respond(conn, rid, True, result, warehouse.now)
 
 
-def _serve_explain_trace(conn, warehouse, rid, args, stats) -> None:
-    """EXPLAIN with span shipping: trace the query in the worker and ship
-    the span tree as plain JSONL-shape records (never Span objects)."""
-    from repro.obs.explain import explain_query
-    from repro.obs.tracefile import span_to_record
-
-    try:
-        key_range, interval, agg = _resolve_args(args)
-        report = explain_query(warehouse, key_range, interval, agg)
-        payload = {"plan": report.plan, "result": report.result,
-                   "record": span_to_record(report.root),
-                   "cache": report.cache}
-    except BaseException as exc:  # noqa: BLE001 — boundary: all -> payload
-        stats["errors"] += 1
-        _respond(conn, rid, False, error_payload(exc), warehouse.now)
-        return
-    stats["reads"] += 1
-    _respond(conn, rid, True, payload, warehouse.now)
-
-
-#: Cached ``discover_pools`` result for this worker's warehouse — the
-#: worker owns exactly one warehouse for its whole life, so the light
-#: tracing path (every sampled request) need not re-walk it.
-_POOL_CACHE: "Optional[list]" = None
+#: Cached ``(warehouse, discover_pools(warehouse))`` — a primary owns
+#: one warehouse for its whole life and a replica swaps its copy only
+#: when it rebases, so the light tracing path (every sampled request)
+#: need not re-walk it.
+_POOL_CACHE: "Optional[tuple]" = None
 
 
 def _worker_pools(warehouse) -> "list":
     global _POOL_CACHE
-    if _POOL_CACHE is None:
+    if _POOL_CACHE is None or _POOL_CACHE[0] is not warehouse:
         from repro.obs.attach import discover_pools
 
-        _POOL_CACHE = discover_pools(warehouse)
-    return _POOL_CACHE
+        _POOL_CACHE = (warehouse, discover_pools(warehouse))
+    return _POOL_CACHE[1]
 
 
 def _serve_traced(conn, warehouse, rid, args, stats, shard: int) -> None:
@@ -826,26 +802,402 @@ class ShardClient:
         except OSError:
             pass
 
-    def shutdown(self, timeout: float = 30.0) -> None:
-        """Graceful stop: request shutdown, then reap."""
-        self.request_shutdown()
-        self.reap(timeout)
+
+class WorkerGroup:
+    """The pipe-transport shard handle: one key range's worker set — a
+    primary :class:`ShardClient` plus a possibly empty list of WAL-shipped
+    replicas (:mod:`repro.serve.replica`) — with the group-local write
+    bookkeeping.
+
+    Everything that differs between "a call" and "a call to a process
+    that may die" lives here, once: descriptor wiring, the ``__traced__``
+    upgrade of sampled requests, the round-robin / fenced / fail-over
+    read, and the heal-and-retry-once write.  With zero replicas a read
+    is exactly one RPC to the primary.  *What healing means* is the
+    ``heal`` callable the constructing router hands over, fixed for the
+    group's lifetime (see :meth:`ProcessShardedWarehouse._heal`).
+    """
+
+    #: Workers are single-threaded: they take the lock-free cache variants.
+    thread_safe = False
+
+    def __init__(self, spec: ShardSpec, lo: int, hi: int, ctx,
+                 heal) -> None:
+        #: How to (re)build the primary.  Its ``key_space`` is the
+        #: warehouse-level domain: a split narrows routing (``lo``/``hi``)
+        #: but never the warehouse domain, so clones stay loadable.
+        self.spec = spec
+        self.sid = spec.index
+        self.lo = lo
+        self.hi = hi
+        self._ctx = ctx
+        self._heal = heal
+        self.primary = ShardClient(spec, ctx)  # started, not awaited
+        self.replicas: List[ShardClient] = []
+        #: WAL sequence covering every acknowledged write to this group —
+        #: the read-your-writes fence shipped with each replica read.
+        self.acked_seq = 0
+        #: Serializes writers within the group (writers hold the topology
+        #: lock shared, so two writers to one group race without this).
+        self.write_lock = threading.Lock()
+        #: Serializes failover healing (respawn/promote) of the primary.
+        self.heal_lock = threading.Lock()
+        #: Round-robin cursor over read targets.
+        self.rr = 0
+        # ``(role, replica id) -> (monotonic time, requests)`` of the
+        # previous stats scrape, for the rate :meth:`stats_rows` reports.
+        self._scraped: Dict[Any, Tuple[float, int]] = {}
+
+    @property
+    def dirname(self) -> Optional[str]:
+        """The shard's directory name under the durable root."""
+        root = self.spec.durable_dir
+        return os.path.basename(root) if root else None
+
+    # -- worker lifecycle --------------------------------------------------------------
+
+    def restart(self, timeout: float) -> None:
+        """Replace the primary with a fresh worker (the caller holds
+        ``heal_lock``).  Durable shards recover their state via
+        checkpoint + WAL replay in
+        :meth:`TemporalWarehouse.open_durable` — every update
+        acknowledged before the crash was logged first, so nothing
+        acknowledged is lost.  In-memory shards come back empty."""
+        client = ShardClient(self.spec, self._ctx)
+        client.wait_ready(timeout)
+        self.adopt(client)
+
+    def adopt(self, client: ShardClient) -> None:
+        """Install ``client`` as the primary and retire the old one.  The
+        acked watermark is re-derived from the new primary: its log is
+        the authority on what was durably acknowledged."""
+        old, self.primary = self.primary, client
+        old.reap(1.0)
+        self.acked_seq = max(self.acked_seq, client.call("wal_seq"))
+
+    def _heal_in_background(self) -> None:
+        """Kick a heal so reads keep flowing to replicas while the
+        primary restarts (single-flight via the heal lock)."""
+        def quietly() -> None:
+            try:
+                self._heal(self)
+            except Exception:  # noqa: BLE001 — next caller retries/raises
+                pass
+        threading.Thread(target=quietly, daemon=True,
+                         name=f"repro-heal-{self.sid:02d}").start()
+
+    # -- the one RPC site --------------------------------------------------------------
+
+    @staticmethod
+    def _wire(method: str, args: Tuple[Any, ...]) -> Tuple[Any, ...]:
+        """Swap :class:`Aggregate` descriptors for name tokens (their
+        lambdas never cross the pipe) — including the nested triples of
+        an ``aggregate_batch``, whose ``None`` slots pass through."""
+        if method == "aggregate_batch":
+            return ([(kr, iv, _AggRef(a.name) if isinstance(a, Aggregate)
+                      else a) for kr, iv, a in args[0]],) + tuple(args[1:])
+        return tuple(
+            _AggRef(a.name) if isinstance(a, Aggregate) else a for a in args)
+
+    @staticmethod
+    def _rpc(client: ShardClient, method: str, wired: Tuple[Any, ...],
+             fence: Optional[int] = None) -> Any:
+        """One worker RPC, telemetry-aware.
+
+        When the request is *sampled* the call is upgraded to the
+        ``__traced__`` verb — the worker executes the method under a
+        tracer rooted in the request's trace ID and ships the span tree
+        back alongside the result (see :func:`_serve_traced`).  With a
+        ``fence`` the call is a replica read that first catches up to
+        that WAL sequence.
+        """
+        ctx = current_context()
+        sampled = ctx is not None and ctx.sampled
+        if sampled:
+            method, wired = _TRACED, (method, wired, ctx.trace_context())
+        if fence is not None:
+            method, wired = _REPLICA_READ, (method, wired, fence)
+        answer = client.call(method, *wired)
+        if not sampled:
+            return answer
+        result, record = answer
+        ctx.add_record(record)
+        return result
+
+    # -- the handle surface ------------------------------------------------------------
+
+    def _read_targets(self, method: str) -> Sequence[ShardClient]:
+        if not self.replicas or method not in REPLICA_READS:
+            return (self.primary,)
+        pool = [self.primary, *self.replicas]
+        self.rr = (self.rr + 1) % len(pool)  # benign data race
+        return pool[self.rr:] + pool[:self.rr]
+
+    def read(self, method: str, args: Tuple[Any, ...]) -> Any:
+        """One read, failover-aware.
+
+        Targets rotate round-robin over the primary and every replica;
+        replica reads are fenced at the group's acked watermark so a
+        session always sees its own writes.  A dead or lagging target
+        falls through to the next; a dead primary with replicas to lean
+        on additionally kicks a background heal.  Only when *every*
+        target fails does the read block on a synchronous heal.
+        """
+        wired = self._wire(method, args)
+        primary = self.primary
+        last_exc: Optional[BaseException] = None
+        for client in self._read_targets(method):
+            try:
+                if client is primary:
+                    return self._rpc(client, method, wired)
+                return self._rpc(client, method, wired, self.acked_seq)
+            except (ShardDownError, ReplicaLagError) as exc:
+                last_exc = exc
+                if client is primary and self.replicas:
+                    self._heal_in_background()
+        try:
+            self._heal(self)
+        except ShardDownError as exc:
+            raise last_exc or exc
+        return self._rpc(self.primary, method, wired)
+
+    def read_batch(self, requests: List[Tuple]) -> List[Any]:
+        """One sub-batch as a single ``aggregate_batch`` RPC — the whole
+        batch rides one worker sweep; per-query failures come back as
+        exception instances in-band."""
+        return self.read("aggregate_batch", (requests,))
+
+    def write(self, method: str, args: Tuple[Any, ...]) -> Any:
+        """One call on the primary, exclusive by construction (the worker
+        is single-threaded and its pipe is FIFO).  A dead primary blocks
+        on the heal — a respawn replays the WAL, so the call applies to
+        a state containing every previously acked write."""
+        wired = self._wire(method, args)
+        with self.write_lock:
+            if self.primary.dead:
+                self._heal(self)
+            try:
+                result = self._rpc(self.primary, method, wired)
+            except ShardDownError:
+                # The worker died under this write; ambiguous whether it
+                # logged before dying.  Heal and retry once — a duplicate
+                # apply surfaces as a typed 1TNF error rather than silence.
+                self._heal(self)
+                result = self._rpc(self.primary, method, wired)
+            self.acked_seq += self._logged(method, result)
+            return result
+
+    @staticmethod
+    def _logged(method: str, result: Any) -> int:
+        """WAL records one acknowledged call appended.  Never an
+        over-count: the fence would then name a sequence no replica can
+        reach, and every replica read would wait out its sync timeout."""
+        if method == "apply_batch":  # rejected ops are not logged
+            return sum(1 for tag, _payload in result if tag == "ok")
+        if method == "load_events_packed":
+            return result.events
+        return _LOGGED.get(method, 0)
+
+    def call_async(self, method: str, *args: Any
+                   ) -> "concurrent.futures.Future":
+        """:meth:`write` without waiting (and without the retry): the
+        group's write lock is held from send until the worker's reply
+        has been accounted, then the returned future settles.
+
+        A ``load_events`` partition crosses the pipe as one
+        :func:`~repro.storage.serialization.pack_events` columnar blob
+        (four packed arrays) instead of a list of pickled per-event
+        tuples; the worker counts the bytes-on-pipe in its ``load_bytes``
+        stat and unpacks straight into its loader.
+        """
+        if method == "load_events":
+            from repro.storage.serialization import pack_events
+
+            method, args = "load_events_packed", \
+                (pack_events(args[0]),) + args[1:]
+        self.write_lock.acquire()
+        try:
+            if self.primary.dead:
+                self._heal(self)
+            sent = self.primary.call_async(method,
+                                           *self._wire(method, args))
+        except BaseException:
+            self.write_lock.release()
+            raise
+        settled: concurrent.futures.Future = concurrent.futures.Future()
+
+        def account(done: "concurrent.futures.Future") -> None:
+            try:
+                result = done.result()
+                self.acked_seq += self._logged(method, result)
+            except BaseException as exc:  # noqa: BLE001 — via .result()
+                self.write_lock.release()
+                settled.set_exception(exc)
+                return
+            self.write_lock.release()
+            settled.set_result(result)
+        sent.add_done_callback(account)
+        return settled
+
+    def probe(self, name: str, part: KeyRange, interval: Interval) -> Any:
+        """Always :data:`~repro.serve.sharded.MISS`: the caches live
+        inside the worker, so nothing is answerable without an RPC."""
+        return MISS
+
+    @property
+    def now(self) -> int:
+        """The most recent time the primary has seen (from response
+        clocks: every worker reply carries its warehouse's ``now``)."""
+        return self.primary.last_now
+
+    @property
+    def dead(self) -> bool:
+        """Whether the primary is down right now."""
+        return self.primary.dead
+
+    def close(self) -> None:
+        """Stop every worker: request shutdown in parallel, then reap.
+        Workers close their warehouses (releasing WAL handles) before
+        exiting; stragglers are terminated."""
+        clients = [self.primary, *self.replicas]
+        for client in clients:
+            client.request_shutdown()
+        for client in clients:
+            client.reap()
+
+    # -- observability -----------------------------------------------------------------
+
+    def stats_rows(self) -> List[Dict[str, Any]]:
+        """One row for the primary and one per replica: worker counters,
+        pid, clock, liveness.
+
+        Live rows also carry ``role``, ``queue_depth`` (requests in
+        flight to that worker right now), ``packed_requests`` and
+        ``qps`` — the request rate since the previous scrape (``0.0`` on
+        the first one, and after a counter reset such as a respawn).  The
+        primary row adds ``acked_seq``; replica
+        rows add ``replica``, ``applied_seq`` and ``lag`` (primary WAL
+        sequence minus applied).  Dead workers report ``alive: False``
+        instead of raising, so metrics stay exportable mid-outage.
+        """
+        import time
+
+        scrape: List[Tuple[ShardClient, Any]] = []
+        for client in [self.primary, *self.replicas]:
+            try:
+                scrape.append((client, client.call_async(_STATS)))
+            except ShardDownError:
+                scrape.append((client, None))
+        rows: List[Dict[str, Any]] = []
+        primary_seq = self.acked_seq
+        for position, (client, future) in enumerate(scrape):
+            role = "replica" if position else "primary"
+            row: Dict[str, Any] = {"shard": self.sid, "alive": False,
+                                   "role": role}
+            if position:
+                row["replica"] = client.spec.replica_id
+            try:
+                payload = None if future is None else future.result(10.0)
+            except Exception:  # noqa: BLE001 — scrape survives outages
+                payload = None
+            if payload is None:
+                rows.append(row)
+                continue
+            seen = (time.monotonic(), payload["requests"])
+            prev = self._scraped.get((role, row.get("replica")), seen)
+            self._scraped[role, row.get("replica")] = seen
+            elapsed, delta = seen[0] - prev[0], seen[1] - prev[1]
+            qps = round(delta / elapsed, 3) \
+                if elapsed > 0.0 and delta >= 0 else 0.0
+            row = dict(payload, alive=True, role=role, qps=qps,
+                       queue_depth=client.queue_depth,
+                       packed_requests=client.packed_requests)
+            if position:
+                row["lag"] = max(0, primary_seq
+                                 - payload.get("applied_seq", 0))
+            else:
+                primary_seq = payload.get("wal_seq", 0)
+                row["acked_seq"] = self.acked_seq
+            rows.append(row)
+        return rows
+
+    def registry_snapshot(self) -> Optional[Dict[str, Any]]:
+        """The primary's metrics registry snapshot, as JSON — the worker
+        runs :func:`repro.obs.metrics.snapshot_into` over its own
+        warehouse (pool IOStats, tree counters, cache counters).
+        ``None`` when it is dead or unresponsive: a scrape must survive
+        a mid-outage shard.  Replicas keep no caches worth scraping."""
+        try:
+            return self.primary.call(_REGISTRY, timeout=10.0)
+        except Exception:  # noqa: BLE001 — scrape survives outages
+            return None
+
+    def publish_metrics(self, registry) -> None:
+        """This group's rows: each worker's request counters,
+        shared-scan batching stats, liveness and replica lag as
+        ``repro_procpool_<counter>{shard=N}`` gauges, then every series
+        of the primary's own registry republished with a ``shard``
+        label — so one scrape carries e.g.
+        ``repro_pool_reads{pool="tuples",shard="2"}`` for every worker
+        process without any shared memory."""
+        for row in self.stats_rows():
+            labels = {"shard": str(self.sid)}
+            if row["role"] == "replica":
+                # Replica rows share the primary's shard id; the replica
+                # label keeps the series distinct.
+                labels["replica"] = str(row.get("replica", ""))
+            for counter in ("requests", "reads", "writes", "errors",
+                            "shared_batches", "batched_reads",
+                            "batch_sweeps", "batch_queries",
+                            "load_bytes"):
+                if counter in row:
+                    registry.gauge(
+                        f"repro_procpool_{counter}",
+                        f"shard worker counter {counter}",
+                        labels).set(row[counter])
+            if "qps" in row:
+                registry.gauge(
+                    "repro_procpool_shard_qps",
+                    "worker request rate since the last scrape (req/s)",
+                    labels).set(row["qps"])
+            if "queue_depth" in row:
+                registry.gauge(
+                    "repro_procpool_shard_queue_depth",
+                    "requests in flight on the worker pipe",
+                    labels).set(row["queue_depth"])
+            if "lag" in row:
+                registry.gauge(
+                    "repro_cluster_replica_lag",
+                    "primary WAL records not yet applied by the replica",
+                    labels).set(row["lag"])
+            registry.gauge(
+                "repro_procpool_alive", "shard worker liveness",
+                labels).set(1 if row["alive"] else 0)
+        for name, metric in (self.registry_snapshot() or {}).items():
+            for entry in metric.get("series", ()):
+                if "value" not in entry:
+                    continue  # worker snapshots only ship gauges
+                labels = dict(entry.get("labels", {}), shard=str(self.sid))
+                registry.gauge(name, metric.get("help", ""),
+                               labels).set(entry["value"])
 
 
 class ProcessShardedWarehouse(ShardRouter):
-    """The process-per-shard backend: same API, N cores.
+    """The process-per-shard construction: the router over one
+    zero-replica :class:`WorkerGroup` per range — same API, N cores.
 
-    Routing, scatter-gather arithmetic, and bulk-load partitioning come
-    from :class:`~repro.serve.sharded.ShardRouter` — identical code to the
+    Routing, scatter-gather arithmetic, and bulk-load partitioning are
+    :class:`~repro.serve.sharded.ShardRouter`'s — identical code to the
     thread backend, which is what makes answers byte-identical between
-    ``--executor thread`` and ``--executor process``.  Only the two hooks
-    differ: both become RPCs to the owning worker.
+    ``--executor thread`` and ``--executor process``.
 
-    No parent-side shard locks exist (or are needed): each worker is
-    single-threaded, its pipe is FIFO, and a client that awaits its write
-    acknowledgements before reading observes its own writes.  ``AS OF``
-    reads at or before a shard's clock touch only closed versions, so
-    cross-client interleavings keep snapshot semantics.
+    No parent-side shard locks exist (or are needed) for reads: each
+    worker is single-threaded, its pipe is FIFO, and a client that awaits
+    its write acknowledgements before reading observes its own writes.
+    ``AS OF`` reads at or before a shard's clock touch only closed
+    versions, so cross-client interleavings keep snapshot semantics.
+
+    A dead worker answers ``SHARD_DOWN`` until :meth:`respawn`.
 
     Parameters mirror :class:`~repro.serve.sharded.ShardedWarehouse`, plus
     ``durable_dir`` (per-shard WAL + checkpoints under
@@ -870,277 +1222,101 @@ class ProcessShardedWarehouse(ShardRouter):
             key_space, boundaries = load_or_freeze_layout(
                 durable_dir, shards, key_space)
         else:
-            boundaries = self._split(key_space, shards)
-        self.key_space = key_space
-        self.boundaries = boundaries
-        self.aggregates = _ShardedAggregates(self)
-        self._specs = [
-            ShardSpec(
-                index=i, key_space=(lo, hi), page_capacity=page_capacity,
-                buffer_pages=buffer_pages, strong_factor=strong_factor,
-                start_time=start_time, buffer_policy=buffer_policy,
-                durable_dir=(os.path.join(durable_dir, shard_dir_name(i))
-                             if durable_dir else None),
-                fsync=fsync, cache_config=cache_config,
-                scan_batch=scan_batch)
-            for i, (lo, hi) in enumerate(zip(boundaries, boundaries[1:]))
-        ]
+            boundaries = split_evenly(key_space, shards)
+        self._boot(durable_dir, start_timeout, ShardSpec(
+            index=-1, key_space=key_space, page_capacity=page_capacity,
+            buffer_pages=buffer_pages, strong_factor=strong_factor,
+            start_time=start_time, buffer_policy=buffer_policy,
+            fsync=fsync, cache_config=cache_config, scan_batch=scan_batch),
+            1, [(sid, lo, hi, (lo, hi), shard_dir_name(sid))
+                for sid, (lo, hi) in enumerate(
+                    zip(boundaries, boundaries[1:]))])
+
+    # -- construction ------------------------------------------------------------------
+
+    def _new_group(self, sid: int, lo: int, hi: int,
+                   wh_key_space: Tuple[int, int],
+                   dirname: str) -> WorkerGroup:
+        """A group whose primary is starting (not yet waited for)."""
+        spec = replace(
+            self._template, index=sid, key_space=tuple(wh_key_space),
+            durable_dir=(os.path.join(self._root, dirname)
+                         if self._root else None))
+        return WorkerGroup(spec, lo, hi, self._ctx, self._heal)
+
+    def _boot(self, root: Optional[str], start_timeout: float,
+              template: ShardSpec, version: int, plan: List[Tuple]) -> None:
+        """Start one group per ``(sid, lo, hi, warehouse key space,
+        dirname)`` row of ``plan`` and hand them to the router.
+        ``template`` is everything about a worker's warehouse except
+        which shard it is (its ``key_space`` is the router's).  Every
+        worker is started first, then the hellos are collected: spawn
+        imports overlap across cores instead of serializing."""
         self._ctx = multiprocessing.get_context("spawn")
-        self._durable_dir = durable_dir
-        self._closed = False
-        # Per-shard (monotonic time, requests) of the previous stats
-        # scrape, for the qps rate reported by :meth:`worker_stats`.
-        self._rate_state: Dict[int, Tuple[float, int]] = {}
-        # Start every worker first, then collect hellos: spawn imports
-        # overlap across cores instead of serializing.
-        self._clients = [ShardClient(spec, self._ctx)
-                         for spec in self._specs]
+        self._root = root
+        self._start_timeout = start_timeout
+        self._template = template
+        groups = [self._new_group(*row) for row in plan]
         try:
-            for client in self._clients:
-                client.wait_ready(start_timeout)
+            for group in groups:
+                group.primary.wait_ready(start_timeout)
         except Exception:
-            self.close()
+            for group in groups:
+                group.close()
             raise
+        ShardRouter.__init__(
+            self, template.key_space,
+            Topology(version, [(g.sid, g.lo, g.hi) for g in groups]),
+            {group.sid: group for group in groups})
 
-    # -- backend hooks -----------------------------------------------------------------
+    # -- failure policy ----------------------------------------------------------------
 
-    @staticmethod
-    def _wire(args: Tuple[Any, ...]) -> Tuple[Any, ...]:
-        return tuple(
-            _AggRef(a.name) if isinstance(a, Aggregate) else a for a in args
-        )
+    def _heal(self, group: WorkerGroup) -> None:
+        """What a group does on finding its primary dead mid-traffic:
+        nothing — the shard answers ``SHARD_DOWN`` until the operator's
+        :meth:`respawn` (an in-memory shard must never be silently
+        respawned empty)."""
+        raise group.primary._down_error()
 
-    def _shard_query(self, index: int, method: str, *args: Any) -> Any:
-        return self._shard_call(index, method, args)
+    def _revive(self, group: WorkerGroup,
+                timeout: Optional[float] = None) -> None:
+        """Bring a dead primary back (single-flight: concurrent
+        detectors block on the heal lock and find it healed)."""
+        with group.heal_lock:
+            if group.primary.dead:
+                group.restart(timeout or self._start_timeout)
 
-    def _shard_write(self, index: int, method: str, *args: Any) -> Any:
-        # The worker is single-threaded and its pipe is FIFO — exclusive
-        # access is structural, no parent-side lock required.
-        return self._shard_call(index, method, args)
-
-    def _shard_query_batch(self, index: int, requests: List[Tuple]
-                           ) -> List[Any]:
-        """One shard's sub-batch as a single ``aggregate_batch`` RPC.
-
-        Descriptors are tokenized per triple (their lambdas never cross
-        the pipe); ``None`` aggregates (the ``aggregate_all`` slots of an
-        AVG gather) pass through as-is.  Per-query failures come back as
-        exception instances in-band, exactly like the thread backend.
-        """
-        wired = [
-            (key_range, interval,
-             _AggRef(agg.name) if isinstance(agg, Aggregate) else agg)
-            for key_range, interval, agg in requests
-        ]
-        return self._shard_call(index, "aggregate_batch", (wired,))
-
-    def _shard_call(self, index: int, method: str,
-                    args: Tuple[Any, ...]) -> Any:
-        """One worker RPC, telemetry-aware.
-
-        With no request context installed this is the plain pickle-light
-        call.  Under an active context the RPC's wall time is attributed
-        to the shard; when the request is *sampled* the call is upgraded
-        to the ``__traced__`` verb — the worker executes the method under
-        a tracer rooted in the request's trace ID and ships the span tree
-        back alongside the result (see :func:`_serve_traced`).
-        """
-        ctx = current_context()
-        if ctx is None:
-            return self._clients[index].call(method, *self._wire(args))
-        import time
-        started = time.perf_counter()
-        try:
-            if ctx.sampled:
-                result, record = self._clients[index].call(
-                    _TRACED, method, self._wire(args), ctx.trace_context())
-                ctx.add_record(record)
-                return result
-            return self._clients[index].call(method, *self._wire(args))
-        finally:
-            ctx.note_shard(index, time.perf_counter() - started)
-
-    @property
-    def now(self) -> int:
-        """The most recent time any shard has seen (from response clocks:
-        every worker reply carries its warehouse's ``now``)."""
-        return max(client.last_now for client in self._clients)
-
-    # -- parallel fan-out --------------------------------------------------------------
-
-    def _load_shards(self, partitions, batch_size: int, mode: str):
-        """Drive every shard's :class:`~repro.core.ingest.BatchLoader`
-        concurrently — each partition loads in its own process.
-
-        Each partition crosses the pipe as one
-        :func:`~repro.storage.serialization.pack_events` columnar blob
-        (four packed arrays) instead of a list of pickled per-event
-        tuples; the worker counts the bytes-on-pipe in its ``load_bytes``
-        stat and unpacks straight into its loader.
-        """
-        from repro.storage.serialization import pack_events
-
-        futures = [
-            self._clients[index].call_async("load_events_packed",
-                                            pack_events(events),
-                                            batch_size, mode)
-            for index, events in partitions
-        ]
-        return [future.result() for future in futures]
-
-    def checkpoint(self) -> None:
-        """Checkpoint every live shard concurrently.
-
-        Dead shards are skipped rather than failing the drain: their WALs
-        already hold every acknowledged update, so respawn recovery covers
-        them.
-        """
-        futures = []
-        for client in self._clients:
-            try:
-                futures.append(client.call_async("checkpoint"))
-            except ShardDownError:
-                continue
-        for future in futures:
-            try:
-                future.result()
-            except ShardDownError:
-                continue
-
-    # -- read-path caching -------------------------------------------------------------
-
-    def enable_cache(self, config: Optional[CacheConfig] = None) -> None:
-        """Attach read-path caches inside every worker (single-threaded,
-        so the lock-free cache variants)."""
-        config = config or CacheConfig()
-        for client in self._clients:
-            client.call("enable_cache", config, False)
-
-    def disable_cache(self) -> None:
-        """Detach every worker's read-path caches."""
-        for client in self._clients:
-            client.call("disable_cache")
+    def respawn(self, sid: int, start_timeout: float = 60.0) -> int:
+        """Replace shard ``sid``'s primary with a fresh worker process
+        (graceful if it is alive); returns the new worker's pid."""
+        group = self.handle(sid)
+        old = group.primary
+        if not old.dead:
+            old.request_shutdown()
+            old.reap(5.0)
+        self._revive(group, start_timeout)
+        return group.primary.pid  # type: ignore[return-value]
 
     # -- observability -----------------------------------------------------------------
 
     def worker_stats(self) -> List[Dict[str, Any]]:
-        """One row per shard: worker counters, pid, clock, liveness.
-
-        Live rows also carry ``queue_depth`` (requests in flight to that
-        worker right now) and ``qps`` — the request rate since the
-        previous :meth:`worker_stats` scrape (``0.0`` on the first one).
-        Dead workers report ``{"shard": i, "alive": False}`` instead of
-        raising, so metrics stay exportable mid-outage.
-        """
-        import time
-
-        rows: List[Dict[str, Any]] = []
-        futures: List[Tuple[int, Any]] = []
-        for index, client in enumerate(self._clients):
-            try:
-                futures.append((index, client.call_async(_STATS)))
-            except ShardDownError:
-                futures.append((index, None))
-        for index, future in futures:
-            if future is None:
-                rows.append({"shard": index, "alive": False})
-                continue
-            try:
-                row = future.result(10.0)
-            except (ShardDownError, concurrent.futures.TimeoutError):
-                rows.append({"shard": index, "alive": False})
-                continue
-            scraped = time.monotonic()
-            qps = rate_since(self._rate_state, index, row["requests"],
-                             scraped)
-            client = self._clients[index]
-            rows.append(dict(row, alive=True, qps=qps,
-                             queue_depth=client.queue_depth,
-                             packed_requests=client.packed_requests))
-        return rows
+        """Every group's :meth:`WorkerGroup.stats_rows`, in key order.
+        The cluster planner feeds on the primary rows' ``qps`` /
+        ``queue_depth``."""
+        return [row for sid in self.shard_ids() if sid in self._handles
+                for row in self._handles[sid].stats_rows()]
 
     def worker_registries(self) -> List[Tuple[int, Dict[str, Any]]]:
-        """Each live worker's metrics registry snapshot, as JSON.
+        """``(shard, registry JSON)`` per live primary
+        (:meth:`WorkerGroup.registry_snapshot`)."""
+        return [(group.sid, payload)
+                for group in list(self._handles.values())
+                if (payload := group.registry_snapshot()) is not None]
 
-        Workers run :func:`repro.obs.metrics.snapshot_into` over their
-        own warehouse (pool IOStats, tree counters, cache counters) and
-        ship the registry's ``to_json()`` form; rows are ``(shard,
-        payload)``.  Dead or unresponsive workers are skipped — a scrape
-        must survive a mid-outage shard.
-        """
-        futures: List[Tuple[int, Any]] = []
-        for index, client in enumerate(self._clients):
-            try:
-                futures.append((index, client.call_async(_REGISTRY)))
-            except ShardDownError:
-                continue
-        rows: List[Tuple[int, Dict[str, Any]]] = []
-        for index, future in futures:
-            try:
-                rows.append((index, future.result(10.0)))
-            except (ShardDownError, concurrent.futures.TimeoutError):
-                continue
-        return rows
+    def shard_pid(self, sid: int) -> Optional[int]:
+        """The pid of shard ``sid``'s primary worker (ops and tests)."""
+        return self.handle(sid).primary.pid
 
-    def explain_trace(self, key_range: KeyRange, interval: Interval,
-                      aggregate: Aggregate = SUM) -> List[Dict[str, Any]]:
-        """Per-shard EXPLAIN with shipped span trees.
-
-        Each intersecting worker traces the query locally and ships the
-        span tree as schema-valid JSONL records (see
-        :func:`repro.obs.tracefile.span_to_record`); the parent never
-        receives live :class:`~repro.obs.tracer.Span` objects.  Rows carry
-        ``shard``, ``key_range``, ``plan``, ``result``, ``record``.
-        """
-        rows = []
-        for index, part in self.parts_for(key_range):
-            payload = self._clients[index].call(
-                _EXPLAIN_TRACE, part, interval, _AggRef(aggregate.name))
-            rows.append(dict(payload, shard=index, key_range=part))
-        return rows
-
-    # -- worker lifecycle --------------------------------------------------------------
-
-    def shard_pid(self, index: int) -> Optional[int]:
-        """The worker pid owning shard ``index`` (for ops and tests)."""
-        return self._clients[index].pid
-
-    def shard_alive(self, index: int) -> bool:
-        """Whether shard ``index``'s worker is currently serving."""
-        return not self._clients[index].dead
-
-    def respawn(self, index: int, start_timeout: float = 60.0) -> int:
-        """Replace shard ``index``'s worker with a fresh process.
-
-        Durable shards recover their state via checkpoint + WAL replay in
-        :meth:`TemporalWarehouse.open_durable` — every update acknowledged
-        before the crash was logged first, so nothing acknowledged is
-        lost.  In-memory shards come back empty (there is nothing to
-        replay from).  Returns the new worker's pid.
-        """
-        old = self._clients[index]
-        old.request_shutdown()
-        old.reap(timeout=5.0)
-        client = ShardClient(self._specs[index], self._ctx)
-        client.wait_ready(start_timeout)
-        self._clients[index] = client
-        return client.pid  # type: ignore[return-value]
-
-    @property
-    def closed(self) -> bool:
-        """True once :meth:`close` has run."""
-        return self._closed
-
-    def close(self) -> None:
-        """Stop every worker: request shutdown in parallel, then reap.
-
-        Idempotent.  Workers close their warehouses (releasing WAL
-        handles) before exiting; stragglers are terminated.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        for client in self._clients:
-            client.request_shutdown()
-        for client in self._clients:
-            client.reap()
+    def shard_alive(self, sid: int) -> bool:
+        """Whether shard ``sid``'s primary worker is currently serving."""
+        return not self.handle(sid).dead

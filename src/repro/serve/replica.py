@@ -45,8 +45,8 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Optional
 
 from repro.errors import (
     QueryError,
@@ -56,62 +56,47 @@ from repro.errors import (
     error_payload,
 )
 from repro.serve.procpool import (
-    _EXPLAIN_TRACE,
+    REPLICA_READS,
+    ShardSpec,
+    _PROMOTE,
     _READ_METHODS,
     _REGISTRY,
+    _REPLICA_READ,
     _SHUTDOWN,
     _STATS,
+    _SYNC,
+    _TRACED,
+    _build_warehouse,
     _recv_request,
     _respond,
-    _serve_explain_trace,
     _serve_one,
     _serve_registry,
+    _serve_traced,
 )
 from repro.storage.wal import WALCursor
 from repro.workloads.generator import UpdateEvent
 
-#: Replica-only control verbs (alongside the procpool ones).
-_REPLICA_READ = "__replica_read__"
-_SYNC = "__sync__"
-_PROMOTE = "__promote__"
-
-#: Read methods a replica serves; everything else is routed primary-only
-#: by the cluster router (cache snapshots, invariant audits, ...).
-REPLICA_READS = frozenset({
-    "aggregate", "aggregate_all", "aggregate_batch",
-    "sum", "count", "avg", "min", "max",
-    "snapshot", "tuples_in", "history", "explain",
-})
-
 
 @dataclass(frozen=True)
 class ReplicaSpec:
-    """Everything a replica worker needs to shadow one primary.
-
-    The warehouse-shape fields mirror
-    :class:`~repro.serve.procpool.ShardSpec` so a promoted replica builds
-    the same structures the primary would; ``primary_dir`` is the durable
-    directory whose checkpoint + WAL it ships from.
+    """Everything a replica worker needs to shadow one primary: the
+    primary's own :class:`~repro.serve.procpool.ShardSpec` — so a
+    promoted replica builds the same structures the primary would, and
+    its ``durable_dir`` is the directory whose checkpoint + WAL the
+    replica ships from — plus which replica this is.
     """
 
-    gid: int
+    primary: ShardSpec
     replica_id: int
-    primary_dir: str
-    key_space: Tuple[int, int]
-    page_capacity: int = 32
-    buffer_pages: int = 64
-    strong_factor: float = 0.9
-    start_time: int = 1
-    buffer_policy: str = "lru"
-    fsync: bool = False
     poll_interval: float = 0.02
     sync_timeout: float = 10.0
 
     @property
     def index(self) -> int:
-        """Alias so :class:`~repro.serve.procpool.ShardClient` can label
-        errors/process names uniformly for primaries and replicas."""
-        return self.gid
+        """The group id — what :class:`~repro.serve.procpool.ShardClient`
+        labels errors and process names with, for primaries and replicas
+        alike."""
+        return self.primary.index
 
 
 class ReplicaApplier:
@@ -123,7 +108,7 @@ class ReplicaApplier:
 
     def __init__(self, spec: ReplicaSpec) -> None:
         self.spec = spec
-        self.primary_dir = spec.primary_dir
+        self.primary_dir = spec.primary.durable_dir
         self.warehouse = None
         #: Highest primary WAL sequence applied to :attr:`warehouse`.
         self.applied_seq = 0
@@ -131,16 +116,6 @@ class ReplicaApplier:
         self._rebase()
 
     # -- checkpoint rebase -------------------------------------------------------------
-
-    def _fresh_warehouse(self):
-        from repro.core.warehouse import TemporalWarehouse
-
-        spec = self.spec
-        return TemporalWarehouse(
-            key_space=spec.key_space, page_capacity=spec.page_capacity,
-            buffer_pages=spec.buffer_pages,
-            strong_factor=spec.strong_factor,
-            start_time=spec.start_time, buffer_policy=spec.buffer_policy)
 
     def _rebase(self) -> None:
         """(Re)load the primary's current checkpoint and aim the cursor
@@ -159,10 +134,14 @@ class ReplicaApplier:
                 self.primary_dir)
             try:
                 if ckpt_dir is None:
-                    warehouse = self._fresh_warehouse()
+                    # The primary's shape, in memory and cache-less.
+                    warehouse = _build_warehouse(replace(
+                        self.spec.primary, durable_dir=None,
+                        cache_config=None))
                 else:
                     warehouse = TemporalWarehouse.load(
-                        ckpt_dir, self.spec.buffer_pages)
+                        ckpt_dir, self.spec.primary.buffer_pages,
+                        buffer_policy=self.spec.primary.buffer_policy)
             except (ReproError, OSError, ValueError) as exc:
                 last_exc = exc
                 time.sleep(0.01)
@@ -226,7 +205,7 @@ class ReplicaApplier:
                 continue
             if time.monotonic() >= deadline:
                 raise ReplicaLagError(
-                    f"replica of group {self.spec.gid} is at seq "
+                    f"replica of group {self.spec.index} is at seq "
                     f"{self.applied_seq}, needs {min_seq} "
                     f"(waited {timeout:.1f}s)")
             time.sleep(poll_interval)
@@ -244,7 +223,7 @@ class ReplicaApplier:
         """
         self.catch_up(min_seq=None, timeout=5.0)
         self.warehouse.attach_wal(self.primary_dir,
-                                  fsync=self.spec.fsync,
+                                  fsync=self.spec.primary.fsync,
                                   last_seq=self.applied_seq)
         return self.applied_seq
 
@@ -258,7 +237,9 @@ def _replica_main(conn, spec: ReplicaSpec) -> None:
     the primary even when nobody reads from them.  Verbs:
 
     * ``__replica_read__ (method, args, min_seq)`` — catch up to at
-      least ``min_seq`` (read-your-writes fencing), then serve the read;
+      least ``min_seq`` (read-your-writes fencing), then serve the read
+      (a sampled request's read arrives wrapped in ``__traced__`` and
+      ships its ``worker.<method>`` span record back, as on a primary);
     * ``__sync__ (min_seq, timeout)`` — catch up and report the applied
       sequence (tests and the planner's lag gauge);
     * ``__promote__`` — drain to EOF, attach the WAL as writer; from
@@ -303,7 +284,7 @@ def _replica_main(conn, spec: ReplicaSpec) -> None:
             running = False
         elif method == _STATS:
             payload = dict(stats, pid=os.getpid(), now=warehouse.now,
-                           shard=spec.gid, replica=spec.replica_id,
+                           shard=spec.index, replica=spec.replica_id,
                            applied_seq=applier.applied_seq,
                            promoted=promoted,
                            wal_seq=warehouse.wal_seq())
@@ -335,10 +316,10 @@ def _replica_main(conn, spec: ReplicaSpec) -> None:
                      applier.warehouse.now)
         elif promoted:
             # Full primary surface after promotion.
-            if method == _EXPLAIN_TRACE:
-                _serve_explain_trace(conn, warehouse, rid, args, stats)
-            elif method == _REGISTRY:
+            if method == _REGISTRY:
                 _serve_registry(conn, warehouse, rid, stats)
+            elif method == _TRACED:
+                _serve_traced(conn, warehouse, rid, args, stats, spec.index)
             else:
                 read = method in _READ_METHODS
                 stats["reads" if read else "writes"] += 1
@@ -355,15 +336,20 @@ def _replica_main(conn, spec: ReplicaSpec) -> None:
                 _respond(conn, rid, False, error_payload(exc),
                          applier.warehouse.now)
                 continue
-            if inner_method not in REPLICA_READS:
+            traced = inner_method == _TRACED
+            served = inner_args[0] if traced else inner_method
+            if served not in REPLICA_READS:
                 stats["errors"] += 1
                 _respond(conn, rid, False, error_payload(QueryError(
-                    f"replica does not serve {inner_method!r}")),
+                    f"replica does not serve {served!r}")),
                     applier.warehouse.now)
-                continue
-            stats["reads"] += 1
-            _serve_one(conn, applier.warehouse, rid, inner_method,
-                       inner_args, stats)
+            elif traced:
+                _serve_traced(conn, applier.warehouse, rid, inner_args,
+                              stats, spec.index)
+            else:
+                stats["reads"] += 1
+                _serve_one(conn, applier.warehouse, rid, inner_method,
+                           inner_args, stats)
         elif method in REPLICA_READS:
             # Unfenced read (tests, ad-hoc inspection): serve whatever
             # version the replica has applied so far.
@@ -372,6 +358,6 @@ def _replica_main(conn, spec: ReplicaSpec) -> None:
         else:
             stats["errors"] += 1
             _respond(conn, rid, False, error_payload(QueryError(
-                f"replica of group {spec.gid} is read-only; "
+                f"replica of group {spec.index} is read-only; "
                 f"{method!r} must go to the primary")), warehouse.now)
     conn.close()

@@ -2,7 +2,8 @@
 
 :class:`TQLServer` is an asyncio TCP server speaking the newline-delimited
 JSON protocol of :mod:`repro.serve.protocol` over a
-:class:`~repro.serve.sharded.ShardedWarehouse`.  The moving parts:
+:class:`~repro.serve.sharded.ShardRouter` — whichever construction
+built it, the server uses the router surface only.  The moving parts:
 
 * **Sessions & snapshots** — each connection is pinned to a snapshot time
   (the warehouse's ``now`` at connect, re-pinnable with the ``snapshot``
@@ -141,8 +142,6 @@ class ServerConfig:
     writers: int = 1                   # >1 admits concurrent DML through
                                        # per-shard commit groups (group-
                                        # commit WAL batching)
-    mvcc: bool = True                  # epoch-validated lock-free reads
-                                       # on the thread backend
 
 
 @dataclass
@@ -167,11 +166,10 @@ class TQLServer:
         self._pool = concurrent.futures.ThreadPoolExecutor(
             max_workers=max(self.config.readers, 1),
             thread_name_prefix="repro-serve")
-        # Keyed by shard id because the cluster backend's ids are stable
-        # gids, not positions: splits mint new ids and merges retire
-        # them, so locks are created on first use per id.
-        self._writer_locks: Dict[int, asyncio.Lock] = {
-            shard: asyncio.Lock() for shard in self._all_shard_ids()}
+        # Keyed by shard id, created on first use: an elastic router's
+        # ids are not positions — splits mint new ones and merges retire
+        # them.
+        self._writer_locks: Dict[int, asyncio.Lock] = {}
         # Per-shard commit groups (writers > 1): queued ``(statement,
         # future)`` pairs plus the inline-leader flag.  Touched only from
         # the event loop, so plain dicts suffice.
@@ -216,43 +214,37 @@ class TQLServer:
         self.slowlog = SlowQueryLog(self.config.slowlog_entries)
         self._metrics_http: Optional[MetricsHTTPServer] = None
         self._bg_tasks: set = set()
-        # Thread-backend shard locks publish their contention into the
-        # exported registry (the process backend has no parent-side locks).
-        for index, lock in enumerate(getattr(warehouse, "locks", []) or []):
-            lock.attach_metrics(self.registry, {"shard": str(index)})
-
-    def _all_shard_ids(self) -> list:
-        """Current shard ids, in routing order.
-
-        Positional ``range(shard_count)`` for the static backends;
-        resolved through the routing table for the cluster backend,
-        whose ids are gids that change across splits and merges.
-        """
-        from repro.core.model import KeyRange
-
-        warehouse = self.warehouse
-        if getattr(warehouse, "topology_info", None) is None:
-            return list(range(warehouse.shard_count))
-        return [shard for shard, _ in
-                warehouse.parts_for(KeyRange(*warehouse.key_space))]
+        # Wires the live instruments (shard lock contention) from the
+        # first request on; scrapes re-publish the sampled gauges.
+        warehouse.publish_metrics(self.registry)
 
     def _writer_lock(self, shard: int) -> asyncio.Lock:
         return self._writer_locks.setdefault(shard, asyncio.Lock())
 
     @staticmethod
     def _build_warehouse(config: ServerConfig):
-        """The configured execution backend, caches attached.
+        """The configured router construction, caches attached.
 
         ``executor="thread"`` (default) shares one interpreter across the
         reader pool; ``"process"`` runs one worker process per shard
         (:class:`~repro.serve.procpool.ProcessShardedWarehouse`), with the
-        read-path caches living inside the workers.
+        read-path caches living inside the workers; replicas, autosplit
+        or automerge make that the elastic
+        :class:`~repro.serve.cluster.ClusterWarehouse`.
         """
         cache_config = None
         if config.cache:
             cache_config = CacheConfig(
                 result_entries=config.cache_result_entries,
                 memo_entries=config.cache_memo_entries)
+        shape = dict(
+            shards=config.shards, key_space=config.key_space,
+            page_capacity=config.page_capacity,
+            buffer_pages=config.buffer_pages,
+            buffer_policy=config.buffer_policy)
+        workers = dict(shape, durable_dir=config.durable_dir,
+                       fsync=config.fsync, cache_config=cache_config,
+                       scan_batch=config.scan_batch)
         if (config.replicas > 0 or config.autosplit
                 or config.merge_qps is not None):
             if config.executor != "process":
@@ -266,49 +258,24 @@ class TQLServer:
             from repro.serve.cluster import ClusterWarehouse
 
             return ClusterWarehouse(
-                shards=config.shards, key_space=config.key_space,
-                page_capacity=config.page_capacity,
-                buffer_pages=config.buffer_pages,
-                buffer_policy=config.buffer_policy,
-                durable_dir=config.durable_dir, fsync=config.fsync,
-                cache_config=cache_config,
-                scan_batch=config.scan_batch,
-                replicas=config.replicas,
-                autosplit=config.autosplit,
+                replicas=config.replicas, autosplit=config.autosplit,
                 split_qps=config.split_qps,
                 planner_interval=config.planner_interval,
-                merge_qps=config.merge_qps)
+                merge_qps=config.merge_qps, **workers)
         if config.executor == "process":
             from repro.serve.procpool import ProcessShardedWarehouse
 
-            return ProcessShardedWarehouse(
-                shards=config.shards, key_space=config.key_space,
-                page_capacity=config.page_capacity,
-                buffer_pages=config.buffer_pages,
-                buffer_policy=config.buffer_policy,
-                durable_dir=config.durable_dir, fsync=config.fsync,
-                cache_config=cache_config,
-                scan_batch=config.scan_batch)
+            return ProcessShardedWarehouse(**workers)
         if config.executor != "thread":
             raise ValueError(
                 f"unknown executor {config.executor!r}; "
                 "expected 'thread' or 'process'")
         if config.durable_dir is not None:
             warehouse = ShardedWarehouse.open_durable(
-                config.durable_dir, shards=config.shards,
-                key_space=config.key_space,
-                page_capacity=config.page_capacity,
-                buffer_pages=config.buffer_pages,
-                thread_safe=True, fsync=config.fsync,
-                buffer_policy=config.buffer_policy,
-                mvcc=config.mvcc)
+                config.durable_dir, thread_safe=True, fsync=config.fsync,
+                **shape)
         else:
-            warehouse = ShardedWarehouse(
-                shards=config.shards, key_space=config.key_space,
-                page_capacity=config.page_capacity,
-                buffer_pages=config.buffer_pages, thread_safe=True,
-                buffer_policy=config.buffer_policy,
-                mvcc=config.mvcc)
+            warehouse = ShardedWarehouse(thread_safe=True, **shape)
         if cache_config is not None:
             warehouse.enable_cache(cache_config)
         return warehouse
@@ -606,11 +573,10 @@ class TQLServer:
         """Fill a slowlog entry's EXPLAIN span tree + cache outcome.
 
         Runs after the response went out (the client never waits on it)
-        on the reader pool.  Both backends expose the same
-        ``explain_trace`` row shape; the thread backend traces each shard
-        under its write lock, so this is deliberately off the hot path —
-        as is the rectangle resolution itself (``explain_args`` holds the
-        raw parsed statement).
+        on the reader pool: ``explain_trace`` takes each shard
+        exclusively, so this is deliberately off the hot path — as is the
+        rectangle resolution itself (``explain_args`` holds the raw
+        parsed statement).
         """
         statement, as_of = explain_args
         loop = asyncio.get_running_loop()
@@ -630,8 +596,7 @@ class TQLServer:
         entry["explain"] = [
             {"shard": row["shard"],
              "key_range": [row["key_range"].low, row["key_range"].high],
-             "plan": str(row["plan"].plan
-                         if hasattr(row["plan"], "plan") else row["plan"]),
+             "plan": str(row["plan"].plan),
              "record": row["record"],
              "cache": row.get("cache")}
             for row in rows
@@ -642,15 +607,9 @@ class TQLServer:
 
         Called per scrape from the ``/metrics`` HTTP thread and by the
         ``metrics_text`` op; every publisher it touches (cache snapshot
-        RPCs, worker stats, worker registries, the registry itself) is
-        thread-safe.
+        RPCs, the router's handles, the registry itself) is thread-safe.
         """
-        self._publish_cache_gauges()
-        self._publish_procpool_gauges()
-        self._publish_cluster_gauges()
-        self._publish_mvcc_gauges()
-        self._publish_batchscan_gauges()
-        self._publish_worker_registries()
+        self._publish_gauges()
         return self.registry.render_prometheus()
 
     # -- dispatch ----------------------------------------------------------------------
@@ -662,11 +621,7 @@ class TQLServer:
         if op == "ping":
             return "pong", session.snapshot
         if op == "metrics":
-            self._publish_cache_gauges()
-            self._publish_procpool_gauges()
-            self._publish_cluster_gauges()
-            self._publish_mvcc_gauges()
-            self._publish_batchscan_gauges()
+            self._publish_gauges()
             return self.registry.to_json(), None
         if op == "metrics_text":
             return self._render_metrics_text(), None
@@ -683,12 +638,7 @@ class TQLServer:
         if op == "respawn":
             return self._respawn(message), None
         if op == "topology":
-            info = getattr(self.warehouse, "topology_info", None)
-            if info is None:
-                raise ProtocolError(
-                    'op "topology" requires the cluster backend '
-                    '(--replicas or --autosplit)')
-            return info(), None
+            return self.warehouse.topology_info(), None
         if op in ("split", "merge", "promote"):
             return await self._cluster_op(op, message, ctx), None
         if op == "snapshot":
@@ -712,28 +662,15 @@ class TQLServer:
         ctx.tql = tql
         statement = self._parsed(tql)
         if isinstance(statement, LoadStatement):
-            # A LOAD statement is an all-shards write: hold every writer
-            # lock (index order) exactly like the "load" op, so it cannot
-            # interleave with single-statement DML.  A plain LOAD follows
-            # the server's --ingest default; LOAD BUFFERED is explicit.
-            from contextlib import AsyncExitStack
+            # A plain LOAD follows the server's --ingest default; LOAD
+            # BUFFERED is explicit.
             from dataclasses import replace as _replace
 
             if not statement.buffered and self.config.ingest == "buffered":
                 statement = _replace(statement, buffered=True)
-
-            shards = self._all_shard_ids()
-            async with AsyncExitStack() as stack:
-                for shard in shards:
-                    await stack.enter_async_context(
-                        self._writer_lock(shard))
-                result = await self._admitted(
-                    lambda: tql_executor.execute(self.warehouse, statement),
-                    ctx)
-                await self._maybe_checkpoint()
-            for shard in shards:
-                self.metrics.shard_writes(shard).inc()
-            return result, None
+            return await self._all_shards_write(
+                lambda: tql_executor.execute(self.warehouse, statement),
+                ctx), None
         if isinstance(statement, (InsertStatement, DeleteStatement)):
             shard = self.warehouse.shard_index(statement.key)
             if self.config.writers > 1:
@@ -763,8 +700,7 @@ class TQLServer:
         if result is not MISS:
             ctx.lane = "hit"
             self.metrics.inline_hits.inc()
-        elif (plain_select and self.config.scan_batch > 1
-                and hasattr(self.warehouse, "aggregate_batch")):
+        elif plain_select and self.config.scan_batch > 1:
             result = await self._group_scan(statement, as_of, ctx)
         else:
             result = await self._admitted(
@@ -980,15 +916,29 @@ class TQLServer:
             else:
                 future.set_result(result)
 
+    async def _all_shards_write(self, fn, ctx: RequestContext) -> Any:
+        """Run a bulk load holding *every* shard's writer lock (in id
+        order), so it cannot interleave with single-statement DML."""
+        from contextlib import AsyncExitStack
+
+        shards = self.warehouse.shard_ids()
+        async with AsyncExitStack() as stack:
+            for shard in shards:
+                await stack.enter_async_context(self._writer_lock(shard))
+            result = await self._admitted(fn, ctx)
+            await self._maybe_checkpoint()
+        for shard in shards:
+            self.metrics.shard_writes(shard).inc()
+        return result
+
     async def _load(self, message: Dict[str, Any],
                     ctx: RequestContext) -> Any:
         """The bulk-ingest op: fan a sorted event batch out to the shards.
 
-        Holds *every* shard's writer lock (in index order) so the load
-        cannot interleave with single-statement DML; under the process
-        backend the per-shard partitions then stream through their
-        workers' :class:`~repro.core.ingest.BatchLoader` concurrently —
-        the parallel bulk-load path.  Events are ``[op, key, value, time]``
+        An all-shards write; under the process backend the per-shard
+        partitions stream through their workers'
+        :class:`~repro.core.ingest.BatchLoader` concurrently — the
+        parallel bulk-load path.  Events are ``[op, key, value, time]``
         rows, chronologically sorted across the whole batch.
         """
         events = message.get("events")
@@ -1001,18 +951,9 @@ class TQLServer:
         if mode not in ("direct", "buffered"):
             raise ProtocolError('"mode" must be "direct" or "buffered"')
 
-        from contextlib import AsyncExitStack
-
-        shards = self._all_shard_ids()
-        async with AsyncExitStack() as stack:
-            for shard in shards:
-                await stack.enter_async_context(self._writer_lock(shard))
-            report = await self._admitted(
-                lambda: self.warehouse.load_events(events, batch_size,
-                                                   mode), ctx)
-            await self._maybe_checkpoint()
-        for shard in shards:
-            self.metrics.shard_writes(shard).inc()
+        report = await self._all_shards_write(
+            lambda: self.warehouse.load_events(events, batch_size, mode),
+            ctx)
         return {
             "events": report.events, "inserts": report.inserts,
             "deletes": report.deletes, "batches": report.batches,
@@ -1021,37 +962,29 @@ class TQLServer:
         }
 
     def _respawn(self, message: Dict[str, Any]) -> Any:
-        """Replace a dead shard worker (process backend only).
-
-        Durable shards recover via checkpoint + WAL replay inside the
-        fresh worker; returns the new worker's pid.
-        """
-        respawn = getattr(self.warehouse, "respawn", None)
-        if respawn is None:
-            raise ProtocolError(
-                'op "respawn" requires the process executor')
+        """Replace a dead shard worker (a typed ``PROTOCOL`` error from
+        routers without workers).  Durable shards recover via checkpoint
+        + WAL replay inside the fresh worker; returns its pid."""
         shard = message.get("shard")
         if not isinstance(shard, int) or shard < 0:
             raise ProtocolError('"shard" must be a non-negative integer')
-        if shard not in self._all_shard_ids():
-            raise ProtocolError(
-                f'"shard" must be one of {self._all_shard_ids()}')
-        return {"shard": shard, "pid": respawn(shard)}
+        shards = self.warehouse.shard_ids()
+        if shard not in shards:
+            raise ProtocolError(f'"shard" must be one of {shards}')
+        return {"shard": shard, "pid": self.warehouse.respawn(shard)}
 
     async def _cluster_op(self, op: str, message: Dict[str, Any],
                           ctx: RequestContext) -> Any:
-        """Dispatch a topology-changing verb to the cluster backend.
+        """Dispatch a topology-changing verb to the router (only the
+        elastic cluster implements them; the rest answer a typed
+        ``PROTOCOL`` error).
 
         Runs on the reader pool under admission control (splits move a
-        checkpoint's worth of bytes); the backend's own admin/topology
+        checkpoint's worth of bytes); the router's own admin/topology
         locks serialize it against writes and other admin verbs, so no
         server-side writer locks are taken here.
         """
         warehouse = self.warehouse
-        if getattr(warehouse, "topology_info", None) is None:
-            raise ProtocolError(
-                f'op "{op}" requires the cluster backend '
-                '(--replicas or --autosplit)')
         if op == "merge":
             gids = message.get("gids")
             if (not isinstance(gids, list) or len(gids) != 2
@@ -1076,118 +1009,12 @@ class TQLServer:
         return await self._admitted(
             lambda: warehouse.promote(gid, replica), ctx)
 
-    def _publish_procpool_gauges(self) -> None:
-        """Aggregate worker-process counters into the parent registry.
-
-        Process backend only (no-op otherwise): each worker's request
-        counters, shared-scan batching stats, and liveness surface as
-        ``repro_procpool_<counter>{shard=N}`` gauges, so one ``metrics``
-        op shows the whole pool without touching worker internals.
-        """
-        worker_stats = getattr(self.warehouse, "worker_stats", None)
-        if worker_stats is None:
-            return
-        for row in worker_stats():
-            labels = {"shard": str(row.get("shard", ""))}
-            if row.get("role") == "replica":
-                # Cluster replica rows share the primary's shard id; the
-                # replica label keeps the series distinct.
-                labels["replica"] = str(row.get("replica", ""))
-            for counter in ("requests", "reads", "writes", "errors",
-                            "shared_batches", "batched_reads",
-                            "batch_sweeps", "batch_queries",
-                            "load_bytes"):
-                if counter in row:
-                    self.registry.gauge(
-                        f"repro_procpool_{counter}",
-                        f"shard worker counter {counter}",
-                        labels).set(row[counter])
-            if "qps" in row:
-                self.registry.gauge(
-                    "repro_procpool_shard_qps",
-                    "worker request rate since the last scrape (req/s)",
-                    labels).set(row["qps"])
-            if "queue_depth" in row:
-                self.registry.gauge(
-                    "repro_procpool_shard_queue_depth",
-                    "requests in flight on the worker pipe",
-                    labels).set(row["queue_depth"])
-            if "lag" in row:
-                self.registry.gauge(
-                    "repro_cluster_replica_lag",
-                    "primary WAL records not yet applied by the replica",
-                    labels).set(row["lag"])
-            self.registry.gauge(
-                "repro_procpool_alive", "shard worker liveness",
-                labels).set(1 if row.get("alive") else 0)
-
-    def _publish_cluster_gauges(self) -> None:
-        """Topology-plane gauges (cluster backend only, no-op otherwise):
-        split/merge/failover/promotion counters, the topology version,
-        and the current group count."""
-        info = getattr(self.warehouse, "topology_info", None)
-        if info is None:
-            return
-        payload = info()
-        for name, value in payload["counters"].items():
-            self.registry.gauge(
-                f"repro_cluster_{name}",
-                f"cluster lifetime {name}", {}).set(value)
-        self.registry.gauge(
-            "repro_cluster_topology_version",
-            "monotonic topology version (bumped per split/merge)",
-            {}).set(payload["version"])
-        self.registry.gauge(
-            "repro_cluster_groups", "current shard group count",
-            {}).set(len(payload["groups"]))
-
-    def _publish_worker_registries(self) -> None:
-        """Aggregate per-worker metrics *registries* into the parent's.
-
-        Process backend only (no-op otherwise).  Each worker snapshots
-        its warehouse into a fresh registry — pool IOStats, tree
-        counters, cache counters — and ships it as JSON; every series is
-        republished here with a ``shard`` label, so one ``/metrics``
-        scrape carries e.g. ``repro_pool_reads{pool="tuples",shard="2"}``
-        for every worker process.
-        """
-        registries = getattr(self.warehouse, "worker_registries", None)
-        if registries is None:
-            return
-        for shard, payload in registries():
-            for name, metric in payload.items():
-                for entry in metric.get("series", ()):
-                    if "value" not in entry:
-                        continue  # worker snapshots only ship gauges
-                    labels = dict(entry.get("labels", {}))
-                    labels["shard"] = str(shard)
-                    self.registry.gauge(name, metric.get("help", ""),
-                                        labels).set(entry["value"])
-
-    def _publish_mvcc_gauges(self) -> None:
-        """Concurrency-plane gauges: per-shard write epochs, the
-        optimistic-read counters, and commit-group totals.
-
-        ``repro_shard_write_epoch{shard=N}`` is the cache-validation
-        epoch every update bumps — the baseline the MVCC counters diff
-        against.  Epochs and MVCC stats are thread-backend series (the
-        process backend's epochs live inside its workers); the
-        commit-group gauges are backend-independent.
-        """
-        shards = getattr(self.warehouse, "shards", None)
-        if shards is not None:
-            for index, shard in enumerate(shards):
-                self.registry.gauge(
-                    "repro_shard_write_epoch",
-                    "per-shard write epoch (bumped once per update or "
-                    "commit group)",
-                    {"shard": str(index)}).set(shard.write_epoch)
-        stats = getattr(self.warehouse, "mvcc_stats", None)
-        if stats is not None:
-            for name, value in stats.as_dict().items():
-                self.registry.gauge(
-                    f"repro_mvcc_reads_{name}",
-                    f"MVCC reader counter: {name}", {}).set(value)
+    def _publish_gauges(self) -> None:
+        """Refresh every sampled gauge: the merged cache and batch-scan
+        counters, whatever rows the router's handles publish, and the
+        server's commit-group totals."""
+        self._publish_cache_gauges()
+        self.warehouse.publish_metrics(self.registry)
         self.registry.gauge(
             "repro_commit_groups",
             "commit groups flushed (writers > 1)", {}).set(
@@ -1200,6 +1027,7 @@ class TQLServer:
             "repro_commit_group_max_size",
             "largest commit group flushed", {}).set(
                 self._commit_max_group)
+        self._publish_batchscan_gauges()
 
     def _publish_batchscan_gauges(self) -> None:
         """Vectorized batch-read counters as ``repro_batchscan_<name>``.
@@ -1210,11 +1038,8 @@ class TQLServer:
         accounting for the whole warehouse.  No-op until the first batch
         sweep runs (the merged snapshot is empty).
         """
-        snapshot_fn = getattr(self.warehouse, "batch_snapshot", None)
-        if snapshot_fn is None:
-            return
         try:
-            snapshot = snapshot_fn()
+            snapshot = self.warehouse.batch_snapshot()
         except ShardDownError:
             # A worker died mid-scrape; keep the last published values
             # (same serviceability contract as the cache gauges).

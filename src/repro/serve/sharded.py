@@ -1,55 +1,86 @@
-"""Key-range sharding: N :class:`TemporalWarehouse` shards behind one API.
+"""Key-range sharding: one router, one routing table, one shard handle.
 
-Two execution backends share one routing and gather layer:
+The whole layer is one picture — router → topology → handle:
 
-* :class:`ShardRouter` — the backend-agnostic core.  It owns the partition
-  boundaries, routes updates to the owning shard, scatters aggregate
-  queries over the shards whose range intersects the query rectangle, and
-  gathers: SUM/COUNT add, AVG recombines per-shard SUM and COUNT totals
-  (never per-shard averages), MIN/MAX take the extremum of non-empty
-  shards.  Additive gathers are exact — each tuple lives in exactly one
-  shard, so the per-shard partial aggregates partition the
+* :class:`ShardRouter` — the only router.  It owns an immutable
+  :class:`Topology` snapshot (which shard id serves which key range) and a
+  ``{shard id: handle}`` map, routes updates to the owning shard, scatters
+  aggregate queries over the shards whose range intersects the query
+  rectangle, and gathers: SUM/COUNT add, AVG recombines per-shard SUM and
+  COUNT totals (never per-shard averages), MIN/MAX take the extremum of
+  non-empty shards.  Additive gathers are exact — each tuple lives in
+  exactly one shard, so the per-shard partial aggregates partition the
   single-warehouse answer.  The gather arithmetic (including iteration
   order) lives *only* here, which is what makes answers byte-identical
-  across backends.  Backends supply two hooks: ``_shard_query(index,
-  method, *args)`` and ``_shard_write(index, method, *args)``; a backend
-  that can answer from validated cache entries without blocking also
-  overrides ``probe`` (default: :data:`MISS`).
-* :class:`ShardedWarehouse` — the in-process backend: one
-  :class:`TemporalWarehouse` per range in this process, shared-thread
-  execution.  :class:`~repro.serve.procpool.ProcessShardedWarehouse` is
-  the process-per-shard backend; it implements the same hooks over a
-  request/response pipe.
+  across backends.
+* A **shard handle** is how the router reaches one shard: ``read``,
+  ``read_batch``, ``write``, ``call_async`` (a write whose answer is
+  awaited later — the fan-out primitive), ``probe``, ``now``, ``dead``,
+  ``close`` and ``publish_metrics``.  Two implementations exist and no
+  third: :class:`LocalShard` below (a warehouse in this process, reached
+  through the seqlock read protocol) and
+  :class:`~repro.serve.procpool.WorkerGroup` (worker processes behind a
+  pipe, with replica fail-over).
+* :class:`ShardedWarehouse` — the in-process construction: one
+  :class:`LocalShard` per range.
+  :class:`~repro.serve.procpool.ProcessShardedWarehouse` and
+  :class:`~repro.serve.cluster.ClusterWarehouse` build worker groups
+  instead; none of them re-implements routing.
 
-Concurrency (``thread_safe=True``, the mode :mod:`repro.serve.server`
-runs) is single-writer / multi-reader *per shard*: updates take the
-shard's :class:`~repro.serve.rwlock.ReadWriteLock` exclusive, queries take
-it shared, and each shard's buffer pools additionally enable internal
-locking so concurrent readers cannot race the LRU bookkeeping
-(:meth:`~repro.storage.buffer.BufferPool.enable_locking`).  Scatter-gather
-locks one shard at a time; cross-shard stability comes from ``AS OF``
-snapshot semantics — a query whose rectangle ends at or before the
-snapshot time only touches closed (immutable) versions, so its answer
-cannot reflect a partially applied update (see ``docs/SERVING.md``).
+Every write path holds the router's topology lock **shared** from
+routing decision through shard acknowledgement, and reads take no router
+lock at all — the discipline (and why it is deadlock-free) is argued
+once, in :mod:`repro.serve.cluster`, whose split/merge are the only
+takers of the exclusive side.  On a static table the fence costs one
+uncontended shared acquisition.
+
+Concurrency inside a :class:`LocalShard` (``thread_safe=True``, the mode
+:mod:`repro.serve.server` runs) is single-writer / multi-reader *per
+shard*: updates take the shard's
+:class:`~repro.serve.rwlock.ReadWriteLock` exclusive inside a seqlock
+bracket, queries traverse with no lock held and validate the shard's
+epoch at exit (:mod:`repro.serve.mvcc`), and each shard's buffer pools
+enable internal locking so concurrent readers cannot race the LRU
+bookkeeping (:meth:`~repro.storage.buffer.BufferPool.enable_locking`).
+Scatter-gather visits one shard at a time; cross-shard stability comes
+from ``AS OF`` snapshot semantics — a query whose rectangle ends at or
+before the snapshot time only touches closed (immutable) versions, so its
+answer cannot reflect a partially applied update (see
+``docs/SERVING.md``).
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from bisect import bisect_right
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.aggregates import Aggregate, AVG, COUNT, MAX, MIN, SUM
-from repro.core.cache import CacheConfig, CacheSnapshot, ResultCache
+from repro.core.cache import (
+    CacheConfig,
+    CacheSnapshot,
+    ResultCache,
+    begin_deferred_stores,
+    commit_deferred_stores,
+    discard_deferred_stores,
+)
 from repro.core.ingest import DEFAULT_BATCH_SIZE, IngestReport, coerce_events
 from repro.core.model import Interval, KeyRange, MAX_KEY, TemporalTuple
 from repro.core.rta import RTAResult
 from repro.core.warehouse import ALL_KEY, QueryPlan, TemporalWarehouse
-from repro.errors import QueryError, ShardRoutingError
+from repro.errors import (
+    ProtocolError,
+    QueryError,
+    ShardDownError,
+    ShardRedirectError,
+    ShardRoutingError,
+)
 from repro.serve.mvcc import DEFAULT_READ_RETRIES, MVCCStats, ShardEpoch
 from repro.serve.rwlock import ReadWriteLock
-from repro.serve.telemetry import current_context
+from repro.serve.telemetry import current_context, shard_record
 
 _LAYOUT_FILE = "layout.json"
 
@@ -75,6 +106,38 @@ class ShardPlan:
     shard: int
     key_range: KeyRange
     plan: QueryPlan
+
+
+class Topology:
+    """An immutable routing snapshot: swapped as one reference, so
+    lock-free readers see either the old map or the new one, never a
+    half-updated mix.
+
+    A static backend is simply a topology that is never swapped; its
+    shard ids are the positions ``0..n-1``.
+    """
+
+    __slots__ = ("version", "entries", "boundaries")
+
+    def __init__(self, version: int,
+                 entries: List[Tuple[int, int, int]]) -> None:
+        self.version = version
+        #: ``(sid, lo, hi)`` per shard, ascending by ``lo``, contiguous.
+        self.entries = entries
+        self.boundaries = [lo for _, lo, _ in entries]
+        self.boundaries.append(entries[-1][2])
+
+
+def split_evenly(key_space: Tuple[int, int], shards: int) -> List[int]:
+    """Boundaries dividing ``key_space`` into ``shards`` equal ranges."""
+    lo, hi = key_space
+    if shards < 1:
+        raise ValueError("need at least one shard")
+    if hi - lo < shards:
+        raise ValueError(
+            f"key space {key_space} is smaller than {shards} shards"
+        )
+    return [lo + (hi - lo) * i // shards for i in range(shards + 1)]
 
 
 class _ShardedAggregates:
@@ -106,107 +169,441 @@ class _ShardedAggregates:
         ]
 
 
-class ShardRouter:
-    """Routing and exact scatter-gather over key-range partitions.
+class LocalShard:
+    """The in-thread shard handle: one :class:`TemporalWarehouse`, its
+    :class:`~repro.serve.rwlock.ReadWriteLock` and its
+    :class:`~repro.serve.mvcc.ShardEpoch`.
 
-    Subclasses own the shards (local objects or worker processes) and
-    implement:
-
-    * ``_shard_query(index, method, *args)`` — invoke ``method`` on shard
-      ``index``'s :class:`TemporalWarehouse` under shared (read) access;
-    * ``_shard_write(index, method, *args)`` — the same under exclusive
-      (write) access;
-    * ``now`` — the most recent time any shard has seen.
-
-    Arguments cross the hook as plain model dataclasses
-    (:class:`KeyRange`, :class:`Interval`) plus :class:`Aggregate`
-    descriptors; remote backends serialize descriptors by name (their
-    ``combine`` lambdas never cross a process boundary).
+    Two modes.  Unlocked (``thread_safe=False``, single-threaded library
+    use): every call goes straight to the warehouse.  Thread-safe: reads
+    are optimistic — they traverse with **no lock held** and validate the
+    seqlock epoch at exit, retrying (bounded) and falling back to the read
+    lock so a write storm cannot starve them; writes take the lock
+    exclusive inside a seqlock bracket.  This class is the one place the
+    latch-free read protocol lives (capture the version word, traverse,
+    validate, publish cache stores only after validation).
     """
 
-    key_space: Tuple[int, int]
-    boundaries: List[int]
+    #: Bounded-retry budget before an optimistic read takes the read lock.
+    read_retries = DEFAULT_READ_RETRIES
 
-    # -- backend hooks -----------------------------------------------------------------
+    def __init__(self, sid: int, warehouse: TemporalWarehouse,
+                 thread_safe: bool, stats: MVCCStats) -> None:
+        self.sid = sid
+        self.warehouse = warehouse
+        #: Also what the router passes to ``enable_cache``: cache
+        #: bookkeeping is thread-safe iff the shard is.
+        self.thread_safe = thread_safe
+        self.lock = ReadWriteLock()
+        self.epoch = ShardEpoch()
+        #: Optimistic-read counters, shared by every shard of one router.
+        self.stats = stats
+        self._lock_published = False
+        if thread_safe:
+            warehouse.tuples.pool.enable_locking()
+            warehouse.aggregates.pool.enable_locking()
 
-    def _shard_query(self, index: int, method: str, *args: Any) -> Any:
-        raise NotImplementedError
+    # -- the handle surface ------------------------------------------------------------
 
-    def _shard_write(self, index: int, method: str, *args: Any) -> Any:
-        raise NotImplementedError
+    def read(self, method: str, args: Tuple[Any, ...]) -> Any:
+        """Invoke ``method`` on the warehouse under shared access."""
+        fn = getattr(self.warehouse, method)
+        if self.thread_safe:
+            return self._spanned(method, self._optimistic, fn, args)
+        return self._spanned(method, fn, *args)
+
+    def read_batch(self, requests: List[Tuple]) -> List[Any]:
+        """One sub-batch through the warehouse batch kernel, errors
+        in-band (an aggregate of ``None`` requests ``aggregate_all``)."""
+        if self.thread_safe:
+            return self._spanned("aggregate_batch", self._optimistic_batch,
+                                 requests)
+        return self._spanned("aggregate_batch",
+                             self.warehouse.aggregate_batch, requests)
+
+    def write(self, method: str, args: Tuple[Any, ...]) -> Any:
+        """Invoke ``method`` under exclusive access: every mutation, and
+        the diagnostics that must not share the shard (``explain_trace``
+        attaches a tracer to the pools, whose span stack would race
+        concurrent readers)."""
+        fn = getattr(self.warehouse, method)
+        if self.thread_safe:
+            return self._spanned(method, self._bracketed, fn, args)
+        return self._spanned(method, fn, *args)
+
+    def call_async(self, method: str, *args: Any) -> "Future":
+        """:meth:`write` behind the fan-out interface.  There is no second
+        thread of control in-process, so the work runs here and the
+        future comes back already settled."""
+        future: Future = Future()
+        try:
+            future.set_result(self.write(method, args))
+        except Exception as exc:  # noqa: BLE001 — delivered by .result()
+            future.set_exception(exc)
+        return future
+
+    def probe(self, name: str, part: KeyRange, interval: Interval) -> Any:
+        """Phase one of a latch-free result-cache read: :data:`MISS`, or
+        a zero-argument callable that completes it.
+
+        The seqlock word is captured first — odd means a write is
+        mid-bracket, so ``write_epoch`` cannot be trusted — and the entry
+        is only ``peek``-ed (no counters, no recency).  The returned
+        callable pays the real ``lookup`` and re-validates the word:
+        unchanged means no write landed between reading ``write_epoch``
+        and reading the entry, so an open-present entry is current (Sela &
+        Petrank's validated aggregate read) and a closed one always was.
+        """
+        warehouse = self.warehouse
+        cache = warehouse.result_cache
+        if cache is None:
+            return MISS
+        epoch = self.epoch
+        started = epoch.read_begin()
+        if started % 2:
+            return MISS
+        write_epoch = warehouse.write_epoch
+        key = ResultCache.key(name, part, interval)
+        if not cache.peek(key, write_epoch):
+            return MISS
+
+        def finish() -> Any:
+            hit = cache.lookup(key, write_epoch)
+            if hit is None or not epoch.read_validate(started):
+                return MISS
+            return hit[0]
+        return finish
 
     @property
     def now(self) -> int:
-        """The most recent time any shard has seen."""
-        raise NotImplementedError
+        """The most recent time this shard has seen."""
+        return self.warehouse.now
+
+    @property
+    def dead(self) -> bool:
+        """True once the warehouse is closed."""
+        return self.warehouse.closed
+
+    def close(self) -> None:
+        """Close the warehouse (idempotent)."""
+        self.warehouse.close()
+
+    def publish_metrics(self, registry) -> None:
+        """This shard's rows: lock contention (wired on first call, live
+        from then on), the write epoch, and the optimistic-read counters.
+
+        ``repro_shard_write_epoch{shard=N}`` is the cache-validation
+        epoch every update bumps — the baseline the MVCC counters diff
+        against.
+        """
+        labels = {"shard": str(self.sid)}
+        if not self._lock_published:
+            self._lock_published = True
+            self.lock.attach_metrics(registry, labels)
+        registry.gauge(
+            "repro_shard_write_epoch",
+            "per-shard write epoch (bumped once per update or commit "
+            "group)", labels).set(self.warehouse.write_epoch)
+        for name, value in self.stats.as_dict().items():
+            registry.gauge(f"repro_mvcc_reads_{name}",
+                           f"MVCC reader counter: {name}", {}).set(value)
+
+    # -- the protocols behind it -------------------------------------------------------
+
+    def _spanned(self, method: str, fn, *args: Any) -> Any:
+        """Run one shard call; when the request is sampled, append its
+        ``shard.<method>`` span record.
+
+        A tracer is *not* attached here — the warehouse is shared across
+        reader threads and a tracer's span stack would race — so
+        in-thread traces carry per-shard-call timing, not page-level
+        children (single-threaded workers do carry them).
+        """
+        ctx = current_context()
+        if ctx is None or not ctx.sampled:
+            return fn(*args)
+        cpu_started = time.process_time()
+        try:
+            return fn(*args)
+        finally:
+            ctx.add_record(shard_record(
+                f"shard.{method}", self.sid,
+                time.process_time() - cpu_started, ctx, backend="thread"))
+
+    def _bracketed(self, fn, args) -> Any:
+        with self.lock.write_locked():
+            # Seqlock bracket: odd while the trees mutate, even once the
+            # write (or batch) is fully applied.
+            self.epoch.begin_write()
+            try:
+                return fn(*args)
+            finally:
+                self.epoch.end_write()
+
+    def _optimistic_batch(self, requests: List[Tuple]) -> List[Any]:
+        """One seqlock hop for a whole batch, per-query fallback isolation.
+
+        The shard epoch is captured once, the entire batch sweep runs
+        with no lock held, and a single validation covers every answer —
+        N queries, one epoch check.  A torn read does *not* retry the
+        batch wholesale: each query re-runs through its own
+        :meth:`_optimistic` (own retry budget, own read-lock fallback),
+        so one conflicting writer costs re-execution, never a batch-wide
+        retry storm.  Cache stores made during the sweep are parked in
+        the calling thread's deferred section and committed only after
+        the batch validates, exactly as the serial path does.
+        """
+        shard = self.warehouse
+        epoch = self.epoch
+        bstats = shard.batch_stats
+        started = epoch.read_begin()
+        if started % 2 == 0:
+            begin_deferred_stores()
+            try:
+                results = shard.aggregate_batch(requests)
+            except Exception:
+                discard_deferred_stores()
+                if bstats is not None:
+                    bstats.note_epoch_validation()
+                if epoch.read_validate(started):
+                    raise  # deterministic failure, not a torn read
+            else:
+                if bstats is not None:
+                    bstats.note_epoch_validation()
+                if epoch.read_validate(started):
+                    commit_deferred_stores()
+                    self.stats.note_optimistic()
+                    return results
+                discard_deferred_stores()
+        # Torn (or a write was mid-bracket at capture): isolate the
+        # fallback per query so one conflict cannot fail its batchmates.
+        if bstats is not None:
+            bstats.note_epoch_fallback(len(requests))
+        out: List[Any] = []
+        for key_range, interval, aggregate in requests:
+            try:
+                if aggregate is None:
+                    out.append(self._optimistic(
+                        shard.aggregate_all, (key_range, interval)))
+                else:
+                    out.append(self._optimistic(
+                        shard.aggregate, (key_range, interval, aggregate)))
+            except Exception as exc:
+                out.append(exc)
+        return out
+
+    def _optimistic(self, fn, args) -> Any:
+        """One read with **no lock held**, validated by the shard epoch.
+
+        Capture the seqlock word, traverse, validate: unchanged-and-even
+        means the traversal saw one consistent version and its answer is
+        exactly what the read lock would have produced.  Conflicts retry
+        (bounded) and finally fall back to the read lock, so a write
+        storm cannot starve a reader forever.  Three subtleties:
+
+        * cache stores made during the traversal are parked thread-
+          locally and committed only after validation — a torn read must
+          never publish into a shared cache (closed entries are pinned
+          forever);
+        * an exception with the epoch *unchanged* is deterministic (a
+          genuine :class:`~repro.errors.QueryError`, say) and re-raised
+          immediately — only epoch-changed exceptions count as
+          conflicts;
+        * retries yield the GIL briefly so the in-flight writer can
+          finish its bracket.
+        """
+        epoch = self.epoch
+        stats = self.stats
+        retries = 0
+        try:
+            for attempt in range(self.read_retries + 1):
+                if attempt:
+                    retries += 1
+                    stats.note_retry()
+                    time.sleep(0 if attempt < 3 else 0.0002)
+                started = epoch.read_begin()
+                if started % 2:
+                    continue  # a write is mid-bracket right now
+                begin_deferred_stores()
+                try:
+                    result = fn(*args)
+                except Exception:
+                    discard_deferred_stores()
+                    if epoch.read_validate(started):
+                        raise  # deterministic failure, not a torn read
+                    continue
+                if epoch.read_validate(started):
+                    commit_deferred_stores()
+                    stats.note_optimistic()
+                    return result
+                discard_deferred_stores()
+            # Retry budget exhausted: take the read lock (blocks behind
+            # the writer, guarantees progress).
+            stats.note_fallback()
+            ctx = current_context()
+            if ctx is not None:
+                ctx.mvcc_fallbacks += 1
+            with self.lock.read_locked():
+                return fn(*args)
+        finally:
+            if retries:
+                ctx = current_context()
+                if ctx is not None:
+                    ctx.mvcc_retries += retries
+
+
+class ShardRouter:
+    """Routing and exact scatter-gather over key-range partitions.
+
+    Built from a key space, a :class:`Topology` and a ``{sid: handle}``
+    map by one of the three constructions; everything a caller can ask
+    of a sharded warehouse is implemented here, once, against the handle
+    surface described in the module docstring.
+
+    Arguments cross a handle as plain model dataclasses
+    (:class:`KeyRange`, :class:`Interval`) plus :class:`Aggregate`
+    descriptors; worker handles serialize descriptors by name (their
+    ``combine`` lambdas never cross a process boundary).
+    """
+
+    def __init__(self, key_space: Tuple[int, int], topology: Topology,
+                 handles: Dict[int, Any]) -> None:
+        self.key_space = key_space
+        self.aggregates = _ShardedAggregates(self)
+        self._topology = topology
+        self._handles = handles
+        #: Writers shared / topology swaps exclusive (see module docs).
+        self._topology_lock = ReadWriteLock()
+        #: Serializes checkpoints against topology changes (a checkpoint
+        #: truncates the WAL a split would still be shipping from).
+        self._admin_lock = threading.Lock()
+        self._closed = False
 
     # -- routing -----------------------------------------------------------------------
 
-    @staticmethod
-    def _split(key_space: Tuple[int, int], shards: int) -> List[int]:
-        lo, hi = key_space
-        if shards < 1:
-            raise ValueError("need at least one shard")
-        if hi - lo < shards:
-            raise ValueError(
-                f"key space {key_space} is smaller than {shards} shards"
-            )
-        return [lo + (hi - lo) * i // shards for i in range(shards + 1)]
+    @property
+    def boundaries(self) -> List[int]:
+        """Current partition boundaries (a snapshot; splits change it)."""
+        return self._topology.boundaries
 
     @property
     def shard_count(self) -> int:
-        return len(self.boundaries) - 1
+        return len(self._topology.entries)
+
+    def shard_ids(self) -> List[int]:
+        """Current shard ids, in key order — dense positions only on a
+        static table (splits mint ids, merges retire them)."""
+        return [sid for sid, _lo, _hi in self._topology.entries]
 
     def shard_index(self, key: int) -> int:
-        """The shard owning ``key``; raises on out-of-domain keys."""
+        """The id of the shard owning ``key``; raises on out-of-domain
+        keys."""
         lo, hi = self.key_space
         if not lo <= key < hi:
             raise ShardRoutingError(
                 f"key {key} outside key space [{lo}, {hi})"
             )
-        return bisect_right(self.boundaries, key) - 1
+        topo = self._topology
+        return topo.entries[bisect_right(topo.boundaries, key) - 1][0]
 
     def parts_for(self, key_range: KeyRange) -> List[Tuple[int, KeyRange]]:
-        """``(shard index, clipped key range)`` pairs the range touches.
+        """``(shard id, clipped key range)`` pairs the range touches.
 
         Ranges beyond the key space clip silently (those keys hold no
         tuples), so queries never fail on routing — only updates do.
         """
         parts: List[Tuple[int, KeyRange]] = []
         low, high = key_range.low, key_range.high
-        for index, (lo, hi) in enumerate(
-                zip(self.boundaries, self.boundaries[1:])):
+        for sid, lo, hi in self._topology.entries:
             lo, hi = max(lo, low), min(hi, high)
             if lo < hi:
-                parts.append((index, KeyRange(lo, hi)))
+                parts.append((sid, KeyRange(lo, hi)))
         return parts
+
+    def handle(self, sid: int) -> Any:
+        """The handle serving shard ``sid``."""
+        handle = self._handles.get(sid)
+        if handle is None:
+            raise ShardRedirectError(
+                f"shard group {sid} was retired by a topology change; "
+                "re-route against the current topology and retry")
+        return handle
+
+    def _on(self, sid: int, call, *args: Any) -> Any:
+        """One handle call; under a request context its wall time (lock
+        waits and RPC included) is attributed to the shard.  Handles add
+        their own span record when the request is sampled."""
+        ctx = current_context()
+        if ctx is None:
+            return call(*args)
+        started = time.perf_counter()
+        try:
+            return call(*args)
+        finally:
+            ctx.note_shard(sid, time.perf_counter() - started)
+
+    def _read(self, sid: int, method: str, *args: Any) -> Any:
+        return self._on(sid, self.handle(sid).read, method, args)
+
+    def _exclusive(self, sid: int, method: str, *args: Any) -> Any:
+        return self._on(sid, self.handle(sid).write, method, args)
 
     # -- update API --------------------------------------------------------------------
 
+    def _routed_write(self, key: int, method: str, *args: Any) -> Any:
+        """Route one DML statement under the topology read lock.
+
+        Holding the lock shared from routing through acknowledgement is
+        what makes a topology swap (exclusive) a true barrier: a write
+        either lands wholly before the swap (and a split ships it to the
+        child) or routes against the new topology.
+        """
+        with self._topology_lock.read_locked():
+            return self._exclusive(self.shard_index(key), method, *args)
+
     def insert(self, key: int, value: float, t: int) -> None:
         """Insert a tuple alive from ``t`` into the owning shard."""
-        self._shard_write(self.shard_index(key), "insert", key, value, t)
+        self._routed_write(key, "insert", key, value, t)
 
     def delete(self, key: int, t: int) -> float:
         """Logically delete the alive tuple with ``key`` at ``t``."""
-        return self._shard_write(self.shard_index(key), "delete", key, t)
+        return self._routed_write(key, "delete", key, t)
 
     def update(self, key: int, value: float, t: int) -> None:
         """Replace the alive tuple's value at ``t`` (one shard, atomic
         under that shard's exclusive access)."""
-        self._shard_write(self.shard_index(key), "update", key, value, t)
+        self._routed_write(key, "update", key, value, t)
 
-    def apply_shard_batch(self, index: int,
+    def apply_shard_batch(self, sid: int,
                           ops: Sequence[Tuple]) -> List[Tuple[str, Any]]:
-        """Apply one commit group's ops on shard ``index`` in one
-        exclusive acquisition (see
+        """Apply one commit group's ops, re-routing each by key (see
         :meth:`repro.core.warehouse.TemporalWarehouse.apply_batch`).
 
-        The caller has already routed every op to ``index``; backends
-        whose routing can shift underneath a queued group (the cluster's
-        online splits) override this and re-route by key at commit time.
+        ``sid`` is the routing hint the server computed at *enqueue*
+        time; a split or merge may have moved keys since, so every op is
+        re-routed under the topology read lock (the same fencing as
+        :meth:`_routed_write`).  Ops are partitioned per shard with their
+        original positions, each partition is applied as one
+        ``apply_batch`` in one exclusive acquisition (order within a
+        partition matches arrival order, so per-key ordering is
+        preserved), and the per-op results are reassembled in the
+        original order.  On a static table the partition is the whole
+        group and the hint was already right.
         """
-        return self._shard_write(index, "apply_batch", list(ops))
+        del sid  # routing hint only — re-resolved per op below
+        with self._topology_lock.read_locked():
+            by_sid: Dict[int, List[Tuple[int, Any]]] = {}
+            for pos, op in enumerate(ops):
+                by_sid.setdefault(self.shard_index(op[1]), []).append(
+                    (pos, op))
+            results: List[Any] = [None] * len(ops)
+            for owner in sorted(by_sid):
+                entries = by_sid[owner]
+                applied = self._exclusive(
+                    owner, "apply_batch", [op for _pos, op in entries])
+                for (pos, _op), res in zip(entries, applied):
+                    results[pos] = res
+            return results
 
     def load_events(self, events: Sequence[Any],
                     batch_size: int = DEFAULT_BATCH_SIZE,
@@ -221,9 +618,11 @@ class ShardRouter:
         partitioning preserves the loader's chronological contract.
         ``mode="buffered"`` selects the buffer-tree ingest path inside
         each shard warehouse (byte-identical answers, amortized CPU).
-        Backends may drive the per-shard loads concurrently
-        (:meth:`_load_shards`); the merged :class:`IngestReport` is
-        returned either way.
+        Every partition is handed to its shard before any answer is
+        awaited, so worker shards load concurrently; the whole fan-out
+        runs under the topology read lock — the drain barrier that fences
+        splits away from buffered-ingest windows.  Returns the merged
+        :class:`IngestReport`.
         """
         coerced = coerce_events(events)
         last = None
@@ -234,31 +633,33 @@ class ShardRouter:
                     f"after t={last}"
                 )
             last = event.time
-        partitions: Dict[int, List[Any]] = {}
-        for event in coerced:
-            partitions.setdefault(self.shard_index(event.key),
-                                  []).append(event)
-        reports = self._load_shards(sorted(partitions.items()), batch_size,
-                                    mode)
-        merged = IngestReport()
-        for report in reports:
-            merged.events += report.events
-            merged.inserts += report.inserts
-            merged.deletes += report.deletes
-            merged.batches += report.batches
-            merged.flushed_pages += report.flushed_pages
-            merged.buffered_events += report.buffered_events
+        with self._topology_lock.read_locked():
+            partitions: Dict[int, List[Any]] = {}
+            for event in coerced:
+                partitions.setdefault(self.shard_index(event.key),
+                                      []).append(event)
+            pending = [
+                (sid, self._on(sid, self.handle(sid).call_async,
+                               "load_events", part, batch_size, mode))
+                for sid, part in sorted(partitions.items())
+            ]
+            merged = IngestReport()
+            failure: Optional[BaseException] = None
+            for sid, future in pending:
+                try:
+                    report = self._on(sid, future.result)
+                except Exception as exc:  # noqa: BLE001 — await them all
+                    failure = failure or exc
+                    continue
+                merged.events += report.events
+                merged.inserts += report.inserts
+                merged.deletes += report.deletes
+                merged.batches += report.batches
+                merged.flushed_pages += report.flushed_pages
+                merged.buffered_events += report.buffered_events
+        if failure is not None:
+            raise failure
         return merged
-
-    def _load_shards(self, partitions: List[Tuple[int, List[Any]]],
-                     batch_size: int, mode: str) -> List[IngestReport]:
-        """Drive each shard's loader; sequential by default, backends with
-        real parallelism override."""
-        return [
-            self._shard_write(index, "load_events", events, batch_size,
-                              mode)
-            for index, events in partitions
-        ]
 
     # -- query API ---------------------------------------------------------------------
 
@@ -271,7 +672,7 @@ class ShardRouter:
             return total.avg
         if aggregate.name in (MIN.name, MAX.name):
             extrema = [
-                self._shard_query(i, "aggregate", part, interval, aggregate)
+                self._read(i, "aggregate", part, interval, aggregate)
                 for i, part in parts
             ]
             extrema = [x for x in extrema if x is not None]
@@ -281,7 +682,7 @@ class ShardRouter:
         if aggregate.name not in (SUM.name, COUNT.name):
             raise QueryError(f"unknown aggregate {aggregate.name!r}")
         return sum(
-            self._shard_query(i, "aggregate", part, interval, aggregate)
+            self._read(i, "aggregate", part, interval, aggregate)
             for i, part in parts
         )
 
@@ -289,7 +690,7 @@ class ShardRouter:
                       interval: Interval) -> RTAResult:
         """SUM, COUNT and AVG gathered from per-shard totals."""
         return self._gather_all(
-            self._shard_query(i, "aggregate_all", part, interval)
+            self._read(i, "aggregate_all", part, interval)
             for i, part in self.parts_for(key_range))
 
     @staticmethod
@@ -311,11 +712,38 @@ class ShardRouter:
         A contract for callers that must not block (the server's event
         loop): O(parts) dictionary work, no traversal, no wait on a lock
         a writer can hold for long, and the value is byte-identical to
-        what :meth:`aggregate` would return at this instant.  The
-        default is :data:`MISS` — backends whose caches live inside
-        worker processes cannot answer without an RPC.
+        what :meth:`aggregate` would return at this instant.  SUM/COUNT
+        gather the per-part entries :meth:`aggregate` stores, AVG the
+        per-part :data:`~repro.core.warehouse.ALL_KEY` partials;
+        everything else (MIN/MAX, no cache, a shard whose cache lives in
+        a worker process) is a :data:`MISS`.  Every part is probed
+        (peek only) before any is looked up, so a partial hit leaves
+        hit/miss counters and LRU recency exactly as the pooled path will
+        find them; the gather below is the code :meth:`aggregate` /
+        :meth:`aggregate_all` run, so the answer is byte-identical.
         """
-        return MISS
+        name = aggregate.name
+        if name == AVG.name:
+            name = ALL_KEY
+        elif name not in (SUM.name, COUNT.name):
+            return MISS
+        looks = []
+        for sid, part in self.parts_for(key_range):
+            handle = self._handles.get(sid)
+            look = MISS if handle is None else handle.probe(name, part,
+                                                            interval)
+            if look is MISS:
+                return MISS
+            looks.append(look)
+        partials = []
+        for look in looks:
+            partial = look()
+            if partial is MISS:
+                return MISS
+            partials.append(partial)
+        if name == ALL_KEY:
+            return self._gather_all(partials).avg
+        return sum(partials)
 
     def aggregate_batch(self, queries) -> List[Any]:
         """Scatter-gather many aggregate queries with one batch per shard.
@@ -323,14 +751,15 @@ class ShardRouter:
         ``queries`` is a sequence of ``(key_range, interval, aggregate)``
         triples.  Each query's rectangle is split over the shards it
         touches exactly as :meth:`aggregate` does, but all sub-queries
-        landing on one shard travel together through
-        :meth:`_shard_query_batch` — one shard acquisition, one MVSBT
-        sweep — and the gather arithmetic (iteration order included) is
-        the same code shape as the serial path, so answers are
-        byte-identical.  AVG queries ship per-part ``aggregate_all``
-        sub-queries (aggregate ``None``) and recombine SUM/COUNT totals,
-        never per-shard averages.  A failing query yields its exception
-        instance in its slot; the rest of the batch is unaffected.
+        landing on one shard travel together through the handle's
+        ``read_batch`` — one shard acquisition (one epoch validation, or
+        one RPC), one MVSBT sweep — and the gather arithmetic (iteration
+        order included) is the same code shape as the serial path, so
+        answers are byte-identical.  AVG queries ship per-part
+        ``aggregate_all`` sub-queries (aggregate ``None``) and recombine
+        SUM/COUNT totals, never per-shard averages.  A failing query
+        yields its exception instance in its slot; the rest of the batch
+        is unaffected.
         """
         queries = list(queries)
         shard_requests: Dict[int, List[Tuple]] = {}
@@ -354,7 +783,7 @@ class ShardRouter:
                 requests.append((part, interval, sub))
             recipes.append((kind, slots))
         shard_results: Dict[int, List[Any]] = {
-            i: self._shard_query_batch(i, requests)
+            i: self._on(i, self.handle(i).read_batch, requests)
             for i, requests in sorted(shard_requests.items())
         }
         out: List[Any] = []
@@ -382,36 +811,13 @@ class ShardRouter:
                 out.append(sum(partials))
         return out
 
-    def _shard_query_batch(self, index: int, requests: List[Tuple]
-                           ) -> List[Any]:
-        """Answer one shard's batched sub-queries, errors in-band.
-
-        Base implementation degrades to serial :meth:`_shard_query`
-        calls so every backend supports :meth:`aggregate_batch`;
-        backends with a real batch kernel override it.  An aggregate of
-        ``None`` requests ``aggregate_all`` for that sub-query.
-        """
-        out: List[Any] = []
-        for key_range, interval, aggregate in requests:
-            try:
-                if aggregate is None:
-                    out.append(self._shard_query(index, "aggregate_all",
-                                                 key_range, interval))
-                else:
-                    out.append(self._shard_query(index, "aggregate",
-                                                 key_range, interval,
-                                                 aggregate))
-            except Exception as exc:
-                out.append(exc)
-        return out
-
     def batch_snapshot(self) -> Dict[str, int]:
         """Batch-sweep counters merged across every shard."""
         from repro.core.batch import BatchScanStats
 
         totals = BatchScanStats()
-        for index in range(self.shard_count):
-            snapshot = self._shard_query(index, "batch_snapshot")
+        for sid in self.shard_ids():
+            snapshot = self._read(sid, "batch_snapshot")
             if snapshot:
                 totals.merge(snapshot)
         return totals.as_dict()
@@ -444,7 +850,7 @@ class ShardRouter:
         so concatenation is already sorted."""
         out: List[Tuple[int, float]] = []
         for i, part in self.parts_for(key_range):
-            out.extend(self._shard_query(i, "snapshot", part, t))
+            out.extend(self._read(i, "snapshot", part, t))
         return out
 
     def tuples_in(self, key_range: KeyRange,
@@ -452,54 +858,164 @@ class ShardRouter:
         """Every logical tuple whose key and lifespan hit the rectangle."""
         out: List[TemporalTuple] = []
         for i, part in self.parts_for(key_range):
-            out.extend(self._shard_query(i, "tuples_in", part, interval))
+            out.extend(self._read(i, "tuples_in", part, interval))
         return out
 
     def history(self, key: int) -> List[TemporalTuple]:
         """All versions a key ever had (routes to the owning shard)."""
-        return self._shard_query(self.shard_index(key), "history", key)
+        return self._read(self.shard_index(key), "history", key)
 
-    # -- planner -----------------------------------------------------------------------
+    # -- planner and observability -----------------------------------------------------
 
     def explain(self, key_range: KeyRange, interval: Interval,
                 aggregate: Aggregate = SUM) -> List[ShardPlan]:
         """Each intersecting shard's planner decision for the rectangle."""
         return [
             ShardPlan(shard=i, key_range=part,
-                      plan=self._shard_query(i, "explain", part, interval,
-                                             aggregate))
+                      plan=self._read(i, "explain", part, interval,
+                                      aggregate))
             for i, part in self.parts_for(key_range)
         ]
 
+    def explain_trace(self, key_range: KeyRange, interval: Interval,
+                      aggregate: Aggregate = SUM) -> List[Dict[str, Any]]:
+        """Per-shard EXPLAIN with span trees.
+
+        Each intersecting shard traces the query where its warehouse
+        lives (:meth:`~repro.core.warehouse.TemporalWarehouse.explain_trace`)
+        and hands back schema-valid JSONL records, never live
+        :class:`~repro.obs.tracer.Span` objects.  Rows carry ``shard``,
+        ``key_range``, ``plan``, ``result``, ``record``, ``cache`` on
+        every backend, so the slow-query log works identically under
+        all of them.  Tracing attaches to the shard's pools, which is
+        only safe with no concurrent readers — hence exclusive access,
+        making this a diagnostics path, not a hot one.
+        """
+        return [
+            dict(self._exclusive(sid, "explain_trace", part, interval,
+                                 aggregate), shard=sid, key_range=part)
+            for sid, part in self.parts_for(key_range)
+        ]
+
+    def publish_metrics(self, registry) -> None:
+        """Publish every handle's rows into ``registry`` (called once at
+        server start and again per scrape; must survive a dead shard)."""
+        for handle in list(self._handles.values()):
+            handle.publish_metrics(registry)
+
     # -- read-path caching -------------------------------------------------------------
+
+    def enable_cache(self, config: Optional[CacheConfig] = None) -> None:
+        """Attach the layered read-path cache on every shard.
+
+        Per-shard caches keep epoch bookkeeping local to the single writer
+        of each shard; a write to one shard never invalidates another
+        shard's cached aggregates.  Cache bookkeeping takes locks only
+        where the shard is shared by threads (worker processes are
+        single-threaded, and only primaries cache).
+        """
+        config = config or CacheConfig()
+        for sid, handle in list(self._handles.items()):
+            self._exclusive(sid, "enable_cache", config, handle.thread_safe)
+
+    def disable_cache(self) -> None:
+        """Detach every shard's read-path cache."""
+        for sid in list(self._handles):
+            self._exclusive(sid, "disable_cache")
 
     def cache_snapshot(self) -> CacheSnapshot:
         """Cache counters merged across all shards (one row per layer)."""
         snapshot = CacheSnapshot()
-        for index in range(self.shard_count):
-            snapshot.merge(self._shard_query(index, "cache_snapshot"))
+        for sid in self.shard_ids():
+            snapshot.merge(self._read(sid, "cache_snapshot"))
         return snapshot
 
     # -- maintenance -------------------------------------------------------------------
 
     def page_count(self) -> int:
         """Total pages across all shards."""
-        return sum(self._shard_query(index, "page_count")
-                   for index in range(self.shard_count))
+        return sum(self._read(sid, "page_count")
+                   for sid in self.shard_ids())
 
     def check_invariants(self) -> None:
         """Audit every shard."""
-        for index in range(self.shard_count):
-            self._shard_query(index, "check_invariants")
+        for sid in self.shard_ids():
+            self._read(sid, "check_invariants")
 
     def checkpoint(self) -> None:
-        """Checkpoint every shard (under its exclusive access)."""
-        for index in range(self.shard_count):
-            self._shard_write(index, "checkpoint")
+        """Checkpoint every live shard (each under its exclusive access),
+        concurrently where shards are processes.
+
+        Serialized against topology changes: truncation must not race a
+        split still shipping the WAL tail.  Dead shards are skipped
+        rather than failing the drain: their WALs already hold every
+        acknowledged update, so recovery covers them.
+        """
+        with self._admin_lock:
+            futures = []
+            for handle in list(self._handles.values()):
+                if handle.dead:
+                    continue
+                try:
+                    futures.append(handle.call_async("checkpoint"))
+                except ShardDownError:
+                    continue
+            for future in futures:
+                try:
+                    future.result()
+                except ShardDownError:
+                    continue
+
+    @property
+    def now(self) -> int:
+        """The most recent time any shard has seen."""
+        return max((handle.now for handle in list(self._handles.values())),
+                   default=0)
+
+    @property
+    def closed(self) -> bool:
+        """True once :meth:`close` has run."""
+        return self._closed
+
+    def close(self) -> None:
+        """Close every shard (idempotent)."""
+        if self._closed:
+            return
+        self._closed = True
+        for handle in list(self._handles.values()):
+            handle.close()
+
+    # -- admin verbs (the base router supports none) -----------------------------------
+
+    def respawn(self, sid: int) -> int:
+        """Replace a dead shard worker (worker backends only)."""
+        raise ProtocolError('op "respawn" requires the process executor')
+
+    def _cluster_only(self, op: str) -> Any:
+        raise ProtocolError(f'op "{op}" requires the cluster backend '
+                            '(--replicas or --autosplit)')
+
+    def topology_info(self) -> Dict[str, Any]:
+        """The routing table plus worker liveness (elastic cluster only)."""
+        return self._cluster_only("topology")
+
+    def split(self, gid: int, at: Optional[int] = None) -> Dict[str, Any]:
+        """Split a shard group's range online (elastic cluster only)."""
+        return self._cluster_only("split")
+
+    def merge(self, gid_a: int, gid_b: int) -> Dict[str, Any]:
+        """Merge two adjacent shard groups (elastic cluster only)."""
+        return self._cluster_only("merge")
+
+    def promote(self, gid: int,
+                replica: Optional[int] = None) -> Dict[str, Any]:
+        """Promote a replica to writer (elastic cluster only)."""
+        return self._cluster_only("promote")
 
 
 class ShardedWarehouse(ShardRouter):
-    """N key-range-partitioned warehouses answering as one, in-process.
+    """N key-range-partitioned warehouses answering as one, in-process:
+    the router over one :class:`LocalShard` per range.
 
     Parameters
     ----------
@@ -508,14 +1024,9 @@ class ShardedWarehouse(ShardRouter):
     key_space:
         Half-open key domain, divided among the shards.
     thread_safe:
-        Install per-shard readers-writer locks and buffer-pool locking;
-        required whenever more than one thread touches the instance.
-    mvcc:
-        Serve reads through the epoch-validated optimistic path (see
-        :mod:`repro.serve.mvcc`): queries traverse with **no lock held**
-        and validate the shard's seqlock epoch at exit, retrying
-        (bounded) and falling back to the read lock only on conflict.
-        Requires ``thread_safe``; ignored without it.
+        Serve through the optimistic read / locked write protocol of
+        :class:`LocalShard` and enable buffer-pool locking; required
+        whenever more than one thread touches the instance.
     page_capacity / buffer_pages / strong_factor / start_time / buffer_policy:
         Forwarded to every underlying :class:`TemporalWarehouse`.
     """
@@ -525,356 +1036,31 @@ class ShardedWarehouse(ShardRouter):
                  page_capacity: int = 32, buffer_pages: int = 64,
                  strong_factor: float = 0.9, start_time: int = 1,
                  thread_safe: bool = False,
-                 buffer_policy: str = "lru",
-                 mvcc: bool = False) -> None:
-        self.key_space = key_space
-        self.boundaries = self._split(key_space, shards)
-        self.shards: List[TemporalWarehouse] = [
+                 buffer_policy: str = "lru") -> None:
+        boundaries = split_evenly(key_space, shards)
+        self._adopt(key_space, boundaries, thread_safe, [
             TemporalWarehouse(key_space=(lo, hi),
                               page_capacity=page_capacity,
                               buffer_pages=buffer_pages,
                               strong_factor=strong_factor,
                               start_time=start_time,
                               buffer_policy=buffer_policy)
-            for lo, hi in zip(self.boundaries, self.boundaries[1:])
-        ]
-        self._durable_dir: Optional[str] = None
-        self._finish_init(thread_safe, mvcc)
+            for lo, hi in zip(boundaries, boundaries[1:])
+        ])
 
-    def _finish_init(self, thread_safe: bool, mvcc: bool = False) -> None:
-        self.aggregates = _ShardedAggregates(self)
+    def _adopt(self, key_space: Tuple[int, int], boundaries: List[int],
+               thread_safe: bool,
+               warehouses: List[TemporalWarehouse]) -> None:
+        #: The shard warehouses, in key order (``shards[sid]``).
+        self.shards = warehouses
         self.thread_safe = thread_safe
-        self.mvcc = bool(mvcc and thread_safe)
-        self.locks: List[ReadWriteLock] = [
-            ReadWriteLock() for _ in self.shards
-        ]
-        self.epochs: List[ShardEpoch] = [
-            ShardEpoch() for _ in self.shards
-        ]
         self.mvcc_stats = MVCCStats()
-        self.read_retries = DEFAULT_READ_RETRIES
-        if thread_safe:
-            for shard in self.shards:
-                shard.tuples.pool.enable_locking()
-                shard.aggregates.pool.enable_locking()
-
-    # -- backend hooks -----------------------------------------------------------------
-
-    def _shard_query(self, index: int, method: str, *args: Any) -> Any:
-        fn = getattr(self.shards[index], method)
-        if self.mvcc:
-            def run():
-                return self._optimistic_query(index, fn, args)
-        elif self.thread_safe:
-            def run():
-                with self.locks[index].read_locked():
-                    return fn(*args)
-        else:
-            def run():
-                return fn(*args)
-        ctx = current_context()
-        if ctx is None:
-            return run()
-        return self._shard_telemetered(ctx, index, method, run)
-
-    def _shard_write(self, index: int, method: str, *args: Any) -> Any:
-        fn = getattr(self.shards[index], method)
-        if self.thread_safe:
-            def run():
-                with self.locks[index].write_locked():
-                    if not self.mvcc:
-                        return fn(*args)
-                    # Seqlock bracket: odd while the trees mutate, even
-                    # once the write (or batch) is fully applied.
-                    epoch = self.epochs[index]
-                    epoch.begin_write()
-                    try:
-                        return fn(*args)
-                    finally:
-                        epoch.end_write()
-        else:
-            def run():
-                return fn(*args)
-        ctx = current_context()
-        if ctx is None:
-            return run()
-        return self._shard_telemetered(ctx, index, method, run)
-
-    def _shard_query_batch(self, index: int, requests: List[Tuple]
-                           ) -> List[Any]:
-        """One shard's sub-batch through the warehouse batch kernel."""
-        shard = self.shards[index]
-        if self.mvcc:
-            def run():
-                return self._optimistic_query_batch(index, requests)
-        elif self.thread_safe:
-            def run():
-                with self.locks[index].read_locked():
-                    return shard.aggregate_batch(requests)
-        else:
-            def run():
-                return shard.aggregate_batch(requests)
-        ctx = current_context()
-        if ctx is None:
-            return run()
-        return self._shard_telemetered(ctx, index, "aggregate_batch", run)
-
-    def _optimistic_query_batch(self, index: int,
-                                requests: List[Tuple]) -> List[Any]:
-        """One seqlock hop for a whole batch, per-query fallback isolation.
-
-        The shard epoch is captured once, the entire batch sweep runs
-        with no lock held, and a single validation covers every answer —
-        N queries, one epoch check.  A torn read does *not* retry the
-        batch wholesale: each query re-runs through its own
-        :meth:`_optimistic_query` (own retry budget, own read-lock
-        fallback), so one conflicting writer costs re-execution, never a
-        batch-wide retry storm.  Cache stores made during the sweep are
-        parked in the calling thread's deferred section and committed
-        only after the batch validates, exactly as the serial path does.
-        """
-        from repro.core.cache import (begin_deferred_stores,
-                                      commit_deferred_stores,
-                                      discard_deferred_stores)
-
-        shard = self.shards[index]
-        epoch = self.epochs[index]
-        bstats = shard.batch_stats
-        started = epoch.read_begin()
-        if started % 2 == 0:
-            begin_deferred_stores()
-            try:
-                results = shard.aggregate_batch(requests)
-            except Exception:
-                discard_deferred_stores()
-                if bstats is not None:
-                    bstats.note_epoch_validation()
-                if epoch.read_validate(started):
-                    raise  # deterministic failure, not a torn read
-            else:
-                if bstats is not None:
-                    bstats.note_epoch_validation()
-                if epoch.read_validate(started):
-                    commit_deferred_stores()
-                    self.mvcc_stats.note_optimistic()
-                    return results
-                discard_deferred_stores()
-        # Torn (or a write was mid-bracket at capture): isolate the
-        # fallback per query so one conflict cannot fail its batchmates.
-        if bstats is not None:
-            bstats.note_epoch_fallback(len(requests))
-        out: List[Any] = []
-        for key_range, interval, aggregate in requests:
-            try:
-                if aggregate is None:
-                    out.append(self._optimistic_query(
-                        index, shard.aggregate_all, (key_range, interval)))
-                else:
-                    out.append(self._optimistic_query(
-                        index, shard.aggregate,
-                        (key_range, interval, aggregate)))
-            except Exception as exc:
-                out.append(exc)
-        return out
-
-    def _optimistic_query(self, index: int, fn, args) -> Any:
-        """One read with **no lock held**, validated by the shard epoch.
-
-        Capture the seqlock word, traverse, validate: unchanged-and-even
-        means the traversal saw one consistent version and its answer is
-        exactly what the read lock would have produced.  Conflicts retry
-        (bounded) and finally fall back to the read lock, so a write
-        storm cannot starve a reader forever.  Three subtleties:
-
-        * cache stores made during the traversal are parked thread-
-          locally and committed only after validation — a torn read must
-          never publish into a shared cache (closed entries are pinned
-          forever);
-        * an exception with the epoch *unchanged* is deterministic (a
-          genuine :class:`~repro.errors.QueryError`, say) and re-raised
-          immediately — only epoch-changed exceptions count as
-          conflicts;
-        * retries yield the GIL briefly so the in-flight writer can
-          finish its bracket.
-        """
-        from repro.core.cache import (begin_deferred_stores,
-                                      commit_deferred_stores,
-                                      discard_deferred_stores)
-
-        epoch = self.epochs[index]
-        stats = self.mvcc_stats
-        retries = 0
-        try:
-            for attempt in range(self.read_retries + 1):
-                if attempt:
-                    retries += 1
-                    stats.note_retry()
-                    time.sleep(0 if attempt < 3 else 0.0002)
-                started = epoch.read_begin()
-                if started % 2:
-                    continue  # a write is mid-bracket right now
-                begin_deferred_stores()
-                try:
-                    result = fn(*args)
-                except Exception:
-                    discard_deferred_stores()
-                    if epoch.read_validate(started):
-                        raise  # deterministic failure, not a torn read
-                    continue
-                if epoch.read_validate(started):
-                    commit_deferred_stores()
-                    stats.note_optimistic()
-                    return result
-                discard_deferred_stores()
-            # Retry budget exhausted: take the read lock (blocks behind
-            # the writer, guarantees progress).
-            stats.note_fallback()
-            ctx = current_context()
-            if ctx is not None:
-                ctx.mvcc_fallbacks += 1
-            with self.locks[index].read_locked():
-                return fn(*args)
-        finally:
-            if retries:
-                ctx = current_context()
-                if ctx is not None:
-                    ctx.mvcc_retries += retries
-
-    def probe(self, key_range: KeyRange, interval: Interval,
-              aggregate: Aggregate) -> Any:
-        """Answer from the shards' result caches as a latch-free reader.
-
-        SUM/COUNT gather the per-part entries :meth:`aggregate` stores,
-        AVG the per-part :data:`~repro.core.warehouse.ALL_KEY` partials;
-        everything else (MIN/MAX, no MVCC, no cache) is a :data:`MISS`.
-        Each touched shard's seqlock word is captured first — odd means a
-        write is mid-bracket, so its ``write_epoch`` cannot be trusted —
-        and every part is ``peek``-ed before any is looked up, so a
-        partial hit leaves hit/miss counters and LRU recency exactly as
-        the pooled path will find them.  Only then does each part pay a
-        real ``lookup`` and re-validate its shard's word: unchanged means
-        no write landed between reading ``write_epoch`` and reading the
-        entry, so an open-present entry is current (Sela & Petrank's
-        validated aggregate read) and a closed one always was.  The
-        gather below is the code :meth:`aggregate` / :meth:`aggregate_all`
-        run, so the answer is byte-identical.
-        """
-        if not self.mvcc:
-            return MISS
-        name = aggregate.name
-        if name == AVG.name:
-            name = ALL_KEY
-        elif name not in (SUM.name, COUNT.name):
-            return MISS
-        looks = []
-        for index, part in self.parts_for(key_range):
-            shard = self.shards[index]
-            cache = shard.result_cache
-            if cache is None:
-                return MISS
-            started = self.epochs[index].read_begin()
-            if started % 2:
-                return MISS
-            write_epoch = shard.write_epoch
-            key = ResultCache.key(name, part, interval)
-            if not cache.peek(key, write_epoch):
-                return MISS
-            looks.append((index, cache, key, write_epoch, started))
-        partials = []
-        for index, cache, key, write_epoch, started in looks:
-            hit = cache.lookup(key, write_epoch)
-            if hit is None or not self.epochs[index].read_validate(started):
-                return MISS
-            partials.append(hit[0])
-        if name == ALL_KEY:
-            return self._gather_all(partials).avg
-        return sum(partials)
-
-    def _shard_telemetered(self, ctx, index: int, method: str, run) -> Any:
-        """One shard call (``run`` already wraps locking or the
-        optimistic path) under an active request context.
-
-        Always attributes wall time to the shard; when the request is
-        sampled, additionally appends a ``shard.<method>`` span record.
-        A tracer is *not* attached here — the shard warehouses are shared
-        across reader threads and a tracer's span stack would race — so
-        thread-backend traces carry per-shard-call timing, not page-level
-        children (the process backend's single-threaded workers do carry
-        them).
-        """
-        from repro.serve.telemetry import shard_record
-
-        started = time.perf_counter()
-        cpu_started = time.process_time()
-        try:
-            return run()
-        finally:
-            ctx.note_shard(index, time.perf_counter() - started)
-            if ctx.sampled:
-                ctx.add_record(shard_record(
-                    f"shard.{method}", index,
-                    time.process_time() - cpu_started, ctx,
-                    backend="thread"))
-
-    @property
-    def now(self) -> int:
-        """The most recent time any shard has seen."""
-        return max(shard.now for shard in self.shards)
-
-    # -- observability -----------------------------------------------------------------
-
-    def explain_trace(self, key_range: KeyRange, interval: Interval,
-                      aggregate: Aggregate = SUM) -> List[Dict[str, Any]]:
-        """Per-shard EXPLAIN with span trees, thread-backend edition.
-
-        Same row shape as
-        :meth:`repro.serve.procpool.ProcessShardedWarehouse.explain_trace`
-        (``shard``, ``key_range``, ``plan``, ``result``, ``record``,
-        ``cache``), so the slow-query log works identically under both
-        executors.  Tracing must attach to the shard's pools, which is
-        only safe with no concurrent readers — each shard is therefore
-        traced under its *write* lock, making this a diagnostics path,
-        not a hot one.
-        """
-        from repro.obs.explain import explain_query
-        from repro.obs.tracefile import span_to_record
-
-        rows: List[Dict[str, Any]] = []
-        for index, part in self.parts_for(key_range):
-            shard = self.shards[index]
-
-            def run(shard=shard, part=part):
-                report = explain_query(shard, part, interval, aggregate)
-                return {"plan": report.plan, "result": report.result,
-                        "record": span_to_record(report.root),
-                        "cache": report.cache}
-            if self.thread_safe:
-                with self.locks[index].write_locked():
-                    payload = run()
-            else:
-                payload = run()
-            rows.append(dict(payload, shard=index, key_range=part))
-        return rows
-
-    # -- read-path caching -------------------------------------------------------------
-
-    def enable_cache(self, config: Optional[CacheConfig] = None) -> None:
-        """Attach the layered read-path cache on every shard.
-
-        Per-shard caches keep epoch bookkeeping local to the single writer
-        of each shard; a write to one shard never invalidates another
-        shard's cached aggregates.  Cache bookkeeping is thread-safe iff
-        this sharded warehouse is.
-        """
-        for shard in self.shards:
-            shard.enable_cache(config, thread_safe=self.thread_safe)
-
-    def disable_cache(self) -> None:
-        """Detach every shard's read-path cache."""
-        for shard in self.shards:
-            shard.disable_cache()
-
-    # -- durability --------------------------------------------------------------------
+        ShardRouter.__init__(
+            self, key_space,
+            Topology(1, [(sid, lo, hi) for sid, (lo, hi) in enumerate(
+                zip(boundaries, boundaries[1:]))]),
+            {sid: LocalShard(sid, warehouse, thread_safe, self.mvcc_stats)
+             for sid, warehouse in enumerate(warehouses)})
 
     @classmethod
     def open_durable(cls, directory: str, shards: int = 4,
@@ -883,26 +1069,20 @@ class ShardedWarehouse(ShardRouter):
                      strong_factor: float = 0.9, start_time: int = 1,
                      thread_safe: bool = False,
                      fsync: bool = False,
-                     buffer_policy: str = "lru",
-                     mvcc: bool = False) -> "ShardedWarehouse":
+                     buffer_policy: str = "lru") -> "ShardedWarehouse":
         """Open (or create) a crash-recoverable sharded warehouse.
 
         The shard layout (count and boundaries) is frozen in
         ``layout.json`` on first open; reopens ignore the ``shards`` and
         ``key_space`` arguments in favor of the stored layout, because
         re-partitioning on-disk shards is not supported.
-        ``buffer_policy`` applies to freshly created shards; shards
-        restored from a checkpoint keep the default eviction policy.
         """
-        key_space, boundaries = load_or_freeze_layout(directory, shards,
-                                                      key_space)
-
         import os
 
+        key_space, boundaries = load_or_freeze_layout(directory, shards,
+                                                      key_space)
         warehouse = cls.__new__(cls)
-        warehouse.key_space = key_space
-        warehouse.boundaries = boundaries
-        warehouse.shards = [
+        warehouse._adopt(key_space, boundaries, thread_safe, [
             TemporalWarehouse.open_durable(
                 os.path.join(directory, shard_dir_name(i)),
                 buffer_pages=buffer_pages, fsync=fsync,
@@ -910,20 +1090,8 @@ class ShardedWarehouse(ShardRouter):
                 strong_factor=strong_factor, start_time=start_time,
                 buffer_policy=buffer_policy)
             for i, (lo, hi) in enumerate(zip(boundaries, boundaries[1:]))
-        ]
-        warehouse._durable_dir = directory
-        warehouse._finish_init(thread_safe, mvcc)
+        ])
         return warehouse
-
-    @property
-    def closed(self) -> bool:
-        """True once :meth:`close` has run."""
-        return all(shard.closed for shard in self.shards)
-
-    def close(self) -> None:
-        """Close every shard (idempotent)."""
-        for shard in self.shards:
-            shard.close()
 
 
 def shard_dir_name(index: int) -> str:
@@ -949,7 +1117,7 @@ def load_or_freeze_layout(directory: str, shards: int,
         with open(layout_path) as fh:
             layout = json.load(fh)
         return tuple(layout["key_space"]), list(layout["boundaries"])
-    boundaries = ShardRouter._split(key_space, shards)
+    boundaries = split_evenly(key_space, shards)
     with open(layout_path, "w") as fh:
         json.dump({"key_space": list(key_space),
                    "boundaries": boundaries}, fh)

@@ -163,7 +163,7 @@ class TestSharedScanGroups:
 class TestBatchUnderWrites:
     def test_pinned_batches_survive_concurrent_writes(self):
         warehouse = ShardedWarehouse(shards=2, key_space=KEY_SPACE,
-                                     thread_safe=True, mvcc=True)
+                                     thread_safe=True)
         for key in range(1, KEYS + 1):
             warehouse.insert(key, float(key), key)
         pinned = warehouse.now

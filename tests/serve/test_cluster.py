@@ -67,7 +67,7 @@ class TestClusterAnswers:
     def test_replica_read_byte_identical_at_pinned_version(self, cluster):
         cluster.sync_replicas(0)
         interval = Interval(1, cluster.now + 1)
-        span = KeyRange(*cluster._groups_by_gid[0].wh_key_space)
+        span = KeyRange(*cluster.handle(0).spec.key_space)
         for method in ("sum", "aggregate_all", "tuples_in"):
             primary = cluster.primary_probe(0, method, span, interval)
             replica = cluster.replica_probe(0, 0, method, span, interval)
@@ -104,8 +104,8 @@ class TestSplitMerge:
 
             # both halves answer exactly from their own group
             child = result["child"]
-            lo, hi = (warehouse._groups_by_gid[child].lo,
-                      warehouse._groups_by_gid[child].hi)
+            lo, hi = (warehouse.handle(child).lo,
+                      warehouse.handle(child).hi)
             assert repr(warehouse.sum(KeyRange(lo, hi), interval)) == \
                 repr(oracle.sum(KeyRange(lo, hi), interval))
 
@@ -152,14 +152,14 @@ class TestSplitMerge:
 
             # retired gids now redirect (the client retries transparently)
             with pytest.raises(ShardRedirectError):
-                warehouse._group(gids[0])
+                warehouse.handle(gids[0])
             # the merged group accepts writes
             warehouse.insert(3, 9.0, t + 1)
             oracle.insert(3, 9.0, t + 1)
             interval = Interval(1, t + 2)
             assert repr(warehouse.sum(whole, interval)) == \
                 repr(oracle.sum(whole, interval))
-            assert result["gid"] in warehouse._groups_by_gid
+            assert result["gid"] in warehouse.shard_ids()
         finally:
             warehouse.close()
 

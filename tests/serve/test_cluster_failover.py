@@ -92,7 +92,7 @@ class TestPrimaryFailover:
             assert warehouse.sum(whole, Interval(t, t + 1)) == \
                 float(total - 1)
             # the planner (or ensure_replicas) backfills the replica slot
-            _wait(lambda: len(warehouse._groups_by_gid[0].replicas) == 1,
+            _wait(lambda: len(warehouse.handle(0).replicas) == 1,
                   message="replica backfill after promotion")
         finally:
             warehouse.close()

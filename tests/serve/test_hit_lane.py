@@ -21,7 +21,7 @@ from repro.core.model import Interval, KeyRange
 from repro.core.warehouse import ALL_KEY, TemporalWarehouse
 from repro.serve.client import Client, ServerReplyError
 from repro.serve.cluster import ClusterWarehouse
-from repro.serve.procpool import ProcessShardedWarehouse
+from repro.serve.procpool import ProcessShardedWarehouse, WorkerGroup
 from repro.serve.server import (STATEMENT_CACHE_ENTRIES, ServerConfig,
                                 TQLServer, serve_in_thread)
 from repro.serve.sharded import MISS, ShardedWarehouse, ShardRouter
@@ -221,10 +221,9 @@ class TestTwin:
 # -- (b) probe: every reason to answer MISS --------------------------------------------
 
 
-def _warehouse(mvcc=True, cache=True):
+def _warehouse(cache=True):
     warehouse = ShardedWarehouse(shards=2, key_space=KEY_SPACE,
-                                 page_capacity=8, thread_safe=True,
-                                 mvcc=mvcc)
+                                 page_capacity=8, thread_safe=True)
     if cache:
         warehouse.enable_cache(CacheConfig())
     for key in range(1, KEYS + 1, 3):
@@ -254,11 +253,11 @@ class TestProbe:
     def test_miss_while_a_write_is_mid_bracket(self):
         warehouse = _warehouse()
         warehouse.aggregate(BOTH, CLOSED, SUM)
-        warehouse.epochs[1].begin_write()
+        warehouse.handle(1).epoch.begin_write()
         try:
             assert warehouse.probe(BOTH, CLOSED, SUM) is MISS
         finally:
-            warehouse.epochs[1].end_write()
+            warehouse.handle(1).epoch.end_write()
         assert warehouse.probe(BOTH, CLOSED, SUM) is not MISS
 
     def test_partial_hit_is_a_miss_and_touches_no_counter(self):
@@ -288,15 +287,17 @@ class TestProbe:
         warehouse.aggregate(BOTH, CLOSED, aggregate)
         assert warehouse.probe(BOTH, CLOSED, aggregate) is MISS
 
-    def test_no_mvcc_and_no_cache_miss(self):
-        for warehouse in (_warehouse(mvcc=False), _warehouse(cache=False)):
-            warehouse.aggregate(BOTH, CLOSED, SUM)
-            assert warehouse.probe(BOTH, CLOSED, SUM) is MISS
+    def test_no_cache_miss(self):
+        warehouse = _warehouse(cache=False)
+        warehouse.aggregate(BOTH, CLOSED, SUM)
+        assert warehouse.probe(BOTH, CLOSED, SUM) is MISS
 
     def test_worker_backends_inherit_the_default(self):
+        # One probe, on the one router; a worker group's half of it
+        # answers MISS from no state at all (its caches are a pipe away).
         assert ProcessShardedWarehouse.probe is ShardRouter.probe
         assert ClusterWarehouse.probe is ShardRouter.probe
-        assert ShardRouter().probe(BOTH, CLOSED, SUM) is MISS
+        assert WorkerGroup.probe(None, SUM.name, BOTH, CLOSED) is MISS
 
 
 class TestLaneSelection:
@@ -324,8 +325,11 @@ class TestLaneSelection:
         assert answers == [2.0, 2.0, 2.0] and hits == 2
 
     @pytest.mark.parametrize("overrides", [
-        {"mvcc": False}, {"cache": False}, {"executor": "process"}])
-    def test_backends_that_cannot_probe_never_do(self, overrides):
+        {"cache": False}, {"executor": "process"},
+        {"executor": "process", "replicas": 1}])
+    def test_backends_that_cannot_probe_never_do(self, overrides, tmp_path):
+        if overrides.get("replicas"):
+            overrides = dict(overrides, durable_dir=str(tmp_path))
         text = f"SELECT SUM(value) WHERE key IN [1, {KEYS + 1})"
         answers, hits = self._hits_after(
             ServerConfig(shards=2, key_space=KEY_SPACE, **overrides),

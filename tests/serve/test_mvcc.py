@@ -18,9 +18,9 @@ KEYS = 120
 KEY_SPACE = (1, KEYS + 1)
 
 
-def _loaded(mvcc=True, shards=2):
+def _loaded(thread_safe=True, shards=2):
     warehouse = ShardedWarehouse(shards=shards, key_space=KEY_SPACE,
-                                 thread_safe=True, mvcc=mvcc)
+                                 thread_safe=thread_safe)
     for key in range(1, KEYS + 1):
         warehouse.insert(key, float(key), key)  # monotonic clock
     return warehouse
@@ -63,13 +63,18 @@ class TestMVCCStats:
 
 class TestOptimisticReads:
     def test_mvcc_requires_thread_safe(self):
-        warehouse = ShardedWarehouse(shards=2, key_space=KEY_SPACE,
-                                     thread_safe=False, mvcc=True)
-        assert warehouse.mvcc is False
+        # The unlocked (library) router never enters the protocol: no
+        # seqlock brackets on writes, no optimistic accounting on reads.
+        warehouse = _loaded(thread_safe=False)
+        warehouse.sum(KeyRange(*KEY_SPACE), Interval(1, warehouse.now + 1))
+        assert warehouse.mvcc_stats.as_dict() == {
+            "optimistic": 0, "retries": 0, "fallbacks": 0}
+        assert all(warehouse.handle(sid).epoch.value == 0
+                   for sid in warehouse.shard_ids())
 
-    def test_reads_match_locked_backend_and_stay_lock_free(self):
-        mvcc = _loaded(mvcc=True)
-        locked = _loaded(mvcc=False)
+    def test_reads_match_unlocked_router_and_stay_lock_free(self):
+        mvcc = _loaded()
+        locked = _loaded(thread_safe=False)  # the single-threaded reference
         whole, interval = KeyRange(*KEY_SPACE), Interval(1, mvcc.now + 1)
         assert repr(mvcc.sum(whole, interval)) == \
             repr(locked.sum(whole, interval))
@@ -80,7 +85,7 @@ class TestOptimisticReads:
         assert stats["fallbacks"] == 0
 
     def test_deterministic_error_is_raised_not_retried(self):
-        warehouse = _loaded(mvcc=True)
+        warehouse = _loaded()
         before = warehouse.mvcc_stats.as_dict()
         with pytest.raises(QueryError):
             warehouse.sum(KeyRange(*KEY_SPACE), Interval(5, 2))
@@ -89,7 +94,7 @@ class TestOptimisticReads:
         assert after["fallbacks"] == before["fallbacks"]
 
     def test_concurrent_reads_under_writes_are_consistent(self):
-        warehouse = _loaded(mvcc=True)
+        warehouse = _loaded()
         whole = KeyRange(*KEY_SPACE)
         base_now = warehouse.now
         stop = threading.Event()
@@ -126,10 +131,10 @@ class TestOptimisticReads:
         assert warehouse.mvcc_stats.as_dict()["optimistic"] > 0
 
     def test_fallback_counts_when_budget_exhausted(self):
-        warehouse = _loaded(mvcc=True)
-        warehouse.read_retries = 0
+        warehouse = _loaded()
         shard = warehouse.shard_index(1)
-        epoch = warehouse.epochs[shard]
+        warehouse.handle(shard).read_retries = 0
+        epoch = warehouse.handle(shard).epoch
         epoch.begin_write()  # simulate a stuck writer mid-bracket
         try:
             # Reader can't validate, budget is zero -> read-lock path
@@ -212,12 +217,12 @@ class TestApplyBatch:
 
     def test_sharded_apply_shard_batch_routes_to_one_shard(self):
         warehouse = ShardedWarehouse(shards=2, key_space=KEY_SPACE,
-                                     thread_safe=True, mvcc=True)
+                                     thread_safe=True)
         shard = warehouse.shard_index(3)
-        epoch_before = warehouse.epochs[shard].value
+        epoch_before = warehouse.handle(shard).epoch.value
         results = warehouse.apply_shard_batch(
             shard, [("insert", 3, 3.0, 1), ("insert", 4, 4.0, 1)])
         assert [tag for tag, _ in results] == ["ok", "ok"]
         # One seqlock bracket for the whole batch: exactly +2.
-        assert warehouse.epochs[shard].value == epoch_before + 2
+        assert warehouse.handle(shard).epoch.value == epoch_before + 2
         assert warehouse.sum(KeyRange(*KEY_SPACE), Interval(1, 2)) == 7.0

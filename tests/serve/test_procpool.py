@@ -95,7 +95,7 @@ class TestTwinAnswers:
         _, process_backend, now = twins
         # Queue a burst of reads on one worker's pipe so the shared-scan
         # drain finds compatible neighbors to batch.
-        client = process_backend._clients[0]
+        client = process_backend.handle(0).primary
         part = KeyRange(*client.spec.key_space)
         futures = [client.call_async("sum", part, Interval(1, now + 1))
                    for _ in range(12)]

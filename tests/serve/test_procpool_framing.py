@@ -79,7 +79,8 @@ class TestEndToEnd:
         assert pool.sum(whole, interval) == float(expected)
         assert pool.count(whole, interval) == float(KEYS)
         assert len(pool.snapshot(whole, 1)) == KEYS
-        packed = sum(c.packed_requests for c in pool._clients)
+        packed = sum(pool.handle(sid).primary.packed_requests
+                     for sid in pool.shard_ids())
         # Every insert/delete/aggregate/snapshot above shipped as a
         # struct frame, none fell back to pickle.
         assert packed >= KEYS + 1 + 2 * 2 + 2

@@ -104,7 +104,7 @@ class TestCommitGroups:
 class TestMVCCGauges:
     def test_epoch_and_read_gauges_published(self):
         handle = serve_in_thread(ServerConfig(
-            shards=2, key_space=KEY_SPACE))  # mvcc defaults on
+            shards=2, key_space=KEY_SPACE))
         try:
             with Client(handle.host, handle.port) as client:
                 client.execute("INSERT KEY 3 VALUE 1.0 AT 1")
@@ -123,31 +123,15 @@ class TestMVCCGauges:
         finally:
             handle.stop()
 
-    def test_no_mvcc_flag_disables_optimistic_reads(self):
-        handle = serve_in_thread(ServerConfig(
-            shards=2, key_space=KEY_SPACE, mvcc=False))
-        try:
-            with Client(handle.host, handle.port) as client:
-                client.execute("INSERT KEY 3 VALUE 1.0 AT 1")
-                client.repin()
-                client.execute(
-                    f"SELECT SUM(value) WHERE key IN [1, {KEYS + 1})")
-                registry = client.metrics()
-            assert _metric(registry, "repro_mvcc_reads_optimistic") == 0
-        finally:
-            handle.stop()
-
 
 class TestCLIFlags:
     def test_parser_accepts_new_flags(self):
         from repro.serve.__main__ import build_parser
 
         args = build_parser().parse_args(
-            ["--writers", "4", "--no-mvcc", "--merge-qps", "8.5"])
+            ["--writers", "4", "--merge-qps", "8.5"])
         assert args.writers == 4
-        assert args.mvcc is False
         assert args.merge_qps == 8.5
         defaults = build_parser().parse_args([])
         assert defaults.writers == 1
-        assert defaults.mvcc is True
         assert defaults.merge_qps is None

@@ -84,3 +84,38 @@ class TestTraceAcrossRespawn:
         old_children = _worker_children(trace_path, first_trace)
         assert old_children and \
             old_children[0]["attrs"]["pid"] == old_pid
+
+
+class TestTraceOnTheCluster:
+    def test_worker_span_whether_primary_or_replica_serves(self, tmp_path):
+        # The ``__traced__`` upgrade lives once, in the worker group: a
+        # ``--replicas`` server's traces carry worker spans too, from
+        # whichever member of the group the read rotation picked.
+        trace_path = tmp_path / "traces.jsonl"
+        handle = serve_in_thread(ServerConfig(
+            shards=2, key_space=(1, KEYS + 1), executor="process",
+            replicas=1, durable_dir=str(tmp_path / "wh"),
+            trace_path=str(trace_path)))
+        traces = []
+        try:
+            with Client(handle.host, handle.port) as client:
+                client.execute("INSERT KEY 5 VALUE 1.0 AT 1")
+                client.repin()
+                group = client.topology()["groups"][0]
+                members = {group["primary"]["pid"]: "primary",
+                           group["replicas"][0]["pid"]: "replica"}
+                for _ in range(4):  # the rotation visits both members
+                    assert client.execute(
+                        "SELECT SUM(value) WHERE key IN [1, 51)",
+                        trace=True) == 1.0
+                    traces.append(client.last_trace_id)
+        finally:
+            handle.stop()
+
+        served_by = set()
+        for trace_id in traces:
+            children = _worker_children(trace_path, trace_id)
+            assert [c["name"] for c in children] == ["worker.aggregate"]
+            assert children[0]["attrs"]["trace_id"] == trace_id
+            served_by.add(members[children[0]["attrs"]["pid"]])
+        assert served_by == {"primary", "replica"}

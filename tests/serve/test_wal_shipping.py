@@ -127,7 +127,7 @@ class TestReplicaShipping:
             replicas=1, planner_interval=0.2)
         try:
             _seed(warehouse)
-            group = warehouse._groups_by_gid[0]
+            group = warehouse.handle(0)
             victim = group.replicas[0]
             # kill while a stream of writes keeps the applier busy
             t = warehouse.now + 1
@@ -139,7 +139,7 @@ class TestReplicaShipping:
 
             deadline = time.monotonic() + 15.0
             while time.monotonic() < deadline:
-                replicas = warehouse._groups_by_gid[0].replicas
+                replicas = warehouse.handle(0).replicas
                 if replicas and not replicas[0].dead \
                         and replicas[0] is not victim:
                     break
