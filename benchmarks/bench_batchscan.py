@@ -4,9 +4,8 @@ Three drives over the PR-10 read path:
 
 * **Twin byte-identity** — every drive first proves the batch kernel is
   invisible: ``aggregate_batch`` answers over a mixed five-aggregate
-  workload (MIN/MAX and selective mvbt-scan rectangles included) must
-  equal the serial ``aggregate`` loop ``repr``-for-``repr`` — enforced
-  everywhere, always.
+  workload (MIN/MAX's mvbt-scan slots included) must equal the serial
+  ``aggregate`` loop ``repr``-for-``repr`` — enforced everywhere, always.
 * **Kernel QPS A/B** — a read-hot overlapping mix (zipf-skewed repeats
   over a small working set of full-keyspace windows, the co-arrival
   pattern of a dashboard fleet) is answered twice on a cache-off MVCC
@@ -92,9 +91,10 @@ def _seed_warehouse(keys: int) -> tuple[ShardedWarehouse, int]:
     t = 1
     for key in range(1, keys + 1):
         warehouse.insert(key, float(rng.randint(1, 100)), t)
-        # Dense version chains: ~keys/20 distinct versions keeps every
-        # full-keyspace window's tuple count high enough that the
-        # planner sends the additive aggregates to the MVSBT sweep.
+        # Dense version chains: ~keys/20 distinct versions give the
+        # MVSBT sweep several root* entries and levels to share pages
+        # across (additive aggregates always take it, whatever the
+        # window's tuple count).
         if rng.random() < 0.05:
             t += 1
     return warehouse, t
@@ -120,8 +120,8 @@ def _hot_queries(keys: int, now: int, count: int):
 
 def _mixed_queries(keys: int, now: int, count: int):
     """A five-aggregate mix over partial rectangles for the byte-identity
-    twin — MIN/MAX and selective ranges exercise the mvbt-scan slots the
-    batch path must answer identically alongside the sweep."""
+    twin — MIN/MAX exercise the mvbt-scan slots the batch path must
+    answer identically alongside the sweep."""
     rng = random.Random(SEED + 3)
     working_set = []
     for _ in range(HOT_RECTANGLES):

@@ -40,9 +40,9 @@ def main() -> None:
     print(f"  largest balance: {ledger.max(branch3, month):,.0f}")
     print(f"  smallest:        {ledger.min(branch3, month):,.0f}")
 
-    # The planner, inspected: additive aggregates take the MVSBT plan
-    # unless the rectangle is nearly empty; MIN/MAX always retrieve.
-    print("\nplanner decisions:")
+    # EXPLAIN, inspected: additive aggregates always run Equation (1)
+    # on the MVSBTs, whatever the rectangle's size; MIN/MAX retrieve.
+    print("\nplans:")
     print("  SUM, branch 3, full month ->",
           ledger.explain(branch3, month, SUM))
     print("  SUM, one account, one day ->",

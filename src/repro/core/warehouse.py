@@ -5,21 +5,22 @@ themselves (snapshot retrieval, key history, rectangle retrieval — and the
 only way to compute non-additive aggregates like MIN/MAX, the paper's open
 problem (ii)); the **two-MVSBT RTA index** answers additive aggregates in
 logarithmic I/Os.  :class:`TemporalWarehouse` maintains both over one
-update stream and routes each aggregate query through a small cost-based
-planner:
+update stream and picks each aggregate query's plan by rule, with no I/O:
 
-* additive aggregates (SUM/COUNT/AVG) normally take the MVSBT plan at a
-  fixed ~``6 x height`` page reads;
-* the MVBT retrieve-then-aggregate plan costs ~``log_b n + s/b`` reads for
-  ``s`` qualifying tuples — cheaper only for extremely selective
-  rectangles.  The planner estimates ``s`` with one cheap MVSBT COUNT
-  probe and compares the two estimates (the crossover the Figure 4b
-  reproduction actually measures);
-* MIN/MAX have no known logarithmic index (open problem (ii)) and always
-  take the retrieval plan.
+* additive aggregates (SUM/COUNT/AVG) run Equation (1) on the MVSBTs —
+  six point queries per tree pair, ~``6 x height`` page reads whatever
+  the rectangle's size (Theorem 1);
+* MIN/MAX have no known logarithmic index (open problem (ii)) and take
+  the MVBT retrieve-then-aggregate plan at ~``log_b n + s/b`` reads for
+  ``s`` qualifying tuples.
 
-``explain()`` returns the decision with both cost estimates, so the
-planner is inspectable and testable.
+Retrieval would be cheaper for an additive aggregate over a near-empty
+rectangle (the crossover the Figure 4b reproduction measures), but only
+an estimate of ``s`` cheaper than Equation (1) itself could exploit
+that, and the only exact one the index offers *is* Equation (1) on the
+COUNT trees.  ``explain()`` is therefore a diagnostic: it reports the
+plan the read path runs plus both cost estimates, paying one COUNT
+reduction that no query pays.
 """
 
 from __future__ import annotations
@@ -39,19 +40,27 @@ from repro.mvsbt.tree import MVSBTConfig
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import InMemoryDiskManager
 
-#: Aggregates answerable by the MVSBT plan.
-_ADDITIVE = {SUM.name, COUNT.name, AVG.name}
-#: Aggregates that require tuple retrieval.
-_ORDER = {MIN.name, MAX.name}
+#: The plan of every aggregate the warehouse answers: additive ones run
+#: Equation (1) on the MVSBTs, order aggregates retrieve from the MVBT.
+_PLAN = {SUM.name: "mvsbt", COUNT.name: "mvsbt", AVG.name: "mvsbt",
+         MIN.name: "mvbt-scan", MAX.name: "mvbt-scan"}
 #: Result-cache key name of a :meth:`TemporalWarehouse.aggregate_all`
 #: answer (an :class:`RTAResult`).  Not an aggregate name, so it can
 #: never collide with a planned AVG float stored under ``"AVG"``.
 ALL_KEY = "ALL"
 
 
+def _plan_of(aggregate: Aggregate) -> str:
+    """The plan an aggregate's reads run, chosen without any I/O."""
+    plan = _PLAN.get(aggregate.name)
+    if plan is None:
+        raise QueryError(f"unknown aggregate {aggregate.name!r}")
+    return plan
+
+
 @dataclass(frozen=True)
 class QueryPlan:
-    """The planner's decision for one aggregate query."""
+    """What :meth:`TemporalWarehouse.explain` reports for one query."""
 
     plan: str                  # "mvsbt" or "mvbt-scan"
     reason: str
@@ -244,47 +253,29 @@ class TemporalWarehouse:
     def now(self) -> int:
         return self.tuples.now
 
-    # -- planner -----------------------------------------------------------------------
+    # -- EXPLAIN -----------------------------------------------------------------------
 
     def explain(self, key_range: KeyRange, interval: Interval,
-                aggregate: Aggregate = SUM,
-                tuples: Optional[float] = None) -> QueryPlan:
-        """The plan :meth:`aggregate` would choose, with cost estimates.
+                aggregate: Aggregate = SUM) -> QueryPlan:
+        """The plan :meth:`aggregate` runs, with both cost estimates.
 
-        ``tuples`` short-circuits the planner's cardinality estimate with
-        a precomputed exact COUNT (the batch path computes every pending
-        query's estimate in one sweep); the decision is identical because
-        the estimate itself is exact either way.
+        The plan follows from the aggregate alone (:func:`_plan_of`); the
+        exact tuple count and the two read estimates are information
+        for the reader and cost one COUNT reduction to produce.
         """
-        if aggregate.name in _ORDER:
-            if tuples is None:
-                tuples = self._estimate_tuples(key_range, interval)
-            return QueryPlan(
-                plan="mvbt-scan",
-                reason=f"{aggregate.name} is not additive (open problem ii)",
-                mvsbt_cost_reads=float("inf"),
-                mvbt_cost_reads=self._scan_cost(key_range, interval, tuples),
-                estimated_tuples=tuples,
-            )
-        if aggregate.name not in _ADDITIVE:
-            raise QueryError(f"unknown aggregate {aggregate.name!r}")
-        mvsbt_cost = self._mvsbt_cost(aggregate)
-        if tuples is None:
-            tuples = self._estimate_tuples(key_range, interval)
-        scan_cost = self._scan_cost(key_range, interval, tuples)
-        if scan_cost < mvsbt_cost:
-            return QueryPlan(
-                plan="mvbt-scan",
-                reason="rectangle is selective enough to retrieve",
-                mvsbt_cost_reads=mvsbt_cost,
-                mvbt_cost_reads=scan_cost,
-                estimated_tuples=tuples,
-            )
-        return QueryPlan(
-            plan="mvsbt", reason="six point queries beat retrieval",
-            mvsbt_cost_reads=mvsbt_cost, mvbt_cost_reads=scan_cost,
-            estimated_tuples=tuples,
-        )
+        plan = _plan_of(aggregate)
+        tuples = self._estimate_tuples(key_range, interval)
+        if plan == "mvsbt":
+            reason = ("additive: Equation (1), six point queries per tree, "
+                      "cost independent of rectangle size")
+            mvsbt_cost = self._mvsbt_cost(aggregate)
+        else:
+            reason = f"{aggregate.name} is not additive (open problem ii)"
+            mvsbt_cost = float("inf")
+        return QueryPlan(plan=plan, reason=reason,
+                         mvsbt_cost_reads=mvsbt_cost,
+                         mvbt_cost_reads=self._scan_cost(tuples),
+                         estimated_tuples=tuples)
 
     def explain_trace(self, key_range: KeyRange, interval: Interval,
                       aggregate: Aggregate = SUM) -> dict:
@@ -307,14 +298,10 @@ class TemporalWarehouse:
 
     def _estimate_tuples(self, key_range: KeyRange,
                          interval: Interval) -> float:
-        # One COUNT reduction: six point queries, O(log) reads — cheap
-        # enough to use as the planner's cardinality estimate and exact.
+        # One COUNT reduction: six point queries, exact.
         return float(self.aggregates.count(key_range, interval))
 
-    def _scan_cost(self, key_range: KeyRange, interval: Interval,
-                   tuples: Optional[float] = None) -> float:
-        if tuples is None:
-            tuples = self._estimate_tuples(key_range, interval)
+    def _scan_cost(self, tuples: float) -> float:
         height = self.tuples.pool.fetch(self.tuples.root_id).meta["level"] + 1
         # log_b n descent plus one page per b/2 retrieved tuples (alive
         # entries fill at least half a page under the weak condition).
@@ -324,16 +311,19 @@ class TemporalWarehouse:
 
     def aggregate(self, key_range: KeyRange, interval: Interval,
                   aggregate: Aggregate = SUM) -> Optional[float]:
-        """The aggregate of one key-time rectangle via the chosen plan.
+        """The aggregate of one key-time rectangle.
 
-        MIN/MAX return ``None`` on empty rectangles, as does AVG.
+        SUM/COUNT/AVG run Equation (1) on the MVSBTs and nothing else;
+        MIN/MAX retrieve from the MVBT and return ``None`` on empty
+        rectangles, as does AVG.
 
         With a result cache attached (:meth:`enable_cache`) repeated
-        rectangles are answered without planning or descending.  The
+        rectangles are answered without descending.  The
         write epoch and the closed/open classification are both captured
         *before* execution, so an update racing the query can only make
         the stored entry read as stale — never serve a stale value.
         """
+        plan = _plan_of(aggregate)
         tracer = self.aggregates.pool.tracer
         metrics = self.metrics
         cache = self.result_cache
@@ -377,14 +367,11 @@ class TemporalWarehouse:
                                  interval=str(interval)) as span:
                     if cache is not None:
                         span.attrs["cache"] = "miss"
-                    with tracer.span("warehouse.plan"):
-                        plan = self.explain(key_range, interval, aggregate)
-                    span.attrs["plan"] = plan.plan
-                    with tracer.span("warehouse.execute", plan=plan.plan):
+                    span.attrs["plan"] = plan
+                    with tracer.span("warehouse.execute", plan=plan):
                         result = self.run_plan(plan, key_range, interval,
                                                aggregate)
             else:
-                plan = self.explain(key_range, interval, aggregate)
                 result = self.run_plan(plan, key_range, interval, aggregate)
             if cache is not None:
                 cache.store(cache_key, result, closed=closed, epoch=epoch)
@@ -394,7 +381,7 @@ class TemporalWarehouse:
                 ios_after = (self.tuples.pool.stats.total_ios
                              + self.aggregates.pool.stats.total_ios)
                 metrics.query_ios.observe(ios_after - ios_before)
-                if plan.plan == "mvsbt":
+                if plan == "mvsbt":
                     metrics.plan_mvsbt.inc()
                 else:
                     metrics.plan_mvbt_scan.inc()
@@ -413,22 +400,19 @@ class TemporalWarehouse:
         query fails only itself, and callers re-raise or report per
         query.  An aggregate of ``None`` requests :meth:`aggregate_all`
         semantics for that slot (an :class:`~repro.core.rta.RTAResult`,
-        no planner, cached under :data:`ALL_KEY` — the sharded router's
-        AVG gather needs the per-shard partials).
+        cached under :data:`ALL_KEY` — the sharded router's AVG gather
+        needs the per-shard partials).
 
-        Three passes: every query probes the result cache first (hits
+        Two passes: every query probes the result cache first (hits
         drop out immediately, and identical survivor triples collapse to
-        one executed slot whose answer fans out); the survivors' planner
-        cardinality
-        estimates are computed with one
-        :meth:`~repro.core.rta.RTAIndex.query_batch` COUNT sweep; then
-        all mvsbt-planned queries are answered by a second sweep — each
-        MVSBT page fetched and decoded once per batch — while mvbt-scan
-        queries retrieve individually.  Cache stores happen after the
-        sweeps against the per-query epoch captured before execution
-        (parking in the calling thread's deferred-store section when one
-        is open).  Answers are byte-identical to serial
-        :meth:`aggregate` calls.
+        one executed slot whose answer fans out); then every additive
+        survivor is answered by one
+        :meth:`~repro.core.rta.RTAIndex.query_batch` sweep — each MVSBT
+        page fetched and decoded once per batch — while MIN/MAX retrieve
+        individually.  Cache stores happen after the sweep against the
+        per-query epoch captured before execution (parking in the
+        calling thread's deferred-store section when one is open).
+        Answers are byte-identical to serial :meth:`aggregate` calls.
         """
         queries = list(queries)
         n = len(queries)
@@ -464,10 +448,10 @@ class TemporalWarehouse:
             pending.append(qi)
 
         # Dedup identical pending triples: read-hot batches repeat whole
-        # queries, not just boundary probes, so one planned/executed slot
-        # answers every duplicate position (the answer fans out after the
-        # sweeps; a representative's error is every duplicate's error,
-        # exactly as re-running the same bad rectangle would be).
+        # queries, not just boundary probes, so one executed slot answers
+        # every duplicate position (the answer fans out after the sweep;
+        # a representative's error is every duplicate's error, exactly
+        # as re-running the same bad rectangle would be).
         dup_of: dict = {}
         rep_for: dict = {}
         survivors: List[int] = []
@@ -483,63 +467,32 @@ class TemporalWarehouse:
                 dup_of[qi] = rep
         pending = survivors
 
-        # Pass 2: plan.  One COUNT sweep yields every pending query's
-        # cardinality estimate (exact, so decisions match explain()).
-        estimable: List[int] = []
+        # Pass 2: validate, then execute.  Additive queries (and
+        # aggregate_all slots, additive by construction) join the one
+        # sweep; MIN/MAX retrieve.
+        plans: dict = {}
         sweep: List[int] = []
         for qi in pending:
             key_range, interval, aggregate = queries[qi]
             try:
-                if aggregate is None:
-                    # aggregate_all slot: no plan, straight to the sweep.
-                    self.aggregates._validate_rectangle(key_range, interval)
-                    sweep.append(qi)
-                    continue
-                if aggregate.name not in _ADDITIVE \
-                        and aggregate.name not in _ORDER:
-                    raise QueryError(
-                        f"unknown aggregate {aggregate.name!r}")
+                plan = _plan_of(aggregate) if aggregate is not None \
+                    else "mvsbt"
                 self.aggregates._validate_rectangle(key_range, interval)
-            except Exception as exc:
-                results[qi] = exc
-                errored[qi] = True
-                continue
-            estimable.append(qi)
-        estimates: dict = {}
-        if estimable:
-            try:
-                counts = self.aggregates.query_batch(
-                    [(queries[qi][0], queries[qi][1], COUNT)
-                     for qi in estimable], stats)
-                for qi, value in zip(estimable, counts):
-                    estimates[qi] = float(value)
-            except Exception:
-                estimates = {}  # explain() below recomputes per query
-
-        plans: dict = {}
-        for qi in estimable:
-            key_range, interval, aggregate = queries[qi]
-            try:
-                plan = self.explain(key_range, interval, aggregate,
-                                    tuples=estimates.get(qi))
-            except Exception as exc:
-                results[qi] = exc
-                errored[qi] = True
-                continue
-            plans[qi] = plan
-            if plan.plan == "mvsbt":
-                sweep.append(qi)
-            else:
-                try:
+                if plan == "mvsbt":
+                    sweep.append(qi)
+                else:
                     results[qi] = self.run_plan(plan, key_range, interval,
                                                 aggregate)
-                except Exception as exc:
-                    results[qi] = exc
-                    errored[qi] = True
+            except Exception as exc:
+                results[qi] = exc
+                errored[qi] = True
+                continue
+            if aggregate is not None:
+                plans[qi] = plan
 
-        # Pass 3: one frontier-ordered sweep answers every mvsbt-planned
-        # query; a sweep-level failure degrades to per-query execution so
-        # one bad query cannot take the batch down.
+        # One frontier-ordered sweep answers every additive query; a
+        # sweep-level failure degrades to per-query execution so one bad
+        # query cannot take the batch down.
         if sweep:
             try:
                 answers = self.aggregates.query_batch(
@@ -554,8 +507,8 @@ class TemporalWarehouse:
                             results[qi] = self.aggregates.aggregate_all(
                                 key_range, interval)
                         else:
-                            results[qi] = self.run_plan(
-                                plans[qi], key_range, interval, aggregate)
+                            results[qi] = self.aggregates.query(
+                                key_range, interval, aggregate)
                     except Exception as exc:
                         results[qi] = exc
                         errored[qi] = True
@@ -580,45 +533,43 @@ class TemporalWarehouse:
             for qi, plan in plans.items():
                 if errored[qi]:
                     continue
-                if plan.plan == "mvsbt":
+                if plan == "mvsbt":
                     metrics.plan_mvsbt.inc()
                 else:
                     metrics.plan_mvbt_scan.inc()
         return results
 
-    def run_plan(self, plan: QueryPlan, key_range: KeyRange,
-                 interval: Interval,
+    def run_plan(self, plan: str, key_range: KeyRange, interval: Interval,
                  aggregate: Aggregate = SUM) -> Optional[float]:
-        """Execute an already-planned aggregate query.
+        """Execute one aggregate query by the named plan.
 
         Split out of :meth:`aggregate` so EXPLAIN-style callers (see
-        :func:`repro.obs.explain_query`) can plan once, inspect the
-        decision, and execute the same plan without re-planning.
+        :func:`repro.obs.explain_query`) can report the plan and execute
+        it under their own spans.  ``plan`` is :attr:`QueryPlan.plan`.
         """
-        if plan.plan == "mvsbt":
+        if plan == "mvsbt":
             return self.aggregates.query(key_range, interval, aggregate)
+        self.aggregates._validate_rectangle(key_range, interval)
         rows = self.tuples.rectangle_query(
             key_range.low, key_range.high, interval.start, interval.end
         )
-        if aggregate.name in _ORDER and not rows:
+        if not rows:
             return None
-        if aggregate.name == AVG.name:
-            return (sum(v for *_rest, v in rows) / len(rows)) if rows else None
         acc = aggregate.identity
         for (_k, _s, _e, value) in rows:
             acc = aggregate.combine(acc, aggregate.lift(value))
         return acc
 
     def sum(self, key_range: KeyRange, interval: Interval) -> float:
-        """SUM via the chosen plan."""
+        """SUM via Equation (1)."""
         return self.aggregate(key_range, interval, SUM)
 
     def count(self, key_range: KeyRange, interval: Interval) -> float:
-        """COUNT via the chosen plan."""
+        """COUNT via Equation (1)."""
         return self.aggregate(key_range, interval, COUNT)
 
     def avg(self, key_range: KeyRange, interval: Interval) -> Optional[float]:
-        """AVG via the chosen plan; ``None`` on an empty rectangle."""
+        """AVG via Equation (1); ``None`` on an empty rectangle."""
         return self.aggregate(key_range, interval, AVG)
 
     def min(self, key_range: KeyRange, interval: Interval) -> Optional[float]:

@@ -602,13 +602,11 @@ class MVSBT:
         acc = 0.0
         containing = None
         for rec in page.records:
-            if not rec.alive_at(t):
-                continue
-            if logical:
-                if rec.low <= key:
+            if rec.start <= t < rec.end and rec.low <= key:
+                if logical:
                     acc += rec.value
-            if rec.low <= key < rec.high:
-                containing = rec
+                if key < rec.high:
+                    containing = rec
         if not logical and containing is not None:
             acc = containing.value
         return acc, containing

@@ -1,10 +1,10 @@
 """EXPLAIN: run a query under a tracer and render the span tree as a plan.
 
 ``explain_query(warehouse, key_range, interval, aggregate)`` produces an
-:class:`ExplainReport` — the planner's :class:`~repro.core.warehouse.QueryPlan`
-decision, the executed result, and the full span tree with per-node I/O and
-CPU.  :func:`render_span_tree` turns any span into the indented ASCII form
-the TQL shell prints for ``EXPLAIN SELECT ...``::
+:class:`ExplainReport` — the :class:`~repro.core.warehouse.QueryPlan`
+the read path runs, the executed result, and the full span tree with
+per-node I/O and CPU.  :func:`render_span_tree` turns any span into the
+indented ASCII form the TQL shell prints for ``EXPLAIN SELECT ...``::
 
     explain aggregate=SUM                       [ios=9 reads=9 ... ]
       plan choice=mvsbt                         [ios=4 ...]
@@ -74,9 +74,10 @@ def render_span_tree(span: Span, indent: int = 0,
 class ExplainReport:
     """Everything EXPLAIN learned about one query.
 
-    ``plan`` is the cost-based planner's decision, ``result`` the value the
-    executed plan produced, and ``root`` the span tree of the whole
-    operation (planning included).  ``str()`` renders the ASCII plan.
+    ``plan`` is the plan the read path runs, with its cost estimates;
+    ``result`` the value the executed plan produced, and ``root`` the
+    span tree of the whole operation (the estimates' COUNT reduction
+    included).  ``str()`` renders the ASCII plan.
     """
 
     plan: "QueryPlan"
@@ -116,12 +117,14 @@ class ExplainReport:
 def explain_query(warehouse: "TemporalWarehouse",
                   key_range: "KeyRange", interval: "Interval",
                   aggregate: Optional["Aggregate"] = None) -> ExplainReport:
-    """Plan, trace, and execute one aggregate query against ``warehouse``.
+    """Explain, trace, and execute one aggregate query against ``warehouse``.
 
     A fresh tracer is attached for the duration (previous wiring is
-    restored), the planner runs inside a ``plan`` span (its COUNT probe
-    I/Os are visible), and the chosen plan executes inside an ``execute``
-    span via :meth:`~repro.core.warehouse.TemporalWarehouse.run_plan`.
+    restored), ``warehouse.explain`` runs inside a ``plan`` span (the
+    COUNT reduction behind its estimates is visible there, and is
+    EXPLAIN's cost alone: the read path never pays it), and the plan
+    executes inside an ``execute`` span via
+    :meth:`~repro.core.warehouse.TemporalWarehouse.run_plan`.
     """
     from repro.core.aggregates import SUM
 
@@ -139,7 +142,7 @@ def explain_query(warehouse: "TemporalWarehouse",
             if outcome is not None:
                 root.attrs["cache"] = outcome
             with tracer.span("execute", plan=plan.plan):
-                result = warehouse.run_plan(plan, key_range, interval,
+                result = warehouse.run_plan(plan.plan, key_range, interval,
                                             aggregate)
     cache_info = None
     if outcome is not None:

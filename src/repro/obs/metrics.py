@@ -314,10 +314,10 @@ class QueryMetrics:
         self.query_ios = registry.histogram(
             "repro_query_ios", "physical I/Os per aggregate query")
         self.plan_mvsbt = registry.counter(
-            "repro_plan_choices_total", "planner decisions",
+            "repro_plan_choices_total", "queries run per plan",
             {"plan": "mvsbt"})
         self.plan_mvbt_scan = registry.counter(
-            "repro_plan_choices_total", "planner decisions",
+            "repro_plan_choices_total", "queries run per plan",
             {"plan": "mvbt-scan"})
         self.result_cache_hits = registry.counter(
             "repro_result_cache_total", "result cache outcomes",

@@ -865,11 +865,11 @@ class ShardRouter:
         """All versions a key ever had (routes to the owning shard)."""
         return self._read(self.shard_index(key), "history", key)
 
-    # -- planner and observability -----------------------------------------------------
+    # -- EXPLAIN and observability -----------------------------------------------------
 
     def explain(self, key_range: KeyRange, interval: Interval,
                 aggregate: Aggregate = SUM) -> List[ShardPlan]:
-        """Each intersecting shard's planner decision for the rectangle."""
+        """Each intersecting shard's plan and estimates for the rectangle."""
         return [
             ShardPlan(shard=i, key_range=part,
                       plan=self._read(i, "explain", part, interval,

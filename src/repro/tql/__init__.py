@@ -16,11 +16,11 @@ Semantics are exactly the library's: half-open ranges and intervals,
 ``time AT t`` is the instant ``[t, t+1)``, a missing key predicate means
 the whole key space and a missing time predicate means everything up to
 ``now``.  ``MIN``/``MAX`` route through the warehouse's retrieval plan
-(open problem (ii)); everything else uses the cost-based planner.
+(open problem (ii)); ``SUM``/``COUNT``/``AVG`` always run Equation (1).
 
 Entry points: :func:`parse` (text -> statement AST),
 :func:`execute` (text or AST + warehouse -> result),
-:func:`explain` (text + warehouse -> the planner's decision), and
+:func:`explain` (text + warehouse -> the plan and its cost estimates), and
 :func:`explain_select` (SELECT AST + warehouse -> traced
 :class:`~repro.obs.explain.ExplainReport`); ``EXPLAIN SELECT ...`` routes
 through the latter.

@@ -2,9 +2,10 @@
 
 ``execute(warehouse, text_or_statement)`` parses (if needed), fills the
 defaults — whole key space, everything up to ``now`` — and dispatches:
-plain SELECTs go through the warehouse's cost-based planner, TIMELINE uses
-the RTA rollup, SNAPSHOT/HISTORY use the tuple store.  ``explain`` returns
-the planner's decision for a SELECT without running it; ``EXPLAIN SELECT
+plain SELECTs go through ``warehouse.aggregate`` (additive aggregates run
+Equation (1), MIN/MAX retrieve), TIMELINE uses the RTA rollup,
+SNAPSHOT/HISTORY use the tuple store.  ``explain`` returns that plan and
+its cost estimates for a SELECT without running it; ``EXPLAIN SELECT
 ...`` (the statement) additionally *runs* the select under a tracer and
 returns an :class:`~repro.obs.explain.ExplainReport` whose ``str()`` is
 the indented span-tree plan with per-node I/O and CPU.
@@ -173,10 +174,10 @@ def execute_select_batch(warehouse: TemporalWarehouse,
 def explain(warehouse: TemporalWarehouse,
             statement: StatementLike, *,
             as_of: Optional[int] = None) -> QueryPlan:
-    """The planner's decision for a SELECT, without executing it.
+    """The plan a SELECT runs and its cost estimates, without executing it.
 
     For a sharded warehouse the return value is its list of per-shard
-    :class:`~repro.serve.sharded.ShardPlan` decisions.
+    :class:`~repro.serve.sharded.ShardPlan` rows.
     """
     if isinstance(statement, str):
         statement = parse(statement)
@@ -196,9 +197,9 @@ def explain_select(warehouse: TemporalWarehouse,
 
     The traced counterpart of :func:`explain`: the query actually executes
     (under a temporarily attached tracer), so the report carries the
-    result and exact per-node I/O and CPU alongside the plan decision.
+    result and exact per-node I/O and CPU alongside the plan.
     Sharded warehouses have no single span tree; they return their
-    per-shard plan decisions instead.
+    per-shard plans instead.
     """
     if statement.agg.timeline_buckets is not None:
         raise QueryError(

@@ -1,4 +1,4 @@
-"""Tests for the TemporalWarehouse facade and its cost-based planner."""
+"""Tests for the TemporalWarehouse facade, its plan rule and EXPLAIN."""
 
 import pytest
 
@@ -16,8 +16,9 @@ def warehouse():
     return TemporalWarehouse(key_space=KEY_SPACE, page_capacity=8)
 
 
-def loaded_warehouse(steps=200, seed=77):
-    warehouse = TemporalWarehouse(key_space=KEY_SPACE, page_capacity=8)
+def loaded_warehouse(steps=200, seed=77, warehouse=None):
+    if warehouse is None:
+        warehouse = TemporalWarehouse(key_space=KEY_SPACE, page_capacity=8)
     oracle = TupleStoreOracle()
     alive = []
     state = seed
@@ -121,22 +122,33 @@ class TestPlanner:
         assert plan.plan == "mvsbt"
         assert plan.mvsbt_cost_reads <= plan.mvbt_cost_reads
 
-    def test_empty_rectangle_takes_scan_plan(self):
+    def test_empty_rectangle_takes_mvsbt_plan(self):
         warehouse, _ = loaded_warehouse(steps=250)
-        # Nothing qualifies: retrieval is essentially free.
-        plan = warehouse.explain(KeyRange(1, 2), Interval(999, 1000), SUM)
-        assert plan.plan == "mvbt-scan"
-        assert plan.estimated_tuples == 0
+        # Nothing qualifies; the plan is still Equation (1), and the
+        # estimates EXPLAIN reports say retrieval would have been cheaper.
+        r, iv = KeyRange(1, 2), Interval(999, 1000)
+        for aggregate in (SUM, COUNT, AVG):
+            plan = warehouse.explain(r, iv, aggregate)
+            assert plan.plan == "mvsbt"
+            assert "Equation (1)" in plan.reason
+            assert plan.estimated_tuples == 0
+            assert plan.mvbt_cost_reads < plan.mvsbt_cost_reads
+        assert warehouse.sum(r, iv) == 0
+        assert warehouse.count(r, iv) == 0
+        assert warehouse.avg(r, iv) is None
 
     def test_plans_agree_on_answers(self):
-        """Whatever the planner picks must equal the MVSBT answer."""
+        """Equation (1) must equal both the oracle and the fold over what
+        the MVBT retrieves — also where retrieval would be cheaper."""
         warehouse, oracle = loaded_warehouse()
-        rect_sets = [(1, 1000, 1, 250),     # mvsbt plan
-                     (1, 3, 240, 245)]      # scan plan (selective)
+        rect_sets = [(1, 1000, 1, 250),
+                     (1, 3, 240, 245)]      # selective
         for (k1, k2, t1, t2) in rect_sets:
             r, iv = KeyRange(k1, k2), Interval(t1, t2)
             assert warehouse.sum(r, iv) == pytest.approx(
                 oracle.rta_sum(k1, k2, t1, t2))
+            assert warehouse.sum(r, iv) == pytest.approx(
+                sum(tup.value for tup in warehouse.tuples_in(r, iv)))
 
     def test_explain_is_printable(self):
         warehouse, _ = loaded_warehouse(steps=50)
@@ -151,6 +163,120 @@ class TestPlanner:
         from repro.errors import QueryError
         with pytest.raises(QueryError):
             warehouse.explain(KeyRange(1, 10), Interval(1, 5), bogus)
+
+
+@pytest.fixture()
+def descents(monkeypatch):
+    """Counts of ``MVSBT.query`` / ``MVSBT.query_batch`` calls."""
+    from repro.mvsbt.tree import MVSBT
+    calls = {"query": 0, "query_batch": 0}
+
+    def counting(name):
+        inner = getattr(MVSBT, name)
+
+        def wrapper(self, *args, **kwargs):
+            calls[name] += 1
+            return inner(self, *args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(MVSBT, name, counting(name))
+    return calls
+
+
+class TestProbeBudget:
+    """An additive read is Equation (1) and nothing else: six point
+    queries per tree pair, no planning probe, no MVBT page."""
+
+    RECTANGLES = [(KeyRange(1, 1000), Interval(1, 250)),
+                  (KeyRange(1, 3), Interval(240, 245)),      # selective
+                  (KeyRange(1, 2), Interval(999, 1000))]     # empty
+
+    @pytest.mark.parametrize("aggregate, budget",
+                             [(SUM, 6), (COUNT, 6), (AVG, 12)],
+                             ids=["SUM", "COUNT", "AVG"])
+    def test_additive_read_is_equation_one_only(self, descents, aggregate,
+                                                budget):
+        warehouse, _ = loaded_warehouse()
+        for r, iv in self.RECTANGLES:
+            descents["query"] = 0
+            tuple_reads = warehouse.tuples.pool.stats.logical_reads
+            warehouse.aggregate(r, iv, aggregate)
+            assert descents["query"] == budget
+            assert warehouse.tuples.pool.stats.logical_reads == tuple_reads
+
+    @pytest.mark.parametrize("aggregate", [MIN, MAX], ids=["MIN", "MAX"])
+    def test_min_max_never_descend_an_mvsbt(self, descents, aggregate):
+        warehouse, _ = loaded_warehouse()
+        for r, iv in self.RECTANGLES:
+            warehouse.aggregate(r, iv, aggregate)
+        assert descents == {"query": 0, "query_batch": 0}
+
+    @pytest.mark.parametrize("aggregates, sweeps",
+                             [((SUM,), 2), ((SUM, COUNT), 4),
+                              ((SUM, AVG), 4), ((SUM, MIN, MAX), 2)],
+                             ids=["SUM", "SUM+COUNT", "SUM+AVG",
+                                  "SUM+MIN+MAX"])
+    def test_batch_sweeps_each_involved_tree_once(self, descents,
+                                                  aggregates, sweeps):
+        warehouse, _ = loaded_warehouse()
+        queries = [(r, iv, aggregate) for r, iv in self.RECTANGLES
+                   for aggregate in aggregates]
+        tuple_reads = warehouse.tuples.pool.stats.logical_reads
+        warehouse.aggregate_batch(queries)
+        assert descents == {"query": 0, "query_batch": sweeps}
+        if MIN not in aggregates:
+            assert warehouse.tuples.pool.stats.logical_reads == tuple_reads
+
+
+class TestSelectiveRectangles:
+    """The rectangles an additive aggregate used to answer by retrieval
+    (few or no qualifying tuples) get Equation (1)'s answer: equal to the
+    oracle, serial and batched alike, before and after a reopen."""
+
+    def check(self, warehouse, oracle, rectangles):
+        queries = [(r, iv, aggregate) for r, iv in rectangles
+                   for aggregate in (SUM, COUNT, AVG)]
+        serial = [warehouse.aggregate(*query) for query in queries]
+        assert repr(warehouse.aggregate_batch(queries)) == repr(serial)
+        for r, iv in rectangles:
+            box = (r.low, r.high, iv.start, iv.end)
+            assert oracle.rta_count(*box) <= 5
+            assert warehouse.sum(r, iv) == oracle.rta_sum(*box)
+            assert warehouse.count(r, iv) == oracle.rta_count(*box)
+            assert warehouse.avg(r, iv) == oracle.rta_avg(*box)
+        return repr(serial)
+
+    def test_oracle_serial_and_batch_agree_across_reopen(self, tmp_path):
+        directory = str(tmp_path / "wh")
+        warehouse, oracle = loaded_warehouse(
+            warehouse=TemporalWarehouse.open_durable(
+                directory, key_space=KEY_SPACE, page_capacity=8))
+        now = warehouse.now
+        updated, alive = sorted(oracle._alive)[:2]
+        warehouse.update(updated, 7.0, now + 1)
+        oracle.delete(updated, now + 1)
+        oracle.insert(updated, 7.0, now + 1)
+        dead = next(k for k, _s, e, _v in oracle.tuples if e <= now)
+        rectangles = [
+            (KeyRange(1, 2), Interval(999, 1000)),                # empty
+            (KeyRange(alive, alive + 1), Interval(1, now + 1)),   # one key
+            (KeyRange(dead, dead + 1), Interval(1, now + 1)),
+            (KeyRange(updated, updated + 1), Interval(now, now + 9)),
+            (KeyRange(1, 40), Interval(now // 2, now // 2 + 1)),  # one instant
+            (KeyRange(990, KEY_SPACE[1]), Interval(1, now)),      # k_hi max
+            (KeyRange(1, 1000), Interval(1, 5)),                  # t_lo == 1
+            (KeyRange(400, 420), Interval(now - 1, now + 50)),    # t_hi > now
+        ]
+        before = self.check(warehouse, oracle, rectangles)
+        assert oracle.rta_count(updated, updated + 1, now, now + 9) == 2
+        warehouse.checkpoint()
+        warehouse.close()
+        reopened = TemporalWarehouse.open_durable(directory)
+        try:
+            assert self.check(reopened, oracle, rectangles) == before
+        finally:
+            reopened.close()
 
 
 class TestPersistence:

@@ -7,6 +7,7 @@ and MIN/MAX (retrieval path) must match brute force.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.aggregates import MIN, SUM
 from repro.core.model import Interval, KeyRange
 from repro.core.warehouse import TemporalWarehouse
 
@@ -92,11 +93,15 @@ def test_snapshot_matches_oracle(stream, t):
 @settings(max_examples=25, deadline=None)
 @given(op_streams(), rectangles())
 def test_explain_cost_estimates_are_consistent(stream, rect):
-    """The planner picks whichever plan it estimated cheaper."""
-    warehouse, _ = replay(stream)
+    """EXPLAIN names the plan the rule picks; its estimates are exact
+    where they can be and agree across aggregates."""
+    warehouse, oracle = replay(stream)
     k1, k2, t1, t2 = rect
-    plan = warehouse.explain(KeyRange(k1, k2), Interval(t1, t2))
-    if plan.plan == "mvsbt":
-        assert plan.mvsbt_cost_reads <= plan.mvbt_cost_reads
-    else:
-        assert plan.mvbt_cost_reads < plan.mvsbt_cost_reads
+    r, iv = KeyRange(k1, k2), Interval(t1, t2)
+    additive = warehouse.explain(r, iv, SUM)
+    order = warehouse.explain(r, iv, MIN)
+    assert (additive.plan, order.plan) == ("mvsbt", "mvbt-scan")
+    assert additive.estimated_tuples == oracle.rta_count(k1, k2, t1, t2)
+    assert order.estimated_tuples == additive.estimated_tuples
+    assert order.mvbt_cost_reads == additive.mvbt_cost_reads
+    assert additive.mvsbt_cost_reads < order.mvsbt_cost_reads == float("inf")

@@ -19,7 +19,7 @@ from repro.bench.harness import (
     build_mvbt_baseline,
     build_rta_index,
 )
-from repro.core.aggregates import AVG, COUNT, SUM
+from repro.core.aggregates import AVG, COUNT, MAX, MIN, SUM
 from repro.core.ingest import BatchLoader
 from repro.core.warehouse import TemporalWarehouse
 from repro.obs.attach import traced
@@ -125,7 +125,7 @@ class TestTwinRuns:
 
 
 class TestWarehouseTwins:
-    """The full warehouse: both planner paths, every aggregate."""
+    """The full warehouse: both plans, every aggregate."""
 
     def build(self, dataset):
         warehouse = TemporalWarehouse(key_space=dataset.config.key_space,
@@ -135,11 +135,11 @@ class TestWarehouseTwins:
     def exercise(self, warehouse, dataset, rects):
         dataset.replay_into(warehouse)
         answers = []
-        for aggregate in AGGREGATES:
+        # MIN/MAX run the mvbt-scan plan alongside the additive mvsbt one.
+        for aggregate in AGGREGATES + (MIN, MAX):
             for rect in rects:
                 answers.append(warehouse.aggregate(rect.range, rect.interval,
                                                    aggregate))
-            # Tiny rectangle: forces the mvbt-scan plan alongside mvsbt.
             lo = dataset.config.key_space[0]
             from repro.core.model import Interval, KeyRange
             answers.append(warehouse.aggregate(KeyRange(lo, lo + 2),

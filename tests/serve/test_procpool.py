@@ -93,16 +93,20 @@ class TestTwinAnswers:
 
     def test_worker_stats_cover_every_shard(self, twins):
         _, process_backend, now = twins
-        # Queue a burst of reads on one worker's pipe so the shared-scan
-        # drain finds compatible neighbors to batch.
+        # Queue bursts of reads on one worker's pipe until the shared-scan
+        # drain finds compatible neighbors to batch (a read is fast enough
+        # that the worker can empty the pipe between two sends).
         client = process_backend.handle(0).primary
         part = KeyRange(*client.spec.key_space)
-        futures = [client.call_async("sum", part, Interval(1, now + 1))
-                   for _ in range(12)]
-        results = {future.result(timeout=30) for future in futures}
-        assert len(results) == 1  # identical queries, identical answers
+        for _ in range(20):
+            futures = [client.call_async("sum", part, Interval(1, now + 1))
+                       for _ in range(12)]
+            results = {future.result(timeout=30) for future in futures}
+            assert len(results) == 1  # identical queries, identical answers
+            stats = process_backend.worker_stats()
+            if stats[0]["shared_batches"]:
+                break
 
-        stats = process_backend.worker_stats()
         assert [row["shard"] for row in stats] == [0, 1, 2]
         assert all(row["alive"] for row in stats)
         assert all(row["requests"] > 0 for row in stats)

@@ -54,7 +54,15 @@ RECTANGLES = [
     (KeyRange(150, 260), Interval(5, 200)),       # straddles the boundary
     (KeyRange(10, 60), Interval(20, 21)),         # one shard, one instant
     (KeyRange(390, 395), Interval(1, 2)),         # empty: AVG/MIN/MAX None
+    # Few or no qualifying tuples — where an additive aggregate used to
+    # retrieve; every one of them now runs Equation (1).
+    (KeyRange(19, 20), Interval(1, 54)),          # one key (updated), t_lo 1
+    (KeyRange(30, 80), Interval(5, 6)),           # one instant, 3 tuples
+    (KeyRange(396, 401), Interval(1, 40)),        # k_hi == key-space high
+    (KeyRange(190, 215), Interval(1, 500)),       # straddles, t_hi > now
+    (KeyRange(2, 3), Interval(1, 30)),            # one key, not yet born
 ]
+ADDITIVE = (SUM, COUNT, AVG)
 
 
 def drive(router, oracle):
@@ -111,6 +119,15 @@ def transcript(router):
                    for i, a in enumerate(answers) if i != 2)
     rows.append(("batch", repr([str(a) if isinstance(a, Exception) else a
                                 for a in answers])))
+    additive = [(kr, iv, agg) for kr, iv in RECTANGLES + [open_present]
+                for agg in ADDITIVE]
+    assert repr(router.aggregate_batch(additive)) == \
+        repr([router.aggregate(*query) for query in additive])
+    for agg in ADDITIVE:    # the plan EXPLAIN names is the plan that ran
+        plans = [router.explain(kr, iv, agg) for kr, iv in RECTANGLES]
+        assert {part.plan.plan for parts in plans for part in parts} \
+            == {"mvsbt"}
+        assert [len(parts) for parts in plans[:2]] == [2, 2]
     rows.append(("snapshot", repr(router.snapshot(KeyRange(100, 300), 25))))
     rows.append(("history", repr(router.history(19))))
     rows.append(("explain", repr(router.explain(*RECTANGLES[1], SUM))))

@@ -55,8 +55,9 @@ class TestBasicProtocol:
             "EXPLAIN SELECT SUM(value) WHERE key IN [1, 1001)")
         assert isinstance(plans, list) and len(plans) == 4
         assert {p["shard"] for p in plans} == {0, 1, 2, 3}
+        # Two shards are empty: additive plans are still never retrieval.
         for p in plans:
-            assert p["plan"]["plan"] in ("mvsbt", "mvbt-scan")
+            assert p["plan"]["plan"] == "mvsbt"
 
     def test_metrics_exposes_per_shard_counters(self, client):
         client.execute("INSERT KEY 10 VALUE 1.0 AT 1")

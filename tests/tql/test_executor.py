@@ -98,8 +98,10 @@ class TestSnapshotAndHistory:
 
 class TestExplain:
     def test_explain_select(self, warehouse):
-        plan = explain(warehouse, "SELECT SUM(value)")
-        assert plan.plan in ("mvsbt", "mvbt-scan")
+        for agg in ("SUM", "COUNT", "AVG"):
+            plan = explain(warehouse, f"SELECT {agg}(value)")
+            assert plan.plan == "mvsbt"
+            assert "Equation (1)" in plan.reason
 
     def test_explain_min_names_open_problem(self, warehouse):
         plan = explain(warehouse, "SELECT MIN(value)")
