@@ -110,8 +110,7 @@ def test_warm_cache_speedup(scale, record_table):
     count = max(800, int(300_000 * scale))
 
     uncached = TemporalWarehouse(key_space=(1, keys + 1), buffer_pages=32)
-    cached = TemporalWarehouse(key_space=(1, keys + 1), buffer_pages=32,
-                               buffer_policy="2q")
+    cached = TemporalWarehouse(key_space=(1, keys + 1), buffer_pages=32)
     now = _seed_warehouse(uncached, keys, SEED)
     assert _seed_warehouse(cached, keys, SEED) == now
     cached.enable_cache(CacheConfig())

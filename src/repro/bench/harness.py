@@ -21,7 +21,6 @@ from repro.baselines.mvbt_rta import MVBTRTABaseline
 from repro.baselines.naive_scan import HeapFileScanBaseline
 from repro.core.aggregates import Aggregate, SUM
 from repro.obs import collect as _collect
-from repro.core.ingest import DEFAULT_BATCH_SIZE, BatchLoader
 from repro.core.model import Rectangle
 from repro.core.rta import RTAIndex
 from repro.mvbt.config import MVBTConfig
@@ -155,63 +154,6 @@ def measure_updates(index, events: Iterable[UpdateEvent],
         operations=count,
     )
     _record_phase("bench.updates", index, cost)
-    return cost
-
-
-def measure_batched_updates(index, events: Sequence[UpdateEvent],
-                            settings: BenchSettings,
-                            batch_size: int = DEFAULT_BATCH_SIZE) -> MeasuredCost:
-    """Replay an update stream through the :class:`BatchLoader`.
-
-    Produces bit-identical index contents to :func:`measure_updates` (the
-    metamorphic guarantee); only CPU cost and write scheduling differ.
-    """
-    pool: BufferPool = index.pool
-    before = pool.stats.snapshot()
-    loader = BatchLoader(index, batch_size=batch_size)
-    with CpuTimer() as timer:
-        report = loader.load(events)
-    pool.flush_all()
-    stats = pool.stats.delta(before)
-    cost = MeasuredCost(
-        stats=stats, cpu_s=timer.elapsed,
-        estimated_s=settings.cost_model.estimate(stats, timer.elapsed),
-        operations=report.events,
-    )
-    _record_phase("bench.batched_updates", index, cost,
-                  batch_size=batch_size)
-    return cost
-
-
-def measure_buffered_updates(index, events: Sequence[UpdateEvent],
-                             settings: BenchSettings,
-                             batch_size: int = DEFAULT_BATCH_SIZE) -> MeasuredCost:
-    """Replay an update stream through the buffer-tree ingest path.
-
-    ``BatchLoader(mode="buffered")`` opens a buffered window on every
-    MVSBT behind the index; updates are absorbed into bounded in-page
-    buffers and flushed downward in sorted batches.  The timed window
-    includes the closing drain/finalize, so the cost is end-to-end.
-    Query answers are byte-identical to the direct path (the metamorphic
-    guarantee); logical I/O is *lower* — routing through resident sealed
-    pages skips per-event root-to-leaf pool traffic, which is the
-    amortization being measured, so callers must not expect the
-    logical-read equality that holds for :func:`measure_batched_updates`.
-    """
-    pool: BufferPool = index.pool
-    before = pool.stats.snapshot()
-    loader = BatchLoader(index, batch_size=batch_size, mode="buffered")
-    with CpuTimer() as timer:
-        report = loader.load(events)
-    pool.flush_all()
-    stats = pool.stats.delta(before)
-    cost = MeasuredCost(
-        stats=stats, cpu_s=timer.elapsed,
-        estimated_s=settings.cost_model.estimate(stats, timer.elapsed),
-        operations=report.events,
-    )
-    _record_phase("bench.buffered_updates", index, cost,
-                  batch_size=batch_size)
     return cost
 
 

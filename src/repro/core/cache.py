@@ -76,11 +76,6 @@ def discard_deferred_stores() -> None:
     _deferred.pending = None
 
 
-def in_deferred_section() -> bool:
-    """True while this thread parks its stores (optimistic read open)."""
-    return getattr(_deferred, "pending", None) is not None
-
-
 @dataclass(frozen=True)
 class CacheConfig:
     """Knobs for the layered read-path cache.
@@ -231,20 +226,11 @@ class ResultCache:
     intervals.
     """
 
-    #: How long a follower waits for the leader's store before giving up
-    #: and computing itself (a liveness bound, not a correctness knob).
-    FLIGHT_TIMEOUT_S = 5.0
-
-    __slots__ = ("_lru", "_flights", "_flight_lock", "coalesced")
+    __slots__ = ("_lru",)
 
     def __init__(self, capacity: int = 4096,
                  thread_safe: bool = False) -> None:
         self._lru = _VersionedLRU(capacity, thread_safe)
-        self._flights: Dict[Tuple, threading.Event] = {}
-        self._flight_lock = threading.Lock()
-        #: Misses answered by waiting on another thread's identical
-        #: in-flight computation instead of descending again.
-        self.coalesced = 0
 
     @property
     def stats(self) -> CacheStats:
@@ -267,56 +253,6 @@ class ResultCache:
     def lookup(self, key: Tuple, epoch: int) -> Optional[Tuple[Any, Any]]:
         """``(result, None)`` on a fresh hit, else ``None``."""
         return self._lru.lookup(key, epoch)
-
-    # -- single-flight coalescing ------------------------------------------------------
-
-    def begin_flight(self, key: Tuple, epoch: int):
-        """Single-flight entry after a miss on ``(key, epoch)``.
-
-        Returns ``("leader", event)`` when this thread should compute
-        (and must call :meth:`end_flight` when done, success or not),
-        ``("follower", event)`` when an identical miss is already being
-        computed (wait with :meth:`wait_flight`), or ``("solo", None)``
-        when coalescing is unavailable — inside a deferred-store section
-        the leader's store would not land until its epoch validation, so
-        a flight could hand followers nothing (or worse, an unvalidated
-        value); solo threads just compute as before.
-        """
-        flight_key = (key, epoch)
-        with self._flight_lock:
-            event = self._flights.get(flight_key)
-            if event is not None:
-                return "follower", event
-            if in_deferred_section():
-                return "solo", None
-            event = threading.Event()
-            self._flights[flight_key] = event
-            return "leader", event
-
-    def wait_flight(self, event: threading.Event, key: Tuple,
-                    epoch: int) -> Optional[Tuple[Any, Any]]:
-        """Wait out the leader, then re-read the cache.
-
-        Followers only ever consume *committed* cache entries — the
-        re-lookup is what makes sharing safe: a leader whose store never
-        landed (failed, torn, deferred) simply leaves the follower with a
-        miss, and the follower computes itself.  A fresh hit counts into
-        :attr:`coalesced`.
-        """
-        event.wait(self.FLIGHT_TIMEOUT_S)
-        hit = self._lru.lookup(key, epoch)
-        if hit is not None:
-            self.coalesced += 1
-        return hit
-
-    def end_flight(self, key: Tuple, epoch: int,
-                   event: threading.Event) -> None:
-        """Leader's exit: unregister the flight and wake the followers."""
-        flight_key = (key, epoch)
-        with self._flight_lock:
-            if self._flights.get(flight_key) is event:
-                del self._flights[flight_key]
-        event.set()
 
     def peek(self, key: Tuple, epoch: int) -> bool:
         """Non-mutating hit probe (EXPLAIN uses this)."""

@@ -1,33 +1,31 @@
-"""Buffer-tree-style batched ingestion of chronological update streams.
+"""Chunked ingestion of chronological update streams.
 
-Replaying a warehouse event stream one event at a time costs a full
-root-to-leaf traversal per event *and* re-derives per-page search state
-(sorted alive mirrors) that the very next event invalidates.  The
-:class:`BatchLoader` amortizes both, in the spirit of the persistent buffer
-tree: it opens a *batch window* on every index and buffer pool behind a
-target, streams a chronologically ordered batch through the target's normal
-``insert``/``delete`` API, and closes the window with one coalesced
-write-back per touched page (:meth:`~repro.storage.buffer.BufferPool.flush_batch`).
+Replaying a warehouse event stream one event at a time writes a hot page
+back every time the pool evicts it, only for the next event to dirty it
+again.  The :class:`BatchLoader` batches where the I/O is, in the spirit of
+the persistent buffer tree: it opens a *batch window* on every buffer pool
+behind a target, streams a chronologically ordered batch through the
+target's normal ``insert``/``delete`` API, and closes each chunk with one
+coalesced write-back per touched page
+(:meth:`~repro.storage.buffer.BufferPool.flush_batch`).
 
-Inside the window the MVSBT/MVBT trees switch to their incremental batch
-kernels (see ``MVSBT.begin_batch``), which maintain each touched page's
-alive mirror across events instead of rebuilding it per event.  The
-resulting page contents are **bit-identical** to event-at-a-time ingestion
-— batching changes how records are *found* and when dirty pages are
-*written*, never what is stored — so query answers and query-phase I/O
-counts are unchanged.  The metamorphic tests in ``tests/core/test_ingest.py``
-enforce exactly that.
+The trees have no window of their own: a single ``insert``, a commit group
+and a load all run the same insert kernel, so page contents are
+**bit-identical** to event-at-a-time ingestion — the loader changes when
+dirty pages are *written*, never what is stored — and query answers and
+query-phase I/O counts are unchanged.  The metamorphic tests in
+``tests/core/test_ingest.py`` enforce exactly that.  Under
+``mode="buffered"`` the loader additionally opens the MVSBT buffer-tree
+window (:meth:`~repro.mvsbt.tree.MVSBT.begin_buffered`).
 
 Supported targets (duck-typed, so wrappers compose):
 
 * :class:`~repro.core.rta.RTAIndex` — every (LKST, LKLT) MVSBT pair;
-* :class:`~repro.core.warehouse.TemporalWarehouse` — the tuple MVBT plus
-  the RTA index's MVSBTs;
-* :class:`~repro.baselines.mvbt_rta.MVBTRTABaseline` — its MVBT;
-* :class:`~repro.baselines.naive_scan.HeapFileScanBaseline` — no tree
-  kernel (its updates are already O(1)); only pool-level write coalescing;
-* a bare ``MVSBT``/``MVBT`` (anything exposing ``begin_batch``/``end_batch``
-  next to ``insert``).
+* :class:`~repro.core.warehouse.TemporalWarehouse` — the tuple MVBT's pool
+  plus the RTA index's pool and MVSBTs;
+* :class:`~repro.baselines.mvbt_rta.MVBTRTABaseline` and
+  :class:`~repro.baselines.naive_scan.HeapFileScanBaseline` — their pool;
+* a bare ``MVSBT``/``MVBT``.
 """
 
 from __future__ import annotations
@@ -116,17 +114,17 @@ class BatchLoader:
     batch_size:
         Events applied between two coalesced write-backs.
     mode:
-        ``"direct"`` (default) uses the incremental batch kernels;
+        ``"direct"`` (default) applies each event as it arrives;
         ``"buffered"`` additionally opens a buffer-tree ingest window
-        (:meth:`~repro.mvsbt.tree.MVSBT.begin_buffered`) on every tree
-        that supports one.  Buffered trees absorb updates into bounded
+        (:meth:`~repro.mvsbt.tree.MVSBT.begin_buffered`) on every MVSBT
+        behind the target.  Buffered trees absorb updates into bounded
         in-page buffers and flush them downward in sorted batches; the
         write-back happens once, streamed at window close, instead of
         once per chunk.  Answers are byte-identical either way.
 
-    The loader is also a context manager: entering opens the batch window
-    (on every discovered tree and pool) for manual event application,
-    leaving closes it and flushes.  :meth:`load` manages the window itself.
+    The loader is also a context manager: entering opens the windows for
+    manual event application, leaving closes them and flushes.
+    :meth:`load` manages the windows itself.
     """
 
     def __init__(self, target: Any,
@@ -139,40 +137,45 @@ class BatchLoader:
         self.target = target
         self.batch_size = batch_size
         self.mode = mode
-        self._trees = _discover_trees(target)
-        self._pools = _discover_pools(target, self._trees)
-        self._buffered: List[Any] = []
+        self._pools = _discover_pools(target)
+        self._bufferable = _discover_mvsbts(target) \
+            if mode == "buffered" else []
+        #: Buffered windows opened by each nesting level of ``with self``
+        #: (:meth:`load` inside a manual window re-enters).
+        self._opened: List[List[Any]] = []
 
     # -- window management ------------------------------------------------------
 
     def __enter__(self) -> "BatchLoader":
-        self._buffered = []
-        for tree in self._trees:
-            if self.mode == "buffered" and hasattr(tree, "begin_buffered"):
-                try:
-                    tree.begin_buffered()
-                except ValueError:
-                    # A buffered window is already open on this tree
-                    # (nested loaders); fall back to the batch kernel —
-                    # inserts route through the outer window's buffer.
-                    tree.begin_batch()
-                else:
-                    self._buffered.append(tree)
-                    continue
-            tree.begin_batch()
         for pool in self._pools:
             pool.begin_batch()
+        opened: List[Any] = []
+        for tree in self._bufferable:
+            try:
+                tree.begin_buffered()
+            except ValueError:
+                # No window for this tree: it is already inside one (an
+                # outer level's; inserts keep routing through that
+                # buffer) or runs the physical value mode (direct path).
+                continue
+            opened.append(tree)
+        self._opened.append(opened)
         return self
 
     def __exit__(self, *exc: object) -> None:
-        buffered, self._buffered = self._buffered, []
-        for pool in self._pools:
-            pool.end_batch()
-        for tree in self._trees:
-            if tree in buffered:
+        try:
+            # Finalizing dirties the frontier pages it restores, so the
+            # buffered windows close inside the pools' windows.
+            for tree in self._opened.pop():
                 tree.end_buffered()
-            else:
-                tree.end_batch()
+        finally:
+            for pool in self._pools:
+                pool.end_batch()
+
+    @property
+    def _buffering(self) -> bool:
+        """True while any level holds a buffered window open."""
+        return any(self._opened)
 
     # -- bulk application -------------------------------------------------------
 
@@ -221,7 +224,7 @@ class BatchLoader:
         # Buffered windows defer all write-back to the streaming flush at
         # window close; a per-chunk flush would write sealed pages that
         # the very next chunk dirties again.
-        flush = not self._buffered
+        flush = not self._buffering
         tracer = self._tracer()
         if tracer.enabled:
             with tracer.span("ingest.chunk", events=len(chunk)):
@@ -246,7 +249,7 @@ class BatchLoader:
                 report.deletes += 1
         report.events += len(chunk)
         report.batches += 1
-        if self._buffered:
+        if self._buffering:
             report.buffered_events += len(chunk)
 
     def _flush_pools(self, report: IngestReport) -> None:
@@ -262,35 +265,33 @@ def batch_replay(target: Any, events: Iterable[Any],
     return BatchLoader(target, batch_size, mode=mode).load(events)
 
 
-def _discover_trees(target: Any) -> List[Any]:
-    """Batchable trees behind ``target`` (duck-typed, order-stable)."""
+def _owners(target: Any) -> List[Any]:
+    """``target`` and the indexes it wraps (duck-typed, order-stable):
+    a warehouse's tuple MVBT and RTA index, a baseline's wrapped tree."""
+    owners = [target]
+    for name in ("tuples", "aggregates", "tree"):
+        inner = getattr(target, name, None)
+        if inner is not None:
+            owners.append(inner)
+    return owners
+
+
+def _discover_mvsbts(target: Any) -> List[Any]:
+    """Trees behind ``target`` that can open a buffered-ingest window."""
     trees: List[Any] = []
-    # A bare MVSBT/MVBT passed directly.
-    if hasattr(target, "begin_batch") and hasattr(target, "insert"):
-        trees.append(target)
-    # RTAIndex: every (LKST, LKLT) pair.
-    if callable(getattr(target, "trees", None)):
-        for lkst, lklt in target.trees().values():
-            trees.extend((lkst, lklt))
-    # TemporalWarehouse: the tuple MVBT plus the RTA index's MVSBTs.
-    tuples = getattr(target, "tuples", None)
-    if hasattr(tuples, "begin_batch"):
-        trees.append(tuples)
-    aggregates = getattr(target, "aggregates", None)
-    if callable(getattr(aggregates, "trees", None)):
-        for lkst, lklt in aggregates.trees().values():
-            trees.extend((lkst, lklt))
-    # MVBTRTABaseline: the wrapped MVBT.
-    tree = getattr(target, "tree", None)
-    if hasattr(tree, "begin_batch"):
-        trees.append(tree)
+    for owner in _owners(target):
+        if hasattr(owner, "begin_buffered"):
+            trees.append(owner)
+        elif callable(getattr(owner, "trees", None)):
+            for lkst, lklt in owner.trees().values():
+                trees.extend((lkst, lklt))
     return trees
 
 
-def _discover_pools(target: Any, trees: List[Any]) -> List[BufferPool]:
-    """Unique buffer pools behind ``target`` and its trees."""
+def _discover_pools(target: Any) -> List[BufferPool]:
+    """Unique buffer pools behind ``target``."""
     pools: dict[int, BufferPool] = {}
-    for owner in [target, *trees]:
+    for owner in _owners(target):
         pool = getattr(owner, "pool", None)
         if isinstance(pool, BufferPool):
             pools.setdefault(id(pool), pool)

@@ -433,14 +433,12 @@ class RTAIndex:
         write_checkpoint(self.pool, meta, directory)
 
     @classmethod
-    def load(cls, directory: str, buffer_pages: int = 64,
-             buffer_policy: str = "lru") -> "RTAIndex":
+    def load(cls, directory: str, buffer_pages: int = 64) -> "RTAIndex":
         """Reopen an index from a checkpoint written by :meth:`save`."""
         from repro.core.aggregates import ADDITIVE_AGGREGATES
         from repro.storage.checkpoint import read_checkpoint
 
-        pool, meta = read_checkpoint(directory, buffer_pages,
-                                     buffer_policy)
+        pool, meta = read_checkpoint(directory, buffer_pages)
         if meta.get("type") != "rta-index":
             raise ValueError(
                 f"checkpoint holds a {meta.get('type')!r}, not an RTA index"

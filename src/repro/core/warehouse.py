@@ -109,19 +109,16 @@ class TemporalWarehouse:
 
     def __init__(self, key_space: Tuple[int, int] = (1, MAX_KEY + 1),
                  page_capacity: int = 32, buffer_pages: int = 64,
-                 strong_factor: float = 0.9, start_time: int = 1,
-                 buffer_policy: str = "lru") -> None:
+                 strong_factor: float = 0.9, start_time: int = 1) -> None:
         self.batch_stats = BatchScanStats()
         self.key_space = key_space
         self.tuples = MVBT(
-            BufferPool(InMemoryDiskManager(), capacity=buffer_pages,
-                       policy=buffer_policy),
+            BufferPool(InMemoryDiskManager(), capacity=buffer_pages),
             MVBTConfig(capacity=page_capacity),
             key_space=key_space, start_time=start_time,
         )
         self.aggregates = RTAIndex(
-            BufferPool(InMemoryDiskManager(), capacity=buffer_pages,
-                       policy=buffer_policy),
+            BufferPool(InMemoryDiskManager(), capacity=buffer_pages),
             MVSBTConfig(capacity=page_capacity,
                         strong_factor=strong_factor),
             key_space=key_space, aggregates=(SUM, COUNT),
@@ -208,18 +205,19 @@ class TemporalWarehouse:
 
     def load_events(self, events, batch_size: Optional[int] = None,
                     mode: str = "direct"):
-        """Bulk-apply a chronological event batch via the batch kernels.
+        """Bulk-apply a chronological event batch in coalesced chunks.
 
         Thin wrapper over :class:`~repro.core.ingest.BatchLoader` — page
-        contents come out bit-identical to event-at-a-time ingestion, but
-        page search state is maintained incrementally and write-backs are
-        coalesced.  ``mode="buffered"`` additionally opens buffer-tree
-        ingest windows on the aggregate MVSBTs (the tuple MVBT keeps the
-        batch kernel); query *answers* stay byte-identical, page I/O
-        schedules do not.  Updates still reach the WAL one event at a
-        time (``insert``/``delete`` below are the loader's only entry
-        points) in either mode, so durability is unchanged — a crash
-        mid-flush recovers by WAL replay.  Returns the
+        contents come out bit-identical to event-at-a-time ingestion
+        (the same insert kernel runs), but write-backs are coalesced
+        inside the pools' batch windows.  ``mode="buffered"``
+        additionally opens buffer-tree ingest windows on the aggregate
+        MVSBTs (the tuple MVBT takes each event directly); query
+        *answers* stay byte-identical, page I/O schedules do not.
+        Updates still reach the WAL one event at a time
+        (``insert``/``delete`` below are the loader's only entry points)
+        in either mode, so durability is unchanged — a crash mid-flush
+        recovers by WAL replay.  Returns the
         :class:`~repro.core.ingest.IngestReport`.
         """
         from repro.core.ingest import (BatchLoader, DEFAULT_BATCH_SIZE,
@@ -327,7 +325,6 @@ class TemporalWarehouse:
         tracer = self.aggregates.pool.tracer
         metrics = self.metrics
         cache = self.result_cache
-        flight = None
         if cache is not None:
             epoch = self.write_epoch
             closed = interval.end <= self.now
@@ -343,51 +340,34 @@ class TemporalWarehouse:
                 if metrics is not None:
                     metrics.result_cache_hits.inc()
                 return hit[0]
-            # Single-flight: an identical miss already being computed by
-            # another thread is waited out, not recomputed — the follower
-            # re-reads the cache, so it only ever shares a committed value.
-            role, flight = cache.begin_flight(cache_key, epoch)
-            if role == "follower":
-                shared = cache.wait_flight(flight, cache_key, epoch)
-                flight = None
-                if shared is not None:
-                    if metrics is not None:
-                        metrics.result_cache_hits.inc()
-                    return shared[0]
-            elif role != "leader":
-                flight = None
-        try:
+        if metrics is not None:
+            ios_before = (self.tuples.pool.stats.total_ios
+                          + self.aggregates.pool.stats.total_ios)
+        if tracer.enabled:
+            with tracer.span("warehouse.aggregate",
+                             aggregate=aggregate.name,
+                             key_range=str(key_range),
+                             interval=str(interval)) as span:
+                if cache is not None:
+                    span.attrs["cache"] = "miss"
+                span.attrs["plan"] = plan
+                with tracer.span("warehouse.execute", plan=plan):
+                    result = self.run_plan(plan, key_range, interval,
+                                           aggregate)
+        else:
+            result = self.run_plan(plan, key_range, interval, aggregate)
+        if cache is not None:
+            cache.store(cache_key, result, closed=closed, epoch=epoch)
             if metrics is not None:
-                ios_before = (self.tuples.pool.stats.total_ios
-                              + self.aggregates.pool.stats.total_ios)
-            if tracer.enabled:
-                with tracer.span("warehouse.aggregate",
-                                 aggregate=aggregate.name,
-                                 key_range=str(key_range),
-                                 interval=str(interval)) as span:
-                    if cache is not None:
-                        span.attrs["cache"] = "miss"
-                    span.attrs["plan"] = plan
-                    with tracer.span("warehouse.execute", plan=plan):
-                        result = self.run_plan(plan, key_range, interval,
-                                               aggregate)
+                metrics.result_cache_misses.inc()
+        if metrics is not None:
+            ios_after = (self.tuples.pool.stats.total_ios
+                         + self.aggregates.pool.stats.total_ios)
+            metrics.query_ios.observe(ios_after - ios_before)
+            if plan == "mvsbt":
+                metrics.plan_mvsbt.inc()
             else:
-                result = self.run_plan(plan, key_range, interval, aggregate)
-            if cache is not None:
-                cache.store(cache_key, result, closed=closed, epoch=epoch)
-                if metrics is not None:
-                    metrics.result_cache_misses.inc()
-            if metrics is not None:
-                ios_after = (self.tuples.pool.stats.total_ios
-                             + self.aggregates.pool.stats.total_ios)
-                metrics.query_ios.observe(ios_after - ios_before)
-                if plan == "mvsbt":
-                    metrics.plan_mvsbt.inc()
-                else:
-                    metrics.plan_mvbt_scan.inc()
-        finally:
-            if flight is not None:
-                cache.end_flight(cache_key, epoch, flight)
+                metrics.plan_mvbt_scan.inc()
         return result
 
     def aggregate_batch(self, queries) -> List[object]:
@@ -713,17 +693,15 @@ class TemporalWarehouse:
 
     @classmethod
     def load(cls, directory: str, buffer_pages: int = 64,
-             page_capacity: int = 32,
-             buffer_policy: str = "lru") -> "TemporalWarehouse":
+             page_capacity: int = 32) -> "TemporalWarehouse":
         """Reopen a warehouse from :meth:`save` output."""
         import os
 
         warehouse = cls.__new__(cls)
         warehouse.tuples = MVBT.load(os.path.join(directory, "tuples"),
-                                     buffer_pages, buffer_policy)
+                                     buffer_pages)
         warehouse.aggregates = RTAIndex.load(
-            os.path.join(directory, "aggregates"), buffer_pages,
-            buffer_policy)
+            os.path.join(directory, "aggregates"), buffer_pages)
         warehouse.key_space = warehouse.tuples.key_space
         warehouse._page_capacity = warehouse.tuples.config.capacity
         warehouse._wal = None
@@ -775,8 +753,7 @@ class TemporalWarehouse:
 
         If a checkpoint exists it is loaded and the update-log tail is
         replayed (checkpoint + WAL recovery); otherwise a fresh warehouse
-        is created with ``fresh_kwargs``.  ``buffer_policy`` applies
-        either way.  Every subsequent update is
+        is created with ``fresh_kwargs``.  Every subsequent update is
         logged before acknowledgement; call :meth:`checkpoint`
         periodically to bound the log.
 
@@ -801,20 +778,13 @@ class TemporalWarehouse:
             if os.path.exists(os.path.join(legacy, "tuples")):
                 checkpoint_dir = legacy
         if checkpoint_dir is not None:
-            warehouse = cls.load(
-                checkpoint_dir, buffer_pages,
-                buffer_policy=fresh_kwargs.get("buffer_policy", "lru"))
+            warehouse = cls.load(checkpoint_dir, buffer_pages)
         else:
             warehouse = cls(**fresh_kwargs)
         wal.bump_seq(last_seq)
-        for event in wal.replay(after_seq=last_seq):
-            if event.op == "insert":
-                warehouse.tuples.insert(event.key, event.value, event.time)
-                warehouse.aggregates.insert(event.key, event.value,
-                                            event.time)
-            else:
-                warehouse.tuples.delete(event.key, event.time)
-                warehouse.aggregates.delete(event.key, event.time)
+        # Replay is a load like any other (coalesced write-backs); the
+        # log is attached only afterwards, so nothing is logged twice.
+        warehouse.load_events(wal.replay(after_seq=last_seq))
         warehouse._wal = wal
         warehouse._durable_dir = directory
         return warehouse

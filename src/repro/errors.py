@@ -53,11 +53,13 @@ class BufferPoolError(StorageError):
 
 
 class ConcurrentAccessError(BufferPoolError):
-    """Two threads entered an unlocked buffer pool at once.
+    """A thread entered state another thread owns.
 
-    Raised only in assertion mode (see
-    :meth:`~repro.storage.buffer.BufferPool.enable_concurrency_assertions`);
-    production servers enable locking instead, which makes this impossible.
+    Raised by an unlocked buffer pool in assertion mode (see
+    :meth:`~repro.storage.buffer.BufferPool.enable_concurrency_assertions`;
+    production servers enable locking instead), and by an MVSBT when a
+    thread other than the writer queries it inside the writer's
+    buffered-ingest window.
     """
 
     code = "CONCURRENT_ACCESS"

@@ -122,7 +122,6 @@ class MVBT:
         self.counters = MVBTCounters()
         self.roots = RootDirectory(pool=pool, paged=paged_roots)
         self.now = start_time
-        self._batch_depth = 0
         self._ever_roots: Set[int] = set()
         root = self._new_page(LEAF_KIND, key_space[0], key_space[1],
                               start_time, level=0)
@@ -152,23 +151,6 @@ class MVBT:
     def root_id(self) -> int:
         return self.roots.latest.root_id
 
-    def begin_batch(self) -> None:
-        """Enter batch-ingestion mode (nestable).
-
-        While open, insert/delete maintain each touched leaf's alive mirror
-        incrementally instead of letting the next access rebuild it, which
-        removes the per-event re-sort from hot leaves.  Restructuring paths
-        are untouched (their mutations bump ``Page.version``, so the mirrors
-        self-invalidate); page contents are identical either way.
-        """
-        self._batch_depth += 1
-
-    def end_batch(self) -> None:
-        """Leave batch-ingestion mode (one nesting level)."""
-        if self._batch_depth <= 0:
-            raise ValueError("end_batch() without matching begin_batch()")
-        self._batch_depth -= 1
-
     # -- updates ----------------------------------------------------------------------
 
     def insert(self, key: int, value: float, t: int) -> None:
@@ -189,10 +171,12 @@ class MVBT:
             )
         entry = LeafEntry(key, t, NOW, value)
         leaf.add(entry)
-        if self._batch_depth:
-            m.alive.insert(i, entry)
-            m.keys.insert(i, key)
-            m.version = leaf.version
+        # Keep the leaf's mirror current instead of letting the next access
+        # re-sort it.  Restructuring below bumps ``Page.version`` without
+        # telling the mirror, which then reads as stale and is rebuilt.
+        m.alive.insert(i, entry)
+        m.keys.insert(i, key)
+        m.version = leaf.version
         self.counters.inserts += 1
         if leaf.overflowed:
             self._restructure(path, t)
@@ -221,10 +205,9 @@ class MVBT:
         else:
             target.end = t
         leaf.mark_dirty()
-        if self._batch_depth:
-            del m.alive[i]
-            del m.keys[i]
-            m.version = leaf.version
+        del m.alive[i]
+        del m.keys[i]
+        m.version = leaf.version
         self.counters.deletes += 1
         if (leaf.page_id != self.root_id
                 and len(_mirror(leaf).alive) < self.config.weak_min):
@@ -608,7 +591,6 @@ class MVBT:
         tree.now = state["now"]
         tree.dispose_pages = state["dispose_pages"]
         tree.counters = MVBTCounters(**state["counters"])
-        tree._batch_depth = 0
         tree._ever_roots = set(state["ever_roots"])
         tree.roots = RootDirectory()
         for start, root_id in state["roots"]:
@@ -622,13 +604,11 @@ class MVBT:
         write_checkpoint(self.pool, self.state(), directory)
 
     @classmethod
-    def load(cls, directory: str, buffer_pages: int = 64,
-             buffer_policy: str = "lru") -> "MVBT":
+    def load(cls, directory: str, buffer_pages: int = 64) -> "MVBT":
         """Reopen a tree from a checkpoint written by :meth:`save`."""
         from repro.storage.checkpoint import read_checkpoint
 
-        pool, state = read_checkpoint(directory, buffer_pages,
-                                      buffer_policy)
+        pool, state = read_checkpoint(directory, buffer_pages)
         if state.get("type") != "mvbt":
             raise ValueError(
                 f"checkpoint holds a {state.get('type')!r}, not an MVBT"

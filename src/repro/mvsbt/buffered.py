@@ -42,22 +42,31 @@ on higher keys travelled through the interior splits that were applied on
 arrival.  Off-path leaves keep their buffers, so reads stay live during
 ingest without paying for it.  Answers are byte-identical to the direct
 path: every record mutation replays the object kernels' arithmetic on the
-same values in the same order.
+same values in the same order.  The barrier mutates the tree, so it
+belongs to the thread that opened the window: a ``query`` from any other
+thread raises :class:`~repro.errors.ConcurrentAccessError` before touching
+anything (a latch-free reader treats that as the torn read it is).
 
-The kernels below are line-for-line columnar twins of the tree's batch
-kernels (``_apply_at_lowest_batched`` / ``_apply_at_parent_batched`` /
-``_vertical_split_batched`` / ``_merge_around_batched`` / ``_time_split``)
+The kernels below are line-for-line columnar twins of the tree's insert
+kernel (``_mirror_at_lowest`` / ``_mirror_at_parent`` /
+``_mirror_vertical_split`` / ``_mirror_merge_around`` / ``_time_split``)
 — the metamorphic tests in ``tests/mvsbt/test_buffered.py`` hold the two
 paths to identical query answers over random workloads.
 """
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_left, bisect_right
 from typing import List, Optional, Tuple
 
 from repro.core.model import NOW
-from repro.errors import InvariantViolation, QueryError, TimeOrderError
+from repro.errors import (
+    ConcurrentAccessError,
+    InvariantViolation,
+    QueryError,
+    TimeOrderError,
+)
 from repro.mvsbt.columnar import ColumnarBlock, materialize_page, seal_page
 from repro.mvsbt.records import LEAF_KIND
 from repro.storage.page import Page
@@ -77,11 +86,14 @@ class MVSBTIngestBuffer:
         if not tree.config.logical_split:
             raise ValueError(
                 "buffered ingestion requires the logical (delta) value "
-                "semantics; physical mode has no batched kernel to twin"
+                "semantics; physical mode has no mirror kernel to twin"
             )
         if intake_limit < 1 or pending_limit < 1:
             raise ValueError("intake and pending limits must be >= 1")
         self.tree = tree
+        #: The thread that opened the window; the only one whose reads may
+        #: cross the drain barrier (see :meth:`query`).
+        self._owner = threading.get_ident()
         self.intake_limit = intake_limit
         self.pending_limit = pending_limit
         self._intake: List[Tuple[int, int, float]] = []
@@ -139,8 +151,8 @@ class MVSBTIngestBuffer:
 
         Sealed pages are pinned for the life of the window, so the pool can
         never replace the frame object behind the registry's back (the pool
-        over-commits instead; the batch window opened by
-        ``MVSBT.begin_buffered`` keeps its victim scan amortized O(1)).
+        over-commits instead; the loader's pool batch window keeps its
+        victim scan amortized O(1)).
         """
         pool = self.tree.pool
         page = pool.fetch(pid)
@@ -228,7 +240,7 @@ class MVSBTIngestBuffer:
 
     def _leaf_apply(self, page: Page, block: ColumnarBlock, key: int, t: int,
                     value: float) -> None:
-        """Columnar ``_apply_at_lowest_batched`` for a leaf (sans overflow)."""
+        """Columnar ``_mirror_at_lowest`` for a leaf (sans overflow)."""
         counters = self._counters
         lows, highs = block.lows, block.highs
         starts, ends, values = block.starts, block.ends, block.values
@@ -302,7 +314,7 @@ class MVSBTIngestBuffer:
     def _parent_step(self, page: Page, block: ColumnarBlock, row: int,
                      idx: int, boundary: int, new_children, t: int,
                      value: float) -> Tuple[Page, ...]:
-        """Columnar ``_apply_at_parent_batched`` (including child installs)."""
+        """Columnar ``_mirror_at_parent`` (including child installs)."""
         if new_children:
             self._retire_install(page, block, row, idx, new_children, t)
         alive_lows = block.alive_lows
@@ -345,7 +357,7 @@ class MVSBTIngestBuffer:
 
     def _vertical_split(self, page: Page, block: ColumnarBlock, j: int,
                         t: int, value: float) -> Tuple[int, int]:
-        """Columnar ``_vertical_split_batched``: returns ``(row, slot)``."""
+        """Columnar ``_mirror_vertical_split``: returns ``(row, slot)``."""
         alive = block.alive
         row = alive[j]
         values = block.values
@@ -379,7 +391,7 @@ class MVSBTIngestBuffer:
 
     def _merge_around(self, page: Page, block: ColumnarBlock, row: int,
                       idx: int) -> None:
-        """Columnar ``_merge_around_batched`` (section 4.2.2 merging)."""
+        """Columnar ``_mirror_merge_around`` (section 4.2.2 merging)."""
         if not self._merging:
             return
         counters = self._counters
@@ -532,7 +544,19 @@ class MVSBTIngestBuffer:
     # -- the drain barrier (reads during the window) ------------------------------
 
     def query(self, key: int, t: int) -> float:
-        """``V(key, t)`` through the barrier: drain, path-flush, descend."""
+        """``V(key, t)`` through the barrier: drain, path-flush, descend.
+
+        The barrier drains the intake and flushes a leaf, so only the
+        window's owning thread may cross it.  Any other thread is a
+        reader that overlapped the writer's window; it is refused before
+        any state is touched.
+        """
+        if threading.get_ident() != self._owner:
+            raise ConcurrentAccessError(
+                "MVSBT.query from another thread while a buffered-ingest "
+                "window is open; reads must wait for (or retry after) the "
+                "writer that owns the window"
+            )
         tree = self.tree
         if not (tree.key_space[0] <= key < tree.key_space[1]):
             raise QueryError(

@@ -21,7 +21,11 @@ so their ``low`` endpoints are strictly increasing): each page keeps a
 sorted *alive mirror* in ``Page.cache``, validated against ``Page.version``,
 and the ``find_*`` helpers binary-search it.  Tiling makes each sought
 record unique, so the bisect results are exactly the records the original
-linear scans returned.
+linear scans returned.  The logical-mode insert kernel
+(``MVSBT._mirror_at_lowest`` / ``_mirror_at_parent``) keeps the mirror
+current across its own mutations; the split and merge helpers below are
+Appendix A's transcription, which physical mode runs and the tests hold
+the kernel to, and leave the mirror to be rebuilt.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ class _AliveMirror:
     lows strictly increasing), ``lows`` the parallel key list fed to
     :mod:`bisect`.  ``closes`` is a lazily built map from a record's
     ``(low, high)`` range to the *latest-closed* dead record with that range,
-    used by the batch kernel for O(1) time-merge candidate probing.
+    which gives the tree's insert kernel its O(1) time-merge candidate probe.
     """
 
     __slots__ = ("version", "alive", "lows", "closes")

@@ -157,7 +157,6 @@ class MVSBT:
         self.roots = RootDirectory(pool=pool, paged=paged_roots)
         self.now = start_time
         self.start_time = start_time
-        self._batch_depth = 0
         root = self._new_page(LEAF_KIND, key_space[0], key_space[1],
                               start_time, level=0)
         root.add(MVSBTLeafRecord(key_space[0], key_space[1], start_time,
@@ -170,25 +169,6 @@ class MVSBT:
     def root_id(self) -> int:
         return self.roots.latest.root_id
 
-    def begin_batch(self) -> None:
-        """Enter batch-ingestion mode (nestable).
-
-        While at least one batch window is open (and the tree runs the
-        default logical value semantics), insertions route through a kernel
-        that maintains each touched page's alive mirror *incrementally* and
-        probes merge candidates in O(1), instead of rebuilding the mirror
-        and scanning for merges on every event.  The resulting page contents
-        are bit-identical to sequential insertion; only CPU work (and, via
-        the pool's batch window, write scheduling) changes.
-        """
-        self._batch_depth += 1
-
-    def end_batch(self) -> None:
-        """Leave batch-ingestion mode (one nesting level)."""
-        if self._batch_depth <= 0:
-            raise ValueError("end_batch() without matching begin_batch()")
-        self._batch_depth -= 1
-
     def begin_buffered(self, intake_limit: Optional[int] = None,
                        pending_limit: Optional[int] = None):
         """Open a buffered-ingest window (buffer-tree path; not nestable).
@@ -199,6 +179,14 @@ class MVSBT:
         are identical to the direct path at every point of the window.
         Requires the logical (delta) value semantics.  Returns the
         attached :class:`~repro.mvsbt.buffered.MVSBTIngestBuffer`.
+
+        The window pins every page it routes through and must keep the
+        pages it allocates resident, so it lives inside the pool's own
+        batch window (which over-commits instead of evicting a dirty
+        page, keeps the victim scan amortized O(1) meanwhile, and
+        coalesces the write-backs into one closing flush):
+        :class:`~repro.core.ingest.BatchLoader` opens both, a direct
+        caller opens the pool's first and closes it last.
         """
         from repro.mvsbt.buffered import (
             DEFAULT_INTAKE_LIMIT,
@@ -208,16 +196,14 @@ class MVSBT:
 
         if self._buffer is not None:
             raise ValueError("begin_buffered() inside an open window")
+        if not self.pool.in_batch:
+            raise ValueError(
+                "begin_buffered() outside the pool's batch window")
         self._buffer = MVSBTIngestBuffer(
             self,
             intake_limit or DEFAULT_INTAKE_LIMIT,
             pending_limit or DEFAULT_PENDING_LIMIT,
         )
-        # The window keeps its working set resident (pages touched by the
-        # router are pinned until finalize); a pool batch window keeps the
-        # victim scan amortized O(1) while the pool over-commits, and
-        # coalesces the write-backs into the closing flush.
-        self.pool.begin_batch()
         return self._buffer
 
     def end_buffered(self) -> None:
@@ -231,10 +217,7 @@ class MVSBT:
             raise ValueError("end_buffered() without begin_buffered()")
         buffer = self._buffer
         self._buffer = None
-        try:
-            buffer.finalize()
-        finally:
-            self.pool.end_batch()
+        buffer.finalize()
 
     def enable_memo(self, capacity: int = 8192,
                     thread_safe: bool = False) -> None:
@@ -299,21 +282,23 @@ class MVSBT:
             routers.append(router)
             page = self.pool.fetch(router.child)
 
-        # Phase 2 (lines 9-29): apply the insertion at the lowest page.
-        batched = self._batch_depth > 0 and self.config.logical_split
-        if batched:
-            new_children = self._apply_at_lowest_batched(page, key, t, value)
+        # Phases 2-3 exist twice: Appendix A's transcription, the only
+        # kernel physical mode has, and its incremental-mirror twin for
+        # the logical value mode.  The value mode picks; pages come out
+        # the same to the last byte either way (tests/core/test_ingest.py).
+        if self.config.logical_split:
+            at_lowest, at_parent = (self._mirror_at_lowest,
+                                    self._mirror_at_parent)
         else:
-            new_children = self._apply_at_lowest(page, key, t, value)
+            at_lowest, at_parent = (self._apply_at_lowest,
+                                    self._apply_at_parent)
+
+        # Phase 2 (lines 9-29): apply the insertion at the lowest page.
+        new_children = at_lowest(page, key, t, value)
 
         # Phase 3 (lines 30-43): walk back up through the router pages.
         for parent, router in zip(reversed(path), reversed(routers)):
-            if batched:
-                new_children = self._apply_at_parent_batched(
-                    parent, router, new_children, t, value)
-            else:
-                new_children = self._apply_at_parent(parent, router,
-                                                     new_children, t, value)
+            new_children = at_parent(parent, router, new_children, t, value)
 
         # Phase 4 (lines 44-47): install a new root if the old one split.
         if new_children:
@@ -689,18 +674,21 @@ class MVSBT:
             return self._time_split(parent, t)
         return []
 
-    # -- batch-mode kernel --------------------------------------------------------------
+    # -- incremental-mirror kernel ------------------------------------------------------
     #
-    # The batched methods replay the exact record-level mutation sequence of
-    # their reference counterparts (same records, same page.records order,
-    # same counters) but keep each page's alive mirror valid incrementally
-    # and probe merge candidates in O(1).  Property 1 tiling makes every
-    # sought record unique, which is what licenses the bisect/neighbour
-    # lookups below; the metamorphic tests enforce the equivalence.
+    # What every logical-mode insertion runs.  The methods replay the exact
+    # record-level mutation sequence of their Appendix A counterparts above
+    # (same records, same page.records order, same counters) but keep each
+    # page's alive mirror valid incrementally and probe merge candidates in
+    # O(1).  Property 1 tiling makes every sought record unique, which is
+    # what licenses the bisect/neighbour lookups below.  The mirror is
+    # touched on the write path only and any mutation outside this kernel
+    # bumps ``Page.version``, so a mirror it did not keep current reads as
+    # stale and is rebuilt; the metamorphic tests enforce the equivalence.
 
-    def _apply_at_lowest_batched(self, page: Page, key: int, t: int,
-                                 value: float) -> List[Page]:
-        """Batch-mode :meth:`_apply_at_lowest` (logical semantics only)."""
+    def _mirror_at_lowest(self, page: Page, key: int, t: int,
+                          value: float) -> List[Page]:
+        """Mirror-kernel :meth:`_apply_at_lowest` (logical semantics only)."""
         m = ops.mirror(page)
         partly = None
         i = -1
@@ -739,19 +727,18 @@ class MVSBT:
                 f"page {page.page_id} has neither partly- nor fully-covered "
                 f"record for key {key}"
             )
-            fresh, idx = self._vertical_split_batched(page, m, j, t, value)
+            fresh, idx = self._mirror_vertical_split(page, m, j, t, value)
             self.counters.records_created += 1
-        self._merge_around_batched(page, m, fresh, idx)
+        self._mirror_merge_around(page, m, fresh, idx)
         m.version = page.version
         if page.overflowed:
             return self._time_split(page, t)
         return []
 
-    def _apply_at_parent_batched(self, parent: Page,
-                                 router: MVSBTIndexRecord,
-                                 new_children: List[Page], t: int,
-                                 value: float) -> List[Page]:
-        """Batch-mode :meth:`_apply_at_parent` (logical semantics only).
+    def _mirror_at_parent(self, parent: Page, router: MVSBTIndexRecord,
+                          new_children: List[Page], t: int,
+                          value: float) -> List[Page]:
+        """Mirror-kernel :meth:`_apply_at_parent` (logical semantics only).
 
         The rare child-was-split case delegates to the reference method;
         its mutations bump ``Page.version`` so the mirror self-invalidates.
@@ -763,16 +750,16 @@ class MVSBT:
         boundary = router.high
         j = bisect_left(m.lows, boundary)
         if j < len(m.alive) and m.alive[j].low == boundary:
-            fresh, idx = self._vertical_split_batched(parent, m, j, t, value)
+            fresh, idx = self._mirror_vertical_split(parent, m, j, t, value)
             self.counters.records_created += 1
-            self._merge_around_batched(parent, m, fresh, idx)
+            self._mirror_merge_around(parent, m, fresh, idx)
             m.version = parent.version
         if parent.overflowed:
             return self._time_split(parent, t)
         return []
 
-    def _vertical_split_batched(self, page: Page, m, j: int, t: int,
-                                value: float):
+    def _mirror_vertical_split(self, page: Page, m, j: int, t: int,
+                               value: float):
         """Vertically split the alive record at mirror slot ``j``, adding
         ``value`` to its successor's value; returns ``(alive_record, slot)``."""
         record = m.alive[j]
@@ -791,8 +778,8 @@ class MVSBT:
         m.alive[j] = fresh
         return fresh, j
 
-    def _merge_around_batched(self, page: Page, m, record, idx: int) -> None:
-        """Batch-mode :meth:`_merge_around` with O(1) candidate probing.
+    def _mirror_merge_around(self, page: Page, m, record, idx: int) -> None:
+        """Mirror-kernel :meth:`_merge_around` with O(1) candidate probing.
 
         Time merge: the only possible partner is the latest-closed dead
         record with ``record``'s exact range (``record.start == now``, and
@@ -975,7 +962,6 @@ class MVSBT:
         tree.start_time = state["start_time"]
         tree.now = state["now"]
         tree.counters = MVSBTCounters(**state["counters"])
-        tree._batch_depth = 0
         tree.roots = RootDirectory()
         for start, root_id in state["roots"]:
             tree.roots.append(start, root_id)

@@ -52,10 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-shard result-cache capacity")
     parser.add_argument("--cache-memo-entries", type=int, default=8192,
                         help="per-shard MVSBT point-memo capacity")
-    parser.add_argument("--buffer-policy", choices=("lru", "2q"),
-                        default="2q",
-                        help="buffer-pool eviction policy for fresh shards "
-                             "(2q resists one-off scans)")
     parser.add_argument("--executor", choices=("thread", "process"),
                         default="thread",
                         help="execution backend: shared thread pool "
@@ -150,7 +146,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         cache=args.cache,
         cache_result_entries=args.cache_result_entries,
         cache_memo_entries=args.cache_memo_entries,
-        buffer_policy=args.buffer_policy,
         executor=args.executor, scan_batch=args.scan_batch,
         ingest=args.ingest,
         trace_sample_rate=args.trace_sample_rate,

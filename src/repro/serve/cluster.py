@@ -105,7 +105,6 @@ class ClusterWarehouse(ProcessShardedWarehouse):
                  key_space: Tuple[int, int] = (1, MAX_KEY + 1),
                  page_capacity: int = 32, buffer_pages: int = 64,
                  strong_factor: float = 0.9, start_time: int = 1,
-                 buffer_policy: str = "lru",
                  durable_dir: Optional[str] = None,
                  fsync: bool = False,
                  cache_config: Optional[CacheConfig] = None,
@@ -153,8 +152,8 @@ class ClusterWarehouse(ProcessShardedWarehouse):
         self._boot(durable_dir, start_timeout, ShardSpec(
             index=-1, key_space=key_space, page_capacity=page_capacity,
             buffer_pages=buffer_pages, strong_factor=strong_factor,
-            start_time=start_time, buffer_policy=buffer_policy,
-            fsync=fsync, cache_config=cache_config, scan_batch=scan_batch),
+            start_time=start_time, fsync=fsync, cache_config=cache_config,
+            scan_batch=scan_batch),
             version, plan)
         try:
             self._persist_topology()

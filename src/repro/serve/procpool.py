@@ -261,7 +261,6 @@ class ShardSpec:
     buffer_pages: int = 64
     strong_factor: float = 0.9
     start_time: int = 1
-    buffer_policy: str = "lru"
     durable_dir: Optional[str] = None
     fsync: bool = False
     cache_config: Optional[CacheConfig] = None
@@ -278,15 +277,13 @@ def _build_warehouse(spec: ShardSpec):
             fsync=spec.fsync, key_space=spec.key_space,
             page_capacity=spec.page_capacity,
             strong_factor=spec.strong_factor,
-            start_time=spec.start_time,
-            buffer_policy=spec.buffer_policy)
+            start_time=spec.start_time)
     else:
         warehouse = TemporalWarehouse(
             key_space=spec.key_space, page_capacity=spec.page_capacity,
             buffer_pages=spec.buffer_pages,
             strong_factor=spec.strong_factor,
-            start_time=spec.start_time,
-            buffer_policy=spec.buffer_policy)
+            start_time=spec.start_time)
     if spec.cache_config is not None:
         # The worker is single-threaded: no lock overhead on cache paths.
         warehouse.enable_cache(spec.cache_config, thread_safe=False)
@@ -1212,7 +1209,6 @@ class ProcessShardedWarehouse(ShardRouter):
                  key_space: Tuple[int, int] = (1, MAX_KEY + 1),
                  page_capacity: int = 32, buffer_pages: int = 64,
                  strong_factor: float = 0.9, start_time: int = 1,
-                 buffer_policy: str = "lru",
                  durable_dir: Optional[str] = None,
                  fsync: bool = False,
                  cache_config: Optional[CacheConfig] = None,
@@ -1226,8 +1222,8 @@ class ProcessShardedWarehouse(ShardRouter):
         self._boot(durable_dir, start_timeout, ShardSpec(
             index=-1, key_space=key_space, page_capacity=page_capacity,
             buffer_pages=buffer_pages, strong_factor=strong_factor,
-            start_time=start_time, buffer_policy=buffer_policy,
-            fsync=fsync, cache_config=cache_config, scan_batch=scan_batch),
+            start_time=start_time, fsync=fsync, cache_config=cache_config,
+            scan_batch=scan_batch),
             1, [(sid, lo, hi, (lo, hi), shard_dir_name(sid))
                 for sid, (lo, hi) in enumerate(
                     zip(boundaries, boundaries[1:]))])

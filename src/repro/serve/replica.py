@@ -140,8 +140,7 @@ class ReplicaApplier:
                         cache_config=None))
                 else:
                     warehouse = TemporalWarehouse.load(
-                        ckpt_dir, self.spec.primary.buffer_pages,
-                        buffer_policy=self.spec.primary.buffer_policy)
+                        ckpt_dir, self.spec.primary.buffer_pages)
             except (ReproError, OSError, ValueError) as exc:
                 last_exc = exc
                 time.sleep(0.01)

@@ -117,7 +117,6 @@ class ServerConfig:
     cache: bool = True                 # version-pinned read-path caches
     cache_result_entries: int = 4096   # per-shard result-cache capacity
     cache_memo_entries: int = 8192     # per-shard MVSBT path-memo capacity
-    buffer_policy: str = "2q"          # scan-resistant pools (fresh shards)
     executor: str = "thread"           # "thread" (default) or "process"
     scan_batch: int = 8                # procpool shared-scan batch ceiling
     ingest: str = "direct"             # default LOAD mode ("buffered" opts
@@ -240,8 +239,7 @@ class TQLServer:
         shape = dict(
             shards=config.shards, key_space=config.key_space,
             page_capacity=config.page_capacity,
-            buffer_pages=config.buffer_pages,
-            buffer_policy=config.buffer_policy)
+            buffer_pages=config.buffer_pages)
         workers = dict(shape, durable_dir=config.durable_dir,
                        fsync=config.fsync, cache_config=cache_config,
                        scan_batch=config.scan_batch)

@@ -1027,7 +1027,7 @@ class ShardedWarehouse(ShardRouter):
         Serve through the optimistic read / locked write protocol of
         :class:`LocalShard` and enable buffer-pool locking; required
         whenever more than one thread touches the instance.
-    page_capacity / buffer_pages / strong_factor / start_time / buffer_policy:
+    page_capacity / buffer_pages / strong_factor / start_time:
         Forwarded to every underlying :class:`TemporalWarehouse`.
     """
 
@@ -1035,16 +1035,14 @@ class ShardedWarehouse(ShardRouter):
                  key_space: Tuple[int, int] = (1, MAX_KEY + 1),
                  page_capacity: int = 32, buffer_pages: int = 64,
                  strong_factor: float = 0.9, start_time: int = 1,
-                 thread_safe: bool = False,
-                 buffer_policy: str = "lru") -> None:
+                 thread_safe: bool = False) -> None:
         boundaries = split_evenly(key_space, shards)
         self._adopt(key_space, boundaries, thread_safe, [
             TemporalWarehouse(key_space=(lo, hi),
                               page_capacity=page_capacity,
                               buffer_pages=buffer_pages,
                               strong_factor=strong_factor,
-                              start_time=start_time,
-                              buffer_policy=buffer_policy)
+                              start_time=start_time)
             for lo, hi in zip(boundaries, boundaries[1:])
         ])
 
@@ -1068,8 +1066,7 @@ class ShardedWarehouse(ShardRouter):
                      page_capacity: int = 32, buffer_pages: int = 64,
                      strong_factor: float = 0.9, start_time: int = 1,
                      thread_safe: bool = False,
-                     fsync: bool = False,
-                     buffer_policy: str = "lru") -> "ShardedWarehouse":
+                     fsync: bool = False) -> "ShardedWarehouse":
         """Open (or create) a crash-recoverable sharded warehouse.
 
         The shard layout (count and boundaries) is frozen in
@@ -1087,8 +1084,7 @@ class ShardedWarehouse(ShardRouter):
                 os.path.join(directory, shard_dir_name(i)),
                 buffer_pages=buffer_pages, fsync=fsync,
                 key_space=(lo, hi), page_capacity=page_capacity,
-                strong_factor=strong_factor, start_time=start_time,
-                buffer_policy=buffer_policy)
+                strong_factor=strong_factor, start_time=start_time)
             for i, (lo, hi) in enumerate(zip(boundaries, boundaries[1:]))
         ])
         return warehouse

@@ -109,43 +109,15 @@ class BufferPool:
         Number of page frames (the paper's default is 64).
     stats:
         Optional externally owned :class:`IOStats`; one is created otherwise.
-    policy:
-        ``"lru"`` (default, the paper's buffer) or ``"2q"`` — segmented
-        LRU with a probationary and a protected segment.  First touch
-        admits to probation; a re-reference promotes to protected, whose
-        overflow demotes its LRU page back to probation.  Victims come
-        from probation first, so one long rectangle scan (every page
-        touched exactly once) cannot flush the re-referenced hot set.
-    protected_fraction:
-        Share of ``capacity`` the protected segment may hold under
-        ``"2q"`` (default 0.5, at least one frame).
     """
 
     def __init__(self, disk: DiskManager, capacity: int = DEFAULT_BUFFER_PAGES,
-                 stats: Optional[IOStats] = None, policy: str = "lru",
-                 protected_fraction: float = 0.5) -> None:
+                 stats: Optional[IOStats] = None) -> None:
         if capacity < 1:
             raise ValueError("buffer pool needs at least one frame")
-        if policy not in ("lru", "2q"):
-            raise ValueError(f"unknown eviction policy {policy!r}")
-        if not (0.0 < protected_fraction < 1.0):
-            raise ValueError(
-                f"protected fraction must be in (0, 1), got "
-                f"{protected_fraction}"
-            )
         self.disk = disk
         self.capacity = capacity
-        self.policy = policy
         self.stats = stats if stats is not None else IOStats()
-        # 2Q segment bookkeeping (ids only; pages live in ``_frames``).
-        # ``None`` under plain LRU so the hot path pays a single branch.
-        self._probation: "Optional[OrderedDict[int, None]]" = None
-        self._protected: "Optional[OrderedDict[int, None]]" = None
-        self._protected_cap = 0
-        if policy == "2q":
-            self._probation = OrderedDict()
-            self._protected = OrderedDict()
-            self._protected_cap = max(1, int(capacity * protected_fraction))
         #: Observability hooks: a (usually null) tracer receiving
         #: ``buffer.*`` events, and metrics instruments when attached via
         #: :func:`repro.obs.attach_metrics`.  Both read-only for the pool's
@@ -215,8 +187,6 @@ class BufferPool:
         page = self._frames.get(page_id)
         if page is not None:
             self._frames.move_to_end(page_id)
-            if self._probation is not None:
-                self._touch_2q(page_id)
             if self.tracer.enabled:
                 self.tracer.event("buffer.hit", page=page_id)
             return page
@@ -249,9 +219,6 @@ class BufferPool:
             raise BufferPoolError(f"cannot free pinned page {page_id}")
         self._frames.pop(page_id, None)
         self._maybe_clean.pop(page_id, None)
-        if self._probation is not None:
-            self._probation.pop(page_id, None)
-            self._protected.pop(page_id, None)
         self.disk.free(page_id)
         self.stats.frees += 1
 
@@ -279,9 +246,6 @@ class BufferPool:
         self._frames.clear()
         self._pins.clear()
         self._maybe_clean.clear()
-        if self._probation is not None:
-            self._probation.clear()
-            self._protected.clear()
 
     # -- batch windows ----------------------------------------------------------
 
@@ -364,12 +328,6 @@ class BufferPool:
     def _admit(self, page: Page, keep: bool = False) -> None:
         self._frames[page.page_id] = page
         self._frames.move_to_end(page.page_id)
-        if self._probation is not None and \
-                page.page_id not in self._protected:
-            # First (re-)admission lands in probation; only a later
-            # re-reference earns protection.
-            self._probation[page.page_id] = None
-            self._probation.move_to_end(page.page_id)
         # A fetched page is clean and not yet pinned (callers pin only
         # after fetch returns), so without the exclusion an over-committed
         # pool whose other frames are all pinned or batch-deferred would
@@ -379,18 +337,6 @@ class BufferPool:
         # it spills (written back immediately) while the caller's
         # reference stays usable.
         self._evict_if_needed(keep=page.page_id if keep else None)
-
-    def _touch_2q(self, page_id: int) -> None:
-        """Segmented-LRU re-reference: promote, or refresh protection."""
-        if page_id in self._protected:
-            self._protected.move_to_end(page_id)
-            return
-        self._probation.pop(page_id, None)
-        self._protected[page_id] = None
-        if len(self._protected) > self._protected_cap:
-            demoted, _ = self._protected.popitem(last=False)
-            self._probation[demoted] = None
-            self._probation.move_to_end(demoted)
 
     def _evict_if_needed(self, keep: Optional[int] = None) -> None:
         while len(self._frames) > self.capacity:
@@ -408,9 +354,6 @@ class BufferPool:
                 return
             victim = self._frames.pop(victim_id)
             self._maybe_clean.pop(victim_id, None)
-            if self._probation is not None:
-                self._probation.pop(victim_id, None)
-                self._protected.pop(victim_id, None)
             if self.tracer.enabled:
                 self.tracer.event("buffer.evict", page=victim_id,
                                   dirty=victim.dirty)
@@ -432,15 +375,6 @@ class BufferPool:
 
     def _pick_victim(self, keep: Optional[int] = None) -> Optional[int]:
         if not self._batch_depth:
-            if self._probation is not None:
-                # Scan resistance: once-touched pages (probation) go
-                # first; the protected segment is only raided when every
-                # probationary page is pinned or probation is empty.
-                for segment in (self._probation, self._protected):
-                    for pid in segment:  # OrderedDict iterates LRU-first
-                        if pid != keep and self._pins.get(pid, 0) == 0:
-                            return pid
-                return None
             for pid in self._frames:  # OrderedDict iterates LRU-first
                 if pid != keep and self._pins.get(pid, 0) == 0:
                     return pid
@@ -484,17 +418,3 @@ class BufferPool:
     def is_resident(self, page_id: int) -> bool:
         """True when the page currently occupies a buffer frame."""
         return page_id in self._frames
-
-    @property
-    def probation_page_ids(self) -> list[int]:
-        """Probationary segment, LRU first (``"2q"`` policy only)."""
-        if self._probation is None:
-            raise BufferPoolError("pool does not run the 2q policy")
-        return list(self._probation.keys())
-
-    @property
-    def protected_page_ids(self) -> list[int]:
-        """Protected segment, LRU first (``"2q"`` policy only)."""
-        if self._protected is None:
-            raise BufferPoolError("pool does not run the 2q policy")
-        return list(self._protected.keys())

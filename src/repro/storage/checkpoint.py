@@ -98,15 +98,13 @@ def write_checkpoint(pool: BufferPool, index_meta: Dict[str, Any],
                           page_count=len(page_ids), index_meta=index_meta)
 
 
-def read_checkpoint(directory: str, buffer_pages: int = 64,
-                    policy: str = "lru"
+def read_checkpoint(directory: str, buffer_pages: int = 64
                     ) -> Tuple[BufferPool, Dict[str, Any]]:
     """Rebuild a buffer pool (over an in-memory disk) from a checkpoint.
 
     Returns ``(pool, index_meta)``.  Page ids, capacities, kinds, records
     and per-page metadata are restored exactly; the disk's allocation
-    cursor continues where the checkpointed index left off.  ``policy``
-    is the new pool's eviction policy (checkpoints do not record one).
+    cursor continues where the checkpointed index left off.
     """
     meta_path = os.path.join(directory, META_FILE)
     pages_path = os.path.join(directory, PAGES_FILE)
@@ -142,5 +140,5 @@ def read_checkpoint(directory: str, buffer_pages: int = 64,
         disk._pages[page_id] = page  # restore under the original id
     disk._next_page_id = blob["next_page_id"]
 
-    pool = BufferPool(disk, capacity=buffer_pages, policy=policy)
+    pool = BufferPool(disk, capacity=buffer_pages)
     return pool, blob["index_meta"]

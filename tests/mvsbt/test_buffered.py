@@ -10,10 +10,12 @@ routing), so I/O counters are exactly what these tests do *not* compare.
 """
 
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import ConcurrentAccessError
 from repro.mvsbt.tree import MVSBT, MVSBTConfig
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import FileDiskManager, InMemoryDiskManager
@@ -29,6 +31,18 @@ def build(capacity=6, pool_pages=4096, disk=None):
     pool = BufferPool(disk or InMemoryDiskManager(), capacity=pool_pages)
     return MVSBT(pool, MVSBTConfig(capacity=capacity, strong_factor=0.8),
                  key_space=KEY_SPACE)
+
+
+def open_window(tree):
+    """The buffered window, inside the pool batch window it requires —
+    what ``BatchLoader(tree, mode="buffered")`` opens."""
+    tree.pool.begin_batch()
+    return tree.begin_buffered()
+
+
+def close_window(tree):
+    tree.end_buffered()
+    tree.pool.end_batch()
 
 
 def random_stream(seed, count=600):
@@ -70,10 +84,10 @@ class TestBufferedTwins:
         direct, buffered = build(capacity), build(capacity)
         for key, t, value in stream:
             direct.insert(key, t, value)
-        buffered.begin_buffered()
+        open_window(buffered)
         for key, t, value in stream:
             buffered.insert(key, t, value)
-        buffered.end_buffered()
+        close_window(buffered)
         assert page_images(buffered) == page_images(direct)
         buffered.check_invariants()
         direct.check_invariants()
@@ -81,7 +95,7 @@ class TestBufferedTwins:
     def test_mid_window_queries_match_direct(self):
         stream = random_stream(11)
         direct, buffered = build(), build()
-        buffered.begin_buffered()
+        open_window(buffered)
         probes = probe_points(stream)
         step = max(1, len(stream) // 8)
         for lo in range(0, len(stream), step):
@@ -92,7 +106,7 @@ class TestBufferedTwins:
             # its window is still open; answers must already agree.
             for key, t in probes:
                 assert buffered.query(key, t) == direct.query(key, t)
-        buffered.end_buffered()
+        close_window(buffered)
         for key, t in probes:
             assert buffered.query(key, t) == direct.query(key, t)
 
@@ -101,10 +115,10 @@ class TestBufferedTwins:
         direct, buffered = build(capacity=5), build(capacity=5)
         for key, t, value in stream:
             direct.insert(key, t, value)
-        buffered.begin_buffered()
+        open_window(buffered)
         for key, t, value in stream:
             buffered.insert(key, t, value)
-        buffered.end_buffered()
+        close_window(buffered)
         assert buffered.counters == direct.counters
         assert buffered.page_ids() == direct.page_ids()
 
@@ -112,10 +126,45 @@ class TestBufferedTwins:
 class TestWindowLifecycle:
     def test_windows_do_not_nest(self):
         tree = build()
-        tree.begin_buffered()
+        open_window(tree)
         with pytest.raises(ValueError):
             tree.begin_buffered()
-        tree.end_buffered()
+        close_window(tree)
+
+    def test_window_needs_the_pools_batch_window(self):
+        tree = build()
+        with pytest.raises(ValueError, match="batch window"):
+            tree.begin_buffered()
+        tree.insert(5, 1, 1.0)  # no window was left half-open
+        assert tree.query(5, 1) == 1.0
+
+    def test_a_reader_thread_cannot_drain_the_writers_window(self):
+        """The drain barrier mutates the tree; only the thread that
+        opened the window may cross it.  A reader that overlapped the
+        window is refused before it touches anything."""
+        tree = build()
+        window = open_window(tree)
+        for key, t, value in random_stream(2, count=50):
+            tree.insert(key, t, value)
+        raised = []
+
+        def reader():
+            for ask in (lambda: tree.query(10, 3),
+                        lambda: tree.query_batch([(10, 3), (20, 5)])):
+                try:
+                    ask()
+                except ConcurrentAccessError as exc:
+                    raised.append(exc)
+
+        thread = threading.Thread(target=reader)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert len(raised) == 2
+        assert (window.drains, window.leaf_flushes) == (0, 0)
+        tree.query(10, 3)  # the owner still reads through the barrier
+        assert window.drains == 1
+        close_window(tree)
 
     def test_end_without_begin_raises(self):
         with pytest.raises(ValueError):
@@ -125,14 +174,14 @@ class TestWindowLifecycle:
         tree = build()
         stream = random_stream(5, count=200)
         half = len(stream) // 2
-        tree.begin_buffered()
+        open_window(tree)
         for key, t, value in stream[:half]:
             tree.insert(key, t, value)
-        tree.end_buffered()
-        tree.begin_buffered()
+        close_window(tree)
+        open_window(tree)
         for key, t, value in stream[half:]:
             tree.insert(key, t, value)
-        tree.end_buffered()
+        close_window(tree)
         direct = build()
         for key, t, value in stream:
             direct.insert(key, t, value)
@@ -146,7 +195,7 @@ class TestDurability:
         stream = random_stream(13, count=400)
         half = len(stream) // 2
         tree = build()
-        tree.begin_buffered()
+        open_window(tree)
         for key, t, value in stream[:half]:
             tree.insert(key, t, value)
         tree.save(str(tmp_path / "ck"))
@@ -162,7 +211,7 @@ class TestDurability:
         # The original window is still open and keeps absorbing.
         for key, t, value in stream[half:]:
             tree.insert(key, t, value)
-        tree.end_buffered()
+        close_window(tree)
         direct = build()
         for key, t, value in stream:
             direct.insert(key, t, value)
@@ -175,10 +224,10 @@ class TestDurability:
         disk = FileDiskManager(str(tmp_path / "pages.db"),
                                page_bytes=512, default_capacity=6)
         buffered = build(capacity=6, pool_pages=16, disk=disk)
-        buffered.begin_buffered()
+        open_window(buffered)
         for key, t, value in stream:
             buffered.insert(key, t, value)
-        buffered.end_buffered()
+        close_window(buffered)
         buffered.pool.flush_all()
         buffered.pool.clear()  # every later read decodes from the file
 
@@ -206,7 +255,7 @@ def test_buffered_matches_oracle(stream, key, t):
     tree = MVSBT(pool, MVSBTConfig(capacity=5, strong_factor=0.8),
                  key_space=(1, 120))
     oracle = DominanceSumOracle()
-    tree.begin_buffered()
+    open_window(tree)
     now = 1
     for k, dt, value in stream:
         now += dt
@@ -214,6 +263,6 @@ def test_buffered_matches_oracle(stream, key, t):
         oracle.insert(k, now, float(value))
     key = min(key, 119)
     assert tree.query(key, t) == pytest.approx(oracle.query(key, t))
-    tree.end_buffered()
+    close_window(tree)
     assert tree.query(key, t) == pytest.approx(oracle.query(key, t))
     tree.check_invariants()

@@ -6,10 +6,13 @@ efficiency for obvious correctness.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.model import NOW
+from repro.mvbt import tree as mvbt_tree
+from repro.mvsbt.tree import MVSBT
 
 
 @dataclass
@@ -113,3 +116,31 @@ class TupleStoreOracle:
             (k, s, e, v) for (k, s, e, v) in self.tuples
             if low <= k < high and s < t_end and e > t_start
         ]
+
+
+@contextmanager
+def reference_kernels():
+    """Run tree updates inside the block through the reference kernels.
+
+    A logical-mode MVSBT insertion runs Appendix A's transcription
+    (``_apply_at_lowest`` / ``_apply_at_parent`` / ``_merge_around``)
+    instead of the incremental-mirror kernel production always runs, and
+    the MVBT re-sorts a leaf's alive mirror on every access instead of
+    trusting the one its updates keep current.  This is the only way to
+    reach either: no constructor, config or public method selects them.
+    """
+    mirror_kernel = MVSBT._mirror_at_lowest, MVSBT._mirror_at_parent
+    kept_mirror = mvbt_tree._mirror
+
+    def rebuilt_mirror(page):
+        page.cache = None
+        return kept_mirror(page)
+
+    MVSBT._mirror_at_lowest = MVSBT._apply_at_lowest
+    MVSBT._mirror_at_parent = MVSBT._apply_at_parent
+    mvbt_tree._mirror = rebuilt_mirror
+    try:
+        yield
+    finally:
+        MVSBT._mirror_at_lowest, MVSBT._mirror_at_parent = mirror_kernel
+        mvbt_tree._mirror = kept_mirror

@@ -47,8 +47,7 @@ class TestCachedWriterReaderStress:
             return fn(kr.low, kr.high, 1, snap + 1)
 
         sharded = ShardedWarehouse(shards=4, key_space=KEY_SPACE,
-                                   page_capacity=8, thread_safe=True,
-                                   buffer_policy="2q")
+                                   page_capacity=8, thread_safe=True)
         sharded.enable_cache()
 
         watermark = {"t": 0}

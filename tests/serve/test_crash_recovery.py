@@ -118,74 +118,3 @@ class TestKillNine:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
-
-
-class TestBufferPolicySurvivesCheckpoint:
-    """``buffer_policy`` configures the process, not the data: a shard
-    restored from a checkpoint must get the configured pools, exactly
-    like a freshly created one."""
-
-    @staticmethod
-    def _policies(warehouse):
-        return (warehouse.tuples.pool.policy,
-                warehouse.aggregates.pool.policy)
-
-    def test_thread_backend_reopens_with_the_configured_policy(
-            self, tmp_path):
-        durable = str(tmp_path / "wh")
-        for _boot in range(2):  # fresh, then restored from the checkpoint
-            warehouse = ShardedWarehouse.open_durable(
-                durable, shards=2, key_space=(1, 1001), buffer_policy="2q")
-            try:
-                assert [self._policies(shard)
-                        for shard in warehouse.shards] == [("2q", "2q")] * 2
-                warehouse.insert(7 + _boot, 1.0, 1 + _boot)
-                warehouse.checkpoint()
-            finally:
-                warehouse.close()
-        assert os.path.exists(os.path.join(durable, "shard-00", "CURRENT"))
-
-    def test_process_backend_workers_restore_with_the_configured_policy(
-            self, tmp_path):
-        from repro.serve.procpool import (ProcessShardedWarehouse,
-                                          _build_warehouse)
-
-        durable = str(tmp_path / "wh")
-        pool = ProcessShardedWarehouse(
-            shards=2, key_space=(1, 1001), durable_dir=durable,
-            buffer_policy="2q")
-        try:
-            pool.insert(7, 1.0, 1)
-            pool.insert(900, 1.0, 2)
-            pool.checkpoint()
-            specs = [pool.handle(sid).spec for sid in pool.shard_ids()]
-        finally:
-            pool.close()
-        # What a (re)spawned worker runs, in this process so the pools
-        # are inspectable: checkpoint + WAL recovery under the spec.
-        for spec in specs:
-            warehouse = _build_warehouse(spec)
-            try:
-                assert self._policies(warehouse) == ("2q", "2q")
-                assert warehouse.now >= 1
-            finally:
-                warehouse.close()
-
-    def test_default_stays_lru(self, tmp_path):
-        assert recovered_policies(str(tmp_path / "wh")) == ("lru", "lru")
-
-
-def recovered_policies(durable_dir):
-    from repro.core.warehouse import TemporalWarehouse
-
-    for _boot in range(2):
-        warehouse = TemporalWarehouse.open_durable(durable_dir,
-                                                   key_space=(1, 1001))
-        try:
-            policies = (warehouse.tuples.pool.policy,
-                        warehouse.aggregates.pool.policy)
-            warehouse.insert(5 + _boot, 1.0, 1 + _boot)
-            warehouse.checkpoint()
-        finally:
-            warehouse.close()
-    return policies

@@ -8,11 +8,15 @@ ingestion.
 
 from __future__ import annotations
 
+import functools
 import random
+import threading
 
 import pytest
 
 from repro.core.model import Interval, KeyRange
+from repro.errors import ConcurrentAccessError
+from repro.mvsbt.tree import MVSBT
 from repro.serve.client import Client
 from repro.serve.procpool import ProcessShardedWarehouse
 from repro.serve.server import ServerConfig, serve_in_thread
@@ -59,6 +63,74 @@ class TestShardedBuffered:
         for key_range, interval in _rectangles(now, 20, 43):
             assert repr(buffered.sum(key_range, interval)) == repr(
                 direct.sum(key_range, interval))
+
+    def test_read_overlapping_a_buffered_load_never_drains_the_window(self):
+        """A latch-free reader that started before a buffered LOAD opened
+        its window must not cross the drain barrier from its own thread:
+        it is refused, counts as a torn read, and comes back with the
+        pre- or post-load answer."""
+        events, now = _events(KEYS, 71)
+        first, rest = events[:20], events[20:]
+        key_range = KeyRange(1, KEYS // 2)
+        interval = Interval(1, now + 2)
+        reference = ShardedWarehouse(shards=2, key_space=KEY_SPACE)
+        reference.load_events(first)
+        allowed = {repr(reference.sum(key_range, interval))}
+        reference.load_events(rest)
+        allowed.add(repr(reference.sum(key_range, interval)))
+
+        sharded = ShardedWarehouse(shards=2, key_space=KEY_SPACE,
+                                   thread_safe=True)
+        sharded.load_events(first)
+        shard = sharded.shards[0]
+        reader_inside, window_open = threading.Event(), threading.Event()
+        reader_refused = threading.Event()
+        real_aggregate = shard.aggregate
+        drainers = set()
+
+        def paused_aggregate(*args):
+            # First attempt only: hold an optimistic traversal open (even
+            # epoch captured, no lock) until the writer's window exists.
+            if not reader_inside.is_set():
+                reader_inside.set()
+                assert window_open.wait(10)
+                try:
+                    return real_aggregate(*args)
+                except ConcurrentAccessError:
+                    reader_refused.set()
+                    raise
+            return real_aggregate(*args)
+
+        def window_then_wait(tree, *args):
+            window = MVSBT.begin_buffered(tree, *args)
+            drain = window.drain
+
+            def recorded_drain():
+                drainers.add(threading.get_ident())
+                drain()
+
+            window.drain = recorded_drain
+            if not window_open.is_set():
+                window_open.set()
+                assert reader_refused.wait(10)
+            return window
+
+        shard.aggregate = paused_aggregate
+        for lkst, lklt in shard.aggregates.trees().values():
+            for tree in (lkst, lklt):
+                tree.begin_buffered = functools.partial(window_then_wait,
+                                                        tree)
+        answers = []
+        reader = threading.Thread(target=lambda: answers.append(
+            repr(sharded.sum(key_range, interval))))
+        reader.start()
+        assert reader_inside.wait(10)
+        sharded.load_events(rest, mode="buffered")
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert reader_refused.is_set()
+        assert answers and answers[0] in allowed
+        assert drainers <= {threading.get_ident()}
 
     def test_process_backend_buffered_matches_and_counts_bytes(self):
         events, now = _events(KEYS, 57)
