@@ -5,7 +5,10 @@ wrote and fails unless, in every traced pass, the workloads whose reads
 are all SUM/COUNT/AVG never plan and never retrieve: an additive read
 is Equation (1) on the MVSBTs and nothing else.  The three numbers are
 counts or spans that are exactly zero (or one) when that holds, so the
-check means the same on a 2-core runner as on a workstation.
+check means the same on a 2-core runner as on a workstation.  One more
+counter rides along: ``ingest_bulk``'s loads must report the pages they
+flushed — it reads 0 exactly when a buffer-tree window's closing
+write-back falls out of the ``IngestReport`` again.
 
     python .github/scripts/check_read_budget.py /tmp/stack-smoke.json
 """
@@ -37,6 +40,12 @@ def main() -> int:
                 if got != want and (workload, name) not in NOT_ABOUT_READS:
                     failures.append(f"pass {number} {workload}: "
                                     f"{name} = {got}, expected {want}")
+        flushed = one_pass["workloads"]["ingest_bulk"]["per_layer"][
+            "metrics"]["core.ingest.flushed_pages_per_kevent"]["value"]
+        if not flushed > 0:
+            failures.append(f"pass {number} ingest_bulk: core.ingest."
+                            f"flushed_pages_per_kevent = {flushed}, "
+                            f"expected > 0")
     for line in failures:
         print(line, file=sys.stderr)
     print(f"read budget: {len(passes)} pass(es), {len(WORKLOADS)} workloads, "

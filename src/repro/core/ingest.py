@@ -14,9 +14,17 @@ and a load all run the same insert kernel, so page contents are
 **bit-identical** to event-at-a-time ingestion — the loader changes when
 dirty pages are *written*, never what is stored — and query answers and
 query-phase I/O counts are unchanged.  The metamorphic tests in
-``tests/core/test_ingest.py`` enforce exactly that.  Under
-``mode="buffered"`` the loader additionally opens the MVSBT buffer-tree
-window (:meth:`~repro.mvsbt.tree.MVSBT.begin_buffered`).
+``tests/core/test_ingest.py`` enforce exactly that.
+
+A load of at least :data:`BUFFERED_MIN_EVENTS` events additionally opens
+the MVSBT buffer-tree window
+(:meth:`~repro.mvsbt.tree.MVSBT.begin_buffered`): batching into a
+persistent index pays once the batch is large enough to amortize the
+buffers, which is a property of the input — so the loader reads it off
+the input, and nothing outside this module can say otherwise.  The window
+changes the update-phase page transfers and leaves closed historical
+pages columnar; logical content, tree counters and every answer are the
+same on both sides of the constant.
 
 Supported targets (duck-typed, so wrappers compose):
 
@@ -39,6 +47,11 @@ from repro.storage.buffer import BufferPool
 #: Events applied between two coalesced flushes; large enough to amortize
 #: the window bookkeeping, small enough to bound dirty-page residency.
 DEFAULT_BATCH_SIZE = 1024
+
+#: Smallest load that opens the buffer-tree window.  Below it the window's
+#: fixed cost (sealing the frontier, restoring it at close) outweighs the
+#: amortized descents; the sweep that places it is ``EXPERIMENTS.md`` A12.
+BUFFERED_MIN_EVENTS = 256
 
 
 class LoadEvent(NamedTuple):
@@ -99,7 +112,8 @@ class IngestReport:
     #: Dirty pages written across all ``flush_batch`` calls.
     flushed_pages: int = 0
     #: Events absorbed while at least one buffer-tree ingest window was
-    #: open (``mode="buffered"``); summable across shard reports.
+    #: open (a load of :data:`BUFFERED_MIN_EVENTS` or more); summable
+    #: across shard reports.
     buffered_events: int = 0
 
 
@@ -113,69 +127,54 @@ class BatchLoader:
         its underlying trees and buffer pools are discovered automatically.
     batch_size:
         Events applied between two coalesced write-backs.
-    mode:
-        ``"direct"`` (default) applies each event as it arrives;
-        ``"buffered"`` additionally opens a buffer-tree ingest window
-        (:meth:`~repro.mvsbt.tree.MVSBT.begin_buffered`) on every MVSBT
-        behind the target.  Buffered trees absorb updates into bounded
-        in-page buffers and flush them downward in sorted batches; the
-        write-back happens once, streamed at window close, instead of
-        once per chunk.  Answers are byte-identical either way.
 
-    The loader is also a context manager: entering opens the windows for
-    manual event application, leaving closes them and flushes.
-    :meth:`load` manages the windows itself.
+    :meth:`load` picks the ingest path from the size of the batch it is
+    handed: at least :data:`BUFFERED_MIN_EVENTS` events open a buffer-tree
+    window (:meth:`~repro.mvsbt.tree.MVSBT.begin_buffered`) on every
+    logical-mode MVSBT behind the target — updates are absorbed into
+    bounded in-page buffers and flushed downward in sorted batches, and
+    the write-back happens once, at window close, instead of once per
+    chunk.  A smaller load opens the pools' write-coalescing window only.
+    Answers are byte-identical either way.
+
+    The loader is also a context manager: entering opens the pools'
+    windows for manual event application (size unknown, so no buffer-tree
+    window), leaving closes them and flushes.
     """
 
     def __init__(self, target: Any,
-                 batch_size: int = DEFAULT_BATCH_SIZE,
-                 mode: str = "direct") -> None:
+                 batch_size: int = DEFAULT_BATCH_SIZE) -> None:
         if batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {batch_size}")
-        if mode not in ("direct", "buffered"):
-            raise ValueError(f"unknown ingest mode {mode!r}")
         self.target = target
         self.batch_size = batch_size
-        self.mode = mode
         self._pools = _discover_pools(target)
-        self._bufferable = _discover_mvsbts(target) \
-            if mode == "buffered" else []
-        #: Buffered windows opened by each nesting level of ``with self``
-        #: (:meth:`load` inside a manual window re-enters).
-        self._opened: List[List[Any]] = []
 
     # -- window management ------------------------------------------------------
 
     def __enter__(self) -> "BatchLoader":
         for pool in self._pools:
             pool.begin_batch()
-        opened: List[Any] = []
-        for tree in self._bufferable:
-            try:
-                tree.begin_buffered()
-            except ValueError:
-                # No window for this tree: it is already inside one (an
-                # outer level's; inserts keep routing through that
-                # buffer) or runs the physical value mode (direct path).
-                continue
-            opened.append(tree)
-        self._opened.append(opened)
         return self
 
     def __exit__(self, *exc: object) -> None:
-        try:
-            # Finalizing dirties the frontier pages it restores, so the
-            # buffered windows close inside the pools' windows.
-            for tree in self._opened.pop():
-                tree.end_buffered()
-        finally:
-            for pool in self._pools:
-                pool.end_batch()
+        for pool in self._pools:
+            pool.end_batch()
 
-    @property
-    def _buffering(self) -> bool:
-        """True while any level holds a buffered window open."""
-        return any(self._opened)
+    def _begin_buffered(self) -> List[Any]:
+        """Open the buffer-tree window on every tree that takes one;
+        returns those trees (call inside the pools' windows)."""
+        opened: List[Any] = []
+        for tree in _discover_mvsbts(self.target):
+            try:
+                tree.begin_buffered()
+            except ValueError:
+                # No window for this tree: it is already inside one
+                # (inserts keep routing through that buffer) or runs the
+                # physical value mode (direct path).
+                continue
+            opened.append(tree)
+        return opened
 
     # -- bulk application -------------------------------------------------------
 
@@ -184,9 +183,22 @@ class BatchLoader:
 
         Each event needs ``op`` (``"insert"``/``"delete"``), ``key``,
         ``value`` and ``time`` attributes (:class:`~repro.workloads.generator.UpdateEvent`
-        qualifies).  Raises :class:`ValueError` on an out-of-order timestamp
-        or unknown ``op`` before the offending event is applied.
+        qualifies).  All-or-nothing on the batch's shape: raises
+        :class:`ValueError` on an out-of-order timestamp or unknown ``op``
+        before anything is applied.
         """
+        if not isinstance(events, (list, tuple)):
+            events = list(events)
+        last_time = None
+        for event in events:
+            if event.op not in ("insert", "delete"):
+                raise ValueError(f"unknown event op {event.op!r}")
+            if last_time is not None and event.time < last_time:
+                raise ValueError(
+                    f"event stream not chronological: t={event.time} "
+                    f"after t={last_time}"
+                )
+            last_time = event.time
         tracer = self._tracer()
         if tracer.enabled:
             with tracer.span("ingest.load", batch_size=self.batch_size):
@@ -197,34 +209,34 @@ class BatchLoader:
         """The tracer shared by the discovered pools (null when detached)."""
         return self._pools[0].tracer if self._pools else NULL_TRACER
 
-    def _load(self, events: Iterable[Any]) -> IngestReport:
+    def _load(self, events: Sequence[Any]) -> IngestReport:
         """The chunking loop behind :meth:`load`."""
         report = IngestReport()
         with self:
-            chunk: List[Any] = []
-            last_time = None
-            for event in events:
-                if last_time is not None and event.time < last_time:
-                    raise ValueError(
-                        f"event stream not chronological: t={event.time} "
-                        f"after t={last_time}"
-                    )
-                if event.op not in ("insert", "delete"):
-                    raise ValueError(f"unknown event op {event.op!r}")
-                last_time = event.time
-                chunk.append(event)
-                if len(chunk) >= self.batch_size:
-                    self._apply_chunk(chunk, report)
-                    chunk = []
-            if chunk:
-                self._apply_chunk(chunk, report)
+            buffered = self._begin_buffered() \
+                if len(events) >= BUFFERED_MIN_EVENTS else []
+            try:
+                # A buffered window defers all write-back to its close;
+                # a per-chunk flush would write sealed pages that the
+                # very next chunk dirties again.
+                for lo in range(0, len(events), self.batch_size):
+                    self._apply_chunk(events[lo:lo + self.batch_size],
+                                      report, flush=not buffered)
+                if buffered:
+                    report.buffered_events = report.events
+            finally:
+                # Finalizing dirties the frontier pages it restores, so
+                # the buffered windows close inside the pools' windows
+                # and the closing write-back is counted here.
+                if buffered:
+                    for tree in buffered:
+                        tree.end_buffered()
+                    with self._tracer().span("ingest.flush"):
+                        self._flush_pools(report)
         return report
 
-    def _apply_chunk(self, chunk: List[Any], report: IngestReport) -> None:
-        # Buffered windows defer all write-back to the streaming flush at
-        # window close; a per-chunk flush would write sealed pages that
-        # the very next chunk dirties again.
-        flush = not self._buffering
+    def _apply_chunk(self, chunk: Sequence[Any], report: IngestReport,
+                     flush: bool) -> None:
         tracer = self._tracer()
         if tracer.enabled:
             with tracer.span("ingest.chunk", events=len(chunk)):
@@ -237,7 +249,8 @@ class BatchLoader:
         if flush:
             self._flush_pools(report)
 
-    def _apply_events(self, chunk: List[Any], report: IngestReport) -> None:
+    def _apply_events(self, chunk: Sequence[Any],
+                      report: IngestReport) -> None:
         """Route one chunk's events through the target's update API."""
         target = self.target
         for event in chunk:
@@ -249,8 +262,6 @@ class BatchLoader:
                 report.deletes += 1
         report.events += len(chunk)
         report.batches += 1
-        if self._buffering:
-            report.buffered_events += len(chunk)
 
     def _flush_pools(self, report: IngestReport) -> None:
         """One coalesced write-back per discovered pool."""
@@ -259,10 +270,9 @@ class BatchLoader:
 
 
 def batch_replay(target: Any, events: Iterable[Any],
-                 batch_size: int = DEFAULT_BATCH_SIZE,
-                 mode: str = "direct") -> IngestReport:
-    """One-shot convenience: ``BatchLoader(target, batch_size, mode).load(events)``."""
-    return BatchLoader(target, batch_size, mode=mode).load(events)
+                 batch_size: int = DEFAULT_BATCH_SIZE) -> IngestReport:
+    """One-shot convenience: ``BatchLoader(target, batch_size).load(events)``."""
+    return BatchLoader(target, batch_size).load(events)
 
 
 def _owners(target: Any) -> List[Any]:

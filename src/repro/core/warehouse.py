@@ -106,6 +106,9 @@ class TemporalWarehouse:
     #: Accounting for :meth:`aggregate_batch` sweeps; class attribute so
     #: ``cls.__new__``-built warehouses degrade to unaccounted batches.
     batch_stats = None
+    #: Records applied so far by the :meth:`load_events` in flight on a
+    #: durable warehouse (one WAL append per load); ``None`` otherwise.
+    _load_log = None
 
     def __init__(self, key_space: Tuple[int, int] = (1, MAX_KEY + 1),
                  page_capacity: int = 32, buffer_pages: int = 64,
@@ -136,7 +139,7 @@ class TemporalWarehouse:
         self.aggregates.insert(key, value, t)
         self.write_epoch += 1
         if self._wal is not None:
-            self._wal.append("insert", key, value, t)
+            self._log("insert", key, value, t)
 
     def delete(self, key: int, t: int) -> float:
         """Logically delete the alive tuple with ``key`` at ``t``."""
@@ -144,8 +147,16 @@ class TemporalWarehouse:
         self.aggregates.delete(key, t)
         self.write_epoch += 1
         if self._wal is not None:
-            self._wal.append("delete", key, value, t)
+            self._log("delete", key, value, t)
         return value
+
+    def _log(self, op: str, key: int, value: float, t: int) -> None:
+        """One applied update to the WAL — or, inside :meth:`load_events`,
+        to the batch the load appends when it returns."""
+        if self._load_log is not None:
+            self._load_log.append((op, key, value, t))
+        else:
+            self._wal.append(op, key, value, t)
 
     def update(self, key: int, value: float, t: int) -> None:
         """Replace the alive tuple's value at ``t``."""
@@ -203,39 +214,45 @@ class TemporalWarehouse:
                 self._wal.append_batch(logged)
         return results
 
-    def load_events(self, events, batch_size: Optional[int] = None,
-                    mode: str = "direct"):
+    def load_events(self, events, batch_size: Optional[int] = None):
         """Bulk-apply a chronological event batch in coalesced chunks.
 
-        Thin wrapper over :class:`~repro.core.ingest.BatchLoader` — page
-        contents come out bit-identical to event-at-a-time ingestion
-        (the same insert kernel runs), but write-backs are coalesced
-        inside the pools' batch windows.  ``mode="buffered"``
-        additionally opens buffer-tree ingest windows on the aggregate
-        MVSBTs (the tuple MVBT takes each event directly); query
-        *answers* stay byte-identical, page I/O schedules do not.
-        Updates still reach the WAL one event at a time
-        (``insert``/``delete`` below are the loader's only entry points)
-        in either mode, so durability is unchanged — a crash mid-flush
-        recovers by WAL replay.  Returns the
-        :class:`~repro.core.ingest.IngestReport`.
+        Thin wrapper over :class:`~repro.core.ingest.BatchLoader`: the
+        same insert kernel runs as for event-at-a-time ingestion, with
+        write-backs coalesced inside the pools' batch windows, and a
+        batch of :data:`~repro.core.ingest.BUFFERED_MIN_EVENTS` events or
+        more goes through buffer-tree ingest windows on the aggregate
+        MVSBTs (the tuple MVBT takes each event directly) — query
+        *answers* are byte-identical on both sides of the constant, page
+        I/O schedules are not.  The applied events reach the WAL in one
+        :meth:`~repro.storage.wal.WriteAheadLog.append_batch` (same
+        records, same order as ``insert``/``delete`` would log; if the
+        load raises midway the applied prefix is still logged first, so
+        memory and log never diverge) — a crash mid-load recovers by WAL
+        replay.  Returns the :class:`~repro.core.ingest.IngestReport`.
         """
         from repro.core.ingest import (BatchLoader, DEFAULT_BATCH_SIZE,
                                        coerce_events)
 
-        loader = BatchLoader(self, batch_size or DEFAULT_BATCH_SIZE,
-                             mode=mode)
-        return loader.load(coerce_events(events))
+        loader = BatchLoader(self, batch_size or DEFAULT_BATCH_SIZE)
+        events = coerce_events(events)
+        if self._wal is None:
+            return loader.load(events)
+        self._load_log = applied = []
+        try:
+            return loader.load(events)
+        finally:
+            self._load_log = None
+            self._wal.append_batch(applied)
 
     def load_events_packed(self, blob: bytes,
-                           batch_size: Optional[int] = None,
-                           mode: str = "direct"):
+                           batch_size: Optional[int] = None):
         """:meth:`load_events` over a :func:`~repro.storage.serialization.pack_events`
         blob — the procpool LOAD RPC ships one packed columnar buffer per
         shard instead of a list of per-event tuples."""
         from repro.storage.serialization import unpack_events
 
-        return self.load_events(unpack_events(blob), batch_size, mode)
+        return self.load_events(unpack_events(blob), batch_size)
 
     def __reduce__(self):
         # Warehouses hold buffer pools, file handles and lambdas; shipping

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left, bisect_right
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.core.model import NOW
 from repro.errors import (
@@ -72,30 +72,25 @@ from repro.mvsbt.records import LEAF_KIND
 from repro.storage.page import Page
 
 #: Intake triples buffered before a drain pass.
-DEFAULT_INTAKE_LIMIT = 8192
+INTAKE_LIMIT = 8192
 #: Hard cap on one leaf's pending buffer (the capacity guard usually
 #: binds first; this bounds pathological all-one-leaf workloads).
-DEFAULT_PENDING_LIMIT = 64
+PENDING_LIMIT = 64
 
 
 class MVSBTIngestBuffer:
     """The buffered-window ingestion engine attached to one MVSBT."""
 
-    def __init__(self, tree, intake_limit: int = DEFAULT_INTAKE_LIMIT,
-                 pending_limit: int = DEFAULT_PENDING_LIMIT) -> None:
+    def __init__(self, tree) -> None:
         if not tree.config.logical_split:
             raise ValueError(
                 "buffered ingestion requires the logical (delta) value "
                 "semantics; physical mode has no mirror kernel to twin"
             )
-        if intake_limit < 1 or pending_limit < 1:
-            raise ValueError("intake and pending limits must be >= 1")
         self.tree = tree
         #: The thread that opened the window; the only one whose reads may
         #: cross the drain barrier (see :meth:`query`).
         self._owner = threading.get_ident()
-        self.intake_limit = intake_limit
-        self.pending_limit = pending_limit
         self._intake: List[Tuple[int, int, float]] = []
         #: Sealed pages by id.  Double duty: the routing pass resolves page
         #: ids here before falling back to the pool (sealed pages are
@@ -130,7 +125,7 @@ class MVSBTIngestBuffer:
         if tree.memo is not None:
             tree._memo_epoch += 1
         self._intake.append((key, t, value))
-        if len(self._intake) >= self.intake_limit:
+        if len(self._intake) >= INTAKE_LIMIT:
             self.drain()
 
     def drain(self) -> None:
@@ -210,7 +205,7 @@ class MVSBTIngestBuffer:
         """Queue the leaf-level work, or flush-and-apply when full."""
         pending = block.pending
         n = len(pending)
-        if n < self.pending_limit and \
+        if n < PENDING_LIMIT and \
                 block.count + 2 * n + 2 <= self._capacity:
             pending.append((key, t, value))
             self.deposited += 1

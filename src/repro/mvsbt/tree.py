@@ -169,8 +169,7 @@ class MVSBT:
     def root_id(self) -> int:
         return self.roots.latest.root_id
 
-    def begin_buffered(self, intake_limit: Optional[int] = None,
-                       pending_limit: Optional[int] = None):
+    def begin_buffered(self):
         """Open a buffered-ingest window (buffer-tree path; not nestable).
 
         Insertions are absorbed by a root intake buffer and routed through
@@ -188,22 +187,14 @@ class MVSBT:
         :class:`~repro.core.ingest.BatchLoader` opens both, a direct
         caller opens the pool's first and closes it last.
         """
-        from repro.mvsbt.buffered import (
-            DEFAULT_INTAKE_LIMIT,
-            DEFAULT_PENDING_LIMIT,
-            MVSBTIngestBuffer,
-        )
+        from repro.mvsbt.buffered import MVSBTIngestBuffer
 
         if self._buffer is not None:
             raise ValueError("begin_buffered() inside an open window")
         if not self.pool.in_batch:
             raise ValueError(
                 "begin_buffered() outside the pool's batch window")
-        self._buffer = MVSBTIngestBuffer(
-            self,
-            intake_limit or DEFAULT_INTAKE_LIMIT,
-            pending_limit or DEFAULT_PENDING_LIMIT,
-        )
+        self._buffer = MVSBTIngestBuffer(self)
         return self._buffer
 
     def end_buffered(self) -> None:

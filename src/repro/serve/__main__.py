@@ -61,11 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="process executor: max consecutive reads a "
                              "shard worker answers in one shared-scan "
                              "pass (1 disables batching)")
-    parser.add_argument("--ingest", choices=("direct", "buffered"),
-                        default="direct",
-                        help="default LOAD mode: direct batch kernels, or "
-                             "the buffer-tree ingest path (amortized bulk "
-                             "inserts; per-request \"mode\" overrides)")
     parser.add_argument("--trace-sample-rate", type=float, default=0.0,
                         help="fraction of requests recorded by the "
                              "distributed tracer (0.0 disables sampling; "
@@ -147,7 +142,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         cache_result_entries=args.cache_result_entries,
         cache_memo_entries=args.cache_memo_entries,
         executor=args.executor, scan_batch=args.scan_batch,
-        ingest=args.ingest,
         trace_sample_rate=args.trace_sample_rate,
         trace_path=args.trace_out, trace_max_bytes=args.trace_max_bytes,
         metrics_port=args.metrics_port, slow_ms=args.slow_ms,

@@ -171,27 +171,23 @@ class Client:
         """Occupy one execution slot for ``seconds`` (diagnostics)."""
         return self.request({"op": "sleep", "seconds": seconds})["result"]
 
-    def load(self, events: Any, batch_size: int = 1024,
-             mode: Optional[str] = None) -> Dict[str, Any]:
+    def load(self, events: Any, batch_size: int = 1024) -> Dict[str, Any]:
         """Bulk-ingest a chronologically sorted event batch.
 
         ``events`` is a sequence of ``(op, key, value, time)`` rows (or
         objects with those attributes); returns the merged ingest report
-        dict.  Under the process executor the per-shard partitions load
-        concurrently.  ``mode`` overrides the server's configured ingest
-        path per request (``"direct"`` or ``"buffered"``); ``None`` keeps
-        the server default (``--ingest``).
+        dict (``buffered_events`` says how many went through a
+        buffer-tree window — each shard decides from the size of its
+        part).  Under the process executor the per-shard partitions load
+        concurrently.
         """
         rows = [
             [e.op, e.key, getattr(e, "value", 0.0), e.time]
             if hasattr(e, "op") else list(e)
             for e in events
         ]
-        message: Dict[str, Any] = {"op": "load", "events": rows,
-                                   "batch_size": batch_size}
-        if mode is not None:
-            message["mode"] = mode
-        return self.request(message)["result"]
+        return self.request({"op": "load", "events": rows,
+                             "batch_size": batch_size})["result"]
 
     def respawn(self, shard: int) -> Dict[str, Any]:
         """Replace a dead shard worker (process executor only)."""

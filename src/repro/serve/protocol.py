@@ -33,12 +33,12 @@ Ops:
     control and timeouts testable; subject to both).
 ``load``
     Bulk-ingest a chronologically sorted batch of ``[op, key, value,
-    time]`` rows (``events`` field, optional ``batch_size`` and ``mode``
-    — ``"direct"`` or ``"buffered"``, defaulting to the server's
-    ``--ingest`` setting).  The batch is partitioned by shard key range;
-    under the process executor every partition crosses the worker pipe
-    as one packed columnar buffer and loads concurrently.  Returns the
-    merged ingest report (including ``buffered_events``).
+    time]`` rows (``events`` field, optional ``batch_size``).  The batch
+    is partitioned by shard key range; under the process executor every
+    partition crosses the worker pipe as one packed columnar buffer and
+    loads concurrently.  Returns the merged ingest report
+    (``buffered_events``: how many events went through a buffer-tree
+    window — each shard decides from the size of its part).
 ``respawn``
     Replace a dead shard worker (``shard`` field; process executor
     only).  Durable shards recover via WAL replay in the fresh worker.

@@ -74,7 +74,6 @@ from repro.serve.procpool import (
     _serve_traced,
 )
 from repro.storage.wal import WALCursor
-from repro.workloads.generator import UpdateEvent
 
 
 @dataclass(frozen=True)
@@ -159,14 +158,6 @@ class ReplicaApplier:
 
     # -- log application ---------------------------------------------------------------
 
-    def _apply(self, event: UpdateEvent) -> None:
-        # The replica warehouse has no WAL attached, so nothing is
-        # re-logged; write_epoch bumps keep its read caches honest.
-        if event.op == "insert":
-            self.warehouse.insert(event.key, event.value, event.time)
-        else:
-            self.warehouse.delete(event.key, event.time)
-
     def catch_up(self, min_seq: Optional[int] = None,
                  timeout: float = 5.0,
                  poll_interval: float = 0.01) -> int:
@@ -188,10 +179,13 @@ class ReplicaApplier:
             except WALTruncatedError:
                 self._rebase()
                 continue
-            for seq, event in records:
-                self._apply(event)
-                self.applied_seq = seq
             if records:
+                # A load like any other: the replica warehouse picks the
+                # ingest path from what the poll shipped.  It has no WAL
+                # attached, so nothing is re-logged; write_epoch bumps
+                # keep its read caches honest.
+                self.warehouse.load_events([e for _seq, e in records])
+                self.applied_seq = records[-1][0]
                 continue  # drain until the file is quiet
             if min_seq is None or self.applied_seq >= min_seq:
                 return self.applied_seq

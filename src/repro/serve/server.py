@@ -119,8 +119,6 @@ class ServerConfig:
     cache_memo_entries: int = 8192     # per-shard MVSBT path-memo capacity
     executor: str = "thread"           # "thread" (default) or "process"
     scan_batch: int = 8                # procpool shared-scan batch ceiling
-    ingest: str = "direct"             # default LOAD mode ("buffered" opts
-                                       # into the buffer-tree ingest path)
     trace_sample_rate: float = 0.0     # fraction of requests traced (0: only
                                        # per-request "trace": true overrides)
     trace_path: Optional[str] = None   # JSONL sink for sampled traces
@@ -660,12 +658,6 @@ class TQLServer:
         ctx.tql = tql
         statement = self._parsed(tql)
         if isinstance(statement, LoadStatement):
-            # A plain LOAD follows the server's --ingest default; LOAD
-            # BUFFERED is explicit.
-            from dataclasses import replace as _replace
-
-            if not statement.buffered and self.config.ingest == "buffered":
-                statement = _replace(statement, buffered=True)
             return await self._all_shards_write(
                 lambda: tql_executor.execute(self.warehouse, statement),
                 ctx), None
@@ -945,13 +937,8 @@ class TQLServer:
         batch_size = message.get("batch_size", 1024)
         if not isinstance(batch_size, int) or batch_size < 1:
             raise ProtocolError('"batch_size" must be a positive integer')
-        mode = message.get("mode", self.config.ingest)
-        if mode not in ("direct", "buffered"):
-            raise ProtocolError('"mode" must be "direct" or "buffered"')
-
         report = await self._all_shards_write(
-            lambda: self.warehouse.load_events(events, batch_size, mode),
-            ctx)
+            lambda: self.warehouse.load_events(events, batch_size), ctx)
         return {
             "events": report.events, "inserts": report.inserts,
             "deletes": report.deletes, "batches": report.batches,

@@ -606,8 +606,7 @@ class ShardRouter:
             return results
 
     def load_events(self, events: Sequence[Any],
-                    batch_size: int = DEFAULT_BATCH_SIZE,
-                    mode: str = "direct") -> IngestReport:
+                    batch_size: int = DEFAULT_BATCH_SIZE) -> IngestReport:
         """Bulk-apply a chronologically sorted update batch, shard-wise.
 
         Events are ``(op, key, value, time)`` tuples or any objects with
@@ -616,8 +615,10 @@ class ShardRouter:
         driven through the shard's :class:`~repro.core.ingest.BatchLoader`
         — a per-shard subsequence of a sorted stream is itself sorted, so
         partitioning preserves the loader's chronological contract.
-        ``mode="buffered"`` selects the buffer-tree ingest path inside
-        each shard warehouse (byte-identical answers, amortized CPU).
+        Each shard warehouse picks the ingest path for the part it
+        receives (buffer-tree windows from
+        :data:`~repro.core.ingest.BUFFERED_MIN_EVENTS` events up;
+        byte-identical answers either way).
         Every partition is handed to its shard before any answer is
         awaited, so worker shards load concurrently; the whole fan-out
         runs under the topology read lock — the drain barrier that fences
@@ -640,7 +641,7 @@ class ShardRouter:
                                       []).append(event)
             pending = [
                 (sid, self._on(sid, self.handle(sid).call_async,
-                               "load_events", part, batch_size, mode))
+                               "load_events", part, batch_size))
                 for sid, part in sorted(partitions.items())
             ]
             merged = IngestReport()

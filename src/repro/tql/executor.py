@@ -126,10 +126,10 @@ def execute(warehouse: TemporalWarehouse,
         return (f"deleted key {statement.key} at t={statement.at} "
                 f"(value was {value})")
     if isinstance(statement, LoadStatement):
-        mode = "buffered" if statement.buffered else "direct"
-        report = warehouse.load_events(statement.events, mode=mode)
+        report = warehouse.load_events(statement.events)
         return (f"loaded {report.events} events ({report.inserts} inserts, "
-                f"{report.deletes} deletes, mode={mode})")
+                f"{report.deletes} deletes, {report.buffered_events} "
+                f"buffered)")
     raise QueryError(f"cannot execute {type(statement).__name__}")
 
 

@@ -17,7 +17,7 @@ KEYWORDS = {
     "SELECT", "WHERE", "AND", "KEY", "TIME", "IN", "DURING", "AT",
     "SNAPSHOT", "HISTORY", "OF", "VALUE",
     "SUM", "COUNT", "AVG", "MIN", "MAX", "TIMELINE",
-    "INSERT", "DELETE", "EXPLAIN", "LOAD", "BUFFERED",
+    "INSERT", "DELETE", "EXPLAIN", "LOAD",
 }
 
 _TOKEN_RE = re.compile(

@@ -4,7 +4,7 @@ Grammar (keywords case-insensitive; ``[a, b)`` denotes half-open)::
 
     statement  := explain | select | snapshot | history | load
     explain    := EXPLAIN select
-    load       := LOAD [BUFFERED] loadevent (',' loadevent)*
+    load       := LOAD loadevent (',' loadevent)*
     loadevent  := INSERT KEY INT VALUE NUMBER AT INT
                 | DELETE KEY INT AT INT
     select     := SELECT aggspec WHERE predicates
@@ -97,15 +97,13 @@ class ExplainStatement:
 
 @dataclass(frozen=True)
 class LoadStatement:
-    """``LOAD [BUFFERED] INSERT ..., DELETE ...`` — a bulk event batch.
+    """``LOAD INSERT ..., DELETE ...`` — a bulk event batch.
 
     ``events`` holds plain ``(op, key, value, time)`` rows in statement
-    order; ``BUFFERED`` selects the buffer-tree ingest path (byte-
-    identical answers, amortized CPU).
+    order.
     """
 
     events: Tuple[Tuple[str, int, float, int], ...]
-    buffered: bool = False
 
 
 Statement = (SelectStatement, SnapshotStatement, HistoryStatement,
@@ -300,7 +298,6 @@ class _Parser:
         return DeleteStatement(key=key, at=self._int())
 
     def _load(self) -> LoadStatement:
-        buffered = self._accept("BUFFERED") is not None
         events: List[Tuple[str, int, float, int]] = []
         while True:
             if self._accept("INSERT"):
@@ -316,7 +313,7 @@ class _Parser:
                 )
             if self._accept(",") is None:
                 break
-        return LoadStatement(events=tuple(events), buffered=buffered)
+        return LoadStatement(events=tuple(events))
 
 
 def parse(text: str):

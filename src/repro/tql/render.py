@@ -78,6 +78,5 @@ def render(statement) -> str:
                                                    at=time)))
             else:
                 rows.append(render(DeleteStatement(key=key, at=time)))
-        keyword = "LOAD BUFFERED" if statement.buffered else "LOAD"
-        return f"{keyword} " + ", ".join(rows)
+        return "LOAD " + ", ".join(rows)
     raise QueryError(f"cannot render {type(statement).__name__}")

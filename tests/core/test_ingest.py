@@ -10,7 +10,18 @@ for the MVBT; see :func:`tests.oracles.reference_kernels`): bit-identical
 page contents, identical tree counters, identical query answers, and
 identical I/O counters.  A route may only change CPU cost and write
 scheduling.
+
+The loader has two sides, chosen by the size of the load alone
+(:data:`~repro.core.ingest.BUFFERED_MIN_EVENTS`).  Below the constant all
+of the above holds bit for bit.  At and above it the buffer-tree window
+runs: closed historical pages stay columnar and page allocations
+interleave differently across the trees of one pool, so the comparison
+is the canonical tree dump, the counters, the live page count and every
+answer — page transfers are the one thing the window changes.
 """
+
+import os
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,14 +33,17 @@ from repro.bench.harness import (
     build_rta_index,
 )
 from repro.core.aggregates import AVG, COUNT, SUM
+from repro.core import ingest
 from repro.core.ingest import BatchLoader, batch_replay
 from repro.core.model import Interval, KeyRange, Rectangle
 from repro.core.rta import RTAIndex
 from repro.core.warehouse import TemporalWarehouse
+from repro.errors import DuplicateKeyError
 from repro.mvsbt.tree import MVSBT, MVSBTConfig
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import InMemoryDiskManager
 from repro.storage.serialization import encode_page_image
+from repro.storage.wal import LOG_FILE
 from repro.workloads.datasets import paper_config
 from repro.workloads.generator import (
     DatasetConfig,
@@ -41,7 +55,7 @@ from repro.workloads.queries import (
     generate_query_rectangles,
 )
 
-from tests.oracles import reference_kernels
+from tests.oracles import canonical_tree_dump, reference_kernels
 from tests.mvsbt.test_mvsbt_properties import update_streams
 from tests.test_metamorphic import op_streams
 
@@ -83,6 +97,14 @@ def build_reference(build, events):
     with reference_kernels():
         replay_sequential(reference, events)
     return reference
+
+
+def replay_below_the_constant(target, events, batch_size=1024):
+    """The stream in loads one event short of the buffer-tree window."""
+    step = ingest.BUFFERED_MIN_EVENTS - 1
+    for lo in range(0, len(events), step):
+        report = batch_replay(target, events[lo:lo + step], batch_size)
+        assert report.buffered_events == 0
 
 
 def dump_pages(pool):
@@ -140,6 +162,24 @@ def warehouse_class(**toggles):
     return Configured
 
 
+def named_trees(warehouse):
+    trees = {"tuples": warehouse.tuples}
+    for name, (lkst, lklt) in warehouse.aggregates.trees().items():
+        trees[f"{name}.lkst"], trees[f"{name}.lklt"] = lkst, lklt
+    return trees
+
+
+def raw_pages(trees):
+    """{(tree, page id): (image, header)} — the strongest equality."""
+    pages = {}
+    for name, tree in trees.items():
+        for pid in sorted(tree.page_ids()):
+            page = tree.pool.fetch(pid)
+            pages[name, pid] = (encode_page_image(page, PAGE_BYTES),
+                                sorted(page.meta.items()))
+    return pages
+
+
 def observe(warehouse, read_logical=(0, 0)):
     """Everything a route may not change: per-pool update-phase logical
     reads, every tree's counters, and every page's image and header."""
@@ -147,37 +187,47 @@ def observe(warehouse, read_logical=(0, 0)):
         pool.stats.logical_reads - spent for pool, spent in
         zip((warehouse.tuples.pool, warehouse.aggregates.pool),
             read_logical))
-    trees = {"tuples": warehouse.tuples}
-    for name, (lkst, lklt) in warehouse.aggregates.trees().items():
-        trees[f"{name}.lkst"], trees[f"{name}.lklt"] = lkst, lklt
+    trees = named_trees(warehouse)
     counters = {name: tree.counters for name, tree in trees.items()}
-    pages = {}
-    for name, tree in trees.items():
-        for pid in sorted(tree.page_ids()):
-            page = tree.pool.fetch(pid)
-            pages[name, pid] = (encode_page_image(page, PAGE_BYTES),
-                                sorted(page.meta.items()))
-    return logical, counters, pages
+    return logical, counters, raw_pages(trees)
+
+
+def observe_logical(warehouse):
+    """What a buffer-tree window may not change either: every tree's
+    counters, the tuple MVBT's raw pages (it takes each event directly),
+    every MVSBT's canonical dump, and the live page count."""
+    trees = named_trees(warehouse)
+    counters = {name: tree.counters for name, tree in trees.items()}
+    tuples = raw_pages({"tuples": trees.pop("tuples")})
+    dumps = {name: canonical_tree_dump(tree, PAGE_BYTES)
+             for name, tree in trees.items()}
+    return (counters, tuples, dumps,
+            warehouse.aggregates.pool.disk.live_page_count)
+
+
+def read_after(warehouse, rects, applied):
+    """The read the twin asks once ``applied`` events are in."""
+    rect = rects[applied % len(rects)]
+    interval = Interval(rect.interval.start,
+                        max(rect.interval.end, warehouse.now + 1))
+    return repr(warehouse.aggregates.aggregate_all(rect.range, interval))
 
 
 def feed_with_reads(warehouse, events, rects):
     """Route (a): one ``insert``/``delete`` per event, a read every 50
-    events.  Returns the answers and the logical reads the reads cost."""
-    answers = []
+    events and at every multiple of the loader's constant.  Returns
+    ``{events applied: answer}`` and the logical reads the reads cost."""
+    answers = {}
     spent = [0, 0]
     pools = (warehouse.tuples.pool, warehouse.aggregates.pool)
-    for i, event in enumerate(events):
+    for applied, event in enumerate(events, start=1):
         if event.op == "insert":
             warehouse.insert(event.key, event.value, event.time)
         else:
             warehouse.delete(event.key, event.time)
-        if i % 50 == 49:
-            rect = rects[(i // 50) % len(rects)]
-            interval = Interval(rect.interval.start,
-                                max(rect.interval.end, warehouse.now + 1))
+        if applied % 50 == 0 or applied % ingest.BUFFERED_MIN_EVENTS == 0:
             before = [pool.stats.logical_reads for pool in pools]
-            answers.append(repr(
-                warehouse.aggregates.aggregate_all(rect.range, interval)))
+            answers[applied] = read_after(warehouse, rects, applied)
             for slot, pool in enumerate(pools):
                 spent[slot] += pool.stats.logical_reads - before[slot]
     return answers, tuple(spent)
@@ -204,7 +254,9 @@ def assert_four_routes_match(tmp_path, events, rects, key_space,
     with reference_kernels():
         expected_answers, spent = feed_with_reads(reference, events, rects)
     expected = observe(reference, spent)
+    expected_logical = observe_logical(reference)
     reference.check_invariants()
+    constant = ingest.BUFFERED_MIN_EVENTS
 
     # (a) event-at-a-time with reads interleaved, on a durable warehouse
     # whose log then feeds (d).
@@ -215,9 +267,13 @@ def assert_four_routes_match(tmp_path, events, rects, key_space,
     assert observe(single, spent) == expected
     single.close()                  # the kill: no checkpoint, log only
 
-    # (d) WAL replay of the whole stream.
+    # (d) WAL replay of the whole stream: one load, so its size picks
+    # the side like any other's.
     recovered = cls.open_durable(directory, **shape)
-    assert observe(recovered) == expected
+    if len(events) < constant:
+        assert observe(recovered) == expected
+    else:
+        assert observe_logical(recovered) == expected_logical
     recovered.check_invariants()
     recovered.close()
 
@@ -227,10 +283,34 @@ def assert_four_routes_match(tmp_path, events, rects, key_space,
         assert all(status == "ok" for status, _ in grouped.apply_batch(group))
     assert observe(grouped) == expected
 
-    # (c) load_events.
+    # (c) load_events, every load one event short of the constant: the
+    # direct side, bit for bit.
     loaded = cls(**shape)
-    loaded.load_events(events, batch_size=batch_size)
+    for lo in range(0, len(events), constant - 1):
+        report = loaded.load_events(events[lo:lo + constant - 1],
+                                    batch_size=batch_size)
+        assert report.buffered_events == 0
     assert observe(loaded) == expected
+
+    # (c') load_events at the constant (the twin's reads interleaved) and
+    # over the full stream in one load: the buffer-tree side.
+    stepped, whole = cls(**shape), cls(**shape)
+    for lo in range(0, len(events), constant):
+        part = events[lo:lo + constant]
+        report = stepped.load_events(part, batch_size=batch_size)
+        if len(part) == constant:
+            assert report.buffered_events == constant
+            assert read_after(stepped, rects, lo + constant) \
+                == expected_answers[lo + constant]
+        else:
+            assert report.buffered_events == 0
+    report = whole.load_events(events, batch_size=batch_size)
+    assert report.buffered_events == \
+        (len(events) if len(events) >= constant else 0)
+    assert report.flushed_pages > 0 or not events
+    for buffered in (stepped, whole):
+        assert observe_logical(buffered) == expected_logical
+        buffered.check_invariants()
 
 
 class TestMetamorphicEquivalence:
@@ -242,7 +322,7 @@ class TestMetamorphicEquivalence:
         reference = build_reference(lambda: BUILDERS[name](dataset),
                                     dataset.events)
         batched = BUILDERS[name](dataset)
-        batch_replay(batched, dataset.events, batch_size=256)
+        replay_below_the_constant(batched, dataset.events, batch_size=100)
         assert dump_pages(batched.pool) == dump_pages(reference.pool)
 
     @pytest.mark.parametrize("name", ["two-mvsbt", "mvbt", "heap"])
@@ -282,7 +362,7 @@ class TestMetamorphicEquivalence:
         reference = build_reference(lambda: BUILDERS["two-mvsbt"](dataset),
                                     events)
         batched = BUILDERS["two-mvsbt"](dataset)
-        batch_replay(batched, events, batch_size=1)
+        replay_below_the_constant(batched, events, batch_size=1)
         assert dump_pages(batched.pool) == dump_pages(reference.pool)
 
     def test_warehouse_target(self, dataset, rects):
@@ -290,7 +370,7 @@ class TestMetamorphicEquivalence:
             lambda: TemporalWarehouse(key_space=dataset.config.key_space),
             dataset.events)
         batched = TemporalWarehouse(key_space=dataset.config.key_space)
-        batch_replay(batched, dataset.events, batch_size=512)
+        replay_below_the_constant(batched, dataset.events, batch_size=512)
         assert (dump_pages(batched.tuples.pool)
                 == dump_pages(reference.tuples.pool))
         assert (dump_pages(batched.aggregates.pool)
@@ -336,10 +416,13 @@ class TestMetamorphicEquivalence:
                 events.append(UpdateEvent("delete", key, 0.0, t))
                 alive.discard(key)
         toggles, batch_size = CONFIGS[config]
-        assert_four_routes_match(
-            tmp_path_factory.mktemp("routes"), events,
-            [Rectangle(KeyRange(1, 120), Interval(1, 2))], (1, 120),
-            page_capacity=4, toggles=toggles, batch_size=batch_size)
+        # Generated streams are short: lower the constant so both sides
+        # of the rule run on them too.
+        with mock.patch.object(ingest, "BUFFERED_MIN_EVENTS", 8):
+            assert_four_routes_match(
+                tmp_path_factory.mktemp("routes"), events,
+                [Rectangle(KeyRange(1, 120), Interval(1, 2))], (1, 120),
+                page_capacity=4, toggles=toggles, batch_size=batch_size)
 
     @settings(max_examples=60, deadline=None)
     @given(update_streams(), st.sampled_from(sorted(CONFIGS)))
@@ -419,3 +502,75 @@ class TestBatchLoaderProtocol:
         index = build_rta_index(SETTINGS, dataset, buffer_pages=8)
         batch_replay(index, dataset.events)
         assert index.pool.stats.coalesced_writes > 0
+
+    @pytest.mark.parametrize("batch_size", [1, 1024])
+    def test_a_rejected_load_applies_nothing(self, batch_size):
+        # The shape of the whole batch is checked before the first window
+        # opens, so the applied prefix cannot depend on the chunking.
+        warehouse = TemporalWarehouse(key_space=(1, 100))
+        now = warehouse.now
+        for bad in ([("insert", 1, 1.0, 5), ("insert", 2, 1.0, 6),
+                     ("insert", 3, 1.0, 4)],
+                    [("insert", 1, 1.0, 5), ("upsert", 2, 1.0, 6)]):
+            with pytest.raises(ValueError):
+                warehouse.load_events(bad, batch_size=batch_size)
+            assert warehouse.count(KeyRange(1, 100), Interval(1, 100)) == 0
+            assert warehouse.now == now
+
+
+class TestLoadLogsOnce:
+    """A durable ``load_events`` reaches the WAL through one
+    ``append_batch`` — same records, same order as event-at-a-time."""
+
+    EVENTS = [("insert", 1, 1.5, 2), ("insert", 2, 2.5, 3),
+              ("delete", 1, 0.0, 4), ("insert", 3, 3.5, 4)]
+
+    @staticmethod
+    def counting(warehouse):
+        calls = {"append": 0, "append_batch": 0}
+        wal = warehouse._wal
+        for name in calls:
+            def counted(*args, _name=name, _inner=getattr(wal, name)):
+                calls[_name] += 1
+                return _inner(*args)
+            setattr(wal, name, counted)
+        return calls
+
+    def test_one_append_same_records(self, tmp_path):
+        loaded = TemporalWarehouse.open_durable(
+            str(tmp_path / "loaded"), key_space=(1, 100))
+        single = TemporalWarehouse.open_durable(
+            str(tmp_path / "single"), key_space=(1, 100))
+        calls = self.counting(loaded)
+        loaded.load_events(self.EVENTS, batch_size=2)
+        assert calls == {"append": 0, "append_batch": 1}
+        replay_sequential(single, [UpdateEvent(*row) for row in self.EVENTS])
+        logs = []
+        for warehouse in (loaded, single):
+            warehouse.close()
+            with open(os.path.join(warehouse._durable_dir, LOG_FILE)) as fh:
+                logs.append(fh.read())
+        assert logs[0] == logs[1]
+        # The delete's record carries the deleted value, as always.
+        assert "3,delete,1,1.5,4" in logs[0]
+
+    def test_applied_prefix_is_logged_when_the_load_raises(self, tmp_path):
+        directory = str(tmp_path / "wh")
+        warehouse = TemporalWarehouse.open_durable(
+            directory, key_space=(1, 100))
+        calls = self.counting(warehouse)
+        with pytest.raises(DuplicateKeyError):           # 1TNF, mid-load
+            warehouse.load_events(self.EVENTS[:2] + [("insert", 2, 9.0, 5),
+                                                     ("insert", 4, 1.0, 6)])
+        assert calls == {"append": 0, "append_batch": 1}
+        assert warehouse.wal_seq() == 2
+        # A single write after a load goes straight to the log again.
+        warehouse.insert(5, 1.0, 7)
+        assert calls["append"] == 1
+        warehouse.close()
+        recovered = TemporalWarehouse.open_durable(
+            directory, key_space=(1, 100))
+        calls = self.counting(recovered)
+        assert recovered.count(KeyRange(1, 100), Interval(1, 100)) == 3
+        assert recovered.wal_seq() == 3 and calls["append_batch"] == 0
+        recovered.close()

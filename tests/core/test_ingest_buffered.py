@@ -1,6 +1,8 @@
 """Metamorphic tests for buffered (buffer-tree) warehouse ingestion.
 
-Buffered twins vs direct twins fed the identical chronological stream:
+A load of at least ``BUFFERED_MIN_EVENTS`` events runs the buffer-tree
+window — nothing else selects it.  Buffered twins (one whole-stream load)
+vs direct twins fed the identical chronological stream event by event:
 every aggregate answer (SUM/COUNT/AVG/MIN/MAX), every AS OF snapshot,
 and the closed on-disk page images must be byte-identical.  EXPLAIN
 plans are captured from both twins but *not* asserted equal — the
@@ -14,10 +16,13 @@ import pytest
 
 from repro.bench.harness import BenchSettings, build_rta_index
 from repro.core.aggregates import AVG, COUNT, MAX, MIN, SUM
-from repro.core.ingest import BatchLoader, batch_replay
+from repro.core.ingest import (
+    BUFFERED_MIN_EVENTS,
+    BatchLoader,
+    batch_replay,
+)
 from repro.core.model import Interval, KeyRange
 from repro.core.warehouse import TemporalWarehouse
-from repro.storage.serialization import encode_page_image
 from repro.workloads.datasets import paper_config
 from repro.workloads.generator import generate_dataset
 from repro.workloads.queries import (
@@ -25,9 +30,10 @@ from repro.workloads.queries import (
     generate_query_rectangles,
 )
 
+from tests.oracles import canonical_tree_dump, close_window, open_window
+
 SETTINGS = BenchSettings()
 AGGREGATES = (SUM, COUNT, AVG, MIN, MAX)
-PAGE_BYTES = 4096
 
 
 @pytest.fixture(scope="module")
@@ -51,44 +57,6 @@ def replay_sequential(target, events):
             target.delete(event.key, event.time)
 
 
-def canonical_tree_dump(tree):
-    """Tree structure with page IDs relabeled in DFS visit order.
-
-    The RTA index runs four MVSBTs over ONE pool; buffered flush batches
-    legitimately reorder page *allocations* across the trees, so raw page
-    IDs (and the child pointers embedded in index records) are not
-    comparable across twins.  Everything else must be: records decode
-    through the page codecs (representation-independent), child pointers
-    are canonicalized, and record payloads compare by repr.
-    """
-    from repro.storage.serialization import decode_page
-
-    tree.pool.flush_all()
-    relabel = {}
-    pages = []
-
-    def visit(pid):
-        if pid in relabel:
-            return relabel[pid]
-        relabel[pid] = len(relabel)
-        mine = relabel[pid]
-        kind, records = decode_page(
-            encode_page_image(tree.pool.fetch(pid), PAGE_BYTES))
-        rows = []
-        for record in records:
-            if kind == "mvsbt-index":
-                rows.append((record.low, record.high, record.start,
-                             record.end, record.value, visit(record.child)))
-            else:
-                rows.append(repr(record))
-        pages.append((mine, kind, tuple(rows)))
-        return mine
-
-    roots = tuple((entry.start, visit(entry.root_id))
-                  for entry in tree.roots.entries())
-    return roots, tuple(sorted(pages))
-
-
 def answers(warehouse, rects):
     """repr() of every aggregate over every rectangle — byte-level
     equality of the observable results."""
@@ -107,7 +75,7 @@ class TestBufferedWarehouseTwins:
         buffered = build_rta_index(SETTINGS, dataset,
                                    aggregates=(SUM, COUNT))
         replay_sequential(reference, dataset.events)
-        batch_replay(buffered, dataset.events, mode="buffered")
+        batch_replay(buffered, dataset.events)
         for name, (ref_lkst, ref_lklt) in reference.trees().items():
             buf_lkst, buf_lklt = buffered.trees()[name]
             assert canonical_tree_dump(buf_lkst) == canonical_tree_dump(
@@ -123,15 +91,15 @@ class TestBufferedWarehouseTwins:
         reference = TemporalWarehouse(key_space=dataset.config.key_space)
         buffered = TemporalWarehouse(key_space=dataset.config.key_space)
         replay_sequential(reference, dataset.events)
-        report = buffered.load_events(dataset.events, mode="buffered")
-        assert report.buffered_events > 0
+        report = buffered.load_events(dataset.events)
+        assert report.buffered_events == len(dataset.events)
         assert answers(buffered, rects) == answers(reference, rects)
 
     def test_as_of_snapshots_identical(self, dataset):
         reference = TemporalWarehouse(key_space=dataset.config.key_space)
         buffered = TemporalWarehouse(key_space=dataset.config.key_space)
         replay_sequential(reference, dataset.events)
-        buffered.load_events(dataset.events, mode="buffered")
+        buffered.load_events(dataset.events)
         lo, hi = dataset.config.key_space
         whole = KeyRange(lo, hi)
         horizon = reference.now
@@ -145,7 +113,7 @@ class TestBufferedWarehouseTwins:
         reference = TemporalWarehouse(key_space=dataset.config.key_space)
         buffered = TemporalWarehouse(key_space=dataset.config.key_space)
         replay_sequential(reference, dataset.events)
-        buffered.load_events(dataset.events, mode="buffered")
+        buffered.load_events(dataset.events)
         plans = []
         for rect in rects[:4]:
             ref_plan = reference.explain(rect.range, rect.interval, SUM)
@@ -157,21 +125,27 @@ class TestBufferedWarehouseTwins:
                    for ref, buf in plans)
 
     def test_mid_window_reads_stay_live(self, dataset, rects):
-        """Queries issued while the buffered window is open observe every
+        """Queries issued while buffered windows are open observe every
         event applied so far — the drain barrier, end to end."""
         reference = TemporalWarehouse(key_space=dataset.config.key_space)
         buffered = TemporalWarehouse(key_space=dataset.config.key_space)
-        loader = BatchLoader(buffered, mode="buffered")
         events = dataset.events
         step = max(1, len(events) // 6)
-        with loader:
-            for lo in range(0, len(events), step):
-                chunk = events[lo:lo + step]
-                loader.load(chunk)
-                replay_sequential(reference, chunk)
-                for rect in rects[:4]:
-                    assert repr(buffered.sum(rect.range, rect.interval)) \
-                        == repr(reference.sum(rect.range, rect.interval))
+        # Only a sized load opens the windows, so the test opens them
+        # itself and feeds event by event.
+        trees = [tree for pair in buffered.aggregates.trees().values()
+                 for tree in pair]
+        for tree in trees:
+            open_window(tree)
+        for lo in range(0, len(events), step):
+            chunk = events[lo:lo + step]
+            replay_sequential(buffered, chunk)
+            replay_sequential(reference, chunk)
+            for rect in rects[:4]:
+                assert repr(buffered.sum(rect.range, rect.interval)) \
+                    == repr(reference.sum(rect.range, rect.interval))
+        for tree in trees:
+            close_window(tree)
         assert answers(buffered, rects) == answers(reference, rects)
 
 
@@ -185,11 +159,13 @@ class TestKillDuringFlush:
         events = dataset.events[:800]
         durable = TemporalWarehouse.open_durable(
             directory, key_space=key_space, page_capacity=8)
-        loader = BatchLoader(durable, mode="buffered")
-        loader.__enter__()
-        loader.load(events)
-        # Simulated kill: abandon the window (no __exit__, no checkpoint,
-        # no flush) and drop the log handle the way a dead process would.
+        for pair in durable.aggregates.trees().values():
+            for tree in pair:
+                open_window(tree)
+        replay_sequential(durable, events)
+        # Simulated kill: abandon the windows (never closed, no
+        # checkpoint, no flush) and drop the log handle the way a dead
+        # process would.
         durable.close()
 
         recovered = TemporalWarehouse.open_durable(
@@ -214,7 +190,8 @@ class TestKillDuringFlush:
         key_space = dataset.config.key_space
         durable = TemporalWarehouse.open_durable(
             directory, key_space=key_space, page_capacity=8)
-        durable.load_events(events, mode="buffered")
+        report = durable.load_events(events)
+        assert report.buffered_events == len(events) >= BUFFERED_MIN_EVENTS
         durable.checkpoint()
         durable.close()
 
@@ -234,23 +211,48 @@ class TestKillDuringFlush:
 class TestBufferedLoaderProtocol:
     def test_report_counts_buffered_events(self, dataset):
         index = build_rta_index(SETTINGS, dataset, aggregates=(SUM, COUNT))
-        report = batch_replay(index, dataset.events, mode="buffered")
+        report = batch_replay(index, dataset.events)
         assert report.events == len(dataset.events)
         assert report.buffered_events == len(dataset.events)
 
+    def test_buffered_load_reports_its_closing_write_back(self, dataset):
+        """The window-close flush is the loader's, so it is counted: the
+        report accounts for every page the load wrote."""
+        index = build_rta_index(SETTINGS, dataset, aggregates=(SUM, COUNT))
+        before = index.pool.stats.writes
+        report = batch_replay(index, dataset.events)
+        assert report.buffered_events == len(dataset.events)
+        assert report.flushed_pages > 0
+        assert not any(page.dirty for page in index.pool._frames.values())
+        assert report.flushed_pages <= index.pool.stats.writes - before
+
     def test_direct_mode_reports_zero_buffered(self, dataset):
         index = build_rta_index(SETTINGS, dataset, aggregates=(SUM, COUNT))
-        report = batch_replay(index, dataset.events[:100])
-        assert report.buffered_events == 0
+        below = dataset.events[:BUFFERED_MIN_EVENTS - 1]
+        assert batch_replay(index, below).buffered_events == 0
 
-    def test_rejects_unknown_mode(self, dataset):
+    def test_the_constant_is_the_boundary(self, dataset):
         index = build_rta_index(SETTINGS, dataset, aggregates=(SUM, COUNT))
-        with pytest.raises(ValueError, match="mode"):
-            BatchLoader(index, mode="turbo")
+        at = dataset.events[:BUFFERED_MIN_EVENTS]
+        assert batch_replay(index, at).buffered_events == len(at)
+
+    def test_manual_window_is_the_pools_only(self, dataset):
+        index = build_rta_index(SETTINGS, dataset, aggregates=(SUM, COUNT))
+        with BatchLoader(index):
+            assert index.pool.in_batch
+            for lkst, lklt in index.trees().values():
+                assert lkst._buffer is None and lklt._buffer is None
+
+    def test_physical_mode_trees_stay_on_the_direct_path(self, dataset):
+        index = build_rta_index(SETTINGS, dataset, aggregates=(SUM, COUNT),
+                                logical_split=False, record_merging=False)
+        report = batch_replay(index, dataset.events)
+        assert report.events == len(dataset.events)
+        assert report.buffered_events == 0
 
     def test_windows_closed_after_buffered_load(self, dataset):
         index = build_rta_index(SETTINGS, dataset, aggregates=(SUM, COUNT))
-        batch_replay(index, dataset.events[:200], mode="buffered")
+        batch_replay(index, dataset.events[:BUFFERED_MIN_EVENTS + 50])
         assert not index.pool.in_batch
         for lkst, lklt in index.trees().values():
             assert lkst._buffer is None

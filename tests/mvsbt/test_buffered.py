@@ -21,7 +21,7 @@ from repro.storage.buffer import BufferPool
 from repro.storage.disk import FileDiskManager, InMemoryDiskManager
 from repro.storage.serialization import encode_page_image
 
-from tests.oracles import DominanceSumOracle
+from tests.oracles import DominanceSumOracle, close_window, open_window
 
 KEY_SPACE = (1, 200)
 PAGE_BYTES = 4096
@@ -31,18 +31,6 @@ def build(capacity=6, pool_pages=4096, disk=None):
     pool = BufferPool(disk or InMemoryDiskManager(), capacity=pool_pages)
     return MVSBT(pool, MVSBTConfig(capacity=capacity, strong_factor=0.8),
                  key_space=KEY_SPACE)
-
-
-def open_window(tree):
-    """The buffered window, inside the pool batch window it requires —
-    what ``BatchLoader(tree, mode="buffered")`` opens."""
-    tree.pool.begin_batch()
-    return tree.begin_buffered()
-
-
-def close_window(tree):
-    tree.end_buffered()
-    tree.pool.end_batch()
 
 
 def random_stream(seed, count=600):

@@ -24,7 +24,7 @@ from repro.core.ingest import BatchLoader
 from repro.core.warehouse import TemporalWarehouse
 from repro.obs.attach import traced
 from repro.sbtree.tree import SBTree
-from repro.storage.serialization import encode_page
+from repro.storage.serialization import encode_page_image
 from repro.workloads.datasets import paper_config
 from repro.workloads.generator import generate_dataset
 from repro.workloads.queries import (
@@ -55,7 +55,7 @@ def disk_fingerprint(pool):
     for page_id in sorted(pool.disk.live_page_ids()):
         page = pool.disk.read(page_id)
         out[page_id] = (
-            encode_page(page.kind, page.records, 8192),
+            encode_page_image(page, 8192),
             repr(sorted(page.meta.items())),
         )
     return out

@@ -144,3 +144,54 @@ def reference_kernels():
     finally:
         MVSBT._mirror_at_lowest, MVSBT._mirror_at_parent = mirror_kernel
         mvbt_tree._mirror = kept_mirror
+
+
+def open_window(tree):
+    """The buffer-tree window on one MVSBT, inside the pool batch window
+    it requires — what a ``BatchLoader.load`` of at least
+    ``BUFFERED_MIN_EVENTS`` events opens."""
+    tree.pool.begin_batch()
+    return tree.begin_buffered()
+
+
+def close_window(tree):
+    tree.end_buffered()
+    tree.pool.end_batch()
+
+
+def canonical_tree_dump(tree, page_bytes=4096):
+    """Tree structure with page IDs relabeled in DFS visit order.
+
+    The RTA index runs four MVSBTs over ONE pool; buffered flush batches
+    legitimately reorder page *allocations* across the trees, so raw page
+    IDs (and the child pointers embedded in index records) are not
+    comparable across twins.  Everything else must be: records decode
+    through the page codecs (representation-independent), child pointers
+    are canonicalized, and record payloads compare by repr.
+    """
+    from repro.storage.serialization import decode_page, encode_page_image
+
+    tree.pool.flush_all()
+    relabel = {}
+    pages = []
+
+    def visit(pid):
+        if pid in relabel:
+            return relabel[pid]
+        relabel[pid] = len(relabel)
+        mine = relabel[pid]
+        kind, records = decode_page(
+            encode_page_image(tree.pool.fetch(pid), page_bytes))
+        rows = []
+        for record in records:
+            if kind == "mvsbt-index":
+                rows.append((record.low, record.high, record.start,
+                             record.end, record.value, visit(record.child)))
+            else:
+                rows.append(repr(record))
+        pages.append((mine, kind, tuple(rows)))
+        return mine
+
+    roots = tuple((entry.start, visit(entry.root_id))
+                  for entry in tree.roots.entries())
+    return roots, tuple(sorted(pages))

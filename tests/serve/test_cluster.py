@@ -368,8 +368,8 @@ class TestSplitLoadBarrier:
 
             def load():
                 started.set()
-                warehouse.load_events(batch, batch_size=64,
-                                      mode="buffered")
+                # 1,000 events: a buffer-tree window on the worker.
+                warehouse.load_events(batch, batch_size=64)
 
             loader = threading.Thread(target=load)
             loader.start()
