@@ -11,19 +11,22 @@ built it, the server uses the router surface only.  The moving parts:
   rectangles only touch closed, immutable versions and concurrent ingest
   cannot change their answers mid-flight.
 * **Single writer, many readers** — DML is serialized through a per-shard
-  asyncio writer queue; read statements run in a thread pool.  Underneath,
-  each shard's readers-writer lock and buffer-pool locks keep page access
-  safe (see :mod:`repro.serve.sharded`).
+  asyncio writer queue; read statements run on the worker threads of
+  :mod:`repro.serve.workers`.  Underneath, each shard's readers-writer
+  lock and buffer-pool locks keep page access safe (see
+  :mod:`repro.serve.sharded`).
 * **Admission control** — at most ``max_inflight`` requests execute at
-  once and at most ``max_queue`` wait; beyond that the server answers a
-  structured ``SERVER_BUSY`` error immediately instead of letting latency
-  grow without bound.  Each request also has a ``request_timeout``,
-  answered with ``TIMEOUT`` (the worker thread finishes in the background
-  and keeps its slot until it does, so the pool cannot oversubscribe).
+  once and at most ``max_queue`` wait, first come first served; beyond
+  that the server answers a structured ``SERVER_BUSY`` error immediately
+  instead of letting latency grow without bound.  Each request also has
+  a ``request_timeout``, answered with ``TIMEOUT`` (the worker thread
+  finishes in the background and keeps its slot until it does, so the
+  workers cannot be oversubscribed).  The counters live on the event-loop
+  thread: admitting a request takes no lock.
 * **Hit lane** — a plain ``SELECT`` aggregate whose answer is already in
   the result cache at the current epoch
   (:meth:`~repro.serve.sharded.ShardRouter.probe`) is answered on the
-  event loop: no admission slot, no pool hop, no scan group.  Anything
+  event loop: no admission slot, no thread hop, no scan group.  Anything
   else takes the admitted path unchanged.
 * **Graceful shutdown** — the ``shutdown`` op (or SIGTERM from the CLI)
   stops admissions, drains in-flight work, checkpoints every shard
@@ -45,12 +48,12 @@ import concurrent.futures
 import itertools
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from repro.core.cache import CacheConfig
-from repro.core.model import MAX_KEY
+from repro.core.model import MAX_KEY, KeyRange
 from repro.errors import (
     ProtocolError,
     ReproError,
@@ -69,10 +72,9 @@ from repro.serve.telemetry import (
     RequestContext,
     Sampler,
     SlowQueryLog,
-    clear_context,
     clip_tql,
-    set_context,
 )
+from repro.serve.workers import LoopWorkers
 from repro.tql import executor as tql_executor
 from repro.tql.parser import (
     DeleteStatement,
@@ -106,7 +108,7 @@ class ServerConfig:
     key_space: Tuple[int, int] = (1, MAX_KEY + 1)
     page_capacity: int = 32
     buffer_pages: int = 64
-    readers: int = 4                   # thread-pool workers for statements
+    readers: int = 4                   # worker threads, started on demand
     max_inflight: int = 16             # executing requests, server-wide
     max_queue: int = 32                # waiting requests before SERVER_BUSY
     request_timeout: float = 30.0      # seconds per request
@@ -118,7 +120,7 @@ class ServerConfig:
     cache_result_entries: int = 4096   # per-shard result-cache capacity
     cache_memo_entries: int = 8192     # per-shard MVSBT path-memo capacity
     executor: str = "thread"           # "thread" (default) or "process"
-    scan_batch: int = 8                # procpool shared-scan batch ceiling
+    scan_batch: int = 8                # scan-group ceiling, every backend
     trace_sample_rate: float = 0.0     # fraction of requests traced (0: only
                                        # per-request "trace": true overrides)
     trace_path: Optional[str] = None   # JSONL sink for sampled traces
@@ -160,9 +162,6 @@ class TQLServer:
         self.warehouse = warehouse
         self.registry = MetricsRegistry()
         self.metrics = ServerMetrics(self.registry)
-        self._pool = concurrent.futures.ThreadPoolExecutor(
-            max_workers=max(self.config.readers, 1),
-            thread_name_prefix="repro-serve")
         # Keyed by shard id, created on first use: an elastic router's
         # ids are not positions — splits mint new ones and merges retire
         # them.
@@ -188,9 +187,13 @@ class TQLServer:
         # Text -> parsed SELECT (frozen dataclasses, safe to share); only
         # the event loop touches it.
         self._statements: "OrderedDict[str, SelectStatement]" = OrderedDict()
-        self._admission = asyncio.Condition()
+        # Admission: slot holders, FIFO waiters for a slot, the drain's
+        # waiter.  Touched on the event-loop thread alone, never locked.
         self._inflight = 0
         self._queued = 0
+        self._waiters: "deque[asyncio.Future]" = deque()
+        self._idle: Optional[asyncio.Future] = None
+        self.workers = LoopWorkers(self.config.readers)
         self._writes_since_checkpoint = 0
         self._draining = False
         self._stopped = asyncio.Event()
@@ -223,7 +226,7 @@ class TQLServer:
         """The configured router construction, caches attached.
 
         ``executor="thread"`` (default) shares one interpreter across the
-        reader pool; ``"process"`` runs one worker process per shard
+        worker threads; ``"process"`` runs one worker process per shard
         (:class:`~repro.serve.procpool.ProcessShardedWarehouse`), with the
         read-path caches living inside the workers; replicas, autosplit
         or automerge make that the elastic
@@ -339,14 +342,12 @@ class TQLServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        try:
-            async with self._admission:
-                await asyncio.wait_for(
-                    self._admission.wait_for(
-                        lambda: self._inflight == 0 and self._queued == 0),
-                    self.config.drain_timeout)
-        except asyncio.TimeoutError:
-            pass  # drain on best effort; WAL covers the stragglers
+        if self._inflight or self._queued:
+            self._idle = asyncio.get_running_loop().create_future()
+            try:
+                await asyncio.wait_for(self._idle, self.config.drain_timeout)
+            except asyncio.TimeoutError:
+                pass  # drain on best effort; WAL covers the stragglers
         for task in list(self._connections):
             task.cancel()
         if self._connections:
@@ -356,12 +357,10 @@ class TQLServer:
             # finish (or fail) before it closes underneath them.
             await asyncio.gather(*list(self._bg_tasks),
                                  return_exceptions=True)
-        loop = asyncio.get_running_loop()
         if self.config.durable_dir is not None:
-            await loop.run_in_executor(self._pool,
-                                       self.warehouse.checkpoint)
+            await self.workers.submit(self.warehouse.checkpoint)
         self.warehouse.close()
-        self._pool.shutdown(wait=False)
+        self.workers.close()
         if self._metrics_http is not None:
             self._metrics_http.stop()
         if self._trace_sink is not None:
@@ -569,13 +568,12 @@ class TQLServer:
         """Fill a slowlog entry's EXPLAIN span tree + cache outcome.
 
         Runs after the response went out (the client never waits on it)
-        on the reader pool: ``explain_trace`` takes each shard
+        on a worker thread: ``explain_trace`` takes each shard
         exclusively, so this is deliberately off the hot path — as is the
         rectangle resolution itself (``explain_args`` holds the raw
         parsed statement).
         """
         statement, as_of = explain_args
-        loop = asyncio.get_running_loop()
 
         def capture() -> Any:
             key_range, interval = tql_executor._resolve_rectangle(
@@ -585,7 +583,7 @@ class TQLServer:
                                                 aggregate)
 
         try:
-            rows = await loop.run_in_executor(self._pool, capture)
+            rows = await self.workers.submit(capture)
         except Exception as exc:  # noqa: BLE001 — diagnostics must not raise
             entry["explain"] = {"error": error_payload(exc)}
             return
@@ -665,18 +663,13 @@ class TQLServer:
             shard = self.warehouse.shard_index(statement.key)
             if self.config.writers > 1:
                 return await self._group_commit(shard, statement, ctx), None
-            writer_lock = self._writer_lock(shard)
-
-            async def serialized() -> Any:
-                async with writer_lock:
-                    result = await self._admitted(
-                        lambda: tql_executor.execute(self.warehouse,
-                                                     statement), ctx)
-                self.metrics.shard_writes(shard).inc()
-                await self._maybe_checkpoint()
-                return result
-
-            return await serialized(), None
+            async with self._writer_lock(shard):
+                result = await self._admitted(
+                    lambda: tql_executor.execute(self.warehouse, statement),
+                    ctx)
+            self.metrics.shard_writes(shard).inc()
+            await self._maybe_checkpoint()
+            return result, None
         as_of = message.get("as_of", session.snapshot)
         if not isinstance(as_of, int) or as_of < 0:
             raise ProtocolError('"as_of" must be a non-negative integer')
@@ -964,7 +957,7 @@ class TQLServer:
         elastic cluster implements them; the rest answer a typed
         ``PROTOCOL`` error).
 
-        Runs on the reader pool under admission control (splits move a
+        Runs on a worker thread under admission control (splits move a
         checkpoint's worth of bytes); the router's own admin/topology
         locks serialize it against writes and other admin verbs, so no
         server-side writer locks are taken here.
@@ -1070,8 +1063,6 @@ class TQLServer:
 
     def _touched_shards(self, statement: Any) -> list:
         """Shard indexes a read statement fans out to (for metrics)."""
-        from repro.core.model import KeyRange
-
         warehouse = self.warehouse
         lo, hi = warehouse.key_space
         if isinstance(statement, HistoryStatement):
@@ -1096,96 +1087,89 @@ class TQLServer:
         self._writes_since_checkpoint += 1
         if self._writes_since_checkpoint >= self.config.checkpoint_every:
             self._writes_since_checkpoint = 0
-            loop = asyncio.get_running_loop()
-            await loop.run_in_executor(self._pool,
-                                       self.warehouse.checkpoint)
+            await self.workers.submit(self.warehouse.checkpoint)
 
     # -- admission control -------------------------------------------------------------
 
     async def _admitted(self, fn, ctx: Optional[RequestContext] = None
                         ) -> Any:
-        """Run ``fn`` in the thread pool under a slot, queue, and timeout.
+        """Run ``fn`` on a worker thread under a slot, queue, and timeout.
 
-        The slot is released when the worker *finishes*, not when the
-        response goes out — a timed-out request keeps occupying capacity
-        until its thread returns, so admission control reflects true load.
-
-        With a :class:`RequestContext`, the time from here to slot grant
-        is the request's *queue* phase and the time inside ``fn`` its
-        *exec* phase; the context is installed in the executing thread's
-        telemetry slot so the shard backends can attribute time (and,
-        when sampled, trace context) to their shard calls.
+        A free slot is taken in place; otherwise the request waits FIFO
+        until :meth:`_release` hands it one (``SERVER_BUSY`` beyond
+        ``max_queue`` waiters).  The slot is released when the worker
+        *finishes*, not when the response goes out — a timed-out request
+        keeps occupying capacity until its thread returns, so admission
+        control reflects true load.  With a :class:`RequestContext`, the
+        time from here to slot grant is the request's *queue* phase and
+        the time inside ``fn`` its *exec* phase.
         """
         if self._draining:
             raise ServerShuttingDownError("server is draining for shutdown")
-        admission_started = time.perf_counter()
-        async with self._admission:
-            if self._inflight >= self.config.max_inflight:
-                if self._queued >= self.config.max_queue:
-                    self.metrics.rejected("busy").inc()
-                    raise ServerBusyError(
-                        f"{self._inflight} in flight and {self._queued} "
-                        "queued; retry with backoff")
-                self._queued += 1
-                self.metrics.queue_depth.set(self._queued)
-                try:
-                    await self._admission.wait_for(
-                        lambda: self._inflight < self.config.max_inflight)
-                finally:
-                    self._queued -= 1
-                    self.metrics.queue_depth.set(self._queued)
-                    self._admission.notify_all()  # wakes the drain waiter
-                if self._draining:
-                    raise ServerShuttingDownError(
-                        "server is draining for shutdown")
+        started = time.perf_counter()
+        loop = asyncio.get_running_loop()
+        if self._inflight < self.config.max_inflight:
             self._inflight += 1
             self.metrics.inflight.set(self._inflight)
-        if ctx is not None:
-            ctx.queue_s += time.perf_counter() - admission_started
-            fn = self._contextualized(fn, ctx)
-        loop = asyncio.get_running_loop()
-        future = loop.run_in_executor(self._pool, fn)
-        future.add_done_callback(self._release_slot)
-        try:
-            return await asyncio.wait_for(asyncio.shield(future),
-                                          self.config.request_timeout)
-        except asyncio.TimeoutError:
-            self.metrics.rejected("timeout").inc()
-            raise RequestTimeoutError(
-                f"request exceeded {self.config.request_timeout}s; "
-                "still completing in the background") from None
-
-    @staticmethod
-    def _contextualized(fn, ctx: RequestContext):
-        """Wrap a pooled callable with telemetry bookkeeping.
-
-        ``loop.run_in_executor`` does not propagate contextvars, so the
-        request context rides a plain thread-local set here — inside the
-        pool thread — and cleared before the thread returns to the pool.
-        The wall time inside ``fn`` is the request's exec phase.
-        """
-        def run() -> Any:
-            set_context(ctx)
-            started = time.perf_counter()
+        elif self._queued >= self.config.max_queue:
+            self.metrics.rejected("busy").inc()
+            raise ServerBusyError(
+                f"{self._inflight} in flight and {self._queued} "
+                "queued; retry with backoff")
+        else:
+            waiter = loop.create_future()
+            self._waiters.append(waiter)
+            self._queued += 1
+            self.metrics.queue_depth.set(self._queued)
             try:
-                return fn()
+                await waiter
+            except asyncio.CancelledError:
+                if waiter.done() and not waiter.cancelled():
+                    self._release()  # cancelled holding the slot: pass it on
+                raise
             finally:
-                ctx.exec_s += time.perf_counter() - started
-                clear_context()
-        return run
+                self._queued -= 1
+                self.metrics.queue_depth.set(self._queued)
+                self._wake_drain()
+            if self._draining:
+                self._release()
+                raise ServerShuttingDownError(
+                    "server is draining for shutdown")
+        if ctx is not None:
+            ctx.queue_s += time.perf_counter() - started
+        future = self.workers.submit(fn, ctx, self._release)
+        timer = loop.call_later(self.config.request_timeout, self._expire,
+                                future)
+        try:
+            return await future
+        finally:
+            timer.cancel()
 
-    def _release_slot(self, future: "asyncio.Future") -> None:
-        if future.cancelled():
-            pass
-        elif future.exception() is not None:
-            pass  # retrieved so abandoned (timed-out) futures don't warn
-        asyncio.ensure_future(self._release_slot_async())
+    def _release(self) -> None:
+        """Hand a finished request's slot to the oldest waiter still in
+        line (a done one was cancelled there); with none, free it."""
+        while self._waiters:
+            waiter = self._waiters.popleft()
+            if not waiter.done():
+                waiter.set_result(None)
+                return
+        self._inflight -= 1
+        self.metrics.inflight.set(self._inflight)
+        self._wake_drain()
 
-    async def _release_slot_async(self) -> None:
-        async with self._admission:
-            self._inflight -= 1
-            self.metrics.inflight.set(self._inflight)
-            self._admission.notify_all()
+    def _wake_drain(self) -> None:
+        if (self._idle is not None and not self._idle.done()
+                and self._inflight == 0 and self._queued == 0):
+            self._idle.set_result(None)
+
+    def _expire(self, future: "asyncio.Future") -> None:
+        """``request_timeout`` passed: answer ``TIMEOUT`` now; the slot
+        stays taken until the worker reports back."""
+        if not future.done():
+            self.metrics.rejected("timeout").inc()
+            future.set_exception(RequestTimeoutError(
+                f"request exceeded {self.config.request_timeout}s; "
+                "still completing in the background"))
 
 
 # -- thread-hosted server (tests, loadgen --spawn-server) ----------------------------

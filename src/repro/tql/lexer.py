@@ -8,8 +8,7 @@ Tokens: case-insensitive keywords, integer literals, and the punctuation
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Iterator, List, NamedTuple
 
 from repro.errors import QueryError
 
@@ -31,8 +30,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexed token: ``kind`` is a keyword name, ``INT``, or a symbol."""
 
     kind: str

@@ -265,6 +265,35 @@ class TestAdmissionControl:
 
 
 class TestShutdown:
+    def test_stop_leaves_no_worker_thread(self):
+        """Workers start on demand and shutdown owns them: one sentinel
+        each after the final checkpoint, and they exit."""
+        def workers():
+            return [t for t in threading.enumerate()
+                    if t.name.startswith("repro-serve-")]
+
+        server = TQLServer(ServerConfig(shards=2, key_space=KEY_SPACE))
+        try:
+            assert workers() == []  # building a server starts nothing
+        finally:
+            server.warehouse.close()
+            server.workers.close()
+        handle = serve_in_thread(ServerConfig(shards=2, key_space=KEY_SPACE,
+                                              readers=3))
+        try:
+            with Client(handle.host, handle.port) as c:
+                c.execute("INSERT KEY 3 VALUE 1.0 AT 1")
+                c.sleep(0.0)
+            started = workers()
+            # One connection never has two jobs open: one worker, not three.
+            assert [t.name for t in started] == ["repro-serve-loop",
+                                                 "repro-serve-0"]
+        finally:
+            handle.stop()
+        for thread in started:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+
     def test_shutdown_drains_and_stops(self, server):
         with Client(server.host, server.port) as c:
             c.execute("INSERT KEY 3 VALUE 1.0 AT 1")
@@ -326,7 +355,7 @@ class TestShutdown:
                 loop.close()
         finally:
             server.warehouse.close()
-            server._pool.shutdown()
+            server.workers.close()
         gc.collect()  # an un-awaited coroutine warns when collected
         assert not [w for w in recwarn.list
                     if "never awaited" in str(w.message)]
@@ -346,7 +375,7 @@ class TestShutdown:
             thread.join(timeout=5)
             loop.close()
             server.warehouse.close()
-            server._pool.shutdown()
+            server.workers.close()
 
     def test_requests_during_drain_get_shutting_down(self):
         handle = serve_in_thread(ServerConfig(
