@@ -10,6 +10,15 @@ counter rides along: ``ingest_bulk``'s loads must report the pages they
 flushed — it reads 0 exactly when a buffer-tree window's closing
 write-back falls out of the ``IngestReport`` again.
 
+And one gate on how a read descends: the two halves of an Equation (1)
+pair share one MVSBT descent, so the aggregate pool's fetches per point
+query (``mvsbt.pages_per_probe``, an exact count of the counted replay)
+sit a third under what solo descents cost.  Smoke values (``run
+--smoke``, seed 1), ``scan_thread`` and ``scan_process`` alike: 1.8983
+with six solo descents per reduction (commit 3a84d3b), 1.2126 with
+three pair descents.  The threshold sits between the two: a read path
+that falls back to solo descents, traced or not, fails it.
+
     python .github/scripts/check_read_budget.py /tmp/stack-smoke.json
 """
 
@@ -22,6 +31,9 @@ EXPECTED = {
     "core.warehouse.plan_us_per_op": 0,   # no explain() on the read path
     "core.warehouse.plan_mvsbt_frac": 1,  # EXPLAIN agrees: always mvsbt
 }
+#: Fetches per point query with pairs sharing their descent (see above).
+PAIRED = ("scan_thread", "scan_process")
+MAX_PAGES_PER_PROBE = 1.55
 #: The traced pass of ``ingest_bulk`` records the load (its op is an
 #: ingested event: one ``MVBT.insert`` each), so this says nothing
 #: about its reads.
@@ -40,6 +52,13 @@ def main() -> int:
                 if got != want and (workload, name) not in NOT_ABOUT_READS:
                     failures.append(f"pass {number} {workload}: "
                                     f"{name} = {got}, expected {want}")
+        for workload in PAIRED:
+            pages = one_pass["workloads"][workload]["per_layer"]["metrics"][
+                "mvsbt.pages_per_probe"]["value"]
+            if not 0 < pages < MAX_PAGES_PER_PROBE:
+                failures.append(f"pass {number} {workload}: mvsbt."
+                                f"pages_per_probe = {pages}, expected "
+                                f"under {MAX_PAGES_PER_PROBE}")
         flushed = one_pass["workloads"]["ingest_bulk"]["per_layer"][
             "metrics"]["core.ingest.flushed_pages_per_kevent"]["value"]
         if not flushed > 0:

@@ -218,10 +218,10 @@ class RTAIndex:
         :meth:`query` for each.  Every request's Theorem-1 boundary
         probes are collected per (aggregate, LKST/LKLT) tree, each tree
         answers its whole probe set through
-        :meth:`~repro.mvsbt.tree.MVSBT.query_batch` (one frontier-ordered
-        traversal, pages fetched once per batch), and Equation (1) is
-        then evaluated per request in the exact serial operation order —
-        the float rounding matches :meth:`_reduce` bit for bit.  AVG
+        :meth:`~repro.mvsbt.tree.MVSBT.query_batch` (duplicates asked
+        once, same-instant neighbours descending as pairs), and Equation
+        (1) is then evaluated per request in the exact serial operation
+        order — the float rounding matches :meth:`_reduce` bit for bit.  AVG
         requests contribute the SUM and COUNT probe sets and divide, as
         :meth:`aggregate_all` does; an aggregate of ``None`` requests the
         full :class:`RTAResult` (the batch twin of
@@ -229,81 +229,59 @@ class RTAIndex:
         :class:`repro.core.batch.BatchScanStats`) receives the probe and
         page accounting of every sweep.
         """
-        probe_lists: Dict[Tuple[str, str], list] = {}
-
-        def reduction(name: str, key_range: KeyRange,
-                      interval: Interval) -> Tuple[str, int, int]:
+        # Per maintained aggregate: the (LKST, LKLT) probe lists.
+        probes: Dict[str, Tuple[list, list]] = {}
+        plans = []
+        for key_range, interval, aggregate in requests:
+            if aggregate is None or aggregate.name == AVG.name:
+                names = (SUM.name, COUNT.name)
+                for name in names:
+                    if name not in self._lkst:
+                        raise QueryError(
+                            f"aggregate_all needs SUM and COUNT; "
+                            f"{name} missing"
+                        )
+            elif aggregate.name in self._lkst:
+                names = (aggregate.name,)
+            else:
+                raise QueryError(
+                    f"aggregate {aggregate.name} is not maintained by "
+                    "this index"
+                )
             self._validate_rectangle(key_range, interval)
             k1, k2 = key_range.low, key_range.high
             t1, t3 = interval.start, interval.end - 1
-            lk = probe_lists.setdefault((name, "lkst"), [])
-            lt = probe_lists.setdefault((name, "lklt"), [])
-            i, j = len(lk), len(lt)
-            lk.extend(((k2, t3), (k1, t3)))
-            lt.extend(((k2, t3), (k1, t3), (k2, t1), (k1, t1)))
-            return name, i, j
+            slots = []
+            for name in names:
+                lists = probes.get(name)
+                if lists is None:
+                    lists = probes[name] = ([], [])
+                lk, lt = lists
+                slots.append((name, len(lk), len(lt)))
+                lk += ((k2, t3), (k1, t3))
+                lt += ((k2, t3), (k1, t3), (k2, t1), (k1, t1))
+            plans.append((aggregate, slots))
 
-        plans = []
-        for key_range, interval, aggregate in requests:
-            if aggregate is None:
-                for name in (SUM.name, COUNT.name):
-                    if name not in self._lkst:
-                        raise QueryError(
-                            f"aggregate_all needs SUM and COUNT; "
-                            f"{name} missing"
-                        )
-                plans.append((
-                    "all",
-                    reduction(SUM.name, key_range, interval),
-                    reduction(COUNT.name, key_range, interval),
-                ))
-            elif aggregate.name == AVG.name:
-                for name in (SUM.name, COUNT.name):
-                    if name not in self._lkst:
-                        raise QueryError(
-                            f"aggregate_all needs SUM and COUNT; "
-                            f"{name} missing"
-                        )
-                plans.append((
-                    "avg",
-                    reduction(SUM.name, key_range, interval),
-                    reduction(COUNT.name, key_range, interval),
-                ))
-            else:
-                if aggregate.name not in self._lkst:
-                    raise QueryError(
-                        f"aggregate {aggregate.name} is not maintained by "
-                        "this index"
-                    )
-                plans.append((
-                    "one",
-                    reduction(aggregate.name, key_range, interval),
-                ))
-
-        values: Dict[Tuple[str, str], list] = {}
-        for (name, side), probes in probe_lists.items():
-            tree = (self._lkst if side == "lkst" else self._lklt)[name]
-            values[(name, side)] = tree.query_batch(probes, stats)
-
-        def evaluate(slot: Tuple[str, int, int]) -> float:
-            name, i, j = slot
-            lk = values[(name, "lkst")]
-            lt = values[(name, "lklt")]
-            result = lk[i] - lk[i + 1]
-            result += lt[j] - lt[j + 1]
-            result -= lt[j + 2] - lt[j + 3]
-            return result
+        values = {
+            name: (self._lkst[name].query_batch(lk, stats),
+                   self._lklt[name].query_batch(lt, stats))
+            for name, (lk, lt) in probes.items()
+        }
 
         results = []
-        for plan in plans:
-            if plan[0] == "all":
-                results.append(RTAResult(sum=evaluate(plan[1]),
-                                         count=evaluate(plan[2])))
-            elif plan[0] == "avg":
-                results.append(RTAResult(sum=evaluate(plan[1]),
-                                         count=evaluate(plan[2])).avg)
+        for aggregate, slots in plans:
+            reduced = []
+            for name, i, j in slots:
+                lk, lt = values[name]
+                result = lk[i] - lk[i + 1]
+                result += lt[j] - lt[j + 1]
+                result -= lt[j + 2] - lt[j + 3]
+                reduced.append(result)
+            if len(reduced) == 1:
+                results.append(reduced[0])
             else:
-                results.append(evaluate(plan[1]))
+                both = RTAResult(sum=reduced[0], count=reduced[1])
+                results.append(both if aggregate is None else both.avg)
         return results
 
     def timeline(self, key_range: KeyRange, interval: Interval,
@@ -360,42 +338,41 @@ class RTAIndex:
 
     def _reduce(self, name: str, key_range: KeyRange,
                 interval: Interval) -> float:
-        """Equation (1): two LKST and four LKLT point queries."""
+        """Equation (1): its six point queries as three same-instant
+        pairs, one shared MVSBT descent each."""
         self._validate_rectangle(key_range, interval)
         k1, k2 = key_range.low, key_range.high
         t1, t3 = interval.start, interval.end - 1
         lkst, lklt = self._lkst[name], self._lklt[name]
         tracer = self.pool.tracer
-        if tracer.enabled:
-            with tracer.span("rta.reduce", aggregate=name,
-                             key_range=str(key_range),
-                             interval=str(interval)):
-                return self._reduce_traced(lkst, lklt, k1, k2, t1, t3, tracer)
-        result = lkst.query(k2, t3) - lkst.query(k1, t3)
-        result += lklt.query(k2, t3) - lklt.query(k1, t3)
-        result -= lklt.query(k2, t1) - lklt.query(k1, t1)
-        return result
+        if not tracer.enabled:
+            return self._equation_one(lkst.query_pair, lklt.query_pair,
+                                      k1, k2, t1, t3)
+
+        def spanned(tree: MVSBT, label: str):
+            def pair(k_hi: int, k_lo: int, t: int) -> Tuple[float, float]:
+                with tracer.span("rta.pair", tree=label, k_hi=k_hi,
+                                 k_lo=k_lo, t=t):
+                    return tree.query_pair(k_hi, k_lo, t)
+            return pair
+
+        with tracer.span("rta.reduce", aggregate=name,
+                         key_range=str(key_range), interval=str(interval)):
+            return self._equation_one(spanned(lkst, "lkst"),
+                                      spanned(lklt, "lklt"), k1, k2, t1, t3)
 
     @staticmethod
-    def _reduce_traced(lkst: MVSBT, lklt: MVSBT, k1: int, k2: int,
-                       t1: int, t3: int, tracer) -> float:
-        """Equation (1) with one ``rta.point`` span per point query.
-
-        Evaluation order (and hence float rounding) is identical to the
-        untraced path; ``sign`` records the term's contribution to the sum.
-        """
-        def point(tree: MVSBT, label: str, key: int, t: int,
-                  sign: int) -> float:
-            with tracer.span("rta.point", tree=label, key=key, t=t,
-                             sign=sign):
-                return tree.query(key, t)
-
-        result = point(lkst, "lkst", k2, t3, +1) \
-            - point(lkst, "lkst", k1, t3, -1)
-        result += point(lklt, "lklt", k2, t3, +1) \
-            - point(lklt, "lklt", k1, t3, -1)
-        result -= point(lklt, "lklt", k2, t1, -1) \
-            - point(lklt, "lklt", k1, t1, +1)
+    def _equation_one(lkst_pair, lklt_pair, k1: int, k2: int, t1: int,
+                      t3: int) -> float:
+        """The arithmetic of Equation (1) over two pair-query callables —
+        one evaluation order (and hence float rounding), traced or not."""
+        hi, lo = lkst_pair(k2, k1, t3)
+        result = hi - lo
+        dead = lklt_pair(k2, k1, t3)
+        result += dead[0] - dead[1]
+        # A one-instant window asks the same LKLT pair twice.
+        hi, lo = dead if t1 == t3 else lklt_pair(k2, k1, t1)
+        result -= hi - lo
         return result
 
     def _validate_rectangle(self, key_range: KeyRange,

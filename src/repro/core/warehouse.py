@@ -404,8 +404,8 @@ class TemporalWarehouse:
         drop out immediately, and identical survivor triples collapse to
         one executed slot whose answer fans out); then every additive
         survivor is answered by one
-        :meth:`~repro.core.rta.RTAIndex.query_batch` sweep — each MVSBT
-        page fetched and decoded once per batch — while MIN/MAX retrieve
+        :meth:`~repro.core.rta.RTAIndex.query_batch` sweep — identical
+        boundary probes answered once — while MIN/MAX retrieve
         individually.  Cache stores happen after the sweep against the
         per-query epoch captured before execution (parking in the
         calling thread's deferred-store section when one is open).
@@ -487,7 +487,7 @@ class TemporalWarehouse:
             if aggregate is not None:
                 plans[qi] = plan
 
-        # One frontier-ordered sweep answers every additive query; a
+        # One instant-ordered sweep answers every additive query; a
         # sweep-level failure degrades to per-query execution so one bad
         # query cannot take the batch down.
         if sweep:
@@ -663,7 +663,7 @@ class TemporalWarehouse:
         if memo is not None:
             snapshot.memo = memo
         for pool in (self.tuples.pool, self.aggregates.pool):
-            decoded = getattr(pool.disk, "decoded_cache", None)
+            decoded = pool.disk.decoded_cache
             if decoded is not None:
                 CacheSnapshot._add(snapshot.decoded,
                                    decoded.stats.as_dict())

@@ -561,18 +561,20 @@ class MVSBTIngestBuffer:
             return 0.0
         self.drain()
         self._flush_frontier(key)
-        return self._descend(key, t)
+        return tree._descend(key, t, None, self._page,
+                             tree.roots.find(t).root_id)[0]
+
+    def _page(self, pid: int) -> Page:
+        """The window's page getter: the registry before the pool (sealed
+        pages are pinned, so both name the same frame object)."""
+        page = self._sealed.get(pid)
+        return page if page is not None else self.tree.pool.fetch(pid)
 
     def _flush_frontier(self, key: int) -> None:
         """Force-flush only the frontier leaf on ``key``'s search path."""
-        tree = self.tree
-        fetch = tree.pool.fetch
-        sealed_get = self._sealed.get
-        pid = tree.roots.latest.root_id
+        pid = self.tree.roots.latest.root_id
         while True:
-            page = sealed_get(pid)
-            if page is None:
-                page = fetch(pid)
+            page = self._page(pid)
             block = page.cache
             if type(block) is ColumnarBlock:
                 if block.leaf:
@@ -597,46 +599,6 @@ class MVSBTIngestBuffer:
                     "frontier"
                 )
             pid = nxt
-
-    def _descend(self, key: int, t: int) -> float:
-        """Mixed-representation twin of ``MVSBT._descend`` (logical mode)."""
-        tree = self.tree
-        fetch = tree.pool.fetch
-        sealed_get = self._sealed.get
-        acc = 0.0
-        pid = tree.roots.find(t).root_id
-        pages = 0
-        while True:
-            page = sealed_get(pid)
-            if page is None:
-                page = fetch(pid)
-            block = page.cache
-            pages += 1
-            if type(block) is ColumnarBlock:
-                delta, containing = block.scan(key, t)
-                acc += delta
-                if containing is None:
-                    raise InvariantViolation(
-                        f"page {page.page_id} does not cover key {key} "
-                        f"at t={t}"
-                    )
-                if block.leaf:
-                    break
-                pid = block.childs[containing]
-            else:
-                delta, containing = tree._scan_page(page, key, t, True)
-                acc += delta
-                if containing is None:
-                    raise InvariantViolation(
-                        f"page {page.page_id} does not cover key {key} "
-                        f"at t={t}"
-                    )
-                if page.kind == LEAF_KIND:
-                    break
-                pid = containing.child
-        if tree.metrics is not None:
-            tree.metrics.descent_pages.observe(pages)
-        return acc
 
     # -- window teardown -----------------------------------------------------------
 

@@ -1,4 +1,5 @@
-"""Columnar page blocks for the buffered MVSBT ingestion path.
+"""Columnar page blocks: the buffered MVSBT ingestion path's working
+form of a page, and every dead page's final one.
 
 During a buffered-ingest window (see :mod:`repro.mvsbt.buffered`) every
 page touched by the router descent is *sealed*: its per-record objects are
@@ -8,6 +9,13 @@ code path that was not taught about the window fails loudly instead of
 reading half a page.  The block is the page — same rectangles, same
 record order — just stored column-major so the hot ingest kernels touch
 plain ints and floats instead of dataclass instances.
+
+When the window closes, alive pages go back to object records (the
+insert kernels mutate those in place) and **dead pages stay blocks**: a
+time-split page is never routed to again, and the read path scans a
+block faster than a list of dataclass instances.  A checkpoint read
+leaves dead pages the same way (:meth:`ColumnarBlock.from_rows`).  A
+page whose ``death`` is ``NOW`` never holds a block outside a window.
 
 Two representation details the kernels rely on:
 
@@ -32,6 +40,7 @@ the module docstring of :mod:`repro.mvsbt.buffered` for why).
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.model import NOW
@@ -104,6 +113,24 @@ class ColumnarBlock:
         block.rebuild_alive()
         return block
 
+    @classmethod
+    def from_rows(cls, leaf: bool, rows: list) -> "ColumnarBlock":
+        """A *dead* page's block straight from its decoded field tuples.
+
+        The state a window leaves a page in when it dies there: the
+        columns (immutable tuples here — a dead page is never routed
+        again) and an empty alive index.
+        """
+        block = cls(leaf)
+        if rows:
+            columns = list(zip(*rows))
+            (block.lows, block.highs, block.starts, block.ends,
+             block.values) = columns[:5]
+            if not leaf:
+                block.childs = columns[5]
+            block.count = len(rows)
+        return block
+
     def rebuild_alive(self) -> None:
         """Recompute the alive index from the arrays (seal/prune time)."""
         ends, lows = self.ends, self.lows
@@ -114,58 +141,30 @@ class ColumnarBlock:
         self.alive = rows
         self.alive_lows = [lows[r] for r in rows]
 
-    def to_records(self) -> list:
-        """Rebuild the object-record list, dropping tombstoned rows.
+    def live_rows(self) -> List[tuple]:
+        """The non-tombstone rows as codec-ordered field tuples —
+        :meth:`from_rows`'s inverse.  Surviving rows keep their relative
+        order, so the result matches what the object kernels' physical
+        appends/removals would have produced for the same mutations."""
+        columns = [self.lows, self.highs, self.starts, self.ends,
+                   self.values]
+        if self.childs is not None:
+            columns.append(self.childs)
+        return [row for row in zip(*columns) if row[2] != row[3]]
 
-        Surviving rows keep their relative order, so the result matches
-        what the object kernels' physical appends/removals would have
-        produced for the same mutation sequence.
-        """
-        lows, highs = self.lows, self.highs
-        starts, ends, values = self.starts, self.ends, self.values
-        childs = self.childs
-        records: list = []
-        if childs is None:
-            for r in range(len(lows)):
-                if starts[r] != ends[r]:
-                    records.append(MVSBTLeafRecord(
-                        lows[r], highs[r], starts[r], ends[r], values[r]))
-        else:
-            for r in range(len(lows)):
-                if starts[r] != ends[r]:
-                    records.append(MVSBTIndexRecord(
-                        lows[r], highs[r], starts[r], ends[r], values[r],
-                        childs[r]))
-        return records
+    def to_records(self) -> list:
+        """Rebuild the object-record list, dropping tombstoned rows."""
+        record = MVSBTLeafRecord if self.leaf else MVSBTIndexRecord
+        return [record(*row) for row in self.live_rows()]
 
     def to_rows(self) -> Tuple[int, list]:
-        """Codec-ordered flat field list of the non-tombstone rows.
-
-        Returns ``(count, flat)`` where ``flat`` is every surviving row's
-        fields concatenated in the page codec's field order — the input
+        """``(count, flat)``: every surviving row's fields concatenated in
+        the page codec's field order — the input
         :func:`repro.storage.serialization.encode_page_flat` turns into a
         page image with one bulk ``struct.pack`` instead of a per-record
-        encode loop.  Byte-identical to encoding :meth:`to_records`.
-        """
-        lows, highs = self.lows, self.highs
-        starts, ends, values = self.starts, self.ends, self.values
-        childs = self.childs
-        flat: list = []
-        extend = flat.extend
-        count = 0
-        if childs is None:
-            for r in range(len(lows)):
-                if starts[r] != ends[r]:
-                    extend((lows[r], highs[r], starts[r], ends[r],
-                            values[r]))
-                    count += 1
-        else:
-            for r in range(len(lows)):
-                if starts[r] != ends[r]:
-                    extend((lows[r], highs[r], starts[r], ends[r],
-                            values[r], childs[r]))
-                    count += 1
-        return count, flat
+        encode loop.  Byte-identical to encoding :meth:`to_records`."""
+        rows = self.live_rows()
+        return len(rows), list(chain.from_iterable(rows))
 
     # -- row primitives -----------------------------------------------------------
 
@@ -212,43 +211,41 @@ class ColumnarBlock:
         """
         acc = 0.0
         containing: Optional[int] = None
-        lows, highs = self.lows, self.highs
-        starts, ends, values = self.starts, self.ends, self.values
-        for r in range(len(lows)):
-            if starts[r] <= t < ends[r]:
-                low = lows[r]
-                if low <= key:
-                    acc += values[r]
-                    if key < highs[r]:
-                        containing = r
+        lows, highs, ends, values = (self.lows, self.highs, self.ends,
+                                     self.values)
+        for r, start in enumerate(self.starts):
+            if start <= t < ends[r] and lows[r] <= key:
+                acc += values[r]
+                if key < highs[r]:
+                    containing = r
         return acc, containing
 
-    def scan_many(self, probes: List[Tuple[int, int]]
-                  ) -> Tuple[List[float], List[Optional[int]]]:
-        """Vectorized :meth:`scan`: many probes in one pass over the rows.
+    def scan_pair(self, key_a: int, key_b: int, t: int
+                  ) -> Tuple[float, Optional[int], float, Optional[int]]:
+        """:meth:`scan` for two keys at one instant in one pass.
 
-        ``probes`` is a list of ``(key, t)`` pairs.  Returns the parallel
-        lists of per-probe contributions and containing-row indices.  The
-        rows are walked once in record order and every probe accumulates
-        its matches in that same order, so each probe's float sum is
-        bit-identical to calling :meth:`scan` for it alone — the batch
-        sweep's byte-identity guarantee rests on this.
+        Both probes meet the same alive set, so the aliveness test runs
+        once per row; each key keeps its own sum in row order, which
+        makes either half bit-identical to its solo :meth:`scan` — the
+        pair descent's byte-identity guarantee rests on this.
         """
-        n = len(probes)
-        accs = [0.0] * n
-        rows: List[Optional[int]] = [None] * n
-        lows, highs = self.lows, self.highs
-        starts, ends, values = self.starts, self.ends, self.values
-        for r in range(len(lows)):
-            start, end = starts[r], ends[r]
-            low, high, value = lows[r], highs[r], values[r]
-            for p in range(n):
-                key, t = probes[p]
-                if start <= t < end and low <= key:
-                    accs[p] += value
-                    if key < high:
-                        rows[p] = r
-        return accs, rows
+        acc_a = acc_b = 0.0
+        row_a: Optional[int] = None
+        row_b: Optional[int] = None
+        lows, highs, ends, values = (self.lows, self.highs, self.ends,
+                                     self.values)
+        for r, start in enumerate(self.starts):
+            if start <= t < ends[r]:
+                low = lows[r]
+                if low <= key_a:
+                    acc_a += values[r]
+                    if key_a < highs[r]:
+                        row_a = r
+                if low <= key_b:
+                    acc_b += values[r]
+                    if key_b < highs[r]:
+                        row_b = r
+        return acc_a, row_a, acc_b, row_b
 
 
 def seal_page(page: Page) -> ColumnarBlock:

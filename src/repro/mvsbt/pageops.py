@@ -73,9 +73,13 @@ class _AliveMirror:
 
 
 def mirror(page: Page) -> _AliveMirror:
-    """The page's alive mirror, rebuilt when ``Page.version`` moved on."""
+    """The page's alive mirror, rebuilt when ``Page.version`` moved on.
+
+    ``Page.cache`` is an opaque slot other layers park things in too, so
+    only a mirror counts as one — whatever else sits there is replaced.
+    """
     m = page.cache
-    if m is None or m.version != page.version:
+    if type(m) is not _AliveMirror or m.version != page.version:
         m = _AliveMirror(page)
         page.cache = m
     return m

@@ -90,15 +90,29 @@ class MVSBTIndexRecord:
         )
 
 
+def _seal_dead(kind: str, rows: list, meta: dict):
+    """The codecs' ``seal`` hook: a dead page comes back from bytes as the
+    columnar block a buffered-ingest window would have left — nothing
+    routes an insertion to it again, so no kernel ever needs its records
+    as objects.  An alive page (``None``) gets record objects."""
+    if meta.get("death", NOW) == NOW:
+        return None
+    from repro.mvsbt.columnar import ColumnarBlock  # imports this module
+
+    return ColumnarBlock.from_rows(kind == LEAF_KIND, rows)
+
+
 register_codec(LEAF_KIND, RecordCodec(
     fmt="<qqqqd",
     to_tuple=lambda r: (r.low, r.high, r.start, r.end, r.value),
     from_tuple=lambda t: MVSBTLeafRecord(*t),
+    seal=_seal_dead,
 ))
 register_codec(INDEX_KIND, RecordCodec(
     fmt="<qqqqdq",
     to_tuple=lambda r: (r.low, r.high, r.start, r.end, r.value, r.child),
     from_tuple=lambda t: MVSBTIndexRecord(*t),
+    seal=_seal_dead,
 ))
 
 LEAF_RECORD_BYTES = 40

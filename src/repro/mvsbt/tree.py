@@ -39,6 +39,7 @@ both on by default and individually toggleable.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -55,6 +56,14 @@ from repro.mvsbt.records import (
 from repro.storage.buffer import BufferPool
 from repro.storage.page import Page
 from repro.storage.rootstar import RootDirectory
+
+#: What an untraced read enters in place of a span.
+_NO_SPAN = nullcontext()
+
+
+def _uncovered(page: Page, key: int, t: int) -> InvariantViolation:
+    return InvariantViolation(
+        f"page {page.page_id} does not cover key {key} at t={t}")
 
 
 @dataclass(frozen=True)
@@ -299,278 +308,281 @@ class MVSBT:
         """``V(key, t)`` — Appendix A's ``PointQuery``/``PagePointQuery``."""
         if self._buffer is not None:
             return self._buffer.query(key, t)
-        if not (self.key_space[0] <= key < self.key_space[1]):
-            raise QueryError(f"key {key} outside key space {self.key_space}")
+        self._check_key(key)
         if t < self.start_time:
             return 0.0
-        tracer = self.pool.tracer
-        if self.memo is not None:
-            return self._memoized_query(key, t,
-                                        tracer if tracer.enabled else None)
-        if tracer.enabled:
-            with tracer.span("mvsbt.query", key=key, t=t):
-                return self._descend(key, t, tracer)[0]
-        return self._descend(key, t, None)[0]
-
-    def _memoized_query(self, key: int, t: int, tracer) -> float:
-        """:meth:`query` through the point memo (memo attached only).
-
-        The epoch is read *before* the descent; if an insertion raced in
-        between (no single-writer discipline at this layer), the entry is
-        stored against the pre-descent epoch and a post-bump lookup drops
-        it — stale values are never served.
-        """
+        tracer = self.pool.tracer if self.pool.tracer.enabled else None
+        memo = self.memo
+        if memo is None and tracer is None:
+            return self._descend(key, t, None, self.pool.fetch,
+                                 self.roots.find(t).root_id)[0]
+        # The epoch is read *before* the descent; if an insertion raced in
+        # between (no single-writer discipline at this layer), the entry
+        # is stored against the pre-descent epoch and a post-bump lookup
+        # drops it — stale values are never served.
         epoch = self._memo_epoch
-        hit = self.memo.get(key, t, epoch)
-        if hit is not None:
-            if tracer is not None:
-                with tracer.span("mvsbt.query", key=key, t=t) as span:
-                    span.attrs["memo"] = "hit"
-            return hit[0]
-        if tracer is not None:
-            with tracer.span("mvsbt.query", key=key, t=t) as span:
-                span.attrs["memo"] = "miss"
-                value, pages = self._descend(key, t, tracer)
-        else:
-            value, pages = self._descend(key, t, None)
-        self.memo.put(key, t, value, pages,
-                      closed=t < self.now, epoch=epoch)
+        hit = memo.get(key, t, epoch) if memo is not None else None
+        with (tracer.span("mvsbt.query", key=key, t=t) if tracer is not None
+              else _NO_SPAN) as span:
+            if span is not None and memo is not None:
+                span.attrs["memo"] = "miss" if hit is None else "hit"
+            if hit is not None:
+                return hit[0]
+            value, pages = self._descend(key, t, tracer, self.pool.fetch,
+                                         self.roots.find(t).root_id)
+        if memo is not None:
+            memo.put(key, t, value, pages, closed=t < self.now, epoch=epoch)
         return value
 
+    def query_pair(self, key_hi: int, key_lo: int,
+                   t: int) -> Tuple[float, float]:
+        """``(V(key_hi, t), V(key_lo, t))`` in one shared descent.
+
+        The two halves of an Equation (1) pair enter through the same
+        root* entry and meet the same alive set in every page they share,
+        so each shared page is fetched and walked once
+        (:meth:`_descend_pair`).  Either value is bit-identical to its own
+        :meth:`query`; an attached memo sees each probe on its own, with
+        its own descent length.
+        """
+        if self._buffer is not None or key_hi == key_lo:
+            return self.query(key_hi, t), self.query(key_lo, t)
+        self._check_key(key_hi)
+        self._check_key(key_lo)
+        if t < self.start_time:
+            return 0.0, 0.0
+        tracer = self.pool.tracer if self.pool.tracer.enabled else None
+        memo = self.memo
+        if memo is None and tracer is None:
+            hi, _, lo, _, _ = self._descend_pair(key_hi, key_lo, t, None)
+            return hi, lo
+        epoch = self._memo_epoch    # before the descent, as in query()
+        hit_hi = hit_lo = None
+        if memo is not None:
+            hit_hi = memo.get(key_hi, t, epoch)
+            hit_lo = memo.get(key_lo, t, epoch)
+            if tracer is None and hit_hi is not None and hit_lo is not None:
+                return hit_hi[0], hit_lo[0]
+        with (tracer.span("mvsbt.query_pair", k_hi=key_hi, k_lo=key_lo, t=t)
+              if tracer is not None else _NO_SPAN) as span:
+            if span is not None and memo is not None:
+                span.attrs["memo_hits"] = ((hit_hi is not None)
+                                           + (hit_lo is not None))
+            if hit_hi is None and hit_lo is None:
+                hi, pages_hi, lo, pages_lo, _ = self._descend_pair(
+                    key_hi, key_lo, t, tracer)
+            else:   # one hit (a ``(value, pages)`` tuple), one descent
+                root_id = self.roots.find(t).root_id
+                hi, pages_hi = hit_hi or self._descend(
+                    key_hi, t, tracer, self.pool.fetch, root_id)
+                lo, pages_lo = hit_lo or self._descend(
+                    key_lo, t, tracer, self.pool.fetch, root_id)
+        if memo is not None:
+            closed = t < self.now
+            if hit_hi is None:
+                memo.put(key_hi, t, hi, pages_hi, closed=closed, epoch=epoch)
+            if hit_lo is None:
+                memo.put(key_lo, t, lo, pages_lo, closed=closed, epoch=epoch)
+        return hi, lo
+
     def query_batch(self, probes, stats=None) -> List[float]:
-        """Answer many point queries in one frontier-ordered sweep.
+        """Answer many point queries, same-instant neighbours as pairs.
 
         ``probes`` is a sequence of ``(key, t)`` pairs; the result list is
         byte-identical to ``[self.query(key, t) for key, t in probes]``.
-        Identical probes are deduplicated per batch, the survivors are
-        sorted into frontier order (key, then version), grouped by the
-        root* entry owning their instant, and walked level by level so
-        every page on any probe's descent path is fetched and decoded
-        exactly once per batch.  Columnar pages are scanned through
-        :meth:`~repro.mvsbt.columnar.ColumnarBlock.scan_many`; object
-        pages through the matching multi-probe record walk.  Per-probe
-        accumulation follows descent order with per-page contributions
-        computed in record order, which makes each float sum bit-identical
-        to the serial descent.
-
-        With a :meth:`enable_memo` memo attached, hits are served from it
-        and every value the sweep computes is put back with its descent
-        length — the batch prefills the memo exactly as serial misses would.
-        ``stats`` (a :class:`repro.core.batch.BatchScanStats`) receives
-        the probe/page accounting when provided.
+        Identical probes collapse to one, memo hits drop out, and the
+        rest is sorted by ``(t, key)``: adjacent same-instant probes
+        descend together (:meth:`_descend_pair`), an odd one out alone.
+        Every computed value is put back into an attached memo with its
+        descent length, exactly as serial misses would.  ``stats`` (a
+        :class:`repro.core.batch.BatchScanStats`) receives the probe/page
+        accounting when provided.
         """
-        probes = list(probes)
         if self._buffer is not None:
             return [self._buffer.query(key, t) for key, t in probes]
-        lo, hi = self.key_space
-        for key, t in probes:
-            if not (lo <= key < hi):
-                raise QueryError(
-                    f"key {key} outside key space {self.key_space}")
         tracer = self.pool.tracer
-        if tracer.enabled:
-            with tracer.span("mvsbt.query_batch", probes=len(probes)):
-                return self._sweep(probes, stats)
-        return self._sweep(probes, stats)
+        if not tracer.enabled:
+            return self._batch(probes, stats, None)
+        with tracer.span("mvsbt.query_batch", probes=len(probes)):
+            return self._batch(probes, stats, tracer)
 
-    def _sweep(self, probes: List[Tuple[int, int]], stats) -> List[float]:
-        """The batch traversal behind :meth:`query_batch` (validated input)."""
-        n = len(probes)
-        results: List[Optional[float]] = [None] * n
-        memo = self.memo
-        epoch = self._memo_epoch
-        # Dedup identical (key, t) probes and resolve memo hits up front;
-        # `fanout[slot]` lists every original probe index the slot answers.
-        slots: dict = {}
-        skeys: List[int] = []
-        stimes: List[int] = []
-        fanout: List[List[int]] = []
-        for i, (key, t) in enumerate(probes):
-            if t < self.start_time:
-                results[i] = 0.0
-                continue
-            if memo is not None:
-                hit = memo.get(key, t, epoch)
-                if hit is not None:
-                    results[i] = hit[0]
-                    continue
-            slot = slots.get((key, t))
-            if slot is None:
-                slot = len(skeys)
-                slots[(key, t)] = slot
-                skeys.append(key)
-                stimes.append(t)
-                fanout.append([i])
+    def _batch(self, probes, stats, tracer) -> List[float]:
+        """:meth:`query_batch` behind its window check and its span."""
+        lo, hi = self.key_space
+        memo, epoch, start = self.memo, self._memo_epoch, self.start_time
+        answers: dict = {}      # distinct (t, key) -> value
+        again: dict = {}        # (t, key) asked more than once -> extra asks
+        order: List[Tuple[int, int]] = []   # per probe, its (t, key)
+        todo: List[Tuple[int, int]] = []
+        for key, t in probes:
+            at = (t, key)
+            order.append(at)
+            if at in answers:
+                again[at] = again.get(at, 0) + 1
+            elif not lo <= key < hi:
+                self._check_key(key)    # raises
+            elif t < start:
+                answers[at] = 0.0
+            elif memo is not None and (
+                    hit := memo.get(key, t, epoch)) is not None:
+                answers[at] = hit[0]
             else:
-                fanout[slot].append(i)
+                answers[at] = None      # claimed; the descent fills it
+                todo.append(at)
+        todo.sort()     # by instant, then key
 
-        # Frontier order: key, then version — then bucket by the root*
-        # entry owning each probe's instant, preserving that order.
-        order = sorted(range(len(skeys)),
-                       key=lambda s: (skeys[s], stimes[s]))
-        frontiers: dict = {}
-        for s in order:
-            root_id = self.roots.find(stimes[s]).root_id
-            frontiers.setdefault(root_id, []).append(s)
-
-        values = [0.0] * len(skeys)
-        depths = [0] * len(skeys)
-        fetched = 0
-        logical = self.config.logical_split
-        for root_id, root_slots in frontiers.items():
-            frontier = [(root_id, s) for s in root_slots]
-            while frontier:
-                # Group this level's probes by page, preserving frontier
-                # order, so each page is fetched and decoded once.
-                groups: dict = {}
-                page_seq: List[int] = []
-                for pid, s in frontier:
-                    bucket = groups.get(pid)
-                    if bucket is None:
-                        groups[pid] = bucket = []
-                        page_seq.append(pid)
-                    bucket.append(s)
-                frontier = []
-                for pid in page_seq:
-                    here = groups[pid]
-                    page = self.pool.fetch(pid)
-                    fetched += 1
-                    page_probes = [(skeys[s], stimes[s]) for s in here]
-                    if page.records is None:
-                        accs, rows = page.cache.scan_many(page_probes)
-                        childs = page.cache.childs
-                        leaf = page.kind == LEAF_KIND
-                        for j, s in enumerate(here):
-                            values[s] += accs[j]
-                            depths[s] += 1
-                            row = rows[j]
-                            if row is None:
-                                raise InvariantViolation(
-                                    f"page {page.page_id} does not cover "
-                                    f"key {skeys[s]} at t={stimes[s]}")
-                            if not leaf:
-                                frontier.append((childs[row], s))
-                        continue
-                    accs, conts = self._scan_page_many(page, page_probes,
-                                                       logical)
-                    leaf = page.kind == LEAF_KIND
-                    for j, s in enumerate(here):
-                        values[s] += accs[j]
-                        depths[s] += 1
-                        containing = conts[j]
-                        if containing is None:
-                            raise InvariantViolation(
-                                f"page {page.page_id} does not cover key "
-                                f"{skeys[s]} at t={stimes[s]}")
-                        if not leaf:
-                            frontier.append((containing.child, s))
-
-        now = self.now
-        for s in range(len(skeys)):
-            if self.metrics is not None:
-                self.metrics.descent_pages.observe(depths[s])
+        # ``serial``: what one descent per time a descended probe was
+        # asked would have fetched (``pages_saved`` is measured against
+        # it).  Values go back into the memo as serial misses would put
+        # them.
+        fetch, find_root, closed_before = (self.pool.fetch, self.roots.find,
+                                           self.now)
+        fetched = serial = 0
+        i, n = 0, len(todo)
+        while i < n:
+            at = todo[i]
+            t, key = at
+            i += 1
+            if i < n and todo[i][0] == t:
+                other = todo[i]
+                i += 1
+                value, pages, answers[other], pages_o, shared = (
+                    self._descend_pair(key, other[1], t, tracer))
+                fetched += pages_o - shared
+                serial += pages_o * (1 + again.get(other, 0))
+                if memo is not None:
+                    memo.put(other[1], t, answers[other], pages_o,
+                             closed=t < closed_before, epoch=epoch)
+            else:
+                value, pages = self._descend(key, t, tracer, fetch,
+                                             find_root(t).root_id)
+            answers[at] = value
+            fetched += pages
+            serial += pages * (1 + again.get(at, 0))
             if memo is not None:
-                memo.put(skeys[s], stimes[s], values[s], depths[s],
-                         closed=stimes[s] < now, epoch=epoch)
-            value = values[s]
-            for i in fanout[s]:
-                results[i] = value
+                memo.put(key, t, value, pages, closed=t < closed_before,
+                         epoch=epoch)
         if stats is not None:
-            swept = sum(len(f) for f in fanout)
-            serial = sum(depths[s] * len(fanout[s])
-                         for s in range(len(skeys)))
-            stats.note_probes(n, swept - len(skeys), fetched,
-                              serial - fetched)
-        return results  # type: ignore[return-value]
+            stats.note_probes(len(order), len(order) - len(answers),
+                              fetched, serial - fetched)
+        return [answers[at] for at in order]
 
-    @staticmethod
-    def _scan_page_many(page: Page, probes: List[Tuple[int, int]],
-                        logical: bool
-                        ) -> Tuple[List[float], List[Optional[object]]]:
-        """Vectorized :meth:`_scan_page`: one record walk, many probes.
+    def _check_key(self, key: int) -> None:
+        if not (self.key_space[0] <= key < self.key_space[1]):
+            raise QueryError(f"key {key} outside key space {self.key_space}")
 
-        The records are walked once in page order and every probe
-        accumulates its matches in that order, keeping each probe's float
-        sum bit-identical to its solo :meth:`_scan_page`.
+    def _traced_fetch(self, fetch, pid: int, tracer, probes: int) -> Page:
+        """``fetch(pid)`` inside an ``mvsbt.page`` span (``probes`` = how
+        many point queries the visit serves), so per-page I/O deltas sum
+        exactly to the whole descent's I/O."""
+        with tracer.span("mvsbt.page", page=pid, probes=probes) as span:
+            page = fetch(pid)
+            span.attrs["level"] = page.meta["level"]
+            span.attrs["kind"] = page.kind
+        return page
+
+    def _descend(self, key: int, t: int, tracer, fetch, pid: int,
+                 acc: float = 0.0, pages: int = 0) -> Tuple[float, int]:
+        """The descent loop: from page ``pid`` down to the leaf, adding
+        each page's contribution at ``(key, t)`` to ``acc``; returns
+        ``(V(key, t), pages visited)``.
+
+        A whole query starts at the root* entry of ``t`` with nothing
+        accumulated, the tail of a pair descent where the pair parted.
+        ``fetch`` is the page getter (the pool's, or an ingest window's).
         """
-        n = len(probes)
-        accs = [0.0] * n
-        conts: List[Optional[object]] = [None] * n
-        for rec in page.records:
-            low, high = rec.low, rec.high
-            start, end = rec.start, rec.end
-            value = rec.value
-            for p in range(n):
-                key, t = probes[p]
-                if not start <= t < end:
-                    continue
-                if logical:
-                    if low <= key:
-                        accs[p] += value
-                if low <= key < high:
-                    conts[p] = rec
-        if not logical:
-            for p in range(n):
-                if conts[p] is not None:
-                    accs[p] = conts[p].value
-        return accs, conts
-
-    def _descend(self, key: int, t: int, tracer) -> Tuple[float, int]:
-        """Root-to-leaf descent summing per-page contributions at ``t``;
-        returns ``(V(key, t), pages visited)``.
-
-        With a live ``tracer``, each page visit opens an ``mvsbt.page`` span
-        around the fetch *and* the record scan, so per-level I/O deltas sum
-        exactly to the whole query's I/O and CPU attribution follows the
-        descent.
-        """
-        acc = 0.0
         logical = self.config.logical_split
+        while True:
+            page = (fetch(pid) if tracer is None
+                    else self._traced_fetch(fetch, pid, tracer, 1))
+            pages += 1
+            if page.records is None:
+                # A sealed (dead) page, or a columnar one inside a window.
+                block = page.cache
+                delta, row = block.scan(key, t)
+                if row is None:
+                    raise _uncovered(page, key, t)
+                acc += delta if logical else block.values[row]
+                if page.kind == LEAF_KIND:
+                    break
+                pid = block.childs[row]
+            else:
+                delta, rec = self._scan_page(page, key, t, logical)
+                if rec is None:
+                    raise _uncovered(page, key, t)
+                acc += delta
+                if page.kind == LEAF_KIND:
+                    break
+                pid = rec.child
+        if self.metrics is not None:
+            self.metrics.descent_pages.observe(pages)
+        return acc, pages
+
+    def _descend_pair(self, key_a: int, key_b: int, t: int, tracer
+                      ) -> Tuple[float, int, float, int, int]:
+        """Two point queries at one instant, one path while they share it:
+        ``(V(key_a, t), pages_a, V(key_b, t), pages_b, shared pages)``.
+
+        While both keys route to the same child each page is fetched once
+        and — a sealed page — walked once, each key adding its own
+        per-page contribution to its own sum: the float arithmetic of two
+        solo descents.  Where they part, two :meth:`_descend` tails finish
+        from what the shared pages gave them.
+        """
+        logical = self.config.logical_split
+        fetch = self.pool.fetch
         pid = self.roots.find(t).root_id
+        acc_a = acc_b = 0.0
         pages = 0
         while True:
-            if tracer is not None:
-                with tracer.span("mvsbt.page", page=pid) as span:
-                    page = self.pool.fetch(pid)
-                    span.attrs["level"] = page.meta["level"]
-                    span.attrs["kind"] = page.kind
-            else:
-                page = self.pool.fetch(pid)
-            if page.records is None:
-                # Columnar page left behind by a buffered-ingest window
-                # (block semantics are logical; buffered ingest requires
-                # the logical value mode).
-                delta, row = page.cache.scan(key, t)
-                acc += delta
-                pages += 1
-                if row is None:
-                    raise InvariantViolation(
-                        f"page {page.page_id} does not cover key {key} "
-                        f"at t={t}"
-                    )
-                if page.kind == LEAF_KIND:
-                    if self.metrics is not None:
-                        self.metrics.descent_pages.observe(pages)
-                    return acc, pages
-                pid = page.cache.childs[row]
-                continue
-            delta, containing = self._scan_page(page, key, t, logical)
-            acc += delta
+            page = (fetch(pid) if tracer is None
+                    else self._traced_fetch(fetch, pid, tracer, 2))
             pages += 1
-            if containing is None:
-                raise InvariantViolation(
-                    f"page {page.page_id} does not cover key {key} at t={t}"
-                )
-            if page.kind == LEAF_KIND:
-                if self.metrics is not None:
-                    self.metrics.descent_pages.observe(pages)
-                return acc, pages
-            pid = containing.child
+            if page.records is None:
+                block = page.cache
+                delta_a, row_a, delta_b, row_b = block.scan_pair(
+                    key_a, key_b, t)
+                if row_a is None or row_b is None:
+                    raise _uncovered(page, key_a if row_a is None else key_b,
+                                     t)
+                if logical:
+                    acc_a += delta_a
+                    acc_b += delta_b
+                else:
+                    acc_a += block.values[row_a]
+                    acc_b += block.values[row_b]
+                if page.kind == LEAF_KIND:
+                    break
+                pid, pid_b = block.childs[row_a], block.childs[row_b]
+            else:
+                delta_a, rec_a = self._scan_page(page, key_a, t, logical)
+                delta_b, rec_b = self._scan_page(page, key_b, t, logical)
+                if rec_a is None or rec_b is None:
+                    raise _uncovered(page, key_a if rec_a is None else key_b,
+                                     t)
+                acc_a += delta_a
+                acc_b += delta_b
+                if page.kind == LEAF_KIND:
+                    break
+                pid, pid_b = rec_a.child, rec_b.child
+            if pid != pid_b:
+                value_a, pages_a = self._descend(key_a, t, tracer, fetch,
+                                                 pid, acc_a, pages)
+                value_b, pages_b = self._descend(key_b, t, tracer, fetch,
+                                                 pid_b, acc_b, pages)
+                return value_a, pages_a, value_b, pages_b, pages
+        # Both keys ended in one leaf.
+        if self.metrics is not None:
+            self.metrics.descent_pages.observe(pages)
+            self.metrics.descent_pages.observe(pages)
+        return acc_a, pages, acc_b, pages, pages
 
     @staticmethod
     def _scan_page(page: Page, key: int, t: int, logical: bool
                    ) -> Tuple[float, Optional[object]]:
-        """One page's ``PagePointQuery`` step: contribution + next router.
+        """One object page's ``PagePointQuery`` step: contribution + next
+        router (:meth:`ColumnarBlock.scan
+        <repro.mvsbt.columnar.ColumnarBlock.scan>` for record objects).
 
         Logical mode sums every alive record with ``low <= key``; physical
         mode reads only the containing record's value.
@@ -1000,11 +1012,8 @@ class MVSBT:
                 page = self.pool.fetch(pid)
                 if page.kind == INDEX_KIND:
                     if page.records is None:
-                        block = page.cache
-                        starts, ends = block.starts, block.ends
-                        childs = block.childs
-                        stack.extend(childs[r] for r in range(len(childs))
-                                     if starts[r] != ends[r])
+                        stack.extend(row[5]
+                                     for row in page.cache.live_rows())
                     else:
                         stack.extend(rec.child for rec in page.records)
         return seen

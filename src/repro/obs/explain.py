@@ -8,14 +8,16 @@ indented ASCII form the TQL shell prints for ``EXPLAIN SELECT ...``::
 
     explain aggregate=SUM                       [ios=9 reads=9 ... ]
       plan choice=mvsbt                         [ios=4 ...]
-        rta.point tree=lkst k=900 t=699          ...
-          mvsbt.query key=900 t=699
-            mvsbt.page page=12 level=1 kind=index
+        rta.pair tree=lkst k_hi=900 k_lo=100 t=699   ...
+          mvsbt.query_pair k_hi=900 k_lo=100 t=699
+            mvsbt.page page=12 probes=2 level=1 kind=index
               buffer.miss page=12
               disk.read page=12
+            mvsbt.page page=31 probes=1 level=0 kind=leaf
 
 Each node shows the I/O delta accumulated *while it was open* (inclusive
-of children) and its CPU; leaf ``mvsbt.page`` spans therefore sum exactly
+of children) and its CPU; leaf ``mvsbt.page`` spans (``probes`` = how many
+of the pair's two point queries the visit served) therefore sum exactly
 to the query's ``IOStats.total_ios``, the property the paper's entire
 evaluation rests on and the acceptance test asserts.
 """

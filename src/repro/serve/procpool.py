@@ -330,7 +330,7 @@ def _worker_main(conn, spec: ShardSpec) -> None:
     stats = {
         "requests": 0, "reads": 0, "writes": 0, "errors": 0,
         "shared_batches": 0, "batched_reads": 0, "load_bytes": 0,
-        "batch_sweeps": 0, "batch_queries": 0,
+        "batch_scans": 0, "batch_queries": 0,
     }
     memoized = spec.cache_config is not None and spec.cache_config.memo_entries > 0
     pending: deque = deque()
@@ -450,8 +450,8 @@ def _serve_read_batch(conn, warehouse, batch, stats, memoized: bool,
     Aggregate-shaped reads (``aggregate``, the ``sum``/…/``max``
     wrappers, ``aggregate_all``) are peeled off and answered by a single
     :meth:`~repro.core.warehouse.TemporalWarehouse.aggregate_batch`
-    sweep — one frontier-ordered MVSBT traversal for the whole run, each
-    page fetched and decoded once; a failing query fails only its own
+    call — identical probes collapse, same-instant neighbours share one
+    MVSBT descent; a failing query fails only its own
     response.  Everything else (snapshots, histories, light-traced
     reads) executes individually, and every response still ships in
     arrival order.
@@ -485,7 +485,7 @@ def _serve_read_batch(conn, warehouse, batch, stats, memoized: bool,
                     answers = {}  # degrade to per-request execution
                 else:
                     answers = dict(zip(positions, results))
-                    stats["batch_sweeps"] += 1
+                    stats["batch_scans"] += 1
                     stats["batch_queries"] += len(queries)
         for pos, (rid, method, args) in enumerate(batch):
             if method == _TRACED:
@@ -1145,7 +1145,7 @@ class WorkerGroup:
                 labels["replica"] = str(row.get("replica", ""))
             for counter in ("requests", "reads", "writes", "errors",
                             "shared_batches", "batched_reads",
-                            "batch_sweeps", "batch_queries",
+                            "batch_scans", "batch_queries",
                             "load_bytes"):
                 if counter in row:
                     registry.gauge(

@@ -834,9 +834,9 @@ class TQLServer:
         queries until the queue is empty.  Each group is answered with
         *one* executor hop and one
         :meth:`~repro.core.warehouse.TemporalWarehouse.aggregate_batch`
-        sweep — every MVSBT page the group touches is fetched and
-        decoded once, and (MVCC) the shard epoch is validated once for
-        the whole group.  Queries that pile up while a flush is in
+        call — identical probes collapse, same-instant neighbours share
+        one MVSBT descent, and (MVCC) the shard epoch is validated once
+        for the whole group.  Queries that pile up while a flush is in
         flight form the next group; answers are byte-identical to serial
         execution and a failing query fails only its own future.
         """

@@ -184,9 +184,10 @@ class BufferPool:
     def fetch(self, page_id: int) -> Page:
         """Return the page, reading it from disk on a miss (counted)."""
         self.stats.logical_reads += 1
-        page = self._frames.get(page_id)
+        frames = self._frames
+        page = frames.get(page_id)
         if page is not None:
-            self._frames.move_to_end(page_id)
+            frames.move_to_end(page_id)
             if self.tracer.enabled:
                 self.tracer.event("buffer.hit", page=page_id)
             return page
@@ -195,7 +196,14 @@ class BufferPool:
         page = self.disk.read(page_id)
         self.stats.reads += 1
         self._maybe_clean[page_id] = None
-        self._admit(page, keep=True)
+        frames[page_id] = page      # a new key: it enters at the MRU end
+        if len(frames) > self.capacity:
+            # A fetched page is clean and not yet pinned (callers pin
+            # only after fetch returns): without the exclusion a pool
+            # whose other frames are all pinned or batch-deferred would
+            # evict the page it is admitting, and the caller's pin()
+            # would fail on a non-resident page.
+            self._evict(keep=page_id)
         return page
 
     def allocate(self, capacity: int, kind: str = "raw") -> Page:
@@ -206,7 +214,12 @@ class BufferPool:
         # Candidate from birth: a batch-mode victim scan then sees the page,
         # defers it (it is dirty) and counts the coalesced write.
         self._maybe_clean[page.page_id] = None
-        self._admit(page)
+        self._frames[page.page_id] = page
+        if len(self._frames) > self.capacity:
+            # A freshly allocated page deliberately stays evictable: with
+            # every other frame pinned it spills (written back at once)
+            # while the caller's reference stays usable.
+            self._evict()
         return page
 
     def free(self, page_id: int) -> None:
@@ -252,7 +265,7 @@ class BufferPool:
     def begin_batch(self) -> None:
         """Open a (nestable) batch window that defers dirty-page evictions.
 
-        While the window is open, :meth:`_evict_if_needed` skips dirty frames
+        While the window is open, :meth:`_evict` skips dirty frames
         when hunting for a victim, so a page mutated by many events in the
         batch is written back once by :meth:`flush_batch` instead of once per
         eviction.  The first deferral of each page per window increments
@@ -276,7 +289,7 @@ class BufferPool:
                 written += 1
         self._batch_deferred.clear()
         self._maybe_clean = dict.fromkeys(self._frames)
-        self._evict_if_needed()
+        self._evict()
         if self.metrics is not None:
             self.metrics.flush_batch_pages.observe(written)
         return written
@@ -325,22 +338,20 @@ class BufferPool:
 
     # -- internals ----------------------------------------------------------------
 
-    def _admit(self, page: Page, keep: bool = False) -> None:
-        self._frames[page.page_id] = page
-        self._frames.move_to_end(page.page_id)
-        # A fetched page is clean and not yet pinned (callers pin only
-        # after fetch returns), so without the exclusion an over-committed
-        # pool whose other frames are all pinned or batch-deferred would
-        # evict the very page it is admitting — and the caller's pin()
-        # would then fail on a non-resident page.  A freshly *allocated*
-        # page deliberately stays evictable: with every other frame pinned
-        # it spills (written back immediately) while the caller's
-        # reference stays usable.
-        self._evict_if_needed(keep=page.page_id if keep else None)
-
-    def _evict_if_needed(self, keep: Optional[int] = None) -> None:
-        while len(self._frames) > self.capacity:
-            victim_id = self._pick_victim(keep)
+    def _evict(self, keep: Optional[int] = None) -> None:
+        """Evict until the pool is within capacity again (never ``keep``):
+        the least recently used unpinned frame, or inside a batch window
+        the first clean candidate (:meth:`_batch_victim`)."""
+        frames, pins = self._frames, self._pins
+        while len(frames) > self.capacity:
+            if self._batch_depth:
+                victim_id = self._batch_victim(keep)
+            else:
+                victim_id = None
+                for pid in frames:  # OrderedDict iterates LRU-first
+                    if pid != keep and pins.get(pid, 0) == 0:
+                        victim_id = pid
+                        break
             if victim_id is None:
                 # No evictable victim (everything pinned, or dirty inside a
                 # batch window); allow transient over-commit rather than
@@ -348,11 +359,11 @@ class BufferPool:
                 self.stats.overcommit += 1
                 if self.tracer.enabled:
                     self.tracer.event("buffer.overcommit",
-                                      resident=len(self._frames))
+                                      resident=len(frames))
                 if self.metrics is not None:
                     self.metrics.overcommits.inc()
                 return
-            victim = self._frames.pop(victim_id)
+            victim = frames.pop(victim_id)
             self._maybe_clean.pop(victim_id, None)
             if self.tracer.enabled:
                 self.tracer.event("buffer.evict", page=victim_id,
@@ -363,27 +374,21 @@ class BufferPool:
                 self.disk.write(victim)
                 self.stats.writes += 1
                 victim.dirty = False
-            else:
+            elif (self.disk.decoded_cache is not None
+                  and victim.records is not None):
                 # A clean victim's records already match its on-disk bytes;
-                # park them in the disk manager's decoded-page cache (if
-                # any) so a re-read skips the decode.  Dirty victims are
-                # parked by the write-back above.
-                decoded = getattr(self.disk, "decoded_cache", None)
-                if decoded is not None and victim.records is not None:
-                    decoded.put(victim_id, victim.kind, victim.records,
-                                victim.capacity)
+                # park them in the disk manager's decoded-page cache so a
+                # re-read skips the decode.  Dirty victims are parked by
+                # the write-back above.
+                self.disk.decoded_cache.put(victim_id, victim.kind,
+                                            victim.records, victim.capacity)
 
-    def _pick_victim(self, keep: Optional[int] = None) -> Optional[int]:
-        if not self._batch_depth:
-            for pid in self._frames:  # OrderedDict iterates LRU-first
-                if pid != keep and self._pins.get(pid, 0) == 0:
-                    return pid
-            return None
-        # Batch window: only clean pages are evictable; walk the candidate
-        # list instead of rescanning every (mostly dirty) frame.  A stale
-        # candidate that turned dirty is deferred — kept resident so later
-        # events coalesce into flush_batch's single write — and counted
-        # once per window in ``coalesced_writes``.
+    def _batch_victim(self, keep: Optional[int]) -> Optional[int]:
+        """Batch window: only clean pages are evictable; walk the candidate
+        list instead of rescanning every (mostly dirty) frame.  A stale
+        candidate that turned dirty is deferred — kept resident so later
+        events coalesce into flush_batch's single write — and counted
+        once per window in ``coalesced_writes``."""
         kept_candidate = False
         try:
             while self._maybe_clean:

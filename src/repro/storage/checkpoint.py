@@ -31,7 +31,7 @@ from repro.storage.disk import InMemoryDiskManager
 from repro.storage.serialization import (
     PAGE_HEADER_BYTES,
     codec_for,
-    decode_page,
+    decode_rows,
     encode_page_image,
 )
 
@@ -103,8 +103,10 @@ def read_checkpoint(directory: str, buffer_pages: int = 64
     """Rebuild a buffer pool (over an in-memory disk) from a checkpoint.
 
     Returns ``(pool, index_meta)``.  Page ids, capacities, kinds, records
-    and per-page metadata are restored exactly; the disk's allocation
-    cursor continues where the checkpointed index left off.
+    (as objects, or as the block a codec's ``seal`` hook keeps — the same
+    bytes either way) and per-page metadata are restored exactly; the
+    disk's allocation cursor continues where the checkpointed index left
+    off.
     """
     meta_path = os.path.join(directory, META_FILE)
     pages_path = os.path.join(directory, PAGES_FILE)
@@ -133,9 +135,16 @@ def read_checkpoint(directory: str, buffer_pages: int = 64
     for page_id_str, entry in blob["pages"].items():
         page_id = int(page_id_str)
         offset = entry["slot"] * page_bytes
-        kind, records = decode_page(raw[offset:offset + page_bytes])
+        kind, codec, rows = decode_rows(raw[offset:offset + page_bytes])
         page = Page(page_id, entry["capacity"], kind)
-        page.records = records
+        block = (codec.seal(kind, rows, entry["meta"])
+                 if codec.seal is not None else None)
+        if block is None:
+            page.records = [codec.from_tuple(row) for row in rows]
+        else:
+            # The kind's codec keeps such a page sealed (a dead MVSBT
+            # page: rows, never record objects).
+            page.records, page.cache = None, block
         page.meta.update(entry["meta"])
         disk._pages[page_id] = page  # restore under the original id
     disk._next_page_id = blob["next_page_id"]

@@ -35,6 +35,10 @@ class DiskManager(ABC):
     #: branch on the (hot) untraced path.
     tracer = NULL_TRACER
 
+    #: A :class:`~repro.storage.serialization.DecodedPageCache` when the
+    #: manager keeps one (the buffer pool parks clean victims there).
+    decoded_cache = None
+
     def __init__(self) -> None:
         self._next_page_id = 0
 

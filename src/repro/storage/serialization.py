@@ -52,12 +52,17 @@ class RecordCodec:
     """A ``struct`` layout plus encode/decode between records and tuples.
 
     ``to_tuple``/``from_tuple`` adapt an index's record class to the flat
-    field tuple the struct format expects.
+    field tuple the struct format expects.  ``seal`` is an index's say in
+    how a checkpoint restores its pages: called with a page's kind, field
+    tuples and ``meta``, it returns the block the page keeps in place of
+    record objects (``records = None``, the block in ``cache``, as
+    :func:`encode_page_image` reads it), or ``None`` for records.
     """
 
     fmt: str
     to_tuple: Callable[[Any], Tuple]
     from_tuple: Callable[[Tuple], Any]
+    seal: Optional[Callable[[str, List[Tuple], dict], Any]] = None
 
     @property
     def record_bytes(self) -> int:
@@ -211,17 +216,20 @@ def unpack_events(blob: bytes) -> List[Tuple[str, int, float, int]]:
             for i in range(n)]
 
 
-def decode_page(raw: bytes) -> Tuple[str, list]:
-    """Inverse of :func:`encode_page`: returns ``(kind, records)``."""
+def decode_rows(raw: bytes) -> Tuple[str, RecordCodec, List[Tuple]]:
+    """A page image's kind, its codec and its records as field tuples."""
     kind = raw[:16].rstrip(b"\0").decode("ascii")
     (count,) = struct.unpack("<I", raw[16:20])
     codec = codec_for(kind)
-    width = codec.record_bytes
-    body = raw[PAGE_HEADER_BYTES:]
-    records = [
-        codec.decode(body[i * width:(i + 1) * width]) for i in range(count)
-    ]
-    return kind, records
+    end = PAGE_HEADER_BYTES + count * codec.record_bytes
+    return kind, codec, list(
+        struct.iter_unpack(codec.fmt, raw[PAGE_HEADER_BYTES:end]))
+
+
+def decode_page(raw: bytes) -> Tuple[str, list]:
+    """Inverse of :func:`encode_page`: returns ``(kind, records)``."""
+    kind, codec, rows = decode_rows(raw)
+    return kind, [codec.from_tuple(row) for row in rows]
 
 
 class DecodedPageCache:

@@ -31,7 +31,7 @@ def _loaded(**kwargs):
     rng = random.Random(11)
     t = 1
     for key in rng.sample(range(1, KEYS + 1), KEYS):
-        warehouse.insert(key, float(rng.randint(1, 50)), t)
+        warehouse.insert(key, rng.randint(1, 500) / 10, t)  # sums round
         if rng.random() < 0.2:
             t += 1
     return warehouse, t
@@ -94,6 +94,60 @@ class TestTwinIdentity:
             warehouse.aggregate(*q)
         memo_after = warehouse.cache_snapshot().memo.get("hits", 0)
         assert memo_after > memo_before
+
+
+class TestLoneBatch:
+    def test_a_batch_of_one_is_still_a_batch(self):
+        """No second path for ``n == 1``: the lone query's six boundary
+        probes are counted like any batch's (sharded sub-batches are
+        often a single part)."""
+        warehouse, now = _loaded()
+        query = (KeyRange(5, 150), Interval(2, now), SUM)
+        [answer] = warehouse.aggregate_batch([query])
+        assert repr(answer) == repr(warehouse.aggregate(*query))
+        snapshot = warehouse.batch_snapshot()
+        assert snapshot["batches"] == 1
+        assert snapshot["probes"] == 6
+
+
+class TestSharedEdges:
+    """Rollup-shaped batches: neighbouring rectangles share an edge, so
+    more than two keys meet at one instant (``key_histogram``) or the
+    same two keys meet at many (``timeline``)."""
+
+    def check(self, queries):
+        warehouse, _ = _loaded()
+        serial = [repr(warehouse.aggregate(*q)) for q in queries]
+        before = warehouse.batch_stats.as_dict()
+        batched = [repr(x) for x in warehouse.aggregate_batch(queries)]
+        after = warehouse.batch_stats.as_dict()
+        assert batched == serial
+        assert after["pages_saved"] > before["pages_saved"]
+        return {name: after[name] - before[name] for name in after}
+
+    def test_key_histogram_bands(self):
+        _, now = _loaded()
+        edges = list(range(1, KEYS + 2, 25))
+        interval = Interval(max(1, now // 3), now + 1)
+        spent = self.check([(KeyRange(lo, hi), interval, aggregate)
+                            for lo, hi in zip(edges, edges[1:])
+                            for aggregate in (SUM, AVG)])
+        # Every inner edge is asked for by two bands (and by AVG's SUM
+        # half again): duplicates collapse before anything descends.
+        assert spent["probes_deduped"] > spent["probes"] // 2
+
+    def test_timeline_buckets(self):
+        _, now = _loaded()
+        ticks = list(range(1, now + 2, max(1, now // 6)))
+        self.check([(KeyRange(20, 160), Interval(lo, hi), aggregate)
+                    for lo, hi in zip(ticks, ticks[1:])
+                    for aggregate in (COUNT, AVG)])
+
+    def test_one_instant_windows(self):
+        """``t1 == t3``: the LKLT pair is asked for twice per request."""
+        _, now = _loaded()
+        self.check([(KeyRange(lo, lo + 40), Interval(t, t + 1), SUM)
+                    for lo in (1, 50, 120) for t in (1, now // 2, now)])
 
 
 class TestErrorIsolation:

@@ -167,9 +167,9 @@ class TestPlanner:
 
 @pytest.fixture()
 def descents(monkeypatch):
-    """Counts of ``MVSBT.query`` / ``MVSBT.query_batch`` calls."""
+    """Counts of ``MVSBT.query`` / ``query_pair`` / ``query_batch`` calls."""
     from repro.mvsbt.tree import MVSBT
-    calls = {"query": 0, "query_batch": 0}
+    calls = {"query": 0, "query_pair": 0, "query_batch": 0}
 
     def counting(name):
         inner = getattr(MVSBT, name)
@@ -185,32 +185,58 @@ def descents(monkeypatch):
 
 
 class TestProbeBudget:
-    """An additive read is Equation (1) and nothing else: six point
-    queries per tree pair, no planning probe, no MVBT page."""
+    """An additive read is Equation (1) and nothing else: its six point
+    queries as three same-instant pair descents per tree pair (two when
+    the window is one instant: the LKLT pair is the same twice), no
+    planning probe, no MVBT page."""
 
     RECTANGLES = [(KeyRange(1, 1000), Interval(1, 250)),
                   (KeyRange(1, 3), Interval(240, 245)),      # selective
                   (KeyRange(1, 2), Interval(999, 1000))]     # empty
 
     @pytest.mark.parametrize("aggregate, budget",
-                             [(SUM, 6), (COUNT, 6), (AVG, 12)],
+                             [(SUM, 3), (COUNT, 3), (AVG, 6)],
                              ids=["SUM", "COUNT", "AVG"])
     def test_additive_read_is_equation_one_only(self, descents, aggregate,
                                                 budget):
         warehouse, _ = loaded_warehouse()
         for r, iv in self.RECTANGLES:
-            descents["query"] = 0
+            descents.update(query=0, query_pair=0)
             tuple_reads = warehouse.tuples.pool.stats.logical_reads
             warehouse.aggregate(r, iv, aggregate)
-            assert descents["query"] == budget
+            one_instant = iv.length == 1
+            assert descents["query_pair"] \
+                == (budget * 2 // 3 if one_instant else budget)
+            assert descents["query"] == 0
             assert warehouse.tuples.pool.stats.logical_reads == tuple_reads
+
+    @pytest.mark.parametrize("aggregate", [SUM, COUNT, AVG],
+                             ids=["SUM", "COUNT", "AVG"])
+    def test_each_pair_shares_at_least_its_root(self, aggregate):
+        """Exact counters: a reduction fetches at most what its six solo
+        descents would, minus one shared root page per pair."""
+        warehouse, _ = loaded_warehouse()
+        stats = warehouse.aggregates.pool.stats
+        names = (SUM, COUNT) if aggregate is AVG else (aggregate,)
+        for r, iv in self.RECTANGLES[:2]:
+            k1, k2, t1, t3 = r.low, r.high, iv.start, iv.end - 1
+            before = stats.logical_reads
+            for each in names:
+                lkst, lklt = warehouse.aggregates.trees()[each.name]
+                for tree, t in ((lkst, t3), (lklt, t3), (lklt, t1)):
+                    tree.query(k2, t)
+                    tree.query(k1, t)
+            serial = stats.logical_reads - before
+            before = stats.logical_reads
+            warehouse.aggregate(r, iv, aggregate)
+            assert stats.logical_reads - before <= serial - 3 * len(names)
 
     @pytest.mark.parametrize("aggregate", [MIN, MAX], ids=["MIN", "MAX"])
     def test_min_max_never_descend_an_mvsbt(self, descents, aggregate):
         warehouse, _ = loaded_warehouse()
         for r, iv in self.RECTANGLES:
             warehouse.aggregate(r, iv, aggregate)
-        assert descents == {"query": 0, "query_batch": 0}
+        assert descents == {"query": 0, "query_pair": 0, "query_batch": 0}
 
     @pytest.mark.parametrize("aggregates, sweeps",
                              [((SUM,), 2), ((SUM, COUNT), 4),
@@ -224,7 +250,8 @@ class TestProbeBudget:
                    for aggregate in aggregates]
         tuple_reads = warehouse.tuples.pool.stats.logical_reads
         warehouse.aggregate_batch(queries)
-        assert descents == {"query": 0, "query_batch": sweeps}
+        assert descents == {"query": 0, "query_pair": 0,
+                            "query_batch": sweeps}
         if MIN not in aggregates:
             assert warehouse.tuples.pool.stats.logical_reads == tuple_reads
 
@@ -298,3 +325,129 @@ class TestPersistence:
         assert warehouse.page_count() \
             == (warehouse.tuples.pool.disk.live_page_count
                 + warehouse.aggregates.pool.disk.live_page_count)
+
+
+def mvsbt_pages(warehouse):
+    """Every reachable page of the four aggregate trees."""
+    pool = warehouse.aggregates.pool
+    return [pool.fetch(pid)
+            for lkst, lklt in warehouse.aggregates.trees().values()
+            for tree in (lkst, lklt) for pid in sorted(tree.page_ids())]
+
+
+def stream(n_records=900, seed=5):
+    """An ``ingest_bulk``-shaped stream: a bulk prefix and a write tail."""
+    from repro.workloads.generator import DatasetConfig, generate_dataset
+    events = generate_dataset(DatasetConfig(
+        n_records=n_records, n_keys=90, key_space=KEY_SPACE,
+        time_space=(1, 100_001), seed=seed)).events
+    return events[:-120], events[-120:]
+
+
+def apply_tail(warehouse, tail):
+    for event in tail:
+        if event.op == "insert":
+            warehouse.insert(event.key, event.value, event.time)
+        else:
+            warehouse.delete(event.key, event.time)
+
+
+class TestSealedDecode:
+    """A reopened warehouse holds each dead MVSBT page as the columnar
+    block a buffered load would have left and each alive one as record
+    objects; the bytes are the same either way."""
+
+    @pytest.fixture(params=["buffered-load", "single-writes"])
+    def cycle(self, request, tmp_path):
+        """(reopened warehouse, never-closed twin, write tail, checkpoint
+        directory) after open_durable → load → checkpoint → close →
+        reopen.  A load of this size opens the buffer-tree window (dead
+        pages already columnar); single writes leave them as objects."""
+        from repro.core import ingest
+        loaded, tail = stream()
+        directory = str(tmp_path / "wh")
+        twin = TemporalWarehouse(key_space=KEY_SPACE, page_capacity=8)
+        warehouse = TemporalWarehouse.open_durable(
+            directory, key_space=KEY_SPACE, page_capacity=8)
+        for target in (warehouse, twin):
+            if request.param == "buffered-load":
+                assert len(loaded) >= ingest.BUFFERED_MIN_EVENTS
+                report = target.load_events(loaded)
+                assert report.buffered_events == len(loaded)
+            else:
+                apply_tail(target, loaded)
+        warehouse.checkpoint()
+        warehouse.close()
+        checkpoint, _ = TemporalWarehouse.current_checkpoint(directory)
+        reopened = TemporalWarehouse.open_durable(directory)
+        yield reopened, twin, tail, checkpoint
+        reopened.close()
+
+    def test_dead_pages_are_blocks_alive_pages_are_objects(self, cycle):
+        from repro.core.model import NOW
+        from repro.mvsbt.columnar import ColumnarBlock
+        reopened, _twin, _tail, _ = cycle
+        pages = mvsbt_pages(reopened)
+        dead = [page for page in pages if page.meta["death"] != NOW]
+        assert dead and len(dead) < len(pages)
+        for page in pages:
+            if page.meta["death"] != NOW:
+                assert page.records is None
+                assert type(page.cache) is ColumnarBlock
+            else:
+                assert page.records is not None
+                assert type(page.cache) is not ColumnarBlock
+        # The tuple store's MVBT pages are nobody's to seal.
+        tuples = reopened.tuples
+        assert all(tuples.pool.fetch(pid).records is not None
+                   for pid in tuples.page_ids())
+
+    def test_checkpoint_of_the_reopened_warehouse_is_byte_identical(
+            self, cycle, tmp_path):
+        import os
+        reopened, _twin, _tail, checkpoint = cycle
+        again = str(tmp_path / "again")
+        reopened.save(again)
+        for part in ("aggregates", "tuples"):
+            for name in ("pages.dat", "meta.json"):
+                with open(os.path.join(checkpoint, part, name), "rb") as fh:
+                    written = fh.read()
+                with open(os.path.join(again, part, name), "rb") as fh:
+                    assert fh.read() == written, (part, name)
+
+    def test_answers_invariants_and_the_write_tail(self, cycle):
+        reopened, twin, tail, _ = cycle
+        rectangles = [(KeyRange(1, 1000), Interval(1, twin.now + 1)),
+                      (KeyRange(200, 700), Interval(twin.now // 3,
+                                                    twin.now // 2)),
+                      (KeyRange(1, 2), Interval(5, 6))]
+
+        def answers(warehouse):
+            return repr([warehouse.aggregate(r, iv, aggregate)
+                         for r, iv in rectangles
+                         for aggregate in (SUM, COUNT, AVG)])
+
+        assert answers(reopened) == answers(twin)
+        apply_tail(reopened, tail)
+        apply_tail(twin, tail)
+        rectangles.append((KeyRange(1, 1000),
+                           Interval(twin.now - 50, twin.now + 1)))
+        assert answers(reopened) == answers(twin)
+        reopened.check_invariants()
+
+    def test_reading_an_alive_page_between_two_inserts(self, cycle):
+        """Regression: whatever a read leaves on a frontier page, the next
+        insert's mirror lookup must not mistake it for an alive mirror
+        (``pageops.mirror`` took any object with a matching ``version``)."""
+        reopened, twin, tail, _ = cycle
+        everything = KeyRange(*KEY_SPACE)
+        for event in tail:
+            apply_tail(reopened, [event])
+            apply_tail(twin, [event])
+            open_present = Interval(event.time, event.time + 1)
+            for aggregate in (SUM, COUNT):
+                assert repr(reopened.aggregate(everything, open_present,
+                                               aggregate)) \
+                    == repr(twin.aggregate(everything, open_present,
+                                           aggregate))
+        reopened.check_invariants()

@@ -211,3 +211,18 @@ class TestHelpers:
                          rec(1, 100, start=1, end=2))
         alive = ops.alive_records(page)
         assert [(r.low, r.high) for r in alive] == [(1, 50), (50, 100)]
+
+    def test_mirror_replaces_whatever_else_sits_in_the_cache_slot(self):
+        """``Page.cache`` is an opaque slot: a read view with a matching
+        ``version`` (or a columnar block, with none) is not a mirror."""
+        from types import SimpleNamespace
+
+        from repro.mvsbt.columnar import ColumnarBlock
+
+        page = leaf_page(rec(1, 50), rec(50, 100))
+        for parked in (SimpleNamespace(version=page.version),
+                       ColumnarBlock.from_page(page)):
+            page.cache = parked
+            found = ops.find_partly_covered(page, 70)
+            assert (found.low, found.high) == (50, 100)
+            assert type(page.cache) is ops._AliveMirror

@@ -72,7 +72,43 @@ class TestExplainQuery:
         assert "result:" in text
         assert "total:" in text
         assert "execute" in text
-        assert "rta.point" in text
+        assert "rta.pair" in text
+        assert "mvsbt.query_pair" in text
+
+    def test_equation_one_is_three_pair_descents(self, warehouse):
+        """The traced read runs what the untraced one runs: per tree pair
+        one ``rta.pair`` span for each of the three same-instant pairs,
+        around one ``mvsbt.query_pair`` whose pages serve both probes
+        until the keys part and one probe after."""
+        lo, hi = warehouse.key_space
+        key_range = KeyRange(lo + (hi - lo) // 7, hi - (hi - lo) // 9)
+        interval = Interval(warehouse.now // 10, warehouse.now // 2)
+        warehouse.aggregates.pool.clear()
+        before = warehouse.aggregates.pool.stats.snapshot()
+        plain = warehouse.aggregate(key_range, interval, SUM)
+        untraced = warehouse.aggregates.pool.stats.delta(before)
+        report = explain_query(warehouse, key_range, interval, SUM)
+        assert report.result == plain
+        (execute_span,) = report.root.find("execute")
+        assert execute_span.io.logical_reads == untraced.logical_reads
+        pairs = execute_span.find("rta.pair")
+        assert [(s.attrs["tree"], s.attrs["t"]) for s in pairs] == [
+            ("lkst", interval.end - 1), ("lklt", interval.end - 1),
+            ("lklt", interval.start)]
+        assert not execute_span.find("mvsbt.query")
+        for pair in pairs:
+            assert pair.attrs["k_hi"] == key_range.high
+            assert pair.attrs["k_lo"] == key_range.low
+            (descent,) = pair.children
+            assert descent.name == "mvsbt.query_pair"
+            probes = [s.attrs["probes"] for s in descent.children
+                      if s.name == "mvsbt.page"]
+            shared = probes.count(2)
+            assert shared >= 1 and probes == [2] * shared \
+                + [1] * (len(probes) - shared)
+        # One fetch per page span: shared pages are not fetched twice.
+        assert len(execute_span.find("mvsbt.page")) \
+            == execute_span.io.logical_reads
 
     def test_render_span_tree_events_have_no_cost_suffix(self, warehouse):
         key_range, interval = big_rectangle(warehouse)
