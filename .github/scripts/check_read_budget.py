@@ -19,6 +19,15 @@ with six solo descents per reduction (commit 3a84d3b), 1.2126 with
 three pair descents.  The threshold sits between the two: a read path
 that falls back to solo descents, traced or not, fails it.
 
+And one gate on the point memo, on the only workload where it hits:
+``htap_mixed``'s ``core.cache.memo_hit_rate`` (memo hits over point
+queries in the counted replay — single-threaded, so an exact count) was
+0.3322 with the LRU memo (commit 3d0bdb4) and is 0.3322 with the two-way
+table.  A table that lets the hot probes evict each other (the
+direct-mapped form did) falls through the floor.  ``htap_mixed`` is
+checked for this one name only: its reads retrieve nothing either, but
+its traced pass also carries the write tail.
+
     python .github/scripts/check_read_budget.py /tmp/stack-smoke.json
 """
 
@@ -34,6 +43,8 @@ EXPECTED = {
 #: Fetches per point query with pairs sharing their descent (see above).
 PAIRED = ("scan_thread", "scan_process")
 MAX_PAGES_PER_PROBE = 1.55
+#: ``htap_mixed``: the memo's hit rate at commit 3d0bdb4, less 0.01.
+MIN_HTAP_MEMO_HIT_RATE = 0.3322 - 0.01
 #: The traced pass of ``ingest_bulk`` records the load (its op is an
 #: ingested event: one ``MVBT.insert`` each), so this says nothing
 #: about its reads.
@@ -59,6 +70,12 @@ def main() -> int:
                 failures.append(f"pass {number} {workload}: mvsbt."
                                 f"pages_per_probe = {pages}, expected "
                                 f"under {MAX_PAGES_PER_PROBE}")
+        memo = one_pass["workloads"]["htap_mixed"]["per_layer"]["metrics"][
+            "core.cache.memo_hit_rate"]["value"]
+        if memo < MIN_HTAP_MEMO_HIT_RATE:
+            failures.append(f"pass {number} htap_mixed: core.cache."
+                            f"memo_hit_rate = {memo}, expected at least "
+                            f"{MIN_HTAP_MEMO_HIT_RATE:.4f}")
         flushed = one_pass["workloads"]["ingest_bulk"]["per_layer"][
             "metrics"]["core.ingest.flushed_pages_per_kevent"]["value"]
         if not flushed > 0:
@@ -67,8 +84,8 @@ def main() -> int:
                             f"expected > 0")
     for line in failures:
         print(line, file=sys.stderr)
-    print(f"read budget: {len(passes)} pass(es), {len(WORKLOADS)} workloads, "
-          f"{len(failures)} violation(s)")
+    print(f"read budget: {len(passes)} pass(es), {len(WORKLOADS)} workloads "
+          f"and htap_mixed's memo, {len(failures)} violation(s)")
     return 1 if failures else 0
 
 

@@ -24,9 +24,11 @@ caches here exploit that single fact at two granularities:
 Both caches are **opt-in** and *absent by default*: an unconfigured
 warehouse holds ``None`` and pays one attribute check on the query path,
 which is what keeps the twin-run trace-invariance tests byte-identical
-with caching off.  Under the multi-reader server they are constructed
-``thread_safe=True``, which guards the LRU bookkeeping with a mutex
-(readers share the shard read lock, so they do race each other).
+with caching off.  Under the multi-reader server the result cache is
+constructed ``thread_safe=True``, which guards its LRU bookkeeping with
+a mutex (readers share the shard read lock, so they do race each other);
+the memo needs none — every access to its table is one list operation
+on an immutable entry.
 
 Why results cannot go stale — the two-line proof the tests enforce:
 an update at time ``t'`` only changes the value surface at instants
@@ -40,6 +42,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, Hashable, Optional, Tuple
 
 #: Marker epoch for entries over closed intervals: valid forever.
@@ -49,9 +52,10 @@ _CLOSED = -1
 #: torn optimistic read must never publish into a shared cache: a closed
 #: entry is pinned *forever*, so one poisoned store would serve wrong
 #: answers until eviction.  While a thread is inside an optimistic read
-#: section every ``_VersionedLRU.store`` is parked here instead of
-#: applied; the reader commits the parked stores only after its epoch
-#: validation proves the traversal was untorn, or discards them.
+#: section every ``_VersionedLRU.store`` and ``PointMemo.put`` is parked
+#: here (as a zero-argument callable) instead of applied; the reader
+#: commits the parked stores only after its epoch validation proves the
+#: traversal was untorn, or discards them.
 _deferred = threading.local()
 
 
@@ -67,8 +71,8 @@ def commit_deferred_stores() -> None:
     pending = getattr(_deferred, "pending", None)
     _deferred.pending = None
     if pending:
-        for lru, key, value, closed, epoch, extra in pending:
-            lru.store(key, value, closed=closed, epoch=epoch, extra=extra)
+        for store in pending:
+            store()
 
 
 def discard_deferred_stores() -> None:
@@ -80,9 +84,14 @@ def discard_deferred_stores() -> None:
 class CacheConfig:
     """Knobs for the layered read-path cache.
 
-    ``result_entries`` bounds the warehouse-level :class:`ResultCache`,
-    ``memo_entries`` bounds each MVSBT's :class:`PointMemo` (two trees
-    per maintained aggregate).  Zero disables the respective layer.
+    ``result_entries`` bounds the warehouse-level :class:`ResultCache`
+    (an LRU: about 300 bytes of bookkeeping per entry beside the answer).
+    ``memo_entries`` bounds each MVSBT's :class:`PointMemo` — two trees
+    per maintained aggregate, so eight tables per warehouse and as many
+    per shard; a table has the largest power of two of slots within the
+    bound (8 bytes each, allocated on the first store) and an entry is
+    one five-field tuple, so a full default memo holds about 1.4 MB per
+    tree.  Zero disables the respective layer.
     """
 
     result_entries: int = 4096
@@ -188,7 +197,8 @@ class _VersionedLRU:
             return
         pending = getattr(_deferred, "pending", None)
         if pending is not None:
-            pending.append((self, key, value, closed, epoch, extra))
+            pending.append(partial(self.store, key, value, closed=closed,
+                                   epoch=epoch, extra=extra))
             return
         lock = self._lock
         if lock is None:
@@ -269,7 +279,8 @@ class ResultCache:
 
 
 class PointMemo:
-    """Per-MVSBT memo of point queries with descent-length bookkeeping.
+    """Per-MVSBT memo of point queries with descent-length bookkeeping:
+    a flat, two-way table.
 
     ``get``/``put`` carry the tree's insertion epoch: entries for closed
     instants (``t`` below the tree clock at store time) are pinned
@@ -278,38 +289,104 @@ class PointMemo:
     read the page ids themselves); a hit credits it to
     ``stats.pages_saved`` — the exact number of ``fetch`` calls (and
     hence logical reads) the memo short-circuited.
+
+    The table is one list of ``capacity`` slots (a power of two), each
+    ``None`` or an immutable ``(key, t, value, epoch, pages)`` tuple.  A
+    probe hashes to two slots, ``h & mask`` and ``(h >> 17) & mask``.  A
+    newcomer always takes its first; the tenant it finds there moves on
+    to *its own* second slot if this was its first, and is evicted if it
+    had been moved once already — an entry survives one collision, so
+    two hot probes that share a slot do not evict each other on every
+    read.  There is no recency order to keep (``docs/INTERNALS.md`` §11
+    has the measurements behind both choices).
+
+    No lock: a slot is read and written by single list operations, and a
+    reader believes an entry only after comparing the ``key`` and ``t``
+    inside the tuple it got, so under racing threads it sees ``None`` or
+    a whole entry for its own probe, never a mixture.  A race can lose
+    an entry or a counter increment: ``stats`` are exact single-threaded
+    (the benchmark's counted replay) and approximate under concurrent
+    readers.  The list is allocated by the first ``put``, so a memo
+    attached and detached around one batch costs nothing until used.
     """
 
-    __slots__ = ("_lru",)
+    __slots__ = ("capacity", "stats", "_slots", "_mask")
 
-    def __init__(self, capacity: int = 8192,
-                 thread_safe: bool = False) -> None:
-        self._lru = _VersionedLRU(capacity, thread_safe)
-
-    @property
-    def stats(self) -> CacheStats:
-        return self._lru.stats
+    def __init__(self, capacity: int = 8192) -> None:
+        #: Slot count: the largest power of two within the asked bound.
+        self.capacity = 1 << (capacity.bit_length() - 1) if capacity > 0 \
+            else 0
+        self.stats = CacheStats()
+        self._mask = self.capacity - 1
+        self._slots: Optional[list] = None
 
     def __len__(self) -> int:
-        return len(self._lru)
+        slots = self._slots
+        return 0 if slots is None else len(slots) - slots.count(None)
 
     def get(self, key: int, t: int, epoch: int) -> Optional[Tuple[float, int]]:
         """``(value, pages)`` on a fresh hit, else ``None``."""
-        hit = self._lru.lookup((key, t), epoch)
-        if hit is None:
+        slots, stats = self._slots, self.stats
+        if slots is None:
+            stats.misses += 1
             return None
-        self._lru.stats.pages_saved += hit[1]
-        return hit
+        h = hash((key, t))
+        at = h & self._mask
+        entry = slots[at]
+        if entry is None or entry[0] != key or entry[1] != t:
+            at = (h >> 17) & self._mask
+            entry = slots[at]
+            if entry is None or entry[0] != key or entry[1] != t:
+                stats.misses += 1
+                return None
+        if entry[3] != _CLOSED and entry[3] != epoch:
+            slots[at] = None
+            stats.stale_drops += 1
+            stats.misses += 1
+            return None
+        stats.hits += 1
+        stats.pages_saved += entry[4]
+        return entry[2], entry[4]
 
     def put(self, key: int, t: int, value: float, pages: int, *,
             closed: bool, epoch: int) -> None:
-        """Memoize one point answer with the length of its descent."""
-        self._lru.store((key, t), value, closed=closed, epoch=epoch,
-                        extra=pages)
+        """Memoize one point answer with the length of its descent.
+
+        Inside an optimistic read section (see
+        :func:`begin_deferred_stores`) the entry is parked and placed
+        only if the reader's epoch validation commits it.
+        """
+        if not self.capacity:
+            return
+        entry = (key, t, value, _CLOSED if closed else epoch, pages)
+        pending = getattr(_deferred, "pending", None)
+        if pending is not None:
+            pending.append(partial(self._place, entry))
+        else:
+            self._place(entry)
+
+    def _place(self, entry: Tuple) -> None:
+        """``entry`` into its first slot; the tenant moves on or out."""
+        slots, mask = self._slots, self._mask
+        if slots is None:
+            slots = self._slots = [None] * self.capacity
+        probe = entry[:2]
+        first = hash(probe) & mask
+        tenant = slots[first]
+        slots[first] = entry
+        if tenant is None or tenant[:2] == probe:
+            return
+        h = hash(tenant[:2])
+        second = (h >> 17) & mask
+        if h & mask == first and second != first:
+            tenant, slots[second] = slots[second], tenant
+            if tenant is None:
+                return
+        self.stats.evictions += 1
 
     def clear(self) -> None:
-        """Drop every memoized point."""
-        self._lru.clear()
+        """Drop every memoized point (and the table with them)."""
+        self._slots = None
 
 
 @dataclass

@@ -442,8 +442,7 @@ class RTAIndex:
 
     # -- read-path caching --------------------------------------------------------------
 
-    def enable_memo(self, capacity: int = 8192,
-                    thread_safe: bool = False) -> None:
+    def enable_memo(self, capacity: int = 8192) -> None:
         """Attach a point-query memo to every underlying MVSBT.
 
         Equation (1) probes tree boundaries that repeat across overlapping
@@ -452,7 +451,7 @@ class RTAIndex:
         """
         for trees in (self._lkst, self._lklt):
             for tree in trees.values():
-                tree.enable_memo(capacity, thread_safe)
+                tree.enable_memo(capacity)
 
     def disable_memo(self) -> None:
         """Detach every tree's memo."""

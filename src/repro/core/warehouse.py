@@ -613,7 +613,8 @@ class TemporalWarehouse:
 
         Installs the warehouse-level result cache and a point-query memo
         on every MVSBT behind the RTA index.  ``thread_safe`` guards the
-        cache bookkeeping for multi-reader servers.  Idempotent; call
+        result cache's bookkeeping for multi-reader servers (the memo's
+        table needs no lock).  Idempotent; call
         :meth:`disable_cache` to restore the uncached read path.
         """
         config = config or CacheConfig()
@@ -621,7 +622,7 @@ class TemporalWarehouse:
             self.result_cache = ResultCache(config.result_entries,
                                             thread_safe)
         if config.memo_entries:
-            self.aggregates.enable_memo(config.memo_entries, thread_safe)
+            self.aggregates.enable_memo(config.memo_entries)
 
     def disable_cache(self) -> None:
         """Detach every read-path cache layer."""

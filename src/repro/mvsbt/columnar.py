@@ -14,7 +14,7 @@ When the window closes, alive pages go back to object records (the
 insert kernels mutate those in place) and **dead pages stay blocks**: a
 time-split page is never routed to again, and the read path scans a
 block faster than a list of dataclass instances.  A checkpoint read
-leaves dead pages the same way (:meth:`ColumnarBlock.from_rows`).  A
+leaves dead pages the same way (:meth:`ColumnarBlock.from_columns`).  A
 page whose ``death`` is ``NOW`` never holds a block outside a window.
 
 Two representation details the kernels rely on:
@@ -114,21 +114,21 @@ class ColumnarBlock:
         return block
 
     @classmethod
-    def from_rows(cls, leaf: bool, rows: list) -> "ColumnarBlock":
-        """A *dead* page's block straight from its decoded field tuples.
+    def from_columns(cls, leaf: bool, columns: list) -> "ColumnarBlock":
+        """A *dead* page's block straight from its decoded field columns
+        (one tuple per field, in codec order; none for an empty page).
 
         The state a window leaves a page in when it dies there: the
         columns (immutable tuples here — a dead page is never routed
         again) and an empty alive index.
         """
         block = cls(leaf)
-        if rows:
-            columns = list(zip(*rows))
+        if columns:
             (block.lows, block.highs, block.starts, block.ends,
              block.values) = columns[:5]
             if not leaf:
                 block.childs = columns[5]
-            block.count = len(rows)
+            block.count = len(block.lows)
         return block
 
     def rebuild_alive(self) -> None:
@@ -143,7 +143,7 @@ class ColumnarBlock:
 
     def live_rows(self) -> List[tuple]:
         """The non-tombstone rows as codec-ordered field tuples —
-        :meth:`from_rows`'s inverse.  Surviving rows keep their relative
+        :meth:`from_columns`'s inverse.  Surviving rows keep their relative
         order, so the result matches what the object kernels' physical
         appends/removals would have produced for the same mutations."""
         columns = [self.lows, self.highs, self.starts, self.ends,

@@ -90,7 +90,7 @@ class MVSBTIndexRecord:
         )
 
 
-def _seal_dead(kind: str, rows: list, meta: dict):
+def _seal_dead(kind: str, columns: list, meta: dict):
     """The codecs' ``seal`` hook: a dead page comes back from bytes as the
     columnar block a buffered-ingest window would have left — nothing
     routes an insertion to it again, so no kernel ever needs its records
@@ -99,7 +99,7 @@ def _seal_dead(kind: str, rows: list, meta: dict):
         return None
     from repro.mvsbt.columnar import ColumnarBlock  # imports this module
 
-    return ColumnarBlock.from_rows(kind == LEAF_KIND, rows)
+    return ColumnarBlock.from_columns(kind == LEAF_KIND, columns)
 
 
 register_codec(LEAF_KIND, RecordCodec(

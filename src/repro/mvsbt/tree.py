@@ -219,8 +219,7 @@ class MVSBT:
         self._buffer = None
         buffer.finalize()
 
-    def enable_memo(self, capacity: int = 8192,
-                    thread_safe: bool = False) -> None:
+    def enable_memo(self, capacity: int = 8192) -> None:
         """Attach a point-query memo (see :mod:`repro.core.cache`).
 
         Entries for instants below the tree clock are version-pinned
@@ -229,7 +228,7 @@ class MVSBT:
         """
         from repro.core.cache import PointMemo
 
-        self.memo = PointMemo(capacity, thread_safe)
+        self.memo = PointMemo(capacity)
 
     def disable_memo(self) -> None:
         """Detach the memo, restoring the unmemoized query path."""

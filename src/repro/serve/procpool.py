@@ -466,8 +466,7 @@ def _serve_read_batch(conn, warehouse, batch, stats, memoized: bool,
     shared = len(batch) > 1
     temp_memo = shared and not memoized
     if temp_memo:
-        warehouse.aggregates.enable_memo(_BATCH_MEMO_ENTRIES,
-                                         thread_safe=False)
+        warehouse.aggregates.enable_memo(_BATCH_MEMO_ENTRIES)
     try:
         answers: Dict[int, Any] = {}
         if shared:

@@ -50,7 +50,7 @@ import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.cache import CacheConfig
 from repro.core.model import MAX_KEY, KeyRange
@@ -677,9 +677,9 @@ class TQLServer:
                         and statement.agg.timeline_buckets is None)
         if plain_select:
             self._note_explainable(statement, as_of, ctx)
-        result = MISS
+        result, shards = MISS, None
         if plain_select and not self._draining:
-            result = self._probe(statement, as_of)
+            result, shards = self._probe(statement, as_of)
         if result is not MISS:
             ctx.lane = "hit"
             self.metrics.inline_hits.inc()
@@ -689,7 +689,9 @@ class TQLServer:
             result = await self._admitted(
                 lambda: tql_executor.execute(self.warehouse, statement,
                                              as_of=as_of), ctx)
-        for shard in self._touched_shards(statement):
+        if shards is None:  # not probed: the statement says what it touches
+            shards = self._touched_shards(statement)
+        for shard in shards:
             self.metrics.shard_queries(shard).inc()
         return result, as_of
 
@@ -710,9 +712,12 @@ class TQLServer:
                 statements.popitem(last=False)
         return statement
 
-    def _probe(self, statement: SelectStatement, as_of: int) -> Any:
+    def _probe(self, statement: SelectStatement, as_of: int
+               ) -> Tuple[Any, List[int]]:
         """The hit lane: a plain SELECT aggregate's answer straight from
-        the router's result caches, or :data:`MISS`.
+        the router's result caches, or :data:`MISS` — and, either way,
+        the ids of the shards its key range touches (the routing is done
+        once here, for the probe and for the per-shard read counters).
 
         Runs on the event loop, so it may only do what
         :meth:`~repro.serve.sharded.ShardRouter.probe` promises: O(parts)
@@ -722,9 +727,11 @@ class TQLServer:
         """
         key_range, interval = tql_executor._resolve_rectangle(
             self.warehouse, statement, as_of)
-        return self.warehouse.probe(
+        parts = self.warehouse.parts_for(key_range)
+        result = self.warehouse.probe(
             key_range, interval,
-            tql_executor._aggregate_named(statement.agg.name))
+            tql_executor._aggregate_named(statement.agg.name), parts)
+        return result, [sid for sid, _ in parts]
 
     def _note_explainable(self, statement: SelectStatement, as_of: int,
                           ctx: RequestContext) -> None:

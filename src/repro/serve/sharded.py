@@ -706,9 +706,13 @@ class ShardRouter:
         return RTAResult(sum=total_sum, count=total_count)
 
     def probe(self, key_range: KeyRange, interval: Interval,
-              aggregate: Aggregate) -> Any:
+              aggregate: Aggregate,
+              parts: Optional[List[Tuple[int, KeyRange]]] = None) -> Any:
         """The rectangle's answer if it can be had *right now* from
-        cache entries alone, else :data:`MISS`.
+        cache entries alone, else :data:`MISS`.  ``parts`` is the
+        caller's own ``parts_for(key_range)`` when it has use for the
+        split itself (the server counts a read against every shard it
+        touches); the range is not resolved a second time then.
 
         A contract for callers that must not block (the server's event
         loop): O(parts) dictionary work, no traversal, no wait on a lock
@@ -729,7 +733,9 @@ class ShardRouter:
         elif name not in (SUM.name, COUNT.name):
             return MISS
         looks = []
-        for sid, part in self.parts_for(key_range):
+        if parts is None:
+            parts = self.parts_for(key_range)
+        for sid, part in parts:
             handle = self._handles.get(sid)
             look = MISS if handle is None else handle.probe(name, part,
                                                             interval)

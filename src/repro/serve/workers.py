@@ -93,9 +93,19 @@ class LoopWorkers:
         if not future.done():
             resolve(outcome)
 
-    def close(self) -> None:
-        """Post one exit sentinel per started thread: they exit once the
-        jobs queued before it have run."""
-        for _ in self._threads:
+    def close(self, timeout: float = 5.0) -> None:
+        """Post one exit sentinel per started thread and join them: each
+        exits once the jobs queued before its sentinel have run.
+
+        The join is bounded by ``timeout`` seconds over all threads — a
+        job that outlived the drain keeps its (daemon) thread, not the
+        caller.  A thread reports back with ``call_soon_threadsafe``,
+        which never waits for the loop, so joining on the loop's own
+        thread cannot deadlock.
+        """
+        threads, self._threads = self._threads, []
+        for _ in threads:
             self._jobs.put(None)
-        self._threads = []
+        deadline = time.monotonic() + timeout
+        for thread in threads:
+            thread.join(max(deadline - time.monotonic(), 0.0))

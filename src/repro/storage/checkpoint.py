@@ -31,7 +31,7 @@ from repro.storage.disk import InMemoryDiskManager
 from repro.storage.serialization import (
     PAGE_HEADER_BYTES,
     codec_for,
-    decode_rows,
+    decode_columns,
     encode_page_image,
 )
 
@@ -106,7 +106,10 @@ def read_checkpoint(directory: str, buffer_pages: int = 64
     (as objects, or as the block a codec's ``seal`` hook keeps — the same
     bytes either way) and per-page metadata are restored exactly; the
     disk's allocation cursor continues where the checkpointed index left
-    off.
+    off.  Equal field values across the whole checkpoint come back as one
+    object (:func:`~repro.storage.serialization.decode_columns`; the
+    table that finds them lives for this call only), as they were in the
+    index that was saved.
     """
     meta_path = os.path.join(directory, META_FILE)
     pages_path = os.path.join(directory, PAGES_FILE)
@@ -121,32 +124,36 @@ def read_checkpoint(directory: str, buffer_pages: int = 64
         )
     page_bytes = blob["page_bytes"]
 
-    disk = InMemoryDiskManager()
-    with open(pages_path, "rb") as fh:
-        raw = fh.read()
+    size = os.path.getsize(pages_path)
     expected = len(blob["pages"]) * page_bytes
-    if len(raw) != expected:
+    if size != expected:
         raise StorageError(
-            f"checkpoint pages file is {len(raw)} bytes, expected {expected}"
+            f"checkpoint pages file is {size} bytes, expected {expected}"
         )
 
     from repro.storage.page import Page  # local import to avoid cycles
 
-    for page_id_str, entry in blob["pages"].items():
-        page_id = int(page_id_str)
-        offset = entry["slot"] * page_bytes
-        kind, codec, rows = decode_rows(raw[offset:offset + page_bytes])
-        page = Page(page_id, entry["capacity"], kind)
-        block = (codec.seal(kind, rows, entry["meta"])
-                 if codec.seal is not None else None)
-        if block is None:
-            page.records = [codec.from_tuple(row) for row in rows]
-        else:
-            # The kind's codec keeps such a page sealed (a dead MVSBT
-            # page: rows, never record objects).
-            page.records, page.cache = None, block
-        page.meta.update(entry["meta"])
-        disk._pages[page_id] = page  # restore under the original id
+    disk = InMemoryDiskManager()
+    shared: Dict[str, dict] = {}
+    image = memoryview(bytearray(page_bytes))  # every page image in turn
+    with open(pages_path, "rb") as fh:
+        for page_id_str, entry in blob["pages"].items():
+            page_id = int(page_id_str)
+            fh.seek(entry["slot"] * page_bytes)
+            fh.readinto(image)
+            kind, codec, columns = decode_columns(image, shared)
+            page = Page(page_id, entry["capacity"], kind)
+            block = (codec.seal(kind, columns, entry["meta"])
+                     if codec.seal is not None else None)
+            if block is None:
+                page.records = [codec.from_tuple(row)
+                                for row in zip(*columns)]
+            else:
+                # The kind's codec keeps such a page sealed (a dead MVSBT
+                # page: columns, never record objects).
+                page.records, page.cache = None, block
+            page.meta.update(entry["meta"])
+            disk._pages[page_id] = page  # restore under the original id
     disk._next_page_id = blob["next_page_id"]
 
     pool = BufferPool(disk, capacity=buffer_pages)

@@ -17,6 +17,8 @@ paper's exact 4-byte widths when desired.
 from __future__ import annotations
 
 import struct
+import sys
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -53,9 +55,10 @@ class RecordCodec:
 
     ``to_tuple``/``from_tuple`` adapt an index's record class to the flat
     field tuple the struct format expects.  ``seal`` is an index's say in
-    how a checkpoint restores its pages: called with a page's kind, field
-    tuples and ``meta``, it returns the block the page keeps in place of
-    record objects (``records = None``, the block in ``cache``, as
+    how a checkpoint restores its pages: called with a page's kind, its
+    records as one tuple per field (:func:`decode_columns`) and ``meta``,
+    it returns the block the page keeps in place of record objects
+    (``records = None``, the block in ``cache``, as
     :func:`encode_page_image` reads it), or ``None`` for records.
     """
 
@@ -216,20 +219,61 @@ def unpack_events(blob: bytes) -> List[Tuple[str, int, float, int]]:
             for i in range(n)]
 
 
-def decode_rows(raw: bytes) -> Tuple[str, RecordCodec, List[Tuple]]:
-    """A page image's kind, its codec and its records as field tuples."""
+def decode_columns(raw: Any, shared: Dict[str, dict]
+                   ) -> Tuple[str, RecordCodec, List[Tuple]]:
+    """A page image's kind, its codec and its records as one tuple per
+    field, equal values being one object wherever ``shared`` has seen
+    them — what a checkpoint restore builds its pages from.
+
+    Unpacking mints a fresh ``int``/``float`` for every field, where the
+    load that wrote the page left one object per distinct bound, instant
+    and value, copied by reference into every record that repeats it; a
+    restored index is several times the size of the one that was saved
+    for no other reason.  ``shared`` is the caller's to create (empty)
+    and drop: format character -> first object seen per value, so an
+    integer field never receives a float (the column must pack again) nor
+    the other way round.  Every field is keyed by the integer its eight
+    bytes spell, the one key under which ``0.0`` and ``-0.0`` (equal, so
+    one dict key as floats) stay two values and a NaN finds its own
+    payload again.  Only ``q``/``d`` layouts — all the indexes register —
+    can be read this way.  ``raw`` is any buffer; a ``memoryview`` slice
+    is decoded without copying the image.
+    """
+    kind = bytes(raw[:16]).rstrip(b"\0").decode("ascii")
+    (count,) = struct.unpack_from("<I", raw, 16)
+    codec = codec_for(kind)
+    chars = codec.fmt[1:]
+    if codec.fmt[0] != "<" or chars.strip("qd"):
+        raise ValueError(f"codec {codec.fmt!r} of kind {kind!r} is not a "
+                         f"little-endian q/d layout")
+    if not count:
+        return kind, codec, []
+    width = len(chars)
+    body = raw[PAGE_HEADER_BYTES:PAGE_HEADER_BYTES + count * 8 * width]
+    as_ints, as_floats = array("q"), array("d")
+    for typed in (as_ints, as_floats):
+        typed.frombytes(body)
+        if sys.byteorder == "big":
+            typed.byteswap()
+    columns = []
+    for i, char in enumerate(chars):
+        keys = as_ints[i::width].tolist()
+        column = keys if char == "q" else as_floats[i::width].tolist()
+        columns.append(tuple(map(shared.setdefault(char, {}).setdefault,
+                                 keys, column)))
+    return kind, codec, columns
+
+
+def decode_page(raw: bytes) -> Tuple[str, list]:
+    """Inverse of :func:`encode_page`: returns ``(kind, records)``, every
+    field a fresh object (what a file-backed read pays per fetch, and the
+    reference :func:`decode_columns` is tested against)."""
     kind = raw[:16].rstrip(b"\0").decode("ascii")
     (count,) = struct.unpack("<I", raw[16:20])
     codec = codec_for(kind)
     end = PAGE_HEADER_BYTES + count * codec.record_bytes
-    return kind, codec, list(
-        struct.iter_unpack(codec.fmt, raw[PAGE_HEADER_BYTES:end]))
-
-
-def decode_page(raw: bytes) -> Tuple[str, list]:
-    """Inverse of :func:`encode_page`: returns ``(kind, records)``."""
-    kind, codec, rows = decode_rows(raw)
-    return kind, [codec.from_tuple(row) for row in rows]
+    return kind, [codec.from_tuple(row) for row in struct.iter_unpack(
+        codec.fmt, raw[PAGE_HEADER_BYTES:end])]
 
 
 class DecodedPageCache:

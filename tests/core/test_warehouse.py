@@ -451,3 +451,52 @@ class TestSealedDecode:
                     == repr(twin.aggregate(everything, open_present,
                                            aggregate))
         reopened.check_invariants()
+
+    def test_shared_values_keep_type_sign_and_payload(self, tmp_path):
+        """Equal values come back as one object, and ``0.0 == -0.0``,
+        ``1 == 1.0`` and ``nan != nan`` are exactly the equalities that
+        must not decide which: pages holding ``-0.0`` beside ``0.0``, the
+        key/instant ``1`` beside the value ``1.0`` and a NaN with a
+        payload must re-pack to the bytes they were read from."""
+        import math
+        import os
+        import struct
+        (nan,) = struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_0000_0ABC))
+        directory = str(tmp_path / "wh")
+        warehouse = TemporalWarehouse.open_durable(
+            directory, key_space=KEY_SPACE, page_capacity=8)
+        warehouse.insert(1, 1.0, 1)
+        warehouse.insert(2, -0.0, 1)
+        warehouse.insert(3, 0.0, 2)
+        warehouse.insert(4, nan, 3)
+        for t in range(4, 80):          # enough churn for pages to die
+            warehouse.insert(t + 1, float(t % 5), t)
+            if t % 3 == 0:
+                warehouse.delete(t - 2, t)
+        warehouse.checkpoint()
+        warehouse.close()
+        checkpoint, _ = TemporalWarehouse.current_checkpoint(directory)
+        reopened = TemporalWarehouse.open_durable(directory)
+        try:
+            assert any(page.records is None for page in mvsbt_pages(reopened))
+            again = str(tmp_path / "again")
+            reopened.save(again)
+            for part in ("aggregates", "tuples"):
+                with open(os.path.join(checkpoint, part, "pages.dat"),
+                          "rb") as fh:
+                    written = fh.read()
+                with open(os.path.join(again, part, "pages.dat"),
+                          "rb") as fh:
+                    assert fh.read() == written, part
+            values = {}
+            for version in (reopened.history(key) for key in (1, 2, 3, 4)):
+                (tup,) = version
+                assert type(tup.key) is int and type(tup.value) is float
+                values[tup.key] = tup.value
+            assert values[1] == 1.0
+            assert math.copysign(1.0, values[2]) == -1.0
+            assert math.copysign(1.0, values[3]) == 1.0
+            assert struct.pack("<d", values[4]) == struct.pack("<d", nan)
+        finally:
+            reopened.close()
+

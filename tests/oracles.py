@@ -195,3 +195,44 @@ def canonical_tree_dump(tree, page_bytes=4096):
     roots = tuple((entry.start, visit(entry.root_id))
                   for entry in tree.roots.entries())
     return roots, tuple(sorted(pages))
+
+
+class ReferencePointMemo:
+    """The point memo as it was before it became a flat table, verbatim:
+    an LRU of ``(key, t) -> (value, epoch, pages)`` over the
+    ``OrderedDict`` map that still serves the result cache.  Swap it in
+    with ``tree.memo = ReferencePointMemo(capacity)``; the two-way
+    table's hit rate is measured against this one's."""
+
+    __slots__ = ("_lru",)
+
+    def __init__(self, capacity: int = 8192,
+                 thread_safe: bool = False) -> None:
+        from repro.core.cache import _VersionedLRU
+
+        self._lru = _VersionedLRU(capacity, thread_safe)
+
+    @property
+    def stats(self):
+        return self._lru.stats
+
+    def __len__(self) -> int:
+        return len(self._lru)
+
+    def get(self, key: int, t: int, epoch: int) -> Optional[Tuple[float, int]]:
+        """``(value, pages)`` on a fresh hit, else ``None``."""
+        hit = self._lru.lookup((key, t), epoch)
+        if hit is None:
+            return None
+        self._lru.stats.pages_saved += hit[1]
+        return hit
+
+    def put(self, key: int, t: int, value: float, pages: int, *,
+            closed: bool, epoch: int) -> None:
+        """Memoize one point answer with the length of its descent."""
+        self._lru.store((key, t), value, closed=closed, epoch=epoch,
+                        extra=pages)
+
+    def clear(self) -> None:
+        """Drop every memoized point."""
+        self._lru.clear()

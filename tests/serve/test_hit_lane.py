@@ -403,6 +403,35 @@ class TestLaneVisibility:
                    ["series"]}
         assert queries == {"0": 2.0, "1": 2.0}  # pooled + inline alike
 
+    def test_a_read_is_routed_once_on_the_loop(self, monkeypatch):
+        """The probe's own split of the key range feeds the per-shard
+        read counters: one ``parts_for`` per statement on the event loop,
+        hit or miss (the miss's second one is the worker thread's)."""
+        calls = []
+        routed = ShardRouter.parts_for
+
+        def counting(self, key_range):
+            calls.append(threading.current_thread().name)
+            return routed(self, key_range)
+
+        monkeypatch.setattr(ShardRouter, "parts_for", counting)
+        handle = serve_in_thread(ServerConfig(shards=2,
+                                              key_space=KEY_SPACE))
+        text = f"SELECT SUM(value) WHERE key IN [1, {KEYS + 1})"
+        try:
+            with Client(handle.host, handle.port) as client:
+                client.execute("INSERT KEY 5 VALUE 1.0 AT 1")
+                client.repin()
+                del calls[:]
+                client.execute(text)            # miss
+                miss, calls[:] = list(calls), []
+                client.execute(text)            # hit
+                hit = list(calls)
+        finally:
+            handle.stop()
+        assert hit == ["repro-serve-loop"]
+        assert sorted(miss) == ["repro-serve-0", "repro-serve-loop"]
+
     def test_sampled_request_record_carries_the_lane(self):
         ctx = RequestContext("r-1", "query")
         ctx.begin_sampling()

@@ -290,9 +290,41 @@ class TestShutdown:
                                                  "repro-serve-0"]
         finally:
             handle.stop()
+        assert workers() == []  # stop() returns after close() joined them
         for thread in started:
             thread.join(timeout=5)
             assert not thread.is_alive()
+
+    def test_close_joins_its_threads_within_its_bound(self):
+        """``close()`` runs on the loop's own thread and still joins: a
+        worker reports back without waiting for the loop.  A job that
+        outlives the bound keeps its thread, not the caller."""
+        from repro.serve.workers import LoopWorkers
+
+        workers = LoopWorkers(2)
+        release = threading.Event()
+
+        async def main():
+            await workers.submit(lambda: None)
+            threads = list(workers._threads)
+            workers.close()
+            assert threads and not any(t.is_alive() for t in threads)
+            stuck = workers.submit(release.wait)
+            await asyncio.sleep(0.05)
+            (thread,) = workers._threads
+            started = time.monotonic()
+            workers.close(timeout=0.1)
+            assert time.monotonic() - started < 2
+            assert thread.is_alive()
+            release.set()
+            assert await asyncio.wait_for(stuck, 5) is True
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+
+        try:
+            asyncio.run(main())
+        finally:
+            release.set()
 
     def test_shutdown_drains_and_stops(self, server):
         with Client(server.host, server.port) as c:

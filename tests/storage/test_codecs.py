@@ -14,11 +14,14 @@ from repro.mvbt.entries import IndexEntry, LeafEntry
 from repro.mvsbt.records import MVSBTIndexRecord, MVSBTLeafRecord
 from repro.sbtree.node import SBRecord
 from repro.storage.serialization import (
+    RecordCodec,
     codec_for,
+    decode_columns,
     decode_page,
     encode_page,
     encode_page_flat,
     pack_events,
+    register_codec,
     unpack_events,
 )
 
@@ -144,3 +147,46 @@ class TestEventWireFormat:
         blob = pack_events(self.EVENTS)
         n = len(self.EVENTS)
         assert len(blob) == 6 + 4 + n + 24 * n
+
+
+@pytest.mark.parametrize("kind,record", CASES,
+                         ids=[f"{k}-{i}" for i, (k, _) in enumerate(CASES)])
+def test_columns_hold_what_decode_page_reads(kind, record):
+    codec = codec_for(kind)
+    image = encode_page(kind, [record, record, record], page_bytes=512)
+    got_kind, got_codec, columns = decode_columns(memoryview(image), {})
+    assert (got_kind, got_codec) == (kind, codec)
+    want = [codec.to_tuple(rec) for rec in decode_page(image)[1]]
+    assert list(zip(*columns)) == want
+    for column, char in zip(columns, codec.fmt[1:]):
+        assert {type(value) for value in column} \
+            == {int if char == "q" else float}
+
+
+def test_columns_share_equal_values_across_pages_but_not_across_types():
+    shared = {}
+    first = decode_columns(encode_page(
+        "mvbt-leaf", [LeafEntry(key=7000, start=7000, end=NOW, value=7000.0),
+                      LeafEntry(key=7001, start=7000, end=NOW, value=-0.0)],
+        page_bytes=512), shared)[2]
+    second = decode_columns(encode_page(
+        "mvbt-leaf", [LeafEntry(key=7000, start=9, end=7000, value=0.0)],
+        page_bytes=512), shared)[2]
+    keys, starts, ends, values = first
+    assert keys[0] is starts[0] is starts[1] is second[0][0] is second[2][0]
+    assert ends[0] is ends[1]
+    assert type(values[0]) is float and values[0] == keys[0]
+    assert struct.pack("<dd", values[1], second[3][0]) \
+        == struct.pack("<dd", -0.0, 0.0)
+    assert sorted(shared) == ["d", "q"]
+
+
+def test_columns_of_an_empty_page_and_of_a_foreign_layout():
+    assert decode_columns(encode_page("mvbt-leaf", [], page_bytes=512),
+                          {})[2] == []
+    register_codec("test-narrow", RecordCodec(
+        fmt="<iq", to_tuple=tuple, from_tuple=tuple))
+    with pytest.raises(ValueError, match="q/d layout"):
+        decode_columns(encode_page("test-narrow", [(1, 2)], page_bytes=512),
+                       {})
+
