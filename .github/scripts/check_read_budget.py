@@ -16,17 +16,28 @@ query (``mvsbt.pages_per_probe``, an exact count of the counted replay)
 sit a third under what solo descents cost.  Smoke values (``run
 --smoke``, seed 1), ``scan_thread`` and ``scan_process`` alike: 1.8983
 with six solo descents per reduction (commit 3a84d3b), 1.2126 with
-three pair descents.  The threshold sits between the two: a read path
-that falls back to solo descents, traced or not, fails it.
+three pair descents over a (LKST, LKLT) pair per aggregate (commit
+23319b8), 1.2131 over the one ``(sum, count)`` pair.  The threshold
+sits between solo and paired: a read path that falls back to solo
+descents, traced or not, fails it.
 
 And one gate on the point memo, on the only workload where it hits:
 ``htap_mixed``'s ``core.cache.memo_hit_rate`` (memo hits over point
 queries in the counted replay — single-threaded, so an exact count) was
-0.3322 with the LRU memo (commit 3d0bdb4) and is 0.3322 with the two-way
-table.  A table that lets the hot probes evict each other (the
-direct-mapped form did) falls through the floor.  ``htap_mixed`` is
-checked for this one name only: its reads retrieve nothing either, but
-its traced pass also carries the write tail.
+0.3322 with four trees' memos (commit 23319b8; the LRU memo of 3d0bdb4
+read the same) and is 0.3676 with two (fewer probes reach a memo at all:
+5.6 a read against 7.5, the result cache answering an AVG from the entry
+its SUM stored).  A table that lets the hot probes evict each other (the
+direct-mapped form did) falls through the floor.  ``htap_mixed`` is checked for this one name only: its reads
+retrieve nothing either, but its traced pass also carries the write
+tail.
+
+And one on the write side, an exact count of the counted replay:
+``ingest_bulk``'s ``mvsbt.inserts_per_event`` — MVSBT insertions per
+loaded event — was 2.988 with a tree pair per aggregate (an insert event
+into two trees, a delete into four; commit 23319b8) and is 1.494 with
+SUM and COUNT in one record (one and two).  Anything at 2 or above means
+a second tree is being fed again.
 
     python .github/scripts/check_read_budget.py /tmp/stack-smoke.json
 """
@@ -43,8 +54,10 @@ EXPECTED = {
 #: Fetches per point query with pairs sharing their descent (see above).
 PAIRED = ("scan_thread", "scan_process")
 MAX_PAGES_PER_PROBE = 1.55
-#: ``htap_mixed``: the memo's hit rate at commit 3d0bdb4, less 0.01.
-MIN_HTAP_MEMO_HIT_RATE = 0.3322 - 0.01
+#: ``htap_mixed``: the memo's hit rate over one tree pair, less 0.01.
+MIN_HTAP_MEMO_HIT_RATE = 0.3676 - 0.01
+#: ``ingest_bulk``: MVSBT insertions per loaded event (see above).
+MAX_INSERTS_PER_EVENT = 2.0
 #: The traced pass of ``ingest_bulk`` records the load (its op is an
 #: ingested event: one ``MVBT.insert`` each), so this says nothing
 #: about its reads.
@@ -76,16 +89,22 @@ def main() -> int:
             failures.append(f"pass {number} htap_mixed: core.cache."
                             f"memo_hit_rate = {memo}, expected at least "
                             f"{MIN_HTAP_MEMO_HIT_RATE:.4f}")
-        flushed = one_pass["workloads"]["ingest_bulk"]["per_layer"][
-            "metrics"]["core.ingest.flushed_pages_per_kevent"]["value"]
+        ingest = one_pass["workloads"]["ingest_bulk"]["per_layer"]["metrics"]
+        flushed = ingest["core.ingest.flushed_pages_per_kevent"]["value"]
         if not flushed > 0:
             failures.append(f"pass {number} ingest_bulk: core.ingest."
                             f"flushed_pages_per_kevent = {flushed}, "
                             f"expected > 0")
+        inserts = ingest["mvsbt.inserts_per_event"]["value"]
+        if not 0 < inserts < MAX_INSERTS_PER_EVENT:
+            failures.append(f"pass {number} ingest_bulk: mvsbt."
+                            f"inserts_per_event = {inserts}, expected "
+                            f"under {MAX_INSERTS_PER_EVENT}")
     for line in failures:
         print(line, file=sys.stderr)
-    print(f"read budget: {len(passes)} pass(es), {len(WORKLOADS)} workloads "
-          f"and htap_mixed's memo, {len(failures)} violation(s)")
+    print(f"read budget: {len(passes)} pass(es), {len(WORKLOADS)} workloads, "
+          f"htap_mixed's memo and ingest_bulk's inserts, "
+          f"{len(failures)} violation(s)")
     return 1 if failures else 0
 
 

@@ -50,7 +50,7 @@ def test_mvsbt_insert_op(benchmark):
 
 def test_mvsbt_point_query_op(benchmark, loaded):
     _, dataset, rta, _ = loaded
-    (lkst, _lklt) = rta.trees()["SUM"]
+    lkst, _lklt = rta.trees()
     t_end = dataset.config.time_space[1]
     counter = itertools.count(1)
 

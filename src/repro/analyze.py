@@ -149,17 +149,11 @@ def _describe_sbtree(tree: SBTree) -> Dict[str, Any]:
 def _describe_rta(index: RTAIndex) -> Dict[str, Any]:
     report: Dict[str, Any] = {
         "type": "rta-index",
-        "aggregates": [a.name for a in index.aggregates],
         "alive_tuples": index.alive_count() if index.track_values else None,
-        "trees": {},
     }
-    total_pages = 0
-    for name, (lkst, lklt) in index.trees().items():
-        lkst_report = _describe_mvsbt(lkst)
-        lklt_report = _describe_mvsbt(lklt)
-        report["trees"][name] = {"lkst": lkst_report, "lklt": lklt_report}
-        total_pages += lkst_report["pages"] + lklt_report["pages"]
-    report["pages"] = total_pages
+    lkst, lklt = (_describe_mvsbt(tree) for tree in index.trees())
+    report["trees"] = {"lkst": lkst, "lklt": lklt}
+    report["pages"] = lkst["pages"] + lklt["pages"]
     return report
 
 

@@ -332,7 +332,7 @@ def ablation_logical_split(settings: Optional[BenchSettings] = None,
         query = measure_queries(rta, rects, settings, SUM)
         records = sum(
             tree.counters.records_created
-            for pair in rta.trees().values() for tree in pair
+            for tree in rta.trees()
         )
         table.add(mode=mode, pages=space_pages(rta),
                   records_created=records,
@@ -362,7 +362,7 @@ def ablation_merging(settings: Optional[BenchSettings] = None,
         measure_updates(rta, dataset.events, settings)
         counters = [
             tree.counters
-            for pair in rta.trees().values() for tree in pair
+            for tree in rta.trees()
         ]
         table.add(
             merging=merging, pages=space_pages(rta),
@@ -418,7 +418,7 @@ def ablation_disposal(settings: Optional[BenchSettings] = None,
             tree_insert_stream(rta, event)
         disposals = sum(
             tree.counters.disposals
-            for pair in rta.trees().values() for tree in pair
+            for tree in rta.trees()
         )
         table.add(disposal=disposal, pages=space_pages(rta),
                   disposals=disposals)
@@ -585,8 +585,7 @@ def rootstar_overhead(settings: Optional[BenchSettings] = None,
         )
         measure_updates(index, dataset.events, settings)
         cost = measure_queries(index, rects, settings, SUM)
-        roots = sum(len(tree.roots)
-                    for pair in index.trees().values() for tree in pair)
+        roots = sum(len(tree.roots) for tree in index.trees())
         table.add(
             rootstar="paged B+-tree" if paged else "in-memory array",
             roots=roots,

@@ -3,9 +3,10 @@
 Each competitor gets its own in-memory disk and LRU buffer pool so I/O
 budgets never mix.  Page capacities are derived from the paper's 4-byte
 record layouts and a configurable page size: the paper's 4 KB pages give
-``b = 203`` for MVSBT records (20 bytes) and ``b = 254`` for MVBT leaf
-records (16 bytes); scaled-down runs shrink the page instead of distorting
-the record widths, preserving the fan-out ratios between competitors.
+``b = 169`` for MVSBT records (24 bytes: the value is the ``(sum, count)``
+pair) and ``b = 254`` for MVBT leaf records (16 bytes); scaled-down runs
+shrink the page instead of distorting the record widths, preserving the
+fan-out ratios between competitors.
 
 Costs are reported as :class:`MeasuredCost`: physical/logical I/Os plus CPU
 seconds, and the paper's estimated time (``I/Os x 10 ms + CPU``).
@@ -98,14 +99,10 @@ def fresh_pool(settings: BenchSettings,
 
 
 def build_rta_index(settings: BenchSettings, dataset: WorkloadDataset,
-                    aggregates: tuple[Aggregate, ...] = (SUM,),
                     buffer_pages: Optional[int] = None,
                     **config_overrides) -> RTAIndex:
-    """The paper's approach: a (LKST, LKLT) MVSBT pair per aggregate.
-
-    The paper's space/query comparison uses the *two*-MVSBT form (SUM only);
-    pass ``aggregates=(SUM, COUNT)`` for the four-tree AVG-capable variant.
-    """
+    """The paper's approach: the two-MVSBT (LKST, LKLT) form of its
+    space/query comparison, each record carrying SUM and COUNT."""
     config = MVSBTConfig(
         capacity=settings.mvsbt_capacity,
         strong_factor=config_overrides.pop("strong_factor",
@@ -113,8 +110,7 @@ def build_rta_index(settings: BenchSettings, dataset: WorkloadDataset,
         **config_overrides,
     )
     return RTAIndex(fresh_pool(settings, buffer_pages), config,
-                    key_space=dataset.config.key_space,
-                    aggregates=aggregates)
+                    key_space=dataset.config.key_space)
 
 
 def build_mvbt_baseline(settings: BenchSettings, dataset: WorkloadDataset,

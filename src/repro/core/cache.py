@@ -6,7 +6,7 @@ before the current clock is **closed** — immutable forever.  The two
 caches here exploit that single fact at two granularities:
 
 * :class:`ResultCache` memoizes whole aggregate answers at the warehouse
-  layer, keyed ``(aggregate, key_range, interval)``.  A query whose
+  layer, keyed ``(entry name, key_range, interval)``.  A query whose
   interval ends at or before the warehouse clock only touches closed
   versions, so its answer can be cached *forever* (bounded only by LRU
   capacity).  A query whose interval reaches the open present is cached
@@ -228,8 +228,9 @@ class ResultCache:
     """Warehouse-level cache of whole aggregate answers.
 
     Keys are flat ``(name, key low, key high, start, end)`` tuples (see
-    :meth:`key`); ``name`` is an aggregate name, or ``"ALL"`` for a
-    whole :class:`~repro.core.rta.RTAResult`.  The ``as_of`` pinning of
+    :meth:`key`); ``name`` is ``"mvsbt"`` for the rectangle's whole
+    :class:`~repro.core.rta.RTAResult` (SUM, COUNT and AVG read the one
+    entry), ``"MIN"``/``"MAX"`` for theirs.  The ``as_of`` pinning of
     the serving layer needs no extra key component: the executor folds a
     snapshot into the interval (clipping its end to ``as_of + 1``), so
     two requests with different snapshots already carry different
@@ -250,14 +251,14 @@ class ResultCache:
         return len(self._lru)
 
     @staticmethod
-    def key(aggregate_name: str, key_range: Any, interval: Any) -> Tuple:
-        """The canonical cache key for one aggregate rectangle.
+    def key(name: str, key_range: Any, interval: Any) -> Tuple:
+        """The canonical cache key for one entry of one rectangle.
 
         The rectangle's four bounds, not the model objects: an entry
         then keeps one tuple alive instead of two dataclass instances
         (about 290 bytes less), and hashing never leaves C.
         """
-        return (aggregate_name, key_range.low, key_range.high,
+        return (name, key_range.low, key_range.high,
                 interval.start, interval.end)
 
     def lookup(self, key: Tuple, epoch: int) -> Optional[Tuple[Any, Any]]:

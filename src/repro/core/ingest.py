@@ -293,8 +293,7 @@ def _discover_mvsbts(target: Any) -> List[Any]:
         if hasattr(owner, "begin_buffered"):
             trees.append(owner)
         elif callable(getattr(owner, "trees", None)):
-            for lkst, lklt in owner.trees().values():
-                trees.extend((lkst, lklt))
+            trees.extend(owner.trees())
     return trees
 
 

@@ -21,10 +21,14 @@ With half-open query rectangles ``[k1, k2) x [t1, t2)`` and ``t3 = t2 - 1``
         + LKLT(k2, t3) - LKLT(k1, t3)          # tuples dead by t3 ...
         - LKLT(k2, t1) + LKLT(k1, t1)          # ... but not dead by t1
 
-:class:`RTAIndex` packages the reduction: one (LKST, LKLT) MVSBT pair per
-additive aggregate (SUM and COUNT by default; AVG divides the two), plus the
-transaction-time warehouse API (``insert``/``delete`` in time order, 1TNF
-enforced).
+:class:`RTAIndex` packages the reduction over ONE (LKST, LKLT) MVSBT pair
+whose record value is ``complex(sum, count)`` — a pair of reals is an
+additive group, which is all sections 2-3 ask of MVSBT values — so a tuple
+insertion is one tree insertion, a deletion two, and one evaluation of
+Equation (1) yields SUM, COUNT and (their quotient) AVG, each component
+added up in exactly the order a tree of its own would add it.  Around it
+sits the transaction-time warehouse API (``insert``/``delete`` in time
+order, 1TNF enforced).
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
-from repro.core.aggregates import Aggregate, AVG, COUNT, SUM
+from repro.core.aggregates import Aggregate, SUM
 from repro.core.model import Interval, KeyRange, MAX_KEY
 from repro.errors import DuplicateKeyError, KeyNotFoundError, QueryError
 from repro.mvsbt.tree import MVSBT, MVSBTConfig
@@ -53,6 +57,25 @@ class RTAResult:
     def avg(self) -> Optional[float]:
         return self.sum / self.count if self.count else None
 
+    def of(self, aggregate: Aggregate) -> Optional[float]:
+        """The named aggregate's share of this result."""
+        return getattr(self, _field(aggregate))
+
+
+_FIELDS = {"SUM": "sum", "COUNT": "count", "AVG": "avg"}
+
+
+def _field(aggregate: Aggregate) -> str:
+    """The :class:`RTAResult` attribute that answers ``aggregate``."""
+    field = _FIELDS.get(aggregate.name)
+    if field is None:
+        raise QueryError(
+            f"aggregate {aggregate.name} is not maintained by this index "
+            "(the MVSBT machinery supports SUM/COUNT-style aggregates, "
+            "paper section 3)"
+        )
+    return field
+
 
 class RTAIndex:
     """Range-temporal SUM/COUNT/AVG over a transaction-time tuple stream.
@@ -60,15 +83,12 @@ class RTAIndex:
     Parameters
     ----------
     pool:
-        Buffer pool shared by all underlying MVSBTs (one I/O budget, as a
+        Buffer pool shared by both underlying MVSBTs (one I/O budget, as a
         single warehouse server would have).
     config:
         MVSBT configuration (capacity, strong factor, optimizations).
     key_space:
         Half-open key domain of the warehouse tuples.
-    aggregates:
-        Additive aggregates to maintain; each costs one (LKST, LKLT) MVSBT
-        pair.  AVG needs both SUM and COUNT (the default).
     track_values:
         Keep the alive-tuple table (key -> (start, value)) so ``delete``
         only needs the key.  Disable for write-only streams where the
@@ -77,33 +97,16 @@ class RTAIndex:
 
     def __init__(self, pool: BufferPool, config: Optional[MVSBTConfig] = None,
                  key_space: Tuple[int, int] = (1, MAX_KEY + 1),
-                 aggregates: Tuple[Aggregate, ...] = (SUM, COUNT),
                  start_time: int = 1, paged_roots: bool = False,
                  track_values: bool = True) -> None:
-        if not aggregates:
-            raise ValueError("at least one additive aggregate is required")
-        for aggregate in aggregates:
-            if not aggregate.additive:
-                raise ValueError(
-                    f"{aggregate.name} is not additive; the MVSBT machinery "
-                    "supports SUM/COUNT-style aggregates (paper section 3)"
-                )
         self.pool = pool
         self.key_space = key_space
-        self.aggregates = tuple(dict.fromkeys(aggregates))
         # LKST inserts go to key+1; queries probe up to key_space top.
         mvsbt_space = (key_space[0], key_space[1] + 1)
-        self._lkst: Dict[str, MVSBT] = {}
-        self._lklt: Dict[str, MVSBT] = {}
-        for aggregate in self.aggregates:
-            self._lkst[aggregate.name] = MVSBT(
-                pool, config, key_space=mvsbt_space, start_time=start_time,
-                paged_roots=paged_roots,
-            )
-            self._lklt[aggregate.name] = MVSBT(
-                pool, config, key_space=mvsbt_space, start_time=start_time,
-                paged_roots=paged_roots,
-            )
+        self._lkst = MVSBT(pool, config, key_space=mvsbt_space,
+                          start_time=start_time, paged_roots=paged_roots)
+        self._lklt = MVSBT(pool, config, key_space=mvsbt_space,
+                          start_time=start_time, paged_roots=paged_roots)
         self.track_values = track_values
         self._alive: Dict[int, Tuple[int, float]] = {}
         self.now = start_time
@@ -117,10 +120,7 @@ class RTAIndex:
             raise DuplicateKeyError(
                 f"key {key} is alive since t={self._alive[key][0]}"
             )
-        for aggregate in self.aggregates:
-            self._lkst[aggregate.name].insert(
-                key + 1, t, aggregate.lift(value)
-            )
+        self._lkst.insert(key + 1, t, complex(value, 1))
         if self.track_values:
             self._alive[key] = (t, value)
         self.now = max(self.now, t)
@@ -140,10 +140,9 @@ class RTAIndex:
             raise KeyNotFoundError(
                 "delete needs the tuple value when track_values is off"
             )
-        for aggregate in self.aggregates:
-            lifted = aggregate.lift(value)
-            self._lkst[aggregate.name].insert(key + 1, t, -lifted)
-            self._lklt[aggregate.name].insert(key + 1, t, lifted)
+        both = complex(value, 1)
+        self._lkst.insert(key + 1, t, -both)
+        self._lklt.insert(key + 1, t, both)
         self.now = max(self.now, t)
         return value
 
@@ -173,115 +172,66 @@ class RTAIndex:
         """The RTA of one rectangle for one aggregate.
 
         AVG returns ``None`` on an empty rectangle; SUM and COUNT return 0.
-        Cost: six MVSBT point queries per maintained aggregate involved
-        (Theorem 1 / Corollary 1: ``O(log_b n)`` I/Os).
+        Cost: one Equation (1) reduction — three pair descents, whichever
+        aggregate is asked (Theorem 1 / Corollary 1: ``O(log_b n)`` I/Os).
         """
-        if aggregate.name == AVG.name:
-            result = self.aggregate_all(key_range, interval)
-            return result.avg
-        if aggregate.name not in self._lkst:
-            raise QueryError(
-                f"aggregate {aggregate.name} is not maintained by this index"
-            )
-        return self._reduce(aggregate.name, key_range, interval)
+        field = _field(aggregate)   # a MIN/MAX fails before any descent
+        return getattr(self._reduce(key_range, interval), field)
 
     def sum(self, key_range: KeyRange, interval: Interval) -> float:
         """RTA SUM of the rectangle (Equation 1)."""
-        return self._reduce(SUM.name, key_range, interval)
+        return self._reduce(key_range, interval).sum
 
     def count(self, key_range: KeyRange, interval: Interval) -> float:
         """RTA COUNT of the rectangle (Equation 1)."""
-        return self._reduce(COUNT.name, key_range, interval)
+        return self._reduce(key_range, interval).count
 
     def avg(self, key_range: KeyRange, interval: Interval) -> Optional[float]:
         """RTA AVG = SUM/COUNT; ``None`` on an empty rectangle."""
-        return self.aggregate_all(key_range, interval).avg
+        return self._reduce(key_range, interval).avg
 
     def aggregate_all(self, key_range: KeyRange,
                       interval: Interval) -> RTAResult:
         """SUM, COUNT and AVG of one rectangle in a single result."""
-        for name in (SUM.name, COUNT.name):
-            if name not in self._lkst:
-                raise QueryError(
-                    f"aggregate_all needs SUM and COUNT; {name} missing"
-                )
-        return RTAResult(
-            sum=self._reduce(SUM.name, key_range, interval),
-            count=self._reduce(COUNT.name, key_range, interval),
-        )
+        return self._reduce(key_range, interval)
 
     def query_batch(self, requests, stats=None) -> list:
-        """Many rectangle queries, one MVSBT sweep per involved tree.
+        """Many rectangle queries, one MVSBT sweep per tree.
 
         ``requests`` is a sequence of ``(key_range, interval, aggregate)``
         triples; the result list is byte-identical to calling
-        :meth:`query` for each.  Every request's Theorem-1 boundary
-        probes are collected per (aggregate, LKST/LKLT) tree, each tree
-        answers its whole probe set through
-        :meth:`~repro.mvsbt.tree.MVSBT.query_batch` (duplicates asked
-        once, same-instant neighbours descending as pairs), and Equation
-        (1) is then evaluated per request in the exact serial operation
-        order — the float rounding matches :meth:`_reduce` bit for bit.  AVG
-        requests contribute the SUM and COUNT probe sets and divide, as
-        :meth:`aggregate_all` does; an aggregate of ``None`` requests the
+        :meth:`query` for each — an aggregate of ``None`` requests the
         full :class:`RTAResult` (the batch twin of
-        :meth:`aggregate_all`).  ``stats`` (a
+        :meth:`aggregate_all`).  Every request's Theorem-1 boundary
+        probes are collected per tree, each tree answers its whole probe
+        set through :meth:`~repro.mvsbt.tree.MVSBT.query_batch`
+        (duplicates asked once, same-instant neighbours descending as
+        pairs), and Equation (1) is then evaluated per request in the
+        exact serial operation order — the float rounding matches
+        :meth:`_reduce` bit for bit.  ``stats`` (a
         :class:`repro.core.batch.BatchScanStats`) receives the probe and
-        page accounting of every sweep.
+        page accounting of both sweeps.
         """
-        # Per maintained aggregate: the (LKST, LKLT) probe lists.
-        probes: Dict[str, Tuple[list, list]] = {}
-        plans = []
+        lk: list = []
+        lt: list = []
+        fields = []
         for key_range, interval, aggregate in requests:
-            if aggregate is None or aggregate.name == AVG.name:
-                names = (SUM.name, COUNT.name)
-                for name in names:
-                    if name not in self._lkst:
-                        raise QueryError(
-                            f"aggregate_all needs SUM and COUNT; "
-                            f"{name} missing"
-                        )
-            elif aggregate.name in self._lkst:
-                names = (aggregate.name,)
-            else:
-                raise QueryError(
-                    f"aggregate {aggregate.name} is not maintained by "
-                    "this index"
-                )
+            fields.append(None if aggregate is None else _field(aggregate))
             self._validate_rectangle(key_range, interval)
             k1, k2 = key_range.low, key_range.high
             t1, t3 = interval.start, interval.end - 1
-            slots = []
-            for name in names:
-                lists = probes.get(name)
-                if lists is None:
-                    lists = probes[name] = ([], [])
-                lk, lt = lists
-                slots.append((name, len(lk), len(lt)))
-                lk += ((k2, t3), (k1, t3))
-                lt += ((k2, t3), (k1, t3), (k2, t1), (k1, t1))
-            plans.append((aggregate, slots))
-
-        values = {
-            name: (self._lkst[name].query_batch(lk, stats),
-                   self._lklt[name].query_batch(lt, stats))
-            for name, (lk, lt) in probes.items()
-        }
-
+            lk += ((k2, t3), (k1, t3))
+            lt += ((k2, t3), (k1, t3), (k2, t1), (k1, t1))
+        lk = self._lkst.query_batch(lk, stats)
+        lt = self._lklt.query_batch(lt, stats)
         results = []
-        for aggregate, slots in plans:
-            reduced = []
-            for name, i, j in slots:
-                lk, lt = values[name]
-                result = lk[i] - lk[i + 1]
-                result += lt[j] - lt[j + 1]
-                result -= lt[j + 2] - lt[j + 3]
-                reduced.append(result)
-            if len(reduced) == 1:
-                results.append(reduced[0])
-            else:
-                both = RTAResult(sum=reduced[0], count=reduced[1])
-                results.append(both if aggregate is None else both.avg)
+        for n, field in enumerate(fields):
+            i, j = 2 * n, 4 * n
+            result = lk[i] - lk[i + 1]
+            result += lt[j] - lt[j + 1]
+            result -= lt[j + 2] - lt[j + 3]
+            both = RTAResult(sum=result.real, count=result.imag)
+            results.append(both if field is None else getattr(both, field))
         return results
 
     def timeline(self, key_range: KeyRange, interval: Interval,
@@ -336,14 +286,13 @@ class RTAIndex:
         start = max(t - w, 1)
         return self.query(key_range, Interval(start, t + 1), aggregate)
 
-    def _reduce(self, name: str, key_range: KeyRange,
-                interval: Interval) -> float:
+    def _reduce(self, key_range: KeyRange, interval: Interval) -> RTAResult:
         """Equation (1): its six point queries as three same-instant
         pairs, one shared MVSBT descent each."""
         self._validate_rectangle(key_range, interval)
         k1, k2 = key_range.low, key_range.high
         t1, t3 = interval.start, interval.end - 1
-        lkst, lklt = self._lkst[name], self._lklt[name]
+        lkst, lklt = self._lkst, self._lklt
         tracer = self.pool.tracer
         if not tracer.enabled:
             return self._equation_one(lkst.query_pair, lklt.query_pair,
@@ -356,16 +305,18 @@ class RTAIndex:
                     return tree.query_pair(k_hi, k_lo, t)
             return pair
 
-        with tracer.span("rta.reduce", aggregate=name,
-                         key_range=str(key_range), interval=str(interval)):
+        with tracer.span("rta.reduce", key_range=str(key_range),
+                         interval=str(interval)):
             return self._equation_one(spanned(lkst, "lkst"),
                                       spanned(lklt, "lklt"), k1, k2, t1, t3)
 
     @staticmethod
     def _equation_one(lkst_pair, lklt_pair, k1: int, k2: int, t1: int,
-                      t3: int) -> float:
+                      t3: int) -> RTAResult:
         """The arithmetic of Equation (1) over two pair-query callables —
-        one evaluation order (and hence float rounding), traced or not."""
+        one evaluation order (and hence float rounding), traced or not.
+        ``complex`` arithmetic is component-wise, so each half rounds as
+        a tree of plain floats would have rounded it."""
         hi, lo = lkst_pair(k2, k1, t3)
         result = hi - lo
         dead = lklt_pair(k2, k1, t3)
@@ -373,7 +324,7 @@ class RTAIndex:
         # A one-instant window asks the same LKLT pair twice.
         hi, lo = dead if t1 == t3 else lklt_pair(k2, k1, t1)
         result -= hi - lo
-        return result
+        return RTAResult(sum=result.real, count=result.imag)
 
     def _validate_rectangle(self, key_range: KeyRange,
                             interval: Interval) -> None:
@@ -392,27 +343,25 @@ class RTAIndex:
     # -- persistence -------------------------------------------------------------------
 
     def save(self, directory: str) -> None:
-        """Checkpoint the whole index (all MVSBTs share one pool, so one
+        """Checkpoint the whole index (both MVSBTs share one pool, so one
         checkpoint holds every page) plus the alive-tuple table."""
         from repro.storage.checkpoint import write_checkpoint
 
         meta = {
             "type": "rta-index",
             "key_space": list(self.key_space),
-            "aggregates": [a.name for a in self.aggregates],
             "now": self.now,
             "track_values": self.track_values,
             "alive": [[key, start, value]
                       for key, (start, value) in sorted(self._alive.items())],
-            "lkst": {name: tree.state() for name, tree in self._lkst.items()},
-            "lklt": {name: tree.state() for name, tree in self._lklt.items()},
+            "lkst": self._lkst.state(),
+            "lklt": self._lklt.state(),
         }
         write_checkpoint(self.pool, meta, directory)
 
     @classmethod
     def load(cls, directory: str, buffer_pages: int = 64) -> "RTAIndex":
         """Reopen an index from a checkpoint written by :meth:`save`."""
-        from repro.core.aggregates import ADDITIVE_AGGREGATES
         from repro.storage.checkpoint import read_checkpoint
 
         pool, meta = read_checkpoint(directory, buffer_pages)
@@ -420,75 +369,59 @@ class RTAIndex:
             raise ValueError(
                 f"checkpoint holds a {meta.get('type')!r}, not an RTA index"
             )
-        by_name = {a.name: a for a in ADDITIVE_AGGREGATES}
         index = cls.__new__(cls)
         index.pool = pool
         index.key_space = tuple(meta["key_space"])
-        index.aggregates = tuple(by_name[name] for name in meta["aggregates"])
         index.now = meta["now"]
         index.track_values = meta["track_values"]
         index._alive = {
             key: (start, value) for key, start, value in meta["alive"]
         }
-        index._lkst = {
-            name: MVSBT.restore(pool, state)
-            for name, state in meta["lkst"].items()
-        }
-        index._lklt = {
-            name: MVSBT.restore(pool, state)
-            for name, state in meta["lklt"].items()
-        }
+        index._lkst = MVSBT.restore(pool, meta["lkst"])
+        index._lklt = MVSBT.restore(pool, meta["lklt"])
         return index
 
     # -- read-path caching --------------------------------------------------------------
 
     def enable_memo(self, capacity: int = 8192) -> None:
-        """Attach a point-query memo to every underlying MVSBT.
+        """Attach a point-query memo to both underlying MVSBTs.
 
         Equation (1) probes tree boundaries that repeat across overlapping
         query rectangles; the memo answers repeated probes without a
         descent (see :mod:`repro.core.cache` for the staleness argument).
         """
-        for trees in (self._lkst, self._lklt):
-            for tree in trees.values():
-                tree.enable_memo(capacity)
+        for tree in self.trees():
+            tree.enable_memo(capacity)
 
     def disable_memo(self) -> None:
-        """Detach every tree's memo."""
-        for trees in (self._lkst, self._lklt):
-            for tree in trees.values():
-                tree.disable_memo()
+        """Detach both trees' memos."""
+        for tree in self.trees():
+            tree.disable_memo()
 
     def memo_stats(self) -> Optional[Dict[str, int]]:
-        """Summed memo counters across all trees; ``None`` if unmemoized."""
+        """Summed memo counters of both trees; ``None`` if unmemoized."""
         totals: Optional[Dict[str, int]] = None
-        for trees in (self._lkst, self._lklt):
-            for tree in trees.values():
-                if tree.memo is None:
-                    continue
-                stats = tree.memo.stats.as_dict()
-                if totals is None:
-                    totals = dict.fromkeys(stats, 0)
-                for name, value in stats.items():
-                    totals[name] += value
+        for tree in self.trees():
+            if tree.memo is None:
+                continue
+            stats = tree.memo.stats.as_dict()
+            if totals is None:
+                totals = dict.fromkeys(stats, 0)
+            for name, value in stats.items():
+                totals[name] += value
         return totals
 
     # -- introspection -----------------------------------------------------------------
 
     def page_count(self) -> int:
-        """Total pages across all underlying MVSBTs (Figure 4a space metric)."""
-        return sum(tree.page_count()
-                   for trees in (self._lkst, self._lklt)
-                   for tree in trees.values())
+        """Total pages of both underlying MVSBTs (Figure 4a space metric)."""
+        return sum(tree.page_count() for tree in self.trees())
 
-    def trees(self) -> Dict[str, Tuple[MVSBT, MVSBT]]:
-        """(LKST, LKLT) pair per aggregate name, for inspection and tests."""
-        return {
-            name: (self._lkst[name], self._lklt[name]) for name in self._lkst
-        }
+    def trees(self) -> Tuple[MVSBT, MVSBT]:
+        """The ``(LKST, LKLT)`` pair, for inspection and tests."""
+        return self._lkst, self._lklt
 
     def check_invariants(self) -> None:
-        """Audit every underlying MVSBT."""
-        for trees in (self._lkst, self._lklt):
-            for tree in trees.values():
-                tree.check_invariants()
+        """Audit both underlying MVSBTs."""
+        for tree in self.trees():
+            tree.check_invariants()

@@ -7,9 +7,9 @@ problem (ii)); the **two-MVSBT RTA index** answers additive aggregates in
 logarithmic I/Os.  :class:`TemporalWarehouse` maintains both over one
 update stream and picks each aggregate query's plan by rule, with no I/O:
 
-* additive aggregates (SUM/COUNT/AVG) run Equation (1) on the MVSBTs —
-  six point queries per tree pair, ~``6 x height`` page reads whatever
-  the rectangle's size (Theorem 1);
+* additive aggregates (SUM/COUNT/AVG) run Equation (1) on the MVSBT
+  pair — six point queries as three pair descents, ~``3 x height`` page
+  reads whatever the rectangle's size or the aggregate (Theorem 1);
 * MIN/MAX have no known logarithmic index (open problem (ii)) and take
   the MVBT retrieve-then-aggregate plan at ~``log_b n + s/b`` reads for
   ``s`` qualifying tuples.
@@ -17,10 +17,10 @@ update stream and picks each aggregate query's plan by rule, with no I/O:
 Retrieval would be cheaper for an additive aggregate over a near-empty
 rectangle (the crossover the Figure 4b reproduction measures), but only
 an estimate of ``s`` cheaper than Equation (1) itself could exploit
-that, and the only exact one the index offers *is* Equation (1) on the
-COUNT trees.  ``explain()`` is therefore a diagnostic: it reports the
-plan the read path runs plus both cost estimates, paying one COUNT
-reduction that no query pays.
+that, and the only exact one the index offers *is* Equation (1).
+``explain()`` is therefore a diagnostic: it reports the plan the read
+path runs plus both cost estimates, paying one reduction that no query
+pays.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ from repro.storage.disk import InMemoryDiskManager
 #: Equation (1) on the MVSBTs, order aggregates retrieve from the MVBT.
 _PLAN = {SUM.name: "mvsbt", COUNT.name: "mvsbt", AVG.name: "mvsbt",
          MIN.name: "mvbt-scan", MAX.name: "mvbt-scan"}
-#: Result-cache key name of a :meth:`TemporalWarehouse.aggregate_all`
-#: answer (an :class:`RTAResult`).  Not an aggregate name, so it can
-#: never collide with a planned AVG float stored under ``"AVG"``.
-ALL_KEY = "ALL"
+#: Result-cache key name of a rectangle's :class:`RTAResult` — the ONE
+#: entry SUM, COUNT, AVG and :meth:`TemporalWarehouse.aggregate_all` share
+#: (MIN/MAX answers are keyed by their own names).
+RTA_ENTRY = "mvsbt"
 
 
 def _plan_of(aggregate: Aggregate) -> str:
@@ -56,6 +56,14 @@ def _plan_of(aggregate: Aggregate) -> str:
     if plan is None:
         raise QueryError(f"unknown aggregate {aggregate.name!r}")
     return plan
+
+
+def _entry_of(aggregate: Optional[Aggregate]) -> str:
+    """Result-cache key name of the entry that answers ``aggregate``
+    (``None``: all the additive ones)."""
+    if aggregate is None or _PLAN.get(aggregate.name) == "mvsbt":
+        return RTA_ENTRY
+    return aggregate.name
 
 
 @dataclass(frozen=True)
@@ -124,8 +132,7 @@ class TemporalWarehouse:
             BufferPool(InMemoryDiskManager(), capacity=buffer_pages),
             MVSBTConfig(capacity=page_capacity,
                         strong_factor=strong_factor),
-            key_space=key_space, aggregates=(SUM, COUNT),
-            start_time=start_time,
+            key_space=key_space, start_time=start_time,
         )
         self._page_capacity = page_capacity
         self._wal = None
@@ -276,14 +283,14 @@ class TemporalWarehouse:
 
         The plan follows from the aggregate alone (:func:`_plan_of`); the
         exact tuple count and the two read estimates are information
-        for the reader and cost one COUNT reduction to produce.
+        for the reader and cost one reduction to produce.
         """
         plan = _plan_of(aggregate)
         tuples = self._estimate_tuples(key_range, interval)
         if plan == "mvsbt":
-            reason = ("additive: Equation (1), six point queries per tree, "
+            reason = ("additive: Equation (1), three pair descents, "
                       "cost independent of rectangle size")
-            mvsbt_cost = self._mvsbt_cost(aggregate)
+            mvsbt_cost = self._mvsbt_cost()
         else:
             reason = f"{aggregate.name} is not additive (open problem ii)"
             mvsbt_cost = float("inf")
@@ -306,14 +313,15 @@ class TemporalWarehouse:
                 "record": span_to_record(report.root),
                 "cache": report.cache}
 
-    def _mvsbt_cost(self, aggregate: Aggregate) -> float:
-        height = self.aggregates.trees()[SUM.name][0].height()
-        probes = 12 if aggregate.name == AVG.name else 6
-        return probes * (height + 1)
+    def _mvsbt_cost(self) -> float:
+        # Three pair descents (between one and two root-to-leaf paths
+        # each: the two keys share pages until they part), whichever
+        # additive aggregate is asked; +1 for the root* lookup.
+        return 3 * (self.aggregates.trees()[0].height() + 1)
 
     def _estimate_tuples(self, key_range: KeyRange,
                          interval: Interval) -> float:
-        # One COUNT reduction: six point queries, exact.
+        # One reduction, exact.
         return float(self.aggregates.count(key_range, interval))
 
     def _scan_cost(self, tuples: float) -> float:
@@ -333,24 +341,40 @@ class TemporalWarehouse:
         rectangles, as does AVG.
 
         With a result cache attached (:meth:`enable_cache`) repeated
-        rectangles are answered without descending.  The
+        rectangles are answered without descending — SUM, COUNT and AVG
+        of one rectangle from one entry, its :class:`RTAResult`.  The
         write epoch and the closed/open classification are both captured
         *before* execution, so an update racing the query can only make
         the stored entry read as stale — never serve a stale value.
         """
-        plan = _plan_of(aggregate)
+        answer = self._answer(key_range, interval, aggregate)
+        return answer.of(aggregate) if type(answer) is RTAResult else answer
+
+    def aggregate_all(self, key_range: KeyRange,
+                      interval: Interval) -> RTAResult:
+        """SUM, COUNT and AVG in one result (always the MVSBT plan) — the
+        cache entry :meth:`aggregate` reads its additive answers from."""
+        return self._answer(key_range, interval, None)
+
+    def _answer(self, key_range: KeyRange, interval: Interval,
+                aggregate: Optional[Aggregate]):
+        """What the result cache holds for a query: the rectangle's
+        :class:`RTAResult` for an additive aggregate (or ``None``, all of
+        them), the answer itself for MIN/MAX."""
+        plan = _plan_of(aggregate) if aggregate is not None else "mvsbt"
+        name = aggregate.name if aggregate is not None else "ALL"
         tracer = self.aggregates.pool.tracer
         metrics = self.metrics
         cache = self.result_cache
         if cache is not None:
             epoch = self.write_epoch
             closed = interval.end <= self.now
-            cache_key = ResultCache.key(aggregate.name, key_range, interval)
+            cache_key = ResultCache.key(_entry_of(aggregate), key_range,
+                                        interval)
             hit = cache.lookup(cache_key, epoch)
             if hit is not None:
                 if tracer.enabled:
-                    with tracer.span("warehouse.aggregate",
-                                     aggregate=aggregate.name,
+                    with tracer.span("warehouse.aggregate", aggregate=name,
                                      key_range=str(key_range),
                                      interval=str(interval)) as span:
                         span.attrs["cache"] = "hit"
@@ -361,18 +385,17 @@ class TemporalWarehouse:
             ios_before = (self.tuples.pool.stats.total_ios
                           + self.aggregates.pool.stats.total_ios)
         if tracer.enabled:
-            with tracer.span("warehouse.aggregate",
-                             aggregate=aggregate.name,
+            with tracer.span("warehouse.aggregate", aggregate=name,
                              key_range=str(key_range),
                              interval=str(interval)) as span:
                 if cache is not None:
                     span.attrs["cache"] = "miss"
                 span.attrs["plan"] = plan
                 with tracer.span("warehouse.execute", plan=plan):
-                    result = self.run_plan(plan, key_range, interval,
+                    result = self._execute(plan, key_range, interval,
                                            aggregate)
         else:
-            result = self.run_plan(plan, key_range, interval, aggregate)
+            result = self._execute(plan, key_range, interval, aggregate)
         if cache is not None:
             cache.store(cache_key, result, closed=closed, epoch=epoch)
             if metrics is not None:
@@ -387,6 +410,13 @@ class TemporalWarehouse:
                 metrics.plan_mvbt_scan.inc()
         return result
 
+    def _execute(self, plan: str, key_range: KeyRange, interval: Interval,
+                 aggregate: Optional[Aggregate]):
+        """One uncached :meth:`_answer`."""
+        if plan == "mvsbt":
+            return self.aggregates.aggregate_all(key_range, interval)
+        return self.run_plan(plan, key_range, interval, aggregate)
+
     def aggregate_batch(self, queries) -> List[object]:
         """Answer many aggregate queries through one batched read sweep.
 
@@ -396,14 +426,14 @@ class TemporalWarehouse:
         would raise, the raised exception instance itself: a failing
         query fails only itself, and callers re-raise or report per
         query.  An aggregate of ``None`` requests :meth:`aggregate_all`
-        semantics for that slot (an :class:`~repro.core.rta.RTAResult`,
-        cached under :data:`ALL_KEY` — the sharded router's AVG gather
-        needs the per-shard partials).
+        semantics for that slot (an :class:`~repro.core.rta.RTAResult`
+        — the sharded router's AVG gather needs the per-shard partials).
 
         Two passes: every query probes the result cache first (hits
-        drop out immediately, and identical survivor triples collapse to
-        one executed slot whose answer fans out); then every additive
-        survivor is answered by one
+        drop out immediately, and survivors that read the same cache
+        entry — the same triple, or SUM/COUNT/AVG of one rectangle —
+        collapse to one executed slot whose answer fans out); then every
+        additive survivor is answered by one
         :meth:`~repro.core.rta.RTAIndex.query_batch` sweep — identical
         boundary probes answered once — while MIN/MAX retrieve
         individually.  Cache stores happen after the sweep against the
@@ -432,9 +462,8 @@ class TemporalWarehouse:
             if cache is not None:
                 epoch = self.write_epoch
                 closed = interval.end <= self.now
-                cache_key = ResultCache.key(
-                    aggregate.name if aggregate is not None else ALL_KEY,
-                    key_range, interval)
+                cache_key = ResultCache.key(_entry_of(aggregate), key_range,
+                                            interval)
                 hit = cache.lookup(cache_key, epoch)
                 if hit is not None:
                     results[qi] = hit[0]
@@ -444,18 +473,18 @@ class TemporalWarehouse:
                 meta[qi] = (cache_key, epoch, closed)
             pending.append(qi)
 
-        # Dedup identical pending triples: read-hot batches repeat whole
-        # queries, not just boundary probes, so one executed slot answers
-        # every duplicate position (the answer fans out after the sweep;
-        # a representative's error is every duplicate's error, exactly
-        # as re-running the same bad rectangle would be).
+        # Dedup pending queries that read one cache entry: read-hot
+        # batches repeat whole queries, not just boundary probes, so one
+        # executed slot answers every duplicate position (the answer fans
+        # out after the sweep; a representative's error is every
+        # duplicate's error, exactly as re-running the same bad rectangle
+        # would be).
         dup_of: dict = {}
         rep_for: dict = {}
         survivors: List[int] = []
         for qi in pending:
             key_range, interval, aggregate = queries[qi]
-            tkey = (key_range, interval,
-                    aggregate.name if aggregate is not None else None)
+            tkey = (key_range, interval, _entry_of(aggregate))
             rep = rep_for.get(tkey)
             if rep is None:
                 rep_for[tkey] = qi
@@ -466,7 +495,7 @@ class TemporalWarehouse:
 
         # Pass 2: validate, then execute.  Additive queries (and
         # aggregate_all slots, additive by construction) join the one
-        # sweep; MIN/MAX retrieve.
+        # sweep, each for its rectangle's RTAResult; MIN/MAX retrieve.
         plans: dict = {}
         sweep: List[int] = []
         for qi in pending:
@@ -484,8 +513,7 @@ class TemporalWarehouse:
                 results[qi] = exc
                 errored[qi] = True
                 continue
-            if aggregate is not None:
-                plans[qi] = plan
+            plans[qi] = plan
 
         # One instant-ordered sweep answers every additive query; a
         # sweep-level failure degrades to per-query execution so one bad
@@ -493,19 +521,14 @@ class TemporalWarehouse:
         if sweep:
             try:
                 answers = self.aggregates.query_batch(
-                    [queries[qi] for qi in sweep], stats)
+                    [queries[qi][:2] + (None,) for qi in sweep], stats)
                 for qi, value in zip(sweep, answers):
                     results[qi] = value
             except Exception:
                 for qi in sweep:
-                    key_range, interval, aggregate = queries[qi]
                     try:
-                        if aggregate is None:
-                            results[qi] = self.aggregates.aggregate_all(
-                                key_range, interval)
-                        else:
-                            results[qi] = self.aggregates.query(
-                                key_range, interval, aggregate)
+                        results[qi] = self.aggregates.aggregate_all(
+                            *queries[qi][:2])
                     except Exception as exc:
                         results[qi] = exc
                         errored[qi] = True
@@ -534,6 +557,11 @@ class TemporalWarehouse:
                     metrics.plan_mvsbt.inc()
                 else:
                     metrics.plan_mvbt_scan.inc()
+        # Every slot holds its cache entry's value; an additive query
+        # reads its share of the rectangle's RTAResult.
+        for qi, (_kr, _iv, aggregate) in enumerate(queries):
+            if aggregate is not None and type(results[qi]) is RTAResult:
+                results[qi] = results[qi].of(aggregate)
         return results
 
     def run_plan(self, plan: str, key_range: KeyRange, interval: Interval,
@@ -577,34 +605,6 @@ class TemporalWarehouse:
         """MAX via retrieval (open problem (ii)); ``None`` when empty."""
         return self.aggregate(key_range, interval, MAX)
 
-    def aggregate_all(self, key_range: KeyRange,
-                      interval: Interval) -> RTAResult:
-        """SUM, COUNT and AVG in one result (always the MVSBT plan).
-
-        With a result cache attached the (immutable) result is cached
-        under :data:`ALL_KEY` by the rules of :meth:`aggregate`: epoch
-        and closedness captured before execution, pinned when closed,
-        epoch-validated when open-present.  This is the entry a sharded
-        router's AVG gathers from, so AVG hits like SUM and COUNT do.
-        """
-        cache = self.result_cache
-        if cache is None:
-            return self.aggregates.aggregate_all(key_range, interval)
-        metrics = self.metrics
-        epoch = self.write_epoch
-        closed = interval.end <= self.now
-        cache_key = ResultCache.key(ALL_KEY, key_range, interval)
-        hit = cache.lookup(cache_key, epoch)
-        if hit is not None:
-            if metrics is not None:
-                metrics.result_cache_hits.inc()
-            return hit[0]
-        result = self.aggregates.aggregate_all(key_range, interval)
-        cache.store(cache_key, result, closed=closed, epoch=epoch)
-        if metrics is not None:
-            metrics.result_cache_misses.inc()
-        return result
-
     # -- read-path caching -------------------------------------------------------------
 
     def enable_cache(self, config: Optional[CacheConfig] = None,
@@ -636,18 +636,12 @@ class TemporalWarehouse:
         ``"hit"``/``"miss"`` with a cache attached, ``None`` without one.
         Non-mutating (no stats, no recency, no stale drops) — EXPLAIN uses
         it to report the cache outcome without perturbing the cache.
-        AVG also hits on the :data:`ALL_KEY` entry: a sharded router
-        answers AVG from per-shard :meth:`aggregate_all` partials and
-        never stores an ``"AVG"`` entry on a shard.
         """
         cache = self.result_cache
         if cache is None:
             return None
-        names = (AVG.name, ALL_KEY) if aggregate.name == AVG.name \
-            else (aggregate.name,)
-        epoch = self.write_epoch
-        hit = any(cache.peek(ResultCache.key(name, key_range, interval),
-                             epoch) for name in names)
+        hit = cache.peek(ResultCache.key(_entry_of(aggregate), key_range,
+                                         interval), self.write_epoch)
         return "hit" if hit else "miss"
 
     def batch_snapshot(self) -> dict:
@@ -788,21 +782,26 @@ class TemporalWarehouse:
         from repro.storage.wal import WriteAheadLog
 
         wal = WriteAheadLog(directory, fsync=fsync)
-        checkpoint_dir, last_seq = cls.current_checkpoint(directory)
-        if checkpoint_dir is None:
-            # Legacy layout: a bare in-place "checkpoint" directory whose
-            # WAL was truncated at checkpoint time (replay-all is sound).
-            legacy = os.path.join(directory, "checkpoint")
-            if os.path.exists(os.path.join(legacy, "tuples")):
-                checkpoint_dir = legacy
-        if checkpoint_dir is not None:
-            warehouse = cls.load(checkpoint_dir, buffer_pages)
-        else:
-            warehouse = cls(**fresh_kwargs)
-        wal.bump_seq(last_seq)
-        # Replay is a load like any other (coalesced write-backs); the
-        # log is attached only afterwards, so nothing is logged twice.
-        warehouse.load_events(wal.replay(after_seq=last_seq))
+        try:
+            checkpoint_dir, last_seq = cls.current_checkpoint(directory)
+            if checkpoint_dir is None:
+                # Legacy layout: a bare in-place "checkpoint" directory
+                # whose WAL was truncated at checkpoint time (replay-all
+                # is sound).
+                legacy = os.path.join(directory, "checkpoint")
+                if os.path.exists(os.path.join(legacy, "tuples")):
+                    checkpoint_dir = legacy
+            if checkpoint_dir is not None:
+                warehouse = cls.load(checkpoint_dir, buffer_pages)
+            else:
+                warehouse = cls(**fresh_kwargs)
+            wal.bump_seq(last_seq)
+            # Replay is a load like any other (coalesced write-backs); the
+            # log is attached only afterwards, so nothing is logged twice.
+            warehouse.load_events(wal.replay(after_seq=last_seq))
+        except BaseException:
+            wal.close()     # a refused checkpoint must not leak the log
+            raise
         warehouse._wal = wal
         warehouse._durable_dir = directory
         return warehouse

@@ -41,6 +41,7 @@ the module docstring of :mod:`repro.mvsbt.buffered` for why).
 from __future__ import annotations
 
 from itertools import chain
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.model import NOW
@@ -50,6 +51,8 @@ from repro.mvsbt.records import (
     MVSBTLeafRecord,
 )
 from repro.storage.page import Page
+
+_REAL, _IMAG = attrgetter("real"), attrgetter("imag")
 
 
 class ColumnarBlock:
@@ -115,8 +118,10 @@ class ColumnarBlock:
 
     @classmethod
     def from_columns(cls, leaf: bool, columns: list) -> "ColumnarBlock":
-        """A *dead* page's block straight from its decoded field columns
-        (one tuple per field, in codec order; none for an empty page).
+        """A *dead* page's block straight from its decoded columns (one
+        tuple per record field, as
+        :func:`~repro.storage.serialization.decode_columns` returns them;
+        none for an empty page).
 
         The state a window leaves a page in when it dies there: the
         columns (immutable tuples here — a dead page is never routed
@@ -142,7 +147,7 @@ class ColumnarBlock:
         self.alive_lows = [lows[r] for r in rows]
 
     def live_rows(self) -> List[tuple]:
-        """The non-tombstone rows as codec-ordered field tuples —
+        """The non-tombstone rows as record-field tuples —
         :meth:`from_columns`'s inverse.  Surviving rows keep their relative
         order, so the result matches what the object kernels' physical
         appends/removals would have produced for the same mutations."""
@@ -162,8 +167,13 @@ class ColumnarBlock:
         the page codec's field order — the input
         :func:`repro.storage.serialization.encode_page_flat` turns into a
         page image with one bulk ``struct.pack`` instead of a per-record
-        encode loop.  Byte-identical to encoding :meth:`to_records`."""
-        rows = self.live_rows()
+        encode loop, each value as its two halves.  Byte-identical to
+        encoding :meth:`to_records`."""
+        columns = [self.lows, self.highs, self.starts, self.ends,
+                   map(_REAL, self.values), map(_IMAG, self.values)]
+        if self.childs is not None:
+            columns.append(self.childs)
+        rows = [row for row in zip(*columns) if row[2] != row[3]]
         return len(rows), list(chain.from_iterable(rows))
 
     # -- row primitives -----------------------------------------------------------

@@ -78,7 +78,7 @@ class ExplainReport:
 
     ``plan`` is the plan the read path runs, with its cost estimates;
     ``result`` the value the executed plan produced, and ``root`` the
-    span tree of the whole operation (the estimates' COUNT reduction
+    span tree of the whole operation (the estimates' own reduction
     included).  ``str()`` renders the ASCII plan.
     """
 
@@ -123,9 +123,10 @@ def explain_query(warehouse: "TemporalWarehouse",
 
     A fresh tracer is attached for the duration (previous wiring is
     restored), ``warehouse.explain`` runs inside a ``plan`` span (the
-    COUNT reduction behind its estimates is visible there, and is
-    EXPLAIN's cost alone: the read path never pays it), and the plan
-    executes inside an ``execute`` span via
+    reduction behind its estimates is visible there, and is EXPLAIN's
+    cost alone: the read path never pays it — the same rectangle on the
+    same tree pair, so it also takes the cold reads from ``execute``),
+    and the plan executes inside an ``execute`` span via
     :meth:`~repro.core.warehouse.TemporalWarehouse.run_plan`.
     """
     from repro.core.aggregates import SUM

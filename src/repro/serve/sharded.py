@@ -70,7 +70,7 @@ from repro.core.cache import (
 from repro.core.ingest import DEFAULT_BATCH_SIZE, IngestReport, coerce_events
 from repro.core.model import Interval, KeyRange, MAX_KEY, TemporalTuple
 from repro.core.rta import RTAResult
-from repro.core.warehouse import ALL_KEY, QueryPlan, TemporalWarehouse
+from repro.core.warehouse import RTA_ENTRY, QueryPlan, TemporalWarehouse
 from repro.errors import (
     ProtocolError,
     QueryError,
@@ -243,8 +243,9 @@ class LocalShard:
         return future
 
     def probe(self, name: str, part: KeyRange, interval: Interval) -> Any:
-        """Phase one of a latch-free result-cache read: :data:`MISS`, or
-        a zero-argument callable that completes it.
+        """Phase one of a latch-free read of the result-cache entry
+        ``name``: :data:`MISS`, or a zero-argument callable that
+        completes it.
 
         The seqlock word is captured first — odd means a write is
         mid-bracket, so ``write_epoch`` cannot be trusted — and the entry
@@ -717,27 +718,25 @@ class ShardRouter:
         A contract for callers that must not block (the server's event
         loop): O(parts) dictionary work, no traversal, no wait on a lock
         a writer can hold for long, and the value is byte-identical to
-        what :meth:`aggregate` would return at this instant.  SUM/COUNT
-        gather the per-part entries :meth:`aggregate` stores, AVG the
-        per-part :data:`~repro.core.warehouse.ALL_KEY` partials;
-        everything else (MIN/MAX, no cache, a shard whose cache lives in
-        a worker process) is a :data:`MISS`.  Every part is probed
+        what :meth:`aggregate` would return at this instant.  SUM, COUNT
+        and AVG gather the per-part
+        :data:`~repro.core.warehouse.RTA_ENTRY` partials — one entry per
+        rectangle, whichever of the three stored it; everything else
+        (MIN/MAX, no cache, a shard whose cache lives in a worker
+        process) is a :data:`MISS`.  Every part is probed
         (peek only) before any is looked up, so a partial hit leaves
         hit/miss counters and LRU recency exactly as the pooled path will
         find them; the gather below is the code :meth:`aggregate` /
         :meth:`aggregate_all` run, so the answer is byte-identical.
         """
-        name = aggregate.name
-        if name == AVG.name:
-            name = ALL_KEY
-        elif name not in (SUM.name, COUNT.name):
+        if aggregate.name not in (SUM.name, COUNT.name, AVG.name):
             return MISS
         looks = []
         if parts is None:
             parts = self.parts_for(key_range)
         for sid, part in parts:
             handle = self._handles.get(sid)
-            look = MISS if handle is None else handle.probe(name, part,
+            look = MISS if handle is None else handle.probe(RTA_ENTRY, part,
                                                             interval)
             if look is MISS:
                 return MISS
@@ -748,9 +747,9 @@ class ShardRouter:
             if partial is MISS:
                 return MISS
             partials.append(partial)
-        if name == ALL_KEY:
+        if aggregate.name == AVG.name:
             return self._gather_all(partials).avg
-        return sum(partials)
+        return sum(partial.of(aggregate) for partial in partials)
 
     def aggregate_batch(self, queries) -> List[Any]:
         """Scatter-gather many aggregate queries with one batch per shard.

@@ -37,7 +37,7 @@ from repro.storage.serialization import (
 
 PAGES_FILE = "pages.dat"
 META_FILE = "meta.json"
-MAGIC = "repro-checkpoint-v1"
+MAGIC = "repro-checkpoint-v2"
 
 
 @dataclass(frozen=True)
@@ -143,15 +143,14 @@ def read_checkpoint(directory: str, buffer_pages: int = 64
             fh.readinto(image)
             kind, codec, columns = decode_columns(image, shared)
             page = Page(page_id, entry["capacity"], kind)
-            block = (codec.seal(kind, columns, entry["meta"])
-                     if codec.seal is not None else None)
-            if block is None:
+            if codec.seal is None:
                 page.records = [codec.from_tuple(row)
                                 for row in zip(*columns)]
             else:
-                # The kind's codec keeps such a page sealed (a dead MVSBT
-                # page: columns, never record objects).
-                page.records, page.cache = None, block
+                # The kind's own say (a dead MVSBT page stays sealed:
+                # columns, never record objects).
+                page.records, page.cache = codec.seal(kind, columns,
+                                                      entry["meta"])
             page.meta.update(entry["meta"])
             disk._pages[page_id] = page  # restore under the original id
     disk._next_page_id = blob["next_page_id"]

@@ -54,18 +54,23 @@ class RecordCodec:
     """A ``struct`` layout plus encode/decode between records and tuples.
 
     ``to_tuple``/``from_tuple`` adapt an index's record class to the flat
-    field tuple the struct format expects.  ``seal`` is an index's say in
-    how a checkpoint restores its pages: called with a page's kind, its
-    records as one tuple per field (:func:`decode_columns`) and ``meta``,
-    it returns the block the page keeps in place of record objects
-    (``records = None``, the block in ``cache``, as
-    :func:`encode_page_image` reads it), or ``None`` for records.
+    field tuple the struct format expects.  ``pair`` is the position of
+    the first of two adjacent ``d`` fields that spell ONE value of two
+    components (the MVSBT's ``(sum, count)``, a ``complex`` in memory):
+    :func:`decode_columns` hands the two back as a single column.
+    ``seal`` is an index's say in how a checkpoint restores its pages:
+    called with a page's kind, its columns (:func:`decode_columns`) and
+    ``meta``, it returns the page's ``(records, cache)`` — record objects
+    and ``None``, or ``None`` and the block the page keeps in their place
+    (as :func:`encode_page_image` reads it).
     """
 
     fmt: str
     to_tuple: Callable[[Any], Tuple]
     from_tuple: Callable[[Tuple], Any]
-    seal: Optional[Callable[[str, List[Tuple], dict], Any]] = None
+    seal: Optional[Callable[[str, List[Tuple], dict],
+                            Tuple[Optional[list], Any]]] = None
+    pair: Optional[int] = None
 
     @property
     def record_bytes(self) -> int:
@@ -222,20 +227,22 @@ def unpack_events(blob: bytes) -> List[Tuple[str, int, float, int]]:
 def decode_columns(raw: Any, shared: Dict[str, dict]
                    ) -> Tuple[str, RecordCodec, List[Tuple]]:
     """A page image's kind, its codec and its records as one tuple per
-    field, equal values being one object wherever ``shared`` has seen
-    them — what a checkpoint restore builds its pages from.
+    field (the two halves of a codec's ``pair`` as one tuple of
+    ``complex``), equal values being one object wherever ``shared`` has
+    seen them — what a checkpoint restore builds its pages from.
 
     Unpacking mints a fresh ``int``/``float`` for every field, where the
     load that wrote the page left one object per distinct bound, instant
     and value, copied by reference into every record that repeats it; a
     restored index is several times the size of the one that was saved
     for no other reason.  ``shared`` is the caller's to create (empty)
-    and drop: format character -> first object seen per value, so an
-    integer field never receives a float (the column must pack again) nor
-    the other way round.  Every field is keyed by the integer its eight
-    bytes spell, the one key under which ``0.0`` and ``-0.0`` (equal, so
-    one dict key as floats) stay two values and a NaN finds its own
-    payload again.  Only ``q``/``d`` layouts — all the indexes register —
+    and drop: format character (``"dd"`` for a pair) -> first object seen
+    per value, so an integer field never receives a float (the column
+    must pack again) nor the other way round.  Every field is keyed by
+    the integer its eight bytes spell (a pair by both), the one key
+    under which ``0.0`` and ``-0.0`` (equal, so one dict key as floats)
+    stay two values and a NaN finds its own payload again.  Only
+    ``q``/``d`` layouts — all the indexes register —
     can be read this way.  ``raw`` is any buffer; a ``memoryview`` slice
     is decoded without copying the image.
     """
@@ -256,9 +263,18 @@ def decode_columns(raw: Any, shared: Dict[str, dict]
         if sys.byteorder == "big":
             typed.byteswap()
     columns = []
+    pair = codec.pair
     for i, char in enumerate(chars):
+        if pair is not None and i == pair + 1:
+            continue    # the second half went with the first
         keys = as_ints[i::width].tolist()
-        column = keys if char == "q" else as_floats[i::width].tolist()
+        if i == pair:
+            char = "dd"
+            keys = zip(keys, as_ints[i + 1::width].tolist())
+            column = map(complex, as_floats[i::width].tolist(),
+                         as_floats[i + 1::width].tolist())
+        else:
+            column = keys if char == "q" else as_floats[i::width].tolist()
         columns.append(tuple(map(shared.setdefault(char, {}).setdefault,
                                  keys, column)))
     return kind, codec, columns

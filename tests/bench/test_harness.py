@@ -28,7 +28,7 @@ def dataset():
 class TestBenchSettings:
     def test_paper_page_size_gives_paper_fanouts(self):
         settings = BenchSettings(page_bytes=4096)
-        assert settings.mvsbt_capacity == 203   # (4096-32)/20
+        assert settings.mvsbt_capacity == 169   # (4096-32)/24
         assert settings.mvbt_capacity == 254    # (4096-32)/16
 
     def test_default_page_size_preserves_ratio(self):
@@ -102,7 +102,7 @@ class TestMeasurement:
 
     def test_count_aggregate_queries(self, dataset):
         settings = BenchSettings()
-        index = build_rta_index(settings, dataset, aggregates=(SUM, COUNT))
+        index = build_rta_index(settings, dataset)
         measure_updates(index, dataset.events, settings)
         rects = generate_query_rectangles(QueryRectangleConfig(
             qrs=0.1, count=5, key_space=dataset.config.key_space,

@@ -62,8 +62,7 @@ from tests.test_metamorphic import op_streams
 SETTINGS = BenchSettings()
 
 BUILDERS = {
-    "two-mvsbt": lambda dataset: build_rta_index(SETTINGS, dataset,
-                                                 aggregates=(SUM, COUNT)),
+    "two-mvsbt": lambda dataset: build_rta_index(SETTINGS, dataset),
     "mvbt": lambda dataset: build_mvbt_baseline(SETTINGS, dataset),
     "heap": lambda dataset: build_heap_baseline(SETTINGS, dataset),
 }
@@ -157,15 +156,14 @@ def warehouse_class(**toggles):
                 BufferPool(InMemoryDiskManager(),
                            capacity=self.aggregates.pool.capacity),
                 MVSBTConfig(capacity=self._page_capacity, **toggles),
-                key_space=self.key_space, aggregates=(SUM, COUNT))
+                key_space=self.key_space)
 
     return Configured
 
 
 def named_trees(warehouse):
     trees = {"tuples": warehouse.tuples}
-    for name, (lkst, lklt) in warehouse.aggregates.trees().items():
-        trees[f"{name}.lkst"], trees[f"{name}.lklt"] = lkst, lklt
+    trees["lkst"], trees["lklt"] = warehouse.aggregates.trees()
     return trees
 
 
@@ -352,10 +350,8 @@ class TestMetamorphicEquivalence:
                                     dataset.events)
         batched = BUILDERS["two-mvsbt"](dataset)
         batch_replay(batched, dataset.events, batch_size=128)
-        for agg, (ref_lkst, ref_lklt) in reference.trees().items():
-            bat_lkst, bat_lklt = batched.trees()[agg]
-            assert bat_lkst.counters == ref_lkst.counters
-            assert bat_lklt.counters == ref_lklt.counters
+        for tree, ref in zip(batched.trees(), reference.trees()):
+            assert tree.counters == ref.counters
 
     def test_batch_size_one_is_still_identical(self, dataset):
         events = dataset.events[:400]

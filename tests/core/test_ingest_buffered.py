@@ -70,20 +70,13 @@ def answers(warehouse, rects):
 
 class TestBufferedWarehouseTwins:
     def test_rta_tree_structures_identical(self, dataset):
-        reference = build_rta_index(SETTINGS, dataset,
-                                    aggregates=(SUM, COUNT))
-        buffered = build_rta_index(SETTINGS, dataset,
-                                   aggregates=(SUM, COUNT))
+        reference = build_rta_index(SETTINGS, dataset)
+        buffered = build_rta_index(SETTINGS, dataset)
         replay_sequential(reference, dataset.events)
         batch_replay(buffered, dataset.events)
-        for name, (ref_lkst, ref_lklt) in reference.trees().items():
-            buf_lkst, buf_lklt = buffered.trees()[name]
-            assert canonical_tree_dump(buf_lkst) == canonical_tree_dump(
-                ref_lkst)
-            assert canonical_tree_dump(buf_lklt) == canonical_tree_dump(
-                ref_lklt)
-            assert buf_lkst.counters == ref_lkst.counters
-            assert buf_lklt.counters == ref_lklt.counters
+        for tree, ref in zip(buffered.trees(), reference.trees()):
+            assert canonical_tree_dump(tree) == canonical_tree_dump(ref)
+            assert tree.counters == ref.counters
         assert (buffered.pool.disk.live_page_count
                 == reference.pool.disk.live_page_count)
 
@@ -133,8 +126,7 @@ class TestBufferedWarehouseTwins:
         step = max(1, len(events) // 6)
         # Only a sized load opens the windows, so the test opens them
         # itself and feeds event by event.
-        trees = [tree for pair in buffered.aggregates.trees().values()
-                 for tree in pair]
+        trees = buffered.aggregates.trees()
         for tree in trees:
             open_window(tree)
         for lo in range(0, len(events), step):
@@ -159,9 +151,8 @@ class TestKillDuringFlush:
         events = dataset.events[:800]
         durable = TemporalWarehouse.open_durable(
             directory, key_space=key_space, page_capacity=8)
-        for pair in durable.aggregates.trees().values():
-            for tree in pair:
-                open_window(tree)
+        for tree in durable.aggregates.trees():
+            open_window(tree)
         replay_sequential(durable, events)
         # Simulated kill: abandon the windows (never closed, no
         # checkpoint, no flush) and drop the log handle the way a dead
@@ -210,7 +201,7 @@ class TestKillDuringFlush:
 
 class TestBufferedLoaderProtocol:
     def test_report_counts_buffered_events(self, dataset):
-        index = build_rta_index(SETTINGS, dataset, aggregates=(SUM, COUNT))
+        index = build_rta_index(SETTINGS, dataset)
         report = batch_replay(index, dataset.events)
         assert report.events == len(dataset.events)
         assert report.buffered_events == len(dataset.events)
@@ -218,7 +209,7 @@ class TestBufferedLoaderProtocol:
     def test_buffered_load_reports_its_closing_write_back(self, dataset):
         """The window-close flush is the loader's, so it is counted: the
         report accounts for every page the load wrote."""
-        index = build_rta_index(SETTINGS, dataset, aggregates=(SUM, COUNT))
+        index = build_rta_index(SETTINGS, dataset)
         before = index.pool.stats.writes
         report = batch_replay(index, dataset.events)
         assert report.buffered_events == len(dataset.events)
@@ -227,33 +218,32 @@ class TestBufferedLoaderProtocol:
         assert report.flushed_pages <= index.pool.stats.writes - before
 
     def test_direct_mode_reports_zero_buffered(self, dataset):
-        index = build_rta_index(SETTINGS, dataset, aggregates=(SUM, COUNT))
+        index = build_rta_index(SETTINGS, dataset)
         below = dataset.events[:BUFFERED_MIN_EVENTS - 1]
         assert batch_replay(index, below).buffered_events == 0
 
     def test_the_constant_is_the_boundary(self, dataset):
-        index = build_rta_index(SETTINGS, dataset, aggregates=(SUM, COUNT))
+        index = build_rta_index(SETTINGS, dataset)
         at = dataset.events[:BUFFERED_MIN_EVENTS]
         assert batch_replay(index, at).buffered_events == len(at)
 
     def test_manual_window_is_the_pools_only(self, dataset):
-        index = build_rta_index(SETTINGS, dataset, aggregates=(SUM, COUNT))
+        index = build_rta_index(SETTINGS, dataset)
         with BatchLoader(index):
             assert index.pool.in_batch
-            for lkst, lklt in index.trees().values():
-                assert lkst._buffer is None and lklt._buffer is None
+            for tree in index.trees():
+                assert tree._buffer is None
 
     def test_physical_mode_trees_stay_on_the_direct_path(self, dataset):
-        index = build_rta_index(SETTINGS, dataset, aggregates=(SUM, COUNT),
-                                logical_split=False, record_merging=False)
+        index = build_rta_index(SETTINGS, dataset, logical_split=False,
+                                record_merging=False)
         report = batch_replay(index, dataset.events)
         assert report.events == len(dataset.events)
         assert report.buffered_events == 0
 
     def test_windows_closed_after_buffered_load(self, dataset):
-        index = build_rta_index(SETTINGS, dataset, aggregates=(SUM, COUNT))
+        index = build_rta_index(SETTINGS, dataset)
         batch_replay(index, dataset.events[:BUFFERED_MIN_EVENTS + 50])
         assert not index.pool.in_batch
-        for lkst, lklt in index.trees().values():
-            assert lkst._buffer is None
-            assert lklt._buffer is None
+        for tree in index.trees():
+            assert tree._buffer is None

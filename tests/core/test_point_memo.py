@@ -183,9 +183,7 @@ class TestCountersAndEpochs:
 
 
 def memo_entries(warehouse):
-    return sum(len(tree.memo)
-               for pair in warehouse.aggregates.trees().values()
-               for tree in pair)
+    return sum(len(tree.memo) for tree in warehouse.aggregates.trees())
 
 
 class TestDeferredStores:
@@ -315,9 +313,8 @@ class TestHitRateTwin:
             warehouse.load_events(inputs.loaded)
             warehouse.enable_cache(CacheConfig())
             if reference:
-                for pair in warehouse.aggregates.trees().values():
-                    for tree in pair:
-                        tree.memo = ReferencePointMemo(8192)
+                for tree in warehouse.aggregates.trees():
+                    tree.memo = ReferencePointMemo(8192)
             answers = []
             tail = iter(inputs.tail)
             for i, read in enumerate(inputs.reads[:6_000]):

@@ -55,10 +55,9 @@ def cycle(request, tmp_path_factory):
 
 def test_the_reopened_trees_are_the_loaded_trees(cycle):
     _inputs, twin, reopened, _ = cycle
-    loaded = twin.aggregates.trees()
-    for name, pair in reopened.aggregates.trees().items():
-        for tree, want in zip(pair, loaded[name]):
-            assert canonical_tree_dump(tree) == canonical_tree_dump(want)
+    for tree, want in zip(reopened.aggregates.trees(),
+                          twin.aggregates.trees()):
+        assert canonical_tree_dump(tree) == canonical_tree_dump(want)
 
 
 def test_saving_it_again_reproduces_the_checkpoint_byte_for_byte(

@@ -71,12 +71,10 @@ class TestCollector:
 class TestHarnessEmission:
     def test_measures_emit_one_record_per_phase(self, dataset, rects):
         with collecting("twin") as collector:
-            index = build_rta_index(SETTINGS, dataset,
-                                    aggregates=(SUM, COUNT))
+            index = build_rta_index(SETTINGS, dataset)
             measure_updates(index, dataset.events, SETTINGS)
             measure_queries(index, rects, SETTINGS, aggregate=SUM)
-            fresh = build_rta_index(SETTINGS, dataset,
-                                    aggregates=(SUM, COUNT))
+            fresh = build_rta_index(SETTINGS, dataset)
             # A load is not a measured phase: it rides no record.
             BatchLoader(fresh, batch_size=32).load(dataset.events)
         names = [r["name"] for r in collector.records]
@@ -89,7 +87,7 @@ class TestHarnessEmission:
         assert collector.records[1]["attrs"]["aggregate"] == "SUM"
 
     def test_no_collector_means_no_side_channel(self, dataset, rects):
-        index = build_rta_index(SETTINGS, dataset, aggregates=(SUM, COUNT))
+        index = build_rta_index(SETTINGS, dataset)
         measure_updates(index, dataset.events, SETTINGS)
         cost = measure_queries(index, rects, SETTINGS)
         assert active() is None

@@ -39,17 +39,23 @@ class TestExplainQuery:
 
     def test_page_accesses_sum_to_query_ios(self, warehouse):
         # The acceptance identity: for an mvsbt-plan query, the per-page
-        # spans of the execute subtree partition its physical I/O exactly.
+        # spans of a reduction partition its physical I/O exactly.  The
+        # plan step's estimate is the same rectangle's reduction on the
+        # same tree pair, so the cold reads are its; execute finds the
+        # pages buffered.
         warehouse.tuples.pool.clear()
         warehouse.aggregates.pool.clear()
         key_range, interval = big_rectangle(warehouse)
         report = explain_query(warehouse, key_range, interval, SUM)
         assert report.plan.plan == "mvsbt"
+        estimate, execute = report.root.find("rta.reduce")
+        for span in (estimate, execute):
+            page_spans = span.find("mvsbt.page")
+            assert page_spans, "no per-page spans under the reduction"
+            assert sum(s.total_ios for s in page_spans) == span.total_ios
+        assert estimate.total_ios > 0   # cold buffer: real reads happened
         (execute_span,) = report.root.find("execute")
-        page_spans = execute_span.find("mvsbt.page")
-        assert page_spans, "no per-page spans under execute"
-        assert sum(s.total_ios for s in page_spans) == execute_span.total_ios
-        assert execute_span.total_ios > 0  # cold buffer: real reads happened
+        assert execute_span.total_ios == execute.total_ios == 0
 
     def test_per_level_breakdown_sums_too(self, warehouse):
         warehouse.aggregates.pool.clear()

@@ -92,8 +92,7 @@ class TestTwinRuns:
 
     def test_rta_index_mvsbt_path(self, dataset, rects):
         self.check_twins(
-            build=lambda: build_rta_index(SETTINGS, dataset,
-                                          aggregates=(SUM, COUNT)),
+            build=lambda: build_rta_index(SETTINGS, dataset),
             exercise=lambda index: (replay(index, dataset),
                                     run_queries(index, rects))[1],
         )
@@ -167,8 +166,7 @@ class TestBatchedIngestTwins:
 
     def test_batched_ingest_invariance(self, dataset, rects):
         def build_and_load(trace):
-            index = build_rta_index(SETTINGS, dataset,
-                                    aggregates=(SUM, COUNT))
+            index = build_rta_index(SETTINGS, dataset)
             loader = BatchLoader(index, batch_size=64)
             if trace:
                 with traced(index) as tracer:

@@ -159,10 +159,23 @@ def close_window(tree):
     tree.pool.end_batch()
 
 
+def halves(answers):
+    """MVSBT answers (values, or tuples of them) as ``repr`` of their
+    ``(real, imag)`` halves.  Every value comes back from bytes a
+    ``complex`` — the tree's own float zeros included, so where nothing
+    was ever inserted a reopened tree answers ``0j`` for ``0.0`` — and no
+    half may differ in a bit, sign of zero included."""
+    def split(answer):
+        if isinstance(answer, tuple):
+            return tuple(split(each) for each in answer)
+        return answer.real, answer.imag
+    return repr([split(answer) for answer in answers])
+
+
 def canonical_tree_dump(tree, page_bytes=4096):
     """Tree structure with page IDs relabeled in DFS visit order.
 
-    The RTA index runs four MVSBTs over ONE pool; buffered flush batches
+    The RTA index runs two MVSBTs over ONE pool; buffered flush batches
     legitimately reorder page *allocations* across the trees, so raw page
     IDs (and the child pointers embedded in index records) are not
     comparable across twins.  Everything else must be: records decode

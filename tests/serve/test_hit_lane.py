@@ -18,7 +18,7 @@ import pytest
 from repro.core.aggregates import AVG, COUNT, MAX, MIN, SUM
 from repro.core.cache import CacheConfig
 from repro.core.model import Interval, KeyRange
-from repro.core.warehouse import ALL_KEY, TemporalWarehouse
+from repro.core.warehouse import RTA_ENTRY, TemporalWarehouse
 from repro.serve.client import Client, ServerReplyError
 from repro.serve.cluster import ClusterWarehouse
 from repro.serve.procpool import ProcessShardedWarehouse, WorkerGroup
@@ -237,12 +237,16 @@ CLOSED = Interval(10, 90)
 
 class TestProbe:
     def test_hit_equals_aggregate_for_sum_count_avg(self):
-        warehouse = _warehouse()
-        for aggregate in (SUM, COUNT, AVG):
-            assert warehouse.probe(BOTH, CLOSED, aggregate) is MISS
-            want = warehouse.aggregate(BOTH, CLOSED, aggregate)
-            got = warehouse.probe(BOTH, CLOSED, aggregate)
-            assert repr(got) == repr(want)
+        """Whichever of the three ran first stored the entry all read."""
+        for first in (SUM, COUNT, AVG):
+            warehouse, plain = _warehouse(), _warehouse(cache=False)
+            for aggregate in (SUM, COUNT, AVG):
+                assert warehouse.probe(BOTH, CLOSED, aggregate) is MISS
+            warehouse.aggregate(BOTH, CLOSED, first)
+            for aggregate in (SUM, COUNT, AVG):
+                got = warehouse.probe(BOTH, CLOSED, aggregate)
+                assert repr(got) == repr(plain.aggregate(BOTH, CLOSED,
+                                                         aggregate))
 
     def test_empty_rectangle_avg_is_none_not_miss(self):
         warehouse = _warehouse()
@@ -502,7 +506,38 @@ class TestAllEntry:
         assert warehouse.result_cache.stats.stale_drops == 1
 
     def test_all_key_is_not_an_aggregate_name(self):
-        assert ALL_KEY not in {a.name for a in (SUM, COUNT, AVG, MIN, MAX)}
+        """MIN/MAX answers are keyed by their own names beside it."""
+        assert RTA_ENTRY not in {a.name for a in (SUM, COUNT, AVG, MIN, MAX)}
+
+    def test_sum_then_avg_of_one_rectangle_is_one_miss_and_one_hit(self):
+        """One entry a rectangle: whichever additive aggregate came
+        first paid for all three, serial and batched."""
+        warehouse = _single()
+        kr, iv = self.RECTANGLES[0]
+        plain = _single(cache=False)
+        assert warehouse.aggregate(kr, iv, SUM) == plain.sum(kr, iv)
+        assert warehouse.cache_snapshot().result["misses"] == 1
+        assert warehouse.aggregate(kr, iv, AVG) == plain.avg(kr, iv)
+        assert warehouse.aggregate(kr, iv, COUNT) == plain.count(kr, iv)
+        assert warehouse.aggregate_all(kr, iv) == plain.aggregate_all(kr, iv)
+        assert warehouse.aggregate_batch([(kr, iv, AVG), (kr, iv, None)]) \
+            == [plain.avg(kr, iv), plain.aggregate_all(kr, iv)]
+        result = warehouse.cache_snapshot().result
+        assert (result["misses"], result["hits"]) == (1, 5)
+        assert len(warehouse.result_cache) == 1
+        # MIN reads its own entry.
+        warehouse.aggregate(kr, iv, MIN)
+        assert warehouse.cache_snapshot().result["misses"] == 2
+        # In one batch each of the three looks the entry up (and misses),
+        # then they are one executed slot — six probes — and one store.
+        kr, iv = self.RECTANGLES[1]
+        probes = warehouse.batch_snapshot()["probes"]
+        assert warehouse.aggregate_batch(
+            [(kr, iv, SUM), (kr, iv, AVG), (kr, iv, COUNT)]) \
+            == [plain.sum(kr, iv), plain.avg(kr, iv), plain.count(kr, iv)]
+        assert warehouse.cache_snapshot().result["misses"] == 5
+        assert warehouse.batch_snapshot()["probes"] == probes + 6
+        assert len(warehouse.result_cache) == 3
 
 
 # -- (d) the statement LRU --------------------------------------------------------------

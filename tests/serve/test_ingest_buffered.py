@@ -188,10 +188,8 @@ class TestShardedBuffered:
             return window
 
         shard.aggregate = paused_aggregate
-        for lkst, lklt in shard.aggregates.trees().values():
-            for tree in (lkst, lklt):
-                tree.begin_buffered = functools.partial(window_then_wait,
-                                                        tree)
+        for tree in shard.aggregates.trees():
+            tree.begin_buffered = functools.partial(window_then_wait, tree)
         answers = []
         reader = threading.Thread(target=lambda: answers.append(
             repr(sharded.sum(key_range, interval))))

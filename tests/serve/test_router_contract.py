@@ -203,6 +203,36 @@ def scenario(name, directory):
     return first
 
 
+@pytest.mark.parametrize("name", ["thread", "process"])
+def test_sum_then_avg_of_one_rectangle_is_one_miss_and_one_hit(
+        name, tmp_path):
+    """A shard keeps one result-cache entry a rectangle (its
+    ``RTAResult``): SUM pays for it, AVG and COUNT read it."""
+    router = BACKENDS[name](str(tmp_path))
+    try:
+        router.enable_cache(CacheConfig())
+        for key in range(5, 400, 14):
+            router.insert(key, float(key % 11 + 1), key)
+        key_range, interval = KeyRange(150, 260), Interval(5, 200)
+        parts = len(router.parts_for(key_range))
+        assert parts == 2
+        total = router.aggregate(key_range, interval, SUM)
+        result = router.cache_snapshot().result
+        assert (result["misses"], result["hits"]) == (parts, 0)
+        average = router.aggregate(key_range, interval, AVG)
+        result = router.cache_snapshot().result
+        assert (result["misses"], result["hits"]) == (parts, parts)
+        count = router.aggregate(key_range, interval, COUNT)
+        assert average == total / count
+        assert router.aggregate_batch([(key_range, interval, AVG),
+                                       (key_range, interval, SUM)]) \
+            == [average, total]
+        result = router.cache_snapshot().result
+        assert (result["misses"], result["hits"]) == (parts, 4 * parts)
+    finally:
+        router.close()
+
+
 @pytest.fixture(scope="module")
 def reference(tmp_path_factory):
     return scenario("thread", str(tmp_path_factory.mktemp("thread")))

@@ -2,11 +2,13 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from repro.core.model import Interval, KeyRange
 from repro.core.rta import RTAIndex
+from repro.core.warehouse import TemporalWarehouse
 from repro.errors import StorageError
 from repro.mvbt.config import MVBTConfig
 from repro.mvbt.tree import MVBT
@@ -19,6 +21,13 @@ from repro.storage.disk import InMemoryDiskManager
 
 def fresh_pool(capacity=256):
     return BufferPool(InMemoryDiskManager(), capacity=capacity)
+
+
+def set_magic(directory, magic):
+    meta_path = Path(directory, "meta.json")
+    blob = json.loads(meta_path.read_text())
+    blob["magic"] = magic
+    meta_path.write_text(json.dumps(blob))
 
 
 class TestCheckpointPrimitives:
@@ -41,12 +50,40 @@ class TestCheckpointPrimitives:
         SBTree(pool, capacity=4, domain=(1, 101))
         directory = str(tmp_path / "ck")
         write_checkpoint(pool, {}, directory)
-        meta_path = os.path.join(directory, "meta.json")
-        blob = json.load(open(meta_path))
-        blob["magic"] = "something-else"
-        json.dump(blob, open(meta_path, "w"))
+        set_magic(directory, "something-else")
         with pytest.raises(StorageError):
             read_checkpoint(directory)
+
+    def test_the_one_field_value_format_is_refused_everywhere(self, tmp_path):
+        """``repro-checkpoint-v1`` pages hold MVSBT records of one double
+        (a SUM tree and a COUNT tree apart); there is no reader for them,
+        whichever door the directory comes in by."""
+        old = "repro-checkpoint-v1"
+        refusal = "unrecognized checkpoint format .*" + old
+        index = RTAIndex(fresh_pool(), MVSBTConfig(capacity=6),
+                         key_space=(1, 1001))
+        index.insert(100, 4.0, t=1)
+        bare = str(tmp_path / "index")
+        index.save(bare)
+        set_magic(bare, old)
+        with pytest.raises(StorageError, match=refusal):
+            read_checkpoint(bare)
+        with pytest.raises(StorageError, match=refusal):
+            RTAIndex.load(bare)
+
+        durable = str(tmp_path / "wh")
+        warehouse = TemporalWarehouse.open_durable(
+            durable, key_space=(1, 1001), page_capacity=8)
+        warehouse.insert(100, 4.0, t=1)
+        warehouse.checkpoint()
+        warehouse.close()
+        checkpoint, _ = TemporalWarehouse.current_checkpoint(durable)
+        for part in ("tuples", "aggregates"):
+            set_magic(os.path.join(checkpoint, part), old)
+        with pytest.raises(StorageError, match=refusal):
+            TemporalWarehouse.open_durable(durable)
+        with pytest.raises(StorageError, match=refusal):
+            TemporalWarehouse.load(checkpoint)
 
     def test_truncated_pages_file_rejected(self, tmp_path):
         pool = fresh_pool()
@@ -55,9 +92,8 @@ class TestCheckpointPrimitives:
             tree.insert(i, i + 2, 1.0)
         directory = str(tmp_path / "ck")
         write_checkpoint(pool, {}, directory)
-        pages_path = os.path.join(directory, "pages.dat")
-        raw = open(pages_path, "rb").read()
-        open(pages_path, "wb").write(raw[:-100])
+        pages_path = Path(directory, "pages.dat")
+        pages_path.write_bytes(pages_path.read_bytes()[:-100])
         with pytest.raises(StorageError):
             read_checkpoint(directory)
 

@@ -34,9 +34,9 @@ CASES = [
     ("mvbt-index", IndexEntry(low=1, high=10**9, start=1, end=NOW,
                               child=77)),
     ("mvsbt-leaf", MVSBTLeafRecord(low=1, high=50, start=2, end=NOW,
-                                   value=1.5)),
+                                   value=complex(1.5, 1))),
     ("mvsbt-index", MVSBTIndexRecord(low=50, high=100, start=2, end=9,
-                                     value=-1.5, child=3)),
+                                     value=complex(-1.5, -1), child=3)),
     ("rootstar", (12345, 678)),
 ]
 
@@ -157,10 +157,36 @@ def test_columns_hold_what_decode_page_reads(kind, record):
     got_kind, got_codec, columns = decode_columns(memoryview(image), {})
     assert (got_kind, got_codec) == (kind, codec)
     want = [codec.to_tuple(rec) for rec in decode_page(image)[1]]
+    at = codec.pair
+    if at is not None:      # its two doubles come back one ``complex``
+        assert {type(value) for value in columns[at]} == {complex}
+        columns[at:at + 1] = [tuple(value.real for value in columns[at]),
+                              tuple(value.imag for value in columns[at])]
     assert list(zip(*columns)) == want
     for column, char in zip(columns, codec.fmt[1:]):
         assert {type(value) for value in column} \
             == {int if char == "q" else float}
+
+
+def test_a_pair_is_shared_whole_and_keyed_by_both_halves():
+    """``(0.0, 1)`` and ``(-0.0, 1)`` are equal and must stay two values;
+    a plain number (written with a zero second half) reads back as the
+    ``complex`` whose ``real`` it is."""
+    shared = {}
+    values = [complex(0.0, 1), complex(-0.0, 1), complex(0.0, 1), 2.5,
+              complex(2.5, -0.0)]
+    pages = [decode_columns(encode_page(
+        "mvsbt-leaf", [MVSBTLeafRecord(1, 2, 1, NOW, value)
+                       for value in values], page_bytes=512), shared)[2]
+        for _ in range(2)]
+    column = pages[0][4]
+    assert len(pages[0]) == 5 and {type(v) for v in column} == {complex}
+    assert all(a is b for a, b in zip(column, pages[1][4]))
+    assert column[0] is column[2] and column[0] is not column[1]
+    assert struct.pack("<4d", column[0].real, column[1].real,
+                       column[3].imag, column[4].imag) \
+        == struct.pack("<4d", 0.0, -0.0, 0.0, -0.0)
+    assert sorted(shared) == ["dd", "q"]
 
 
 def test_columns_share_equal_values_across_pages_but_not_across_types():

@@ -278,7 +278,8 @@ class TestCheckpointCrashWindow:
         warehouse.checkpoint()
         checkpoints = os.listdir(os.path.join(directory, "checkpoints"))
         assert len(checkpoints) == 1
-        current = open(os.path.join(directory, "CURRENT")).read().strip()
+        with open(os.path.join(directory, "CURRENT")) as fh:
+            current = fh.read().strip()
         assert checkpoints == [current]
         warehouse.close()
 
