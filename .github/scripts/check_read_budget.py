@@ -39,6 +39,18 @@ into two trees, a delete into four; commit 23319b8) and is 1.494 with
 SUM and COUNT in one record (one and two).  Anything at 2 or above means
 a second tree is being fed again.
 
+And one on where a read runs, from the server's own phase histogram
+(``serve.server.queue_us_per_op``: time from asking for an admission
+slot to holding one, summed over the driven window's requests, per op).  On the thread
+backend every SUM/COUNT/AVG is answered in the event loop's read lane
+and never asks for a slot, so the sum is exactly 0 on ``scan_thread``
+and ``dash_hot`` (one worker-path read would make it positive: taking
+a free slot is still timed); on ``scan_process`` the worker path runs
+and it is positive.  Smoke values (µs per op, ``scan_thread`` /
+``dash_hot`` / ``scan_process``): 1.057 / 0.0227 / 1.150 with every read
+handed to a worker thread (commit da49eae), 0 / 0 / 1.159 with the loop
+lane.
+
     python .github/scripts/check_read_budget.py /tmp/stack-smoke.json
 """
 
@@ -58,6 +70,10 @@ MAX_PAGES_PER_PROBE = 1.55
 MIN_HTAP_MEMO_HIT_RATE = 0.3676 - 0.01
 #: ``ingest_bulk``: MVSBT insertions per loaded event (see above).
 MAX_INSERTS_PER_EVENT = 2.0
+#: ``serve.server.queue_us_per_op``: 0 where every read takes the loop
+#: lane, positive where the worker path serves them (see above).
+LOOP_LANE = ("scan_thread", "dash_hot")
+WORKER_PATH = ("scan_process",)
 #: The traced pass of ``ingest_bulk`` records the load (its op is an
 #: ingested event: one ``MVBT.insert`` each), so this says nothing
 #: about its reads.
@@ -83,6 +99,13 @@ def main() -> int:
                 failures.append(f"pass {number} {workload}: mvsbt."
                                 f"pages_per_probe = {pages}, expected "
                                 f"under {MAX_PAGES_PER_PROBE}")
+        for workload in LOOP_LANE + WORKER_PATH:
+            queued = one_pass["workloads"][workload]["per_layer"][
+                "metrics"]["serve.server.queue_us_per_op"]["value"]
+            if (queued == 0) != (workload in LOOP_LANE):
+                failures.append(f"pass {number} {workload}: serve.server."
+                                f"queue_us_per_op = {queued}, expected "
+                                + ("0" if workload in LOOP_LANE else "> 0"))
         memo = one_pass["workloads"]["htap_mixed"]["per_layer"]["metrics"][
             "core.cache.memo_hit_rate"]["value"]
         if memo < MIN_HTAP_MEMO_HIT_RATE:
@@ -103,7 +126,8 @@ def main() -> int:
     for line in failures:
         print(line, file=sys.stderr)
     print(f"read budget: {len(passes)} pass(es), {len(WORKLOADS)} workloads, "
-          f"htap_mixed's memo and ingest_bulk's inserts, "
+          f"where reads wait, htap_mixed's memo and ingest_bulk's "
+          f"inserts, "
           f"{len(failures)} violation(s)")
     return 1 if failures else 0
 

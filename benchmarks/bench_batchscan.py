@@ -19,11 +19,12 @@ Three drives over the PR-10 read path:
   one epoch validation per batch and zero MVCC fallbacks
   (write-quiet), the honesty counters behind "one seqlock hop for N
   queries".
-* **Server shared-scan twin** — two thread-backend servers answer the
+* **Server shared-scan twin** — two process-backend servers answer the
   same fixed-seed statement stream from concurrent clients, one with
   ``scan_batch=BATCH`` (reads drain through the shared-scan queue into
   vectorized sweeps), the control with ``scan_batch=1`` (the serial
-  path).  Byte-identity is enforced; the QPS ratio and the
+  path).  Not the thread backend: there a SUM/COUNT/AVG is answered in
+  the event loop's read lane and never reaches the queue.  Byte-identity is enforced; the QPS ratio and the
   ``repro_batchscan_*`` gauges are recorded.
 
 Writes ``benchmarks/results/BENCH_batchscan.json`` in the consolidated
@@ -242,7 +243,7 @@ def _server_twin(keys: int, threads: int = 8):
     for tag, scan_batch in (("batch", BATCH), ("serial", 1)):
         handle = serve_in_thread(ServerConfig(
             shards=SHARDS, key_space=(1, keys + 1), cache=False,
-            scan_batch=scan_batch, readers=threads))
+            scan_batch=scan_batch, readers=threads, executor="process"))
         try:
             now = _seed_server(handle.host, handle.port, keys)
             if stmts is None:

@@ -7,6 +7,10 @@ bounded as the dataset grows.
 
 from repro.bench.experiments import theorem2_bounds
 
+#: Measured query I/O over ``3 * (log_b n + 1)``: at most one full
+#: root-to-leaf path per pair descent on average.
+RATIO_CEILING = 1.0
+
 
 def test_measured_costs_track_the_bounds(benchmark, settings, record_table):
     table = benchmark.pedantic(
@@ -23,8 +27,12 @@ def test_measured_costs_track_the_bounds(benchmark, settings, record_table):
         # Space stays within a constant factor of (n/b) log_b K.
         assert row["pages"] <= 16 * max(row["space_bound_pages"], 1), row
 
-    # Per-query I/O grows (at most) logarithmically: from the smallest to
-    # the largest n it must not grow anywhere near linearly.
-    per_q = table.column("query_ios_per_q")
-    ns = table.column("n")
-    assert per_q[-1] / per_q[0] < (ns[-1] / ns[0]) ** 0.5
+    # Per-query I/O grows (at most) logarithmically: measured over the
+    # bound of three pair descents, 3 * (log_b n + 1) pages, stays under
+    # RATIO_CEILING on every row.  A ratio of first and last row cannot
+    # say this — the smallest tree answers in the three-read minimum.
+    # Ratios at commit da49eae (b = 20, n = 1,993 / 3,984 / 9,964):
+    # 0.283 / 0.557 / 0.565.
+    for row in table.rows:
+        ratio = row["query_ios_per_q"] / (3 * (row["log_b_n"] + 1))
+        assert 0 < ratio <= RATIO_CEILING, (ratio, row)

@@ -429,10 +429,10 @@ class TemporalWarehouse:
         semantics for that slot (an :class:`~repro.core.rta.RTAResult`
         — the sharded router's AVG gather needs the per-shard partials).
 
-        Two passes: every query probes the result cache first (hits
-        drop out immediately, and survivors that read the same cache
-        entry — the same triple, or SUM/COUNT/AVG of one rectangle —
-        collapse to one executed slot whose answer fans out); then every
+        Two passes: every distinct cache entry is looked up once —
+        queries that read the same entry (the same triple, or
+        SUM/COUNT/AVG of one rectangle) share its outcome, a hit or one
+        executed slot whose answer fans out; then every
         additive survivor is answered by one
         :meth:`~repro.core.rta.RTAIndex.query_batch` sweep — identical
         boundary probes answered once — while MIN/MAX retrieve
@@ -454,16 +454,27 @@ class TemporalWarehouse:
             ios_before = (self.tuples.pool.stats.total_ios
                           + self.aggregates.pool.stats.total_ios)
 
-        # Pass 1: per-query cache probe (epoch and closedness captured
-        # before any execution, as the serial path does).
+        # Pass 1: one cache lookup per distinct entry (epoch and
+        # closedness captured before any execution, as the serial path
+        # does).  Read-hot batches repeat whole queries, and SUM/COUNT/AVG
+        # of one rectangle read one entry, so every later position that
+        # reads the same entry shares its first position's outcome — the
+        # hit, or the executed slot's answer or error — and counts no
+        # lookup of its own.
         pending: List[int] = []
         meta: dict = {}
+        dup_of: dict = {}
+        rep_for: dict = {}
         for qi, (key_range, interval, aggregate) in enumerate(queries):
+            entry = (key_range, interval, _entry_of(aggregate))
+            rep = rep_for.setdefault(entry, qi)
+            if rep != qi:
+                dup_of[qi] = rep
+                continue
             if cache is not None:
                 epoch = self.write_epoch
                 closed = interval.end <= self.now
-                cache_key = ResultCache.key(_entry_of(aggregate), key_range,
-                                            interval)
+                cache_key = ResultCache.key(entry[2], key_range, interval)
                 hit = cache.lookup(cache_key, epoch)
                 if hit is not None:
                     results[qi] = hit[0]
@@ -472,26 +483,6 @@ class TemporalWarehouse:
                     continue
                 meta[qi] = (cache_key, epoch, closed)
             pending.append(qi)
-
-        # Dedup pending queries that read one cache entry: read-hot
-        # batches repeat whole queries, not just boundary probes, so one
-        # executed slot answers every duplicate position (the answer fans
-        # out after the sweep; a representative's error is every
-        # duplicate's error, exactly as re-running the same bad rectangle
-        # would be).
-        dup_of: dict = {}
-        rep_for: dict = {}
-        survivors: List[int] = []
-        for qi in pending:
-            key_range, interval, aggregate = queries[qi]
-            tkey = (key_range, interval, _entry_of(aggregate))
-            rep = rep_for.get(tkey)
-            if rep is None:
-                rep_for[tkey] = qi
-                survivors.append(qi)
-            else:
-                dup_of[qi] = rep
-        pending = survivors
 
         # Pass 2: validate, then execute.  Additive queries (and
         # aggregate_all slots, additive by construction) join the one

@@ -339,15 +339,15 @@ class ServerMetrics:
     ``metrics_text`` protocol ops expose: request counts by op, end-to-end
     latency, per-op latency split into queue-wait and execution phases,
     per-shard execution-time histograms, in-flight and queued request
-    gauges, rejections by reason, sampled-trace, slow-request and
-    inline-hit counters, and per-shard query/write counters.  Per-label
+    gauges, rejections by reason, sampled-trace, slow-request, inline-hit
+    and loop-read counters, and per-shard query/write counters.  Per-label
     instrument handles are cached so the request hot path never
     re-hashes registry keys.
     """
 
     __slots__ = ("registry", "latency", "queue_depth", "inflight",
                  "traces_sampled", "slow_requests", "inline_hits",
-                 "_requests", "_rejected",
+                 "loop_reads", "_requests", "_rejected",
                  "_op_latency", "_op_phase", "_shard_seconds",
                  "_shard_queries", "_shard_writes")
 
@@ -370,6 +370,9 @@ class ServerMetrics:
         self.inline_hits = registry.counter(
             "repro_serve_inline_hits_total",
             "reads answered on the event loop from the result cache")
+        self.loop_reads = registry.counter(
+            "repro_serve_loop_reads_total",
+            "reads executed on the event loop (Equation (1), no cache hit)")
         self._requests: Dict[str, Counter] = {}
         self._rejected: Dict[str, Counter] = {}
         self._op_latency: Dict[str, Histogram] = {}

@@ -11,12 +11,13 @@ built it, the server uses the router surface only.  The moving parts:
   rectangles only touch closed, immutable versions and concurrent ingest
   cannot change their answers mid-flight.
 * **Single writer, many readers** — DML is serialized through a per-shard
-  asyncio writer queue; read statements run on the worker threads of
-  :mod:`repro.serve.workers`.  Underneath, each shard's readers-writer
-  lock and buffer-pool locks keep page access safe (see
-  :mod:`repro.serve.sharded`).
-* **Admission control** — at most ``max_inflight`` requests execute at
-  once and at most ``max_queue`` wait, first come first served; beyond
+  asyncio writer queue; statements run on the worker threads of
+  :mod:`repro.serve.workers`, apart from the reads the lane below takes.
+  Underneath, each shard's readers-writer lock and buffer-pool locks
+  keep page access safe (see :mod:`repro.serve.sharded`).
+* **Admission control** — of the requests bound for a worker thread (the
+  lane below takes none), at most ``max_inflight`` execute at once and
+  at most ``max_queue`` wait, first come first served; beyond
   that the server answers a structured ``SERVER_BUSY`` error immediately
   instead of letting latency grow without bound.  Each request also has
   a ``request_timeout``, answered with ``TIMEOUT`` (the worker thread
@@ -26,8 +27,12 @@ built it, the server uses the router surface only.  The moving parts:
 * **Hit lane** — a plain ``SELECT`` aggregate whose answer is already in
   the result cache at the current epoch
   (:meth:`~repro.serve.sharded.ShardRouter.probe`) is answered on the
-  event loop: no admission slot, no thread hop, no scan group.  Anything
-  else takes the admitted path unchanged.
+  event loop: no admission slot, no thread hop, no scan group.  On a
+  miss, a SUM/COUNT/AVG over in-thread shards is *executed* there after
+  one yield (:meth:`~repro.serve.sharded.ShardRouter.attempt`): three
+  pair descents per shard whatever the rectangle, one seqlock-validated
+  attempt that never waits.  Anything the lane cannot answer now takes
+  the admitted path unchanged.
 * **Graceful shutdown** — the ``shutdown`` op (or SIGTERM from the CLI)
   stops admissions, drains in-flight work, checkpoints every shard
   through the WAL/checkpoint path, and closes.  A kill -9 anywhere in
@@ -73,6 +78,7 @@ from repro.serve.telemetry import (
     Sampler,
     SlowQueryLog,
     clip_tql,
+    run_in_context,
 )
 from repro.serve.workers import LoopWorkers
 from repro.tql import executor as tql_executor
@@ -677,12 +683,21 @@ class TQLServer:
                         and statement.agg.timeline_buckets is None)
         if plain_select:
             self._note_explainable(statement, as_of, ctx)
-        result, shards = MISS, None
+        result, run, shards = MISS, MISS, None
         if plain_select and not self._draining:
-            result, shards = self._probe(statement, as_of)
-        if result is not MISS:
+            result, run, shards = self._probe(statement, as_of)
+            if run is not MISS:
+                # Yield once: requests that arrived with this one (most
+                # often another connection's cache hits) go first.
+                await asyncio.sleep(0)
+                if not self._draining:
+                    result = run_in_context(run, ctx)
+        if result is not MISS and run is MISS:
             ctx.lane = "hit"
             self.metrics.inline_hits.inc()
+        elif result is not MISS:
+            ctx.lane = "loop"
+            self.metrics.loop_reads.inc()
         elif plain_select and self.config.scan_batch > 1:
             result = await self._group_scan(statement, as_of, ctx)
         else:
@@ -713,25 +728,26 @@ class TQLServer:
         return statement
 
     def _probe(self, statement: SelectStatement, as_of: int
-               ) -> Tuple[Any, List[int]]:
-        """The hit lane: a plain SELECT aggregate's answer straight from
-        the router's result caches, or :data:`MISS` — and, either way,
-        the ids of the shards its key range touches (the routing is done
-        once here, for the probe and for the per-shard read counters).
-
-        Runs on the event loop, so it may only do what
-        :meth:`~repro.serve.sharded.ShardRouter.probe` promises: O(parts)
-        dictionary work, epoch-validated, never blocking.  The rectangle
-        is resolved by the executor's own code — same ``as_of`` clamp,
-        same :class:`~repro.errors.QueryError` for an empty interval.
+               ) -> Tuple[Any, Any, List[int]]:
+        """The lane's first step for a plain SELECT aggregate:
+        ``(answer, run, shard ids)`` — the router's cached answer or
+        :data:`MISS`; on a miss its
+        :meth:`~repro.serve.sharded.ShardRouter.attempt` (a callable, or
+        :data:`MISS`); and the shards the key range touches.  The routing
+        is done once here, for all three.  The rectangle is resolved by
+        the executor's own code — same ``as_of`` clamp, same
+        :class:`~repro.errors.QueryError` for an empty interval.
         """
+        warehouse = self.warehouse
         key_range, interval = tql_executor._resolve_rectangle(
-            self.warehouse, statement, as_of)
-        parts = self.warehouse.parts_for(key_range)
-        result = self.warehouse.probe(
-            key_range, interval,
-            tql_executor._aggregate_named(statement.agg.name), parts)
-        return result, [sid for sid, _ in parts]
+            warehouse, statement, as_of)
+        aggregate = tql_executor._aggregate_named(statement.agg.name)
+        parts = warehouse.parts_for(key_range)
+        result = warehouse.probe(key_range, interval, aggregate, parts)
+        run = MISS
+        if result is MISS:
+            run = warehouse.attempt(key_range, interval, aggregate, parts)
+        return result, run, [sid for sid, _ in parts]
 
     def _note_explainable(self, statement: SelectStatement, as_of: int,
                           ctx: RequestContext) -> None:

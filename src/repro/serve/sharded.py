@@ -20,7 +20,9 @@ The whole layer is one picture — router → topology → handle:
   third: :class:`LocalShard` below (a warehouse in this process, reached
   through the seqlock read protocol) and
   :class:`~repro.serve.procpool.WorkerGroup` (worker processes behind a
-  pipe, with replica fail-over).
+  pipe, with replica fail-over).  Only a :class:`LocalShard` also offers
+  ``attempt``, a read on the calling thread that never waits — what
+  :meth:`ShardRouter.attempt` (the server's event-loop read lane) runs.
 * :class:`ShardedWarehouse` — the in-process construction: one
   :class:`LocalShard` per range.
   :class:`~repro.serve.procpool.ProcessShardedWarehouse` and
@@ -275,6 +277,15 @@ class LocalShard:
             return hit[0]
         return finish
 
+    def attempt(self, method: str, args: Tuple[Any, ...]) -> Any:
+        """``method`` run once on the calling thread with no lock held:
+        its answer, or :data:`MISS` when the seqlock cannot vouch for it
+        (a write mid-bracket at capture, or one that landed during the
+        traversal).  Never sleeps and never waits for the shard lock —
+        what a MISS costs is the caller's decision."""
+        return self._spanned(method, self._attempt,
+                             getattr(self.warehouse, method), args)
+
     @property
     def now(self) -> int:
         """The most recent time this shard has seen."""
@@ -344,38 +355,24 @@ class LocalShard:
     def _optimistic_batch(self, requests: List[Tuple]) -> List[Any]:
         """One seqlock hop for a whole batch, per-query fallback isolation.
 
-        The shard epoch is captured once, the entire batch sweep runs
-        with no lock held, and a single validation covers every answer —
-        N queries, one epoch check.  A torn read does *not* retry the
-        batch wholesale: each query re-runs through its own
+        The whole batch sweep is one :meth:`_attempt` — one epoch
+        capture, no lock held, a single validation for every answer
+        (counted as one ``epoch_validations``, passed or not), and cache
+        stores committed only if it passes.  A torn read does *not*
+        retry the batch wholesale: each query re-runs through its own
         :meth:`_optimistic` (own retry budget, own read-lock fallback),
         so one conflicting writer costs re-execution, never a batch-wide
-        retry storm.  Cache stores made during the sweep are parked in
-        the calling thread's deferred section and committed only after
-        the batch validates, exactly as the serial path does.
+        retry storm.
         """
         shard = self.warehouse
-        epoch = self.epoch
         bstats = shard.batch_stats
-        started = epoch.read_begin()
-        if started % 2 == 0:
-            begin_deferred_stores()
-            try:
-                results = shard.aggregate_batch(requests)
-            except Exception:
-                discard_deferred_stores()
-                if bstats is not None:
-                    bstats.note_epoch_validation()
-                if epoch.read_validate(started):
-                    raise  # deterministic failure, not a torn read
-            else:
-                if bstats is not None:
-                    bstats.note_epoch_validation()
-                if epoch.read_validate(started):
-                    commit_deferred_stores()
-                    self.stats.note_optimistic()
-                    return results
-                discard_deferred_stores()
+        try:
+            results = self._attempt(shard.aggregate_batch, (requests,))
+        finally:
+            if bstats is not None:
+                bstats.note_epoch_validation()
+        if results is not MISS:
+            return results
         # Torn (or a write was mid-bracket at capture): isolate the
         # fallback per query so one conflict cannot fail its batchmates.
         if bstats is not None:
@@ -393,14 +390,14 @@ class LocalShard:
                 out.append(exc)
         return out
 
-    def _optimistic(self, fn, args) -> Any:
-        """One read with **no lock held**, validated by the shard epoch.
+    def _attempt(self, fn, args) -> Any:
+        """One read with **no lock held**, validated by the shard epoch —
+        the seqlock protocol, in this one place.
 
-        Capture the seqlock word, traverse, validate: unchanged-and-even
+        Capture the seqlock word (odd: a write is mid-bracket, so
+        :data:`MISS` at once), traverse, validate: unchanged-and-even
         means the traversal saw one consistent version and its answer is
-        exactly what the read lock would have produced.  Conflicts retry
-        (bounded) and finally fall back to the read lock, so a write
-        storm cannot starve a reader forever.  Three subtleties:
+        exactly what the read lock would have produced.  Two subtleties:
 
         * cache stores made during the traversal are parked thread-
           locally and committed only after validation — a torn read must
@@ -408,12 +405,34 @@ class LocalShard:
           forever);
         * an exception with the epoch *unchanged* is deterministic (a
           genuine :class:`~repro.errors.QueryError`, say) and re-raised
-          immediately — only epoch-changed exceptions count as
-          conflicts;
-        * retries yield the GIL briefly so the in-flight writer can
-          finish its bracket.
+          — only epoch-changed exceptions (a
+          :class:`~repro.errors.ConcurrentAccessError` from a buffered
+          load's window, say) are conflicts, answered :data:`MISS`.
         """
         epoch = self.epoch
+        started = epoch.read_begin()
+        if started % 2:
+            return MISS
+        begin_deferred_stores()
+        try:
+            result = fn(*args)
+        except Exception:
+            discard_deferred_stores()
+            if epoch.read_validate(started):
+                raise  # deterministic failure, not a torn read
+            return MISS
+        if epoch.read_validate(started):
+            commit_deferred_stores()
+            self.stats.note_optimistic()
+            return result
+        discard_deferred_stores()
+        return MISS
+
+    def _optimistic(self, fn, args) -> Any:
+        """:meth:`_attempt` until it validates: conflicts retry (bounded,
+        yielding the GIL briefly so the in-flight writer can finish its
+        bracket) and finally fall back to the read lock, so a write
+        storm cannot starve a reader forever."""
         stats = self.stats
         retries = 0
         try:
@@ -422,22 +441,9 @@ class LocalShard:
                     retries += 1
                     stats.note_retry()
                     time.sleep(0 if attempt < 3 else 0.0002)
-                started = epoch.read_begin()
-                if started % 2:
-                    continue  # a write is mid-bracket right now
-                begin_deferred_stores()
-                try:
-                    result = fn(*args)
-                except Exception:
-                    discard_deferred_stores()
-                    if epoch.read_validate(started):
-                        raise  # deterministic failure, not a torn read
-                    continue
-                if epoch.read_validate(started):
-                    commit_deferred_stores()
-                    stats.note_optimistic()
+                result = self._attempt(fn, args)
+                if result is not MISS:
                     return result
-                discard_deferred_stores()
             # Retry budget exhausted: take the read lock (blocks behind
             # the writer, guarantees progress).
             stats.note_fallback()
@@ -747,6 +753,49 @@ class ShardRouter:
             if partial is MISS:
                 return MISS
             partials.append(partial)
+        return self._additive(partials, aggregate)
+
+    def attempt(self, key_range: KeyRange, interval: Interval,
+                aggregate: Aggregate,
+                parts: Optional[List[Tuple[int, KeyRange]]] = None) -> Any:
+        """What :meth:`probe` widens to when the cache cannot answer:
+        :data:`MISS` unless the rectangle is SUM/COUNT/AVG and every part
+        lives on an in-thread :class:`LocalShard`, else a zero-argument
+        callable that computes it on the calling thread.
+
+        The callable runs each part's ``aggregate_all`` as one
+        :meth:`LocalShard.attempt` — Equation (1), three pair descents,
+        ``O(log_b n)`` pages each by Theorem 1, so bounded whatever the
+        rectangle — and gathers exactly as :meth:`probe` does, so the
+        answer is byte-identical to :meth:`aggregate`'s.  The first part
+        that cannot be vouched for now makes the whole answer
+        :data:`MISS` (parts already read keep their validated cache
+        stores).  Nothing here sleeps, takes a shard lock or crosses a
+        pipe; the only wait is a buffer-pool call.
+        """
+        if aggregate.name not in (SUM.name, COUNT.name, AVG.name):
+            return MISS
+        if parts is None:
+            parts = self.parts_for(key_range)
+        handles = [(sid, self._handles.get(sid), part) for sid, part in parts]
+        if not all(isinstance(handle, LocalShard) for _, handle, _ in handles):
+            return MISS
+
+        def run() -> Any:
+            partials = []
+            for sid, handle, part in handles:
+                partial = self._on(sid, handle.attempt, "aggregate_all",
+                                   (part, interval))
+                if partial is MISS:
+                    return MISS
+                partials.append(partial)
+            return self._additive(partials, aggregate)
+        return run
+
+    def _additive(self, partials: List[RTAResult],
+                  aggregate: Aggregate) -> Optional[float]:
+        """SUM, COUNT or AVG of per-part :class:`RTAResult` partials,
+        added as :meth:`aggregate` / :meth:`aggregate_all` add them."""
         if aggregate.name == AVG.name:
             return self._gather_all(partials).avg
         return sum(partial.of(aggregate) for partial in partials)

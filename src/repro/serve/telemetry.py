@@ -9,9 +9,10 @@ belong to neither the protocol nor the metrics registry:
   per-shard time attribution, and the worker-side span records collected
   while it executed.
 * A **thread-local context slot** (:func:`set_context` /
-  :func:`current_context`).  Statements execute on reader-pool threads
-  via ``loop.run_in_executor``, which does *not* propagate contextvars —
-  so the server sets the thread-local inside the pooled callable, and the
+  :func:`current_context`, installed around a statement by
+  :func:`run_in_context`).  Statements execute on worker threads, which
+  no contextvar reaches, or in the event loop's read lane — so the
+  thread-local is set around the statement wherever it runs, and the
   shard backends (:mod:`repro.serve.sharded`, :mod:`repro.serve.procpool`)
   read it to attribute time and, when sampled, attach trace context to
   their shard calls.  Unset, the lookup is one ``getattr`` returning
@@ -34,6 +35,7 @@ from __future__ import annotations
 import os
 import random
 import threading
+import time
 from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, List, Optional
@@ -89,7 +91,8 @@ class RequestContext:
         #: Reads that exhausted retries and took the read lock.
         self.mvcc_fallbacks = 0
         #: ``"hit"`` when the event loop answered the read from the
-        #: result cache (no admission, no pool); ``None`` otherwise.
+        #: result cache, ``"loop"`` when it executed it (no admission, no
+        #: worker thread either way); ``None`` otherwise.
         self.lane: Optional[str] = None
 
     def begin_sampling(self, detail: bool = False) -> None:
@@ -135,6 +138,22 @@ def current_context() -> Optional[RequestContext]:
 def clear_context() -> None:
     """Drop the executing thread's request context."""
     _local.ctx = None
+
+
+def run_in_context(fn: Callable[[], Any],
+                   ctx: Optional[RequestContext]) -> Any:
+    """``fn()`` with ``ctx`` installed in this thread's slot, its wall
+    time added to the request's exec phase — the one wrapper a worker
+    thread and the event loop's read lane both execute under."""
+    set_context(ctx)
+    if ctx is None:
+        return fn()
+    started = time.perf_counter()
+    try:
+        return fn()
+    finally:
+        ctx.exec_s += time.perf_counter() - started
+        clear_context()
 
 
 class Sampler:

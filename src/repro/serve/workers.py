@@ -16,7 +16,7 @@ import threading
 import time
 from typing import Any, Callable, Optional
 
-from repro.serve.telemetry import RequestContext, clear_context, set_context
+from repro.serve.telemetry import RequestContext, run_in_context
 
 
 class LoopWorkers:
@@ -62,21 +62,17 @@ class LoopWorkers:
         """A worker thread: run jobs until :meth:`close`'s ``None``.
 
         Nothing propagates contextvars into the thread, so the request
-        context rides a plain thread-local around ``fn`` — the shard
+        context rides a plain thread-local around ``fn``
+        (:func:`~repro.serve.telemetry.run_in_context`) — the shard
         backends attribute time (and, when sampled, trace context) to
         their shard calls through it — and the wall time inside ``fn``
         is the request's exec phase.
         """
         for fn, ctx, future, done in iter(self._jobs.get, None):
-            set_context(ctx)
-            started = time.perf_counter()
             try:
-                outcome = future.set_result, fn()
+                outcome = future.set_result, run_in_context(fn, ctx)
             except BaseException as exc:  # noqa: BLE001 — the awaiter's
                 outcome = future.set_exception, exc
-            if ctx is not None:
-                ctx.exec_s += time.perf_counter() - started
-                clear_context()
             try:
                 loop.call_soon_threadsafe(self._finished, future, done,
                                           *outcome)

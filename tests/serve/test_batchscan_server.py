@@ -4,7 +4,10 @@ Concurrent SELECT aggregates on a ``scan_batch > 1`` server drain
 through ``_group_scan`` into vectorized sweeps; the answers (and the
 per-statement errors) must be exactly what a ``scan_batch=1`` server
 produces, and the ``repro_batchscan_*`` gauges must account for the
-groups.  The MVCC section pins batched readers to an AS OF snapshot
+groups.  The grouped servers run the process executor: on the thread
+backend a SUM/COUNT/AVG executes in the event loop's read lane and never
+queues for a group, so there only MIN/MAX would — and the serial twin,
+a thread server, checks the lane's answers against the groups'.  The MVCC section pins batched readers to an AS OF snapshot
 while a writer advances the clock — epoch batching may never leak a
 mid-write state into a pinned answer.
 """
@@ -84,10 +87,11 @@ class TestSharedScanGroups:
     def test_grouped_answers_match_serial_server(self):
         stmts = _statements(96)
         results = {}
-        for tag, scan_batch in (("batch", 8), ("serial", 1)):
+        for tag, scan_batch, executor_name in (("batch", 8, "process"),
+                                               ("serial", 1, "thread")):
             handle = serve_in_thread(ServerConfig(
                 shards=2, key_space=KEY_SPACE, cache=False,
-                scan_batch=scan_batch, readers=6))
+                scan_batch=scan_batch, readers=6, executor=executor_name))
             try:
                 _seed(handle)
                 results[tag] = _drive(handle, stmts, threads=6)
@@ -114,7 +118,7 @@ class TestSharedScanGroups:
                 stmts.append(bad)
         handle = serve_in_thread(ServerConfig(
             shards=2, key_space=KEY_SPACE, cache=False, scan_batch=8,
-            readers=6))
+            readers=6, executor="process"))
         try:
             _seed(handle)
             outcomes = {}

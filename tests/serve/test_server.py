@@ -199,8 +199,10 @@ class TestAdmissionControl:
             t = threading.Thread(target=occupy)
             t.start()
             time.sleep(0.2)  # let the sleeper take the only slot
+            # MAX keeps the worker path; a SUM would take the loop lane,
+            # which admission does not cover.
             with pytest.raises(ServerReplyError) as excinfo:
-                fast.execute("SELECT SUM(value) WHERE key IN [1, 100)")
+                fast.execute("SELECT MAX(value) WHERE key IN [1, 100)")
             assert excinfo.value.code == "SERVER_BUSY"
             t.join(timeout=10)
             # The server recovered: the slot is free again.
@@ -222,7 +224,7 @@ class TestAdmissionControl:
             # This request queues behind the sleeper instead of failing.
             with Client(handle.host, handle.port, timeout=10) as c:
                 assert c.execute(
-                    "SELECT COUNT(*) WHERE key IN [1, 100)") == 0.0
+                    "SELECT MAX(value) WHERE key IN [1, 100)") is None
             t.join(timeout=10)
             slow.close()
         finally:
@@ -254,7 +256,7 @@ class TestAdmissionControl:
                 for _ in range(3):
                     with pytest.raises(ServerReplyError):
                         c.ping_slot = c.execute(
-                            "SELECT COUNT(*) WHERE key IN [1, 100)")
+                            "SELECT MIN(value) WHERE key IN [1, 100)")
                 t.join(timeout=10)
                 rejected = c.metrics()["repro_serve_rejected_total"]
                 total = sum(s["value"] for s in rejected["series"])
