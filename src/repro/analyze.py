@@ -10,25 +10,18 @@ Supported: :class:`~repro.mvsbt.tree.MVSBT`, :class:`~repro.mvbt.tree.MVBT`,
 :class:`~repro.core.rta.RTAIndex`,
 :class:`~repro.core.warehouse.TemporalWarehouse`.
 
-The module is also a small CLI over trace files, benchmark reports, and
-live servers::
+The module is also a small CLI over trace files and live servers::
 
     python -m repro.analyze traces out.jsonl --top 10   # hottest spans
     python -m repro.analyze schema                       # print the schema
     python -m repro.analyze schema --check docs/trace_schema.json
-    python -m repro.analyze bench                        # perf trajectory
     python -m repro.analyze slowlog --port 7654          # slow-query ring
 
 ``traces`` ranks the spans of a ``--trace`` JSONL file (bench phases or
 EXPLAIN span trees alike) by physical I/O and by CPU; ``schema --check``
 fails when a checked-in schema copy drifts from the one the code
-enforces; ``bench`` reads every ``BENCH_*.json`` under
-``benchmarks/results`` (legacy shapes are upgraded in memory — see
-:mod:`repro.bench.envelope`), prints the headline metrics of each
-benchmark family in the order the PRs introduced them, and — when any
-run carries SLO metrics (loadgen ``--slo-ms``) — ranks those runs by
-error-budget burn; ``slowlog`` pulls a live server's slow-query ring
-(the ``slowlog`` protocol op) and tabulates the entries, newest first.
+enforces; ``slowlog`` pulls a live server's slow-query ring (the
+``slowlog`` protocol op) and tabulates the entries, newest first.
 """
 
 from __future__ import annotations
@@ -308,81 +301,6 @@ def _cmd_slowlog(host: str, port: int, limit: Optional[int]) -> int:
     return 0
 
 
-def _metric_value(value: Any) -> str:
-    """Render one flat metric for the bench table."""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return f"{value:,.2f}"
-    return f"{value:,}"
-
-
-def _cmd_bench(directory: str) -> int:
-    """The ``bench`` subcommand: the perf trajectory across PRs."""
-    from pathlib import Path
-
-    from repro.bench.envelope import BENCH_PR, load_all
-    from repro.bench.reporting import Table
-
-    reports = load_all(Path(directory))
-    if not reports:
-        print(f"no BENCH_*.json files under {directory}", file=sys.stderr)
-        return 1
-    table = Table(
-        title=f"benchmark trajectory ({directory})",
-        columns=("pr", "bench", "file", "metric", "value"),
-    )
-    for filename, report in reports.items():
-        bench = report.get("bench", "unknown")
-        pr = BENCH_PR.get(bench)
-        metrics = report.get("metrics", {})
-        if not metrics:
-            table.add(pr=pr if pr is not None else "?", bench=bench,
-                      file=filename, metric="(none)", value="")
-        for i, (name, value) in enumerate(sorted(metrics.items())):
-            table.add(pr=(pr if pr is not None else "?") if i == 0 else "",
-                      bench=bench if i == 0 else "",
-                      file=filename if i == 0 else "",
-                      metric=name, value=_metric_value(value))
-    table.note("legacy payloads are upgraded in memory to the v1 "
-               "envelope; raw numbers stay in each file's raw section")
-    print(table.render())
-
-    slo_rows = [(filename, report) for filename, report in reports.items()
-                if "slo_attained" in report.get("metrics", {})]
-    if slo_rows:
-        print()
-        print(_slo_ranking_table(slo_rows).render())
-    return 0
-
-
-def _slo_ranking_table(rows: "List[tuple]") -> "Table":
-    """Rank SLO-carrying bench runs: compliant first, least burn first."""
-    from repro.bench.reporting import Table
-
-    def rank(item: "tuple") -> "tuple":
-        metrics = item[1].get("metrics", {})
-        return (not metrics.get("slo_met", False),
-                metrics.get("slo_burn", float("inf")))
-
-    table = Table(
-        title="SLO compliance ranking",
-        columns=("rank", "file", "bench", "attained", "burn", "verdict"),
-    )
-    for position, (filename, report) in enumerate(sorted(rows, key=rank), 1):
-        metrics = report.get("metrics", {})
-        attained = metrics.get("slo_attained", 0.0)
-        burn = metrics.get("slo_burn", float("inf"))
-        table.add(rank=position, file=filename,
-                  bench=report.get("bench", "unknown"),
-                  attained=f"{attained * 100.0:.2f}%",
-                  burn=f"{burn:.2f}x",
-                  verdict="MET" if metrics.get("slo_met") else "MISSED")
-    table.note("burn = (1 - attained) / (1 - target): the consumed share "
-               "of the error budget; above 1.0x the SLO is blown")
-    return table
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point (``python -m repro.analyze``); returns an exit code."""
     parser = argparse.ArgumentParser(
@@ -399,11 +317,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                             help="print or check the trace-record schema")
     schema.add_argument("--check", default=None, metavar="FILE",
                         help="compare FILE against the enforced schema")
-    bench = sub.add_parser("bench",
-                           help="print the BENCH_*.json perf trajectory")
-    bench.add_argument("--dir", default="benchmarks/results",
-                       help="directory of BENCH_*.json files "
-                            "(default benchmarks/results)")
     slowlog = sub.add_parser("slowlog",
                              help="tabulate a live server's slow-query "
                                   "ring (the slowlog protocol op)")
@@ -414,8 +327,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv if argv is not None else sys.argv[1:])
     if args.command == "traces":
         return _cmd_traces(args.file, args.top)
-    if args.command == "bench":
-        return _cmd_bench(args.dir)
     if args.command == "slowlog":
         return _cmd_slowlog(args.host, args.port, args.limit)
     return _cmd_schema(args.check)

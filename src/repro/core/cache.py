@@ -401,7 +401,6 @@ class CacheSnapshot:
 
     result: Dict[str, int] = field(default_factory=dict)
     memo: Dict[str, int] = field(default_factory=dict)
-    decoded: Dict[str, int] = field(default_factory=dict)
 
     @staticmethod
     def _add(into: Dict[str, int], other: Dict[str, int]) -> None:
@@ -412,10 +411,8 @@ class CacheSnapshot:
         """Fold ``other``'s counters into this snapshot; returns ``self``."""
         self._add(self.result, other.result)
         self._add(self.memo, other.memo)
-        self._add(self.decoded, other.decoded)
         return self
 
     def as_dict(self) -> Dict[str, Dict[str, int]]:
         """``layer -> counters`` (layers a warehouse never attached are empty)."""
-        return {"result": dict(self.result), "memo": dict(self.memo),
-                "decoded": dict(self.decoded)}
+        return {"result": dict(self.result), "memo": dict(self.memo)}

@@ -648,11 +648,6 @@ class TemporalWarehouse:
         memo = self.aggregates.memo_stats()
         if memo is not None:
             snapshot.memo = memo
-        for pool in (self.tuples.pool, self.aggregates.pool):
-            decoded = pool.disk.decoded_cache
-            if decoded is not None:
-                CacheSnapshot._add(snapshot.decoded,
-                                   decoded.stats.as_dict())
         return snapshot
 
     # -- tuple retrieval ---------------------------------------------------------------

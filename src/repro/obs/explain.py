@@ -87,9 +87,9 @@ class ExplainReport:
     root: Span
     tracer: Tracer
     #: Per-query cache outcome when the warehouse has read-path caching
-    #: attached: result-cache probe (``hit``/``miss``), memo and decoded
-    #: hit deltas for this query, and the buffer-pool hit rate derived
-    #: from the span tree's logical-vs-physical read counts.
+    #: attached: result-cache probe (``hit``/``miss``), the memo's hit
+    #: delta for this query, and the buffer-pool hit rate derived from
+    #: the span tree's logical-vs-physical read counts.
     cache: Optional[dict] = None
 
     def render(self, show_events: bool = True) -> str:
@@ -155,8 +155,6 @@ def explain_query(warehouse: "TemporalWarehouse",
             "result": outcome,
             "memo_hits": (after.memo.get("hits", 0)
                           - before.memo.get("hits", 0)),
-            "decoded_hits": (after.decoded.get("hits", 0)
-                             - before.decoded.get("hits", 0)),
             "buffer_hit_rate": ((logical - root.io.reads) / logical
                                 if logical else None),
         }

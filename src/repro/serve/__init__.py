@@ -20,9 +20,11 @@ one thread) using the temporal store at once.  The pieces:
   (``SERVER_BUSY`` backpressure, per-request timeouts), metrics, and
   graceful drain-checkpoint-shutdown;
 * :mod:`repro.serve.protocol` — message schemas and result encoding;
-* :mod:`repro.serve.client` — a small blocking client;
-* :mod:`repro.serve.loadgen` — ``python -m repro.serve.loadgen``, the
-  closed-loop concurrency benchmark writing ``BENCH_serve.json``.
+* :mod:`repro.serve.client` — a small blocking client.
+
+Load is driven by ``python -m benchmarks.stack run`` (the repository's
+one benchmark, ``benchmarks/stack/``); :mod:`repro.serve.loadgen` keeps
+only the percentile helper its reports import.
 
 Protocol spec, error codes, routing rules, and snapshot semantics are
 documented in ``docs/SERVING.md``.  Names re-export lazily (PEP 562), so

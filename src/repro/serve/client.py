@@ -56,7 +56,7 @@ class Client:
         makes cluster failover and splits invisible to callers; set 0
         to surface every routing error.  Attempts are counted in
         :attr:`retries_sent` / :attr:`retries_recovered` so harnesses
-        (the load generator's envelope) can report them.
+        can report them.
     retry_backoff:
         Sleep before each retry, doubling per attempt (gives a healing
         primary its respawn window).

@@ -20,8 +20,8 @@ capabilities a static shard map lacks:
   with its acked-write watermark, preserving read-your-writes.
 * **failover** — a dead primary (pipe EOF, kill -9) redirects reads to a
   caught-up replica while a background respawn replays the WAL; if the
-  respawn fails, a replica is *promoted* to writer.  Mid-loadgen SIGKILL
-  of a primary is therefore invisible to clients.  The read rotation and
+  respawn fails, a replica is *promoted* to writer.  A SIGKILL of a
+  primary under load is therefore invisible to clients.  The read rotation and
   the heal-and-retry write live in the group; *what healing means*
   (:meth:`ClusterWarehouse._revive`) is this module's.
 

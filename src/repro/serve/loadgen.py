@@ -1,55 +1,14 @@
-"""Load generator for the TQL server: closed-loop and open-loop modes.
+"""Nearest-rank percentiles for latency samples.
 
-``python -m repro.serve.loadgen`` drives N worker threads, each with its
-own blocking :class:`~repro.serve.client.Client`, against a live server —
-or against one it spawns itself with ``--spawn-server``.  A seed phase
-inserts a key population first; an optional ``--warmup`` phase then
-drives identical (unrecorded) load; the measured phase issues randomized
-``SELECT SUM/COUNT/AVG`` rectangles pinned to each worker's session
-snapshot.  ``--mix read-hot`` draws 90% of statements from a small shared
-working set of repeated rectangles — the pattern the server's read-path
-caches are built for; ``--no-cache`` spawns the server with those caches
-disabled for baseline runs.
-
-Two arrival disciplines:
-
-* **closed loop** (default): send, wait, send again.  Latency is
-  response time under a fixed concurrency — but a slow server slows the
-  *offered* load too, hiding queueing delay (coordinated omission).
-* **open loop** (``--arrivals poisson --rate R``): requests arrive on a
-  Poisson schedule at ``R``/s regardless of how the server is doing, and
-  each latency is measured **from the scheduled arrival instant**, so
-  time spent queueing behind a slow server counts.  Arrivals the loop
-  cannot issue within ``--drop-after`` seconds of their schedule are
-  *dropped* and reported — the honest signal of an overloaded server.
-
-The run reports throughput (QPS), latency percentiles (p50/p95/p99), and
-(open loop) drop counts to stdout, and writes the raw numbers plus the
-server's final metrics snapshot to ``BENCH_serve.json`` in the
-consolidated bench-report envelope (see :mod:`repro.bench.report`).
-
-``--slo-ms T --slo-target F`` adds SLO accounting: the run computes the
-fraction of offered requests answered within ``T`` milliseconds
-(``slo_attained`` — errors and dropped arrivals count as misses), the
-error-budget **burn fraction** ``(1 - attained) / (1 - target)`` (1.0
-means the run consumed exactly its budget; above 1.0 the SLO is blown),
-and a pass/fail ``slo_met``.  ``python -m repro.analyze bench`` ranks
-runs by these numbers.
+Load is driven by ``python -m benchmarks.stack`` (its own
+``benchmarks/stack/loadgen.py``); its reports import :func:`percentile`
+from this path.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
-import random
-import threading
-import time
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
-
-from repro.serve.client import Client, ServerReplyError
-
-DEFAULT_OUT = Path("benchmarks") / "results" / "BENCH_serve.json"
+from typing import List
 
 
 def percentile(sorted_values: List[float], q: float) -> float:
@@ -58,439 +17,3 @@ def percentile(sorted_values: List[float], q: float) -> float:
         return float("nan")
     rank = max(1, math.ceil(q * len(sorted_values)))
     return sorted_values[rank - 1]
-
-
-def seed_population(host: str, port: int, keys: int, seed: int) -> int:
-    """Insert ``keys`` tuples (deterministic values); returns last time."""
-    rng = random.Random(seed)
-    t = 1
-    with Client(host, port) as client:
-        for key in range(1, keys + 1):
-            value = float(rng.randint(1, 100))
-            client.execute(f"INSERT KEY {key} VALUE {value} AT {t}")
-            if rng.random() < 0.3:
-                t += 1
-    return t
-
-
-def hot_rectangles(key_space: int, count: int, seed: int
-                   ) -> List[Tuple[str, int, int]]:
-    """The deterministic ``(agg, lo, hi)`` working set of the read-hot mix.
-
-    Every worker derives the same set from the run seed, so repeated
-    rectangles repeat *across* workers too — the access pattern a result
-    cache is built for.
-    """
-    rng = random.Random(seed)
-    rectangles = []
-    for _ in range(count):
-        agg = rng.choice(("SUM(value)", "COUNT(*)", "AVG(value)"))
-        lo = rng.randint(1, max(key_space - 1, 1))
-        hi = rng.randint(lo + 1, key_space + 1)
-        rectangles.append((agg, lo, hi))
-    return rectangles
-
-
-class _Worker(threading.Thread):
-    """One load-driving client: latencies in ms, errors by code.
-
-    Samples issued before ``measure_start`` are the warm-up phase: they
-    drive the server exactly like measured load but are not recorded.
-
-    ``arrivals`` selects the discipline.  ``closed`` sends the next
-    statement the moment the previous reply lands.  ``poisson`` draws
-    exponential inter-arrival gaps at ``rate``/s and measures each
-    latency from the *scheduled* arrival instant — queueing delay behind
-    a slow server is charged to the server, not silently absorbed into a
-    slower send rate (no coordinated omission).  An arrival the loop is
-    already more than ``drop_after`` seconds late for is counted in
-    :attr:`dropped` instead of being sent.
-
-    ``burst`` batches the Poisson schedule: each arrival *event* carries
-    ``burst`` co-arriving statements (all scheduled, measured, and — when
-    late — dropped at the event instant), while the event rate shrinks to
-    ``rate / burst`` so the total offered request rate stays ``rate``.
-    Bursty schedules are what make the server's shared-scan drain see
-    multi-query batches instead of a smooth trickle.
-    """
-
-    def __init__(self, host: str, port: int, key_space: int,
-                 deadline: float, seed: int, measure_start: float = 0.0,
-                 mix: str = "uniform", run_seed: int = 0,
-                 hot_count: int = 16, hot_fraction: float = 0.9,
-                 arrivals: str = "closed", rate: float = 0.0,
-                 drop_after: float = 1.0, burst: int = 1) -> None:
-        super().__init__(daemon=True)
-        self._host = host
-        self._port = port
-        self._keys = key_space
-        self._deadline = deadline
-        self._measure_start = measure_start
-        self._rng = random.Random(seed)
-        self._hot = (hot_rectangles(key_space, hot_count, run_seed)
-                     if mix == "read-hot" else None)
-        self._hot_fraction = hot_fraction
-        self._arrivals = arrivals
-        self._rate = rate
-        self._drop_after = drop_after
-        self._burst = max(1, burst)
-        self.latencies_ms: List[float] = []
-        #: Measured-window arrival events issued with all ``burst``
-        #: statements sent (open loop; equals sent arrivals when burst=1).
-        self.bursts = 0
-        self.errors: Dict[str, int] = {}
-        #: Measured-window arrivals the schedule generated (open loop) or
-        #: statements attempted (closed loop).
-        self.offered = 0
-        #: Open-loop arrivals abandoned because the loop fell more than
-        #: ``drop_after`` seconds behind schedule.
-        self.dropped = 0
-        #: Transparent client retries sent (SHARD_DOWN/SHARD_REDIRECT —
-        #: cluster failover and topology changes absorbed by the client).
-        self.retries = 0
-        #: Retries that recovered: the statement succeeded on re-send,
-        #: so the failover/split stayed invisible to this worker.
-        self.retried_ok = 0
-
-    def _statement(self) -> str:
-        if self._hot is not None and self._rng.random() < self._hot_fraction:
-            agg, lo, hi = self._rng.choice(self._hot)
-        else:
-            agg = self._rng.choice(("SUM(value)", "COUNT(*)", "AVG(value)"))
-            lo = self._rng.randint(1, max(self._keys - 1, 1))
-            hi = self._rng.randint(lo + 1, self._keys + 1)
-        return f"SELECT {agg} WHERE key IN [{lo}, {hi})"
-
-    def run(self) -> None:
-        with Client(self._host, self._port) as client:
-            client.repin()
-            if self._arrivals == "poisson":
-                self._run_open(client)
-            else:
-                self._run_closed(client)
-            self.retries = client.retries_sent
-            self.retried_ok = client.retries_recovered
-
-    def _run_closed(self, client: Client) -> None:
-        while True:
-            now = time.perf_counter()
-            if now >= self._deadline:
-                break
-            statement = self._statement()
-            started = time.perf_counter()
-            measured = started >= self._measure_start
-            if measured:
-                self.offered += 1
-            try:
-                client.execute(statement)
-            except ServerReplyError as exc:
-                if measured:
-                    self.errors[exc.code] = \
-                        self.errors.get(exc.code, 0) + 1
-                continue
-            if measured:
-                self.latencies_ms.append(
-                    (time.perf_counter() - started) * 1000.0)
-
-    def _run_open(self, client: Client) -> None:
-        # The schedule is anchored at this worker's start and never
-        # consults the server: arrival k happens at start + sum of k
-        # exponential gaps whether or not reply k-1 has landed.  With
-        # burst > 1, events arrive at rate/burst and each carries burst
-        # co-scheduled statements, so the offered request rate is still
-        # self._rate.
-        event_rate = self._rate / self._burst
-        next_at = time.perf_counter()
-        while True:
-            next_at += self._rng.expovariate(event_rate)
-            if next_at >= self._deadline:
-                break
-            measured = next_at >= self._measure_start
-            if measured:
-                self.offered += self._burst
-            now = time.perf_counter()
-            if now < next_at:
-                time.sleep(next_at - now)
-            elif now - next_at > self._drop_after:
-                # The whole event is late: every statement it carries
-                # shares the scheduled instant, so all of them drop.
-                if measured:
-                    self.dropped += self._burst
-                continue
-            if measured:
-                self.bursts += 1
-            for _ in range(self._burst):
-                try:
-                    client.execute(self._statement())
-                except ServerReplyError as exc:
-                    if measured:
-                        self.errors[exc.code] = \
-                            self.errors.get(exc.code, 0) + 1
-                    continue
-                if measured:
-                    # From the *scheduled* arrival, not the send: waiting
-                    # in this loop's virtual queue is part of the latency.
-                    self.latencies_ms.append(
-                        (time.perf_counter() - next_at) * 1000.0)
-
-
-def slo_summary(latencies_ms: List[float], offered: int,
-                slo_ms: float, target: float) -> Dict[str, Any]:
-    """SLO attainment, burn fraction, and verdict for one run.
-
-    ``attained`` is the fraction of *offered* requests answered within
-    ``slo_ms`` — errors and dropped arrivals are misses, not exclusions.
-    ``burn`` is the consumed share of the error budget:
-    ``(1 - attained) / (1 - target)``; 1.0 means the budget is exactly
-    spent, above 1.0 the SLO is blown.  A 100% target leaves no budget,
-    so any miss burns infinitely.
-    """
-    if not 0.0 < target <= 1.0:
-        raise ValueError(f"SLO target must be in (0, 1], got {target}")
-    within = sum(1 for value in latencies_ms if value <= slo_ms)
-    attained = (within / offered) if offered else 1.0
-    budget = 1.0 - target
-    if budget > 0.0:
-        burn = (1.0 - attained) / budget
-    else:
-        burn = 0.0 if attained >= 1.0 else float("inf")
-    return {
-        "slo_ms": slo_ms,
-        "target": target,
-        "attained": attained,
-        "burn": burn,
-        "met": attained >= target,
-    }
-
-
-def run_load(host: str, port: int, workers: int, duration: float,
-             seed_keys: int, seed: int, warmup: float = 0.0,
-             mix: str = "uniform", skip_seed: bool = False,
-             arrivals: str = "closed", rate: float = 0.0,
-             drop_after: float = 1.0, burst: int = 1,
-             slo_ms: Optional[float] = None,
-             slo_target: float = 0.99) -> Dict[str, Any]:
-    """Seed, drive the load, and gather the report payload.
-
-    ``warmup`` seconds of identical load run first and are excluded from
-    every reported number (request counts, QPS, percentiles) — cold-start
-    effects warm the server without polluting the benchmark.  ``mix``
-    selects the rectangle distribution: ``uniform`` (fresh random
-    rectangles) or ``read-hot`` (90% of statements drawn from a small
-    shared working set of repeated rectangles).  ``skip_seed`` reuses an
-    already-seeded population (cold-vs-warm comparisons on one server).
-
-    ``arrivals="poisson"`` switches every worker from the closed loop to
-    an open-loop Poisson schedule totalling ``rate`` requests/s across
-    the pool (each worker draws at ``rate / workers``); latencies are
-    then measured from scheduled arrival and arrivals missed by more
-    than ``drop_after`` seconds are counted in ``totals["dropped"]``
-    rather than sent.
-
-    ``burst`` batches the Poisson schedule into arrival events of that
-    many co-scheduled statements (event rate ``rate / burst``, offered
-    request rate unchanged); ``totals["bursts"]`` counts the events
-    actually sent.
-
-    ``slo_ms`` (with ``slo_target``) adds an ``"slo"`` section to the
-    report — see :func:`slo_summary`.
-    """
-    if arrivals not in ("closed", "poisson"):
-        raise ValueError(f"unknown arrival discipline {arrivals!r}")
-    if arrivals == "poisson" and rate <= 0:
-        raise ValueError("open-loop arrivals need a positive --rate")
-    if burst < 1:
-        raise ValueError(f"--burst must be >= 1, got {burst}")
-    if burst > 1 and arrivals != "poisson":
-        raise ValueError("--burst needs --arrivals poisson")
-    if not skip_seed:
-        seed_population(host, port, seed_keys, seed)
-    start = time.perf_counter()
-    measure_start = start + warmup
-    deadline = measure_start + duration
-    pool = [
-        _Worker(host, port, seed_keys, deadline, seed + 1000 + i,
-                measure_start=measure_start, mix=mix, run_seed=seed,
-                arrivals=arrivals, rate=rate / workers,
-                drop_after=drop_after, burst=burst)
-        for i in range(workers)
-    ]
-    for worker in pool:
-        worker.start()
-    for worker in pool:
-        worker.join()
-    elapsed = time.perf_counter() - measure_start
-
-    latencies = sorted(
-        value for worker in pool for value in worker.latencies_ms)
-    errors: Dict[str, int] = {}
-    for worker in pool:
-        for code, count in worker.errors.items():
-            errors[code] = errors.get(code, 0) + count
-    with Client(host, port) as client:
-        metrics = client.metrics()
-
-    requests = len(latencies)
-    offered = sum(worker.offered for worker in pool)
-    dropped = sum(worker.dropped for worker in pool)
-    report: Dict[str, Any] = {
-        "config": {"host": host, "port": port, "workers": workers,
-                   "duration_s": duration, "seed_keys": seed_keys,
-                   "seed": seed, "warmup_s": warmup, "mix": mix,
-                   "arrivals": arrivals, "rate": rate,
-                   "drop_after_s": drop_after, "burst": burst},
-        "totals": {
-            "requests": requests,
-            "offered": offered,
-            "dropped": dropped,
-            "bursts": sum(worker.bursts for worker in pool),
-            "errors": errors,
-            "retries": sum(worker.retries for worker in pool),
-            "retried_ok": sum(worker.retried_ok for worker in pool),
-            "elapsed_s": elapsed,
-            "qps": requests / elapsed if elapsed > 0 else 0.0,
-        },
-        "latency_ms": {
-            "p50": percentile(latencies, 0.50),
-            "p95": percentile(latencies, 0.95),
-            "p99": percentile(latencies, 0.99),
-            "mean": (sum(latencies) / requests) if requests else
-                    float("nan"),
-            "max": latencies[-1] if latencies else float("nan"),
-        },
-        "server_metrics": metrics,
-    }
-    if slo_ms is not None:
-        report["config"]["slo_ms"] = slo_ms
-        report["config"]["slo_target"] = slo_target
-        report["slo"] = slo_summary(latencies, offered, slo_ms,
-                                    slo_target)
-    return report
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point: run the load, print and persist the report."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.serve.loadgen",
-        description="Closed- and open-loop load generator for the TQL "
-                    "server.")
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=7654)
-    parser.add_argument("--workers", type=int, default=8,
-                        help="concurrent client threads (default 8)")
-    parser.add_argument("--duration", type=float, default=5.0,
-                        help="measured seconds of load (default 5)")
-    parser.add_argument("--arrivals", choices=("closed", "poisson"),
-                        default="closed",
-                        help="closed: send-wait-send (default); poisson: "
-                             "open-loop arrivals at --rate/s with latency "
-                             "measured from the scheduled arrival")
-    parser.add_argument("--rate", type=float, default=0.0,
-                        help="total offered requests/s across all workers "
-                             "(--arrivals poisson only)")
-    parser.add_argument("--drop-after", type=float, default=1.0,
-                        help="open loop: drop an arrival the loop is this "
-                             "many seconds late for instead of sending it "
-                             "(default 1.0)")
-    parser.add_argument("--burst", type=int, default=1,
-                        help="open loop: statements co-arriving per "
-                             "Poisson event (events at --rate/B, offered "
-                             "request rate unchanged; default 1)")
-    parser.add_argument("--warmup", type=float, default=0.0,
-                        help="seconds of identical load excluded from QPS "
-                             "and latency percentiles (default 0)")
-    parser.add_argument("--mix", choices=("uniform", "read-hot"),
-                        default="uniform",
-                        help="rectangle distribution: fresh random "
-                             "(uniform) or 90%% repeated working set "
-                             "(read-hot)")
-    parser.add_argument("--slo-ms", type=float, default=None,
-                        help="latency SLO threshold in ms; enables SLO "
-                             "accounting (attainment, burn fraction)")
-    parser.add_argument("--slo-target", type=float, default=0.99,
-                        help="fraction of offered requests that must "
-                             "meet --slo-ms (default 0.99)")
-    parser.add_argument("--seed-keys", type=int, default=200,
-                        help="keys inserted before measuring (default 200)")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--out", type=Path, default=DEFAULT_OUT,
-                        help=f"report path (default {DEFAULT_OUT})")
-    parser.add_argument("--spawn-server", action="store_true",
-                        help="start an in-process server instead of "
-                             "connecting to a running one")
-    parser.add_argument("--shards", type=int, default=4,
-                        help="shard count for --spawn-server (default 4)")
-    parser.add_argument("--no-cache", dest="cache", action="store_false",
-                        help="disable the read-path caches on the spawned "
-                             "server (--spawn-server only)")
-    args = parser.parse_args(argv)
-
-    handle = None
-    host, port = args.host, args.port
-    if args.spawn_server:
-        from repro.serve.server import ServerConfig, serve_in_thread
-
-        handle = serve_in_thread(ServerConfig(
-            shards=args.shards, key_space=(1, args.seed_keys + 1),
-            cache=args.cache))
-        host, port = handle.host, handle.port
-        print(f"spawned server on {host}:{port} "
-              f"({args.shards} shards, cache "
-              f"{'on' if args.cache else 'off'})")
-    try:
-        report = run_load(host, port, args.workers, args.duration,
-                          args.seed_keys, args.seed, warmup=args.warmup,
-                          mix=args.mix, arrivals=args.arrivals,
-                          rate=args.rate, drop_after=args.drop_after,
-                          burst=args.burst, slo_ms=args.slo_ms,
-                          slo_target=args.slo_target)
-    finally:
-        if handle is not None:
-            handle.stop()
-    if args.spawn_server:
-        report["config"]["shards"] = args.shards
-        report["config"]["spawned"] = True
-        report["config"]["cache"] = args.cache
-
-    from repro.bench.envelope import _loadgen_metrics, write_report
-
-    write_report(args.out, "serve", report["config"],
-                 _loadgen_metrics(report), report)
-
-    totals = report["totals"]
-    latency = report["latency_ms"]
-    loop_desc = ("closed loop" if args.arrivals == "closed"
-                 else f"open loop, {args.rate:.0f}/s offered"
-                 + (f" in bursts of {args.burst}" if args.burst > 1
-                    else ""))
-    print(f"{totals['requests']} requests in {totals['elapsed_s']:.2f}s "
-          f"-> {totals['qps']:.0f} QPS "
-          f"({args.workers} workers, {loop_desc})")
-    print(f"latency ms: p50={latency['p50']:.2f} p95={latency['p95']:.2f} "
-          f"p99={latency['p99']:.2f} max={latency['max']:.2f}")
-    if args.arrivals == "poisson":
-        offered = totals["offered"]
-        dropped = totals["dropped"]
-        share = (dropped / offered * 100.0) if offered else 0.0
-        print(f"offered {offered}, dropped {dropped} ({share:.1f}%) "
-              f"after {args.drop_after:.2f}s behind schedule")
-        if args.burst > 1:
-            print(f"burst events sent: {totals['bursts']} "
-                  f"x {args.burst} statements")
-    if totals["errors"]:
-        print(f"errors: {totals['errors']}")
-    if totals["retries"]:
-        print(f"transparent retries: {totals['retries']} sent, "
-              f"{totals['retried_ok']} recovered")
-    slo = report.get("slo")
-    if slo is not None:
-        print(f"SLO {slo['slo_ms']:.1f}ms@{slo['target']:.4g}: "
-              f"attained {slo['attained'] * 100.0:.2f}%, "
-              f"budget burn {slo['burn']:.2f}x -> "
-              f"{'MET' if slo['met'] else 'MISSED'}")
-    print(f"report written to {args.out}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

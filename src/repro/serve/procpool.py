@@ -134,8 +134,8 @@ class _AggRef:
 
 # -- struct-framed hot-path requests --------------------------------------------------
 #
-# BENCH_multicore exposed the per-request pickle cost (0.51x on 1 core):
-# every insert/delete/aggregate paid a full pickle of ``(rid, method,
+# A process-vs-thread twin exposed the per-request pickle cost (0.51x on
+# 1 core): every insert/delete/aggregate paid a full pickle of ``(rid, method,
 # args)`` with its dataclass machinery.  The five hottest ops now ship as
 # fixed-layout frames through **cached** :class:`struct.Struct` packers —
 # one ``pack`` call, no pickle.  Frames are distinguished from pickle

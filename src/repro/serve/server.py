@@ -1066,7 +1066,7 @@ class TQLServer:
         """Mirror merged cache counters into the exported registry.
 
         Same naming as :func:`repro.obs.metrics.snapshot_into`:
-        ``repro_cache_<counter>{cache=result|memo|decoded}``.  No-op rows
+        ``repro_cache_<counter>{cache=result|memo}``.  No-op rows
         never appear when caching is disabled (the merged snapshot is
         empty), so the export stays byte-stable for cache-off runs.
         """
@@ -1195,7 +1195,7 @@ class TQLServer:
                 "still completing in the background"))
 
 
-# -- thread-hosted server (tests, loadgen --spawn-server) ----------------------------
+# -- thread-hosted server (tests, in-process drivers) --------------------------------
 
 
 class ServerHandle:

@@ -374,14 +374,6 @@ class BufferPool:
                 self.disk.write(victim)
                 self.stats.writes += 1
                 victim.dirty = False
-            elif (self.disk.decoded_cache is not None
-                  and victim.records is not None):
-                # A clean victim's records already match its on-disk bytes;
-                # park them in the disk manager's decoded-page cache so a
-                # re-read skips the decode.  Dirty victims are parked by
-                # the write-back above.
-                self.disk.decoded_cache.put(victim_id, victim.kind,
-                                            victim.records, victim.capacity)
 
     def _batch_victim(self, keep: Optional[int]) -> Optional[int]:
         """Batch window: only clean pages are evictable; walk the candidate

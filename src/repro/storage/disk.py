@@ -3,25 +3,27 @@
 Two implementations share one protocol:
 
 * :class:`InMemoryDiskManager` keeps page objects in a dict.  It is the
-  default for simulation — I/O *counting* happens in the buffer pool, so a
-  real file adds nothing to the paper's metric while costing wall time.
+  only manager anything serves from — I/O *counting* happens in the buffer
+  pool, so the paper's metric is transfers between the pool and this page
+  map; durability is the WAL plus checkpoints (:mod:`repro.storage.wal`,
+  :mod:`repro.storage.checkpoint`).
 * :class:`FileDiskManager` serializes pages to a single file through the
-  codecs in :mod:`repro.storage.serialization`, proving the structures
-  survive a real byte round-trip (and giving durability tests a target).
+  codecs in :mod:`repro.storage.serialization` and decodes every read: a
+  test target proving the structures survive a real byte round-trip, not
+  a serving path.
 """
 
 from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator
 
 from repro.errors import PageNotFoundError, StorageError
 from repro.obs.tracer import NULL_TRACER
 from repro.storage.page import Page
 from repro.storage.serialization import (
     DEFAULT_PAGE_BYTES,
-    DecodedPageCache,
     decode_page,
     encode_page_image,
 )
@@ -34,10 +36,6 @@ class DiskManager(ABC):
     #: physical page transfer.  The shared null tracer makes this one
     #: branch on the (hot) untraced path.
     tracer = NULL_TRACER
-
-    #: A :class:`~repro.storage.serialization.DecodedPageCache` when the
-    #: manager keeps one (the buffer pool parks clean victims there).
-    decoded_cache = None
 
     def __init__(self) -> None:
         self._next_page_id = 0
@@ -138,15 +136,11 @@ class FileDiskManager(DiskManager):
     """
 
     def __init__(self, path: str, page_bytes: int = DEFAULT_PAGE_BYTES,
-                 default_capacity: int = 64,
-                 decoded_cache: Optional["DecodedPageCache"] = None) -> None:
+                 default_capacity: int = 64) -> None:
         super().__init__()
         self.path = path
         self.page_bytes = page_bytes
         self.default_capacity = default_capacity
-        #: Optional :class:`~repro.storage.serialization.DecodedPageCache`;
-        #: ``None`` keeps the decode-on-every-read behavior.
-        self.decoded_cache = decoded_cache
         self._freed: set[int] = set()
         self._known: set[int] = set()
         self._capacities: Dict[int, int] = {}
@@ -175,18 +169,6 @@ class FileDiskManager(DiskManager):
         self._check_owner()
         if page_id not in self._known or page_id in self._freed:
             raise PageNotFoundError(page_id)
-        if self.decoded_cache is not None:
-            entry = self.decoded_cache.take(page_id)
-            if entry is not None:
-                # The cached records were synced with the on-disk bytes by
-                # the write/eviction that parked them here; skip both the
-                # byte read and the struct decode loop.
-                kind, records, capacity = entry
-                page = Page(page_id, capacity, kind)
-                page.records = records
-                if self.tracer.enabled:
-                    self.tracer.event("disk.read", page=page_id, cached=True)
-                return page
         with open(self.path, "rb") as fh:
             fh.seek(self._offset(page_id))
             raw = fh.read(self.page_bytes)
@@ -210,11 +192,6 @@ class FileDiskManager(DiskManager):
         with open(self.path, "r+b") as fh:
             fh.seek(self._offset(page.page_id))
             fh.write(image)
-        if self.decoded_cache is not None and page.records is not None:
-            # The records now match the bytes just written; park them so a
-            # post-eviction re-read skips the decode.
-            self.decoded_cache.put(page.page_id, page.kind, page.records,
-                                   page.capacity)
         if self.tracer.enabled:
             self.tracer.event("disk.write", page=page.page_id,
                               bytes=len(image))
@@ -223,8 +200,6 @@ class FileDiskManager(DiskManager):
         self._check_owner()
         if page_id not in self._known or page_id in self._freed:
             raise PageNotFoundError(page_id)
-        if self.decoded_cache is not None:
-            self.decoded_cache.invalidate(page_id)
         self._freed.add(page_id)
         with open(self.path, "r+b") as fh:
             fh.seek(self._offset(page_id))

@@ -5,8 +5,9 @@ These codecs serve two purposes:
 
 * compute ``b`` (records per page) for each record layout, so the simulated
   indexes use realistic fan-outs;
-* give :class:`~repro.storage.disk.FileDiskManager` a concrete on-disk format,
-  proving the structures round-trip through real bytes.
+* give checkpoints (:mod:`repro.storage.checkpoint`) and the
+  :class:`~repro.storage.disk.FileDiskManager` round-trip target a concrete
+  on-disk format, proving the structures survive real bytes.
 
 All codecs are :mod:`struct`-based and little-endian.  Timestamps use 8-byte
 fields because the library's ``NOW`` sentinel (2**62) exceeds 32 bits; the
@@ -19,7 +20,6 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -291,67 +291,3 @@ def decode_page(raw: bytes) -> Tuple[str, list]:
     return kind, [codec.from_tuple(row) for row in struct.iter_unpack(
         codec.fmt, raw[PAGE_HEADER_BYTES:end])]
 
-
-class DecodedPageCache:
-    """Decoded-record cache above the page codecs (opt-in, LRU-bounded).
-
-    :class:`~repro.storage.disk.FileDiskManager` decodes every record of a
-    page on every physical read — pure CPU the paper's I/O metric never
-    sees but a real server pays per request.  This cache keeps the decoded
-    record lists of recently written-back or evicted pages so a re-read
-    skips the ``struct`` loop entirely.
-
-    Record objects are mutable, so the cache uses **ownership transfer**:
-    :meth:`take` *pops* the entry (hit or nothing), making every record
-    list owned by exactly one of {cache, live buffered page} — an aliased
-    list can never be mutated behind the cache's back.  Coherence then
-    follows from the buffer pool's discipline: an entry is only consumed
-    when the page is not buffer-resident, and the last thing that happens
-    to a resident page on its way out is the :meth:`put` from its write-
-    back (dirty) or clean-eviction hook, so the cached records always
-    match the on-disk bytes.  Page dirtying needs no extra invalidation
-    hook for the same reason — a dirtied page is, by definition, resident.
-    """
-
-    __slots__ = ("capacity", "stats", "_entries")
-
-    def __init__(self, capacity: int = 512) -> None:
-        from repro.core.cache import CacheStats
-
-        if capacity < 1:
-            raise ValueError("decoded-page cache needs capacity >= 1")
-        self.capacity = capacity
-        self.stats = CacheStats()
-        #: page_id -> (kind, records, page capacity)
-        self._entries: "OrderedDict[int, Tuple[str, List[Any], int]]" = \
-            OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def take(self, page_id: int) -> Optional[Tuple[str, List[Any], int]]:
-        """Pop and return the decoded entry, or ``None`` (a decode is due)."""
-        entry = self._entries.pop(page_id, None)
-        if entry is None:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return entry
-
-    def put(self, page_id: int, kind: str, records: List[Any],
-            capacity: int) -> None:
-        """Adopt a page's decoded records (the caller yields ownership)."""
-        self._entries[page_id] = (kind, records, capacity)
-        self._entries.move_to_end(page_id)
-        if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-
-    def invalidate(self, page_id: int) -> None:
-        """Drop a freed page's entry."""
-        if self._entries.pop(page_id, None) is not None:
-            self.stats.stale_drops += 1
-
-    def clear(self) -> None:
-        """Drop every entry."""
-        self._entries.clear()

@@ -161,6 +161,8 @@ class TestCacheMechanics:
         warehouse.sum(KeyRange(1, 201), Interval(1, 3))
         warehouse.sum(KeyRange(1, 201), Interval(1, 3))
         snapshot = warehouse.cache_snapshot().as_dict()
+        # The two caches above the buffer pool, nothing under it.
+        assert set(snapshot) == {"result", "memo"}
         assert snapshot["result"]["hits"] == 1
         assert snapshot["result"]["misses"] == 1
         assert snapshot["memo"]["misses"] > 0

@@ -106,6 +106,23 @@ class TestRunnerTracing:
         assert result.metrics is not None
         assert "repro_bench_phase_ios" in result.metrics
 
+    def test_cli_trace_file_validates_and_ranks(self, tmp_path, capsys):
+        """``python -m repro.bench --only fig4b --trace FILE`` writes
+        schema-valid records, the query phases among them, and ``python
+        -m repro.analyze traces`` ranks that file."""
+        from repro.analyze import main as analyze_main
+        from repro.bench.__main__ import main as bench_main
+        from repro.obs.tracefile import read_trace
+
+        trace = tmp_path / "trace.jsonl"
+        assert bench_main(["--only", "fig4b", "--scale", "0.0005",
+                           "--out", str(tmp_path), "--trace",
+                           str(trace)]) == 0
+        records = read_trace(str(trace))        # validates every record
+        assert any(r["name"] == "bench.queries" for r in records)
+        assert analyze_main(["traces", str(trace), "--top", "5"]) == 0
+        assert "top 5 spans by physical I/O" in capsys.readouterr().out
+
     def test_run_one_untraced_is_empty(self):
         from repro.bench.runner import run_one
 

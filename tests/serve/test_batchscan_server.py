@@ -102,6 +102,8 @@ class TestSharedScanGroups:
                 handle.stop()
         assert results["batch"] == results["serial"]
         assert _metric(registry, "repro_batchscan_batches") > 0
+        assert _metric(registry, "repro_batchscan_server_groups") > 0
+        assert _metric(registry, "repro_batchscan_pages_saved") > 0
         assert _metric(registry, "repro_batchscan_epoch_fallbacks") == 0
 
     def test_bad_statement_fails_only_itself_under_grouping(self):
@@ -162,6 +164,40 @@ class TestSharedScanGroups:
             handle.stop()
         for stmt in good:
             assert outcomes[stmt] == serial[stmt]
+
+
+class TestBatchWriteQuiet:
+    def test_one_validation_per_sweep_and_no_fallbacks(self):
+        """Write-quiet batches on an MVCC router: each sweep validates its
+        shard's epoch exactly once and nothing falls back, while repeats
+        inside a batch share probes and pages — answers equal to the
+        serial loop's."""
+        warehouse = ShardedWarehouse(shards=2, key_space=KEY_SPACE,
+                                     thread_safe=True)
+        for key in range(1, KEYS + 1):
+            warehouse.insert(key, float(key), key)
+        rng = random.Random(43)
+        # Windows ending together share their end-instant probes.
+        windows = [(KeyRange(1, KEYS + 1), Interval(t0, 60))
+                   for t0 in (5, 20, 35, 50)]
+        queries = [rng.choice(windows) + (rng.choice((SUM, COUNT, AVG)),)
+                   for _ in range(64)]
+        serial = [repr(warehouse.aggregate(*q)) for q in queries]
+        before = warehouse.batch_snapshot()
+        fallbacks = warehouse.mvcc_stats.as_dict()["fallbacks"]
+        batched = []
+        for i in range(0, len(queries), 16):
+            batched.extend(repr(x) for x in
+                           warehouse.aggregate_batch(queries[i:i + 16]))
+        after = warehouse.batch_snapshot()
+        assert batched == serial
+        spent = {name: after[name] - before.get(name, 0) for name in after}
+        assert spent["batches"] == 4 * 2          # one sweep per shard
+        assert spent["epoch_validations"] == spent["batches"]
+        assert spent["epoch_fallbacks"] == 0
+        assert warehouse.mvcc_stats.as_dict()["fallbacks"] == fallbacks
+        assert spent["probes_deduped"] > 0
+        assert spent["pages_saved"] > 0
 
 
 class TestBatchUnderWrites:

@@ -265,8 +265,12 @@ class TestClusterProtocol:
 
     def test_metrics_text_exports_cluster_gauges(self, handle):
         with Client(handle.host, handle.port) as client:
+            client.execute(f"SELECT COUNT(*) WHERE key IN [1, {KEYS + 1})")
             text = client.metrics_text()
-        for needle in ("repro_procpool_shard_qps",
+        for needle in ("repro_serve_op_latency_seconds_bucket",
+                       "repro_serve_op_phase_seconds",
+                       "repro_procpool_requests", 'shard="0"',
+                       "repro_procpool_shard_qps",
                        "repro_procpool_shard_queue_depth",
                        "repro_cluster_replica_lag",
                        "repro_cluster_splits", "repro_cluster_merges",

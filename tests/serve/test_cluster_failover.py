@@ -4,8 +4,9 @@ The contract: with at least one caught-up replica per group, a SIGKILL'd
 primary is invisible to readers — reads redirect to the replica while a
 background respawn replays the WAL; writes block briefly on the heal and
 then land.  Without replicas the same kill surfaces as the typed
-``SHARD_DOWN`` (the procpool's behavior — the control case the cluster
-bench gates against).
+``SHARD_DOWN`` on a non-durable process backend (the procpool's
+behavior, ``tests/serve/test_procpool_crash.py``), and a durable one
+heals by respawn.
 """
 
 from __future__ import annotations

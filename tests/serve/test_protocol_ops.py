@@ -6,6 +6,8 @@ multiplexing requests can attribute the rejection.
 """
 
 import socket
+import threading
+import urllib.request
 
 import pytest
 
@@ -48,6 +50,49 @@ class TestMetricsTextOp:
         # end with a trailing newline (Prometheus text format).
         text = client.metrics_text()
         assert text.endswith("\n")
+
+
+class TestMetricsEndpoint:
+    def test_scrape_mid_load_carries_latency_and_exec_phase(self):
+        """``/metrics`` over HTTP, scraped while a client keeps querying,
+        exports the per-op latency histogram and its exec phase."""
+        handle = serve_in_thread(ServerConfig(
+            shards=2, key_space=KEY_SPACE, page_capacity=8, metrics_port=0))
+        warm, stop, errors = threading.Event(), threading.Event(), []
+
+        def drive():
+            try:
+                with Client(handle.host, handle.port) as c:
+                    c.execute("INSERT KEY 5 VALUE 1.0 AT 1")
+                    c.repin()
+                    n = 0
+                    while not stop.is_set():
+                        c.execute("SELECT COUNT(*) WHERE key IN "
+                                  f"[1, {2 + n % 999})")
+                        n += 1
+                        if n == 20:
+                            warm.set()
+            except BaseException as exc:  # noqa: BLE001 — surfaced below
+                errors.append(exc)
+                warm.set()
+
+        driver = threading.Thread(target=drive)
+        driver.start()
+        try:
+            assert warm.wait(30)
+            host, port = handle.server.metrics_address
+            with urllib.request.urlopen(f"http://{host}:{port}/metrics",
+                                        timeout=10) as response:
+                scrape = response.read().decode("utf-8")
+            assert driver.is_alive()        # the scrape landed mid-load
+        finally:
+            stop.set()
+            driver.join(30)
+            handle.stop()
+        assert not driver.is_alive()
+        assert not errors, errors[0]
+        assert "repro_serve_op_latency_seconds" in scrape
+        assert 'phase="exec"' in scrape
 
 
 class TestSlowlogOp:

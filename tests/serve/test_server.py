@@ -65,6 +65,10 @@ class TestBasicProtocol:
         client.execute("SELECT SUM(value) WHERE key IN [1, 100)")
         metrics = client.metrics()
         assert "repro_serve_requests_total" in metrics
+        # Every statement is one request of op "query", write or read.
+        assert sum(s["value"] for s in
+                   metrics["repro_serve_requests_total"]["series"]
+                   if s["labels"].get("op") == "query") == 2
         assert "repro_serve_shard_writes_total" in metrics
         writes = metrics["repro_serve_shard_writes_total"]["series"]
         assert sum(s["value"] for s in writes) == 1

@@ -55,8 +55,30 @@ class TestCommitGroups:
         multi = serve_in_thread(ServerConfig(
             shards=2, key_space=KEY_SPACE, writers=4, readers=4,
             max_inflight=16))
+        stop, reads, errors = threading.Event(), [], []
+
+        def read():
+            # Mid-run reads must never error or block on the writers.
+            try:
+                with Client(multi.host, multi.port, retries=0) as client:
+                    while not reads or not stop.is_set():
+                        client.repin()
+                        reads.append(client.execute(
+                            f"SELECT COUNT(*) WHERE key IN [1, {KEYS + 1})"))
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        reader = threading.Thread(target=read)
+        reader.start()
         try:
-            _drive(multi, 4)
+            try:
+                _drive(multi, 4)
+            finally:
+                stop.set()
+                reader.join(30)
+            assert not reader.is_alive()
+            assert not errors, errors[0]
+            assert reads and reads == sorted(reads)   # counts only grow
             multi_answers = _answers(multi)
             with Client(multi.host, multi.port) as client:
                 registry = client.metrics()
@@ -65,6 +87,7 @@ class TestCommitGroups:
             assert groups > 0
             assert records == KEYS
             assert _metric(registry, "repro_commit_group_max_size") >= 1
+            assert _metric(registry, "repro_mvcc_reads_fallbacks") == 0
         finally:
             multi.stop()
 

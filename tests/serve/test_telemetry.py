@@ -2,8 +2,7 @@
 
 Covers the pieces :mod:`repro.serve.telemetry` adds for PR 7: the
 request context and its thread-local slot, the probabilistic sampler,
-the slow-query ring, the metrics HTTP endpoint, and the SLO summary
-math in :mod:`repro.serve.loadgen`.
+the slow-query ring and the metrics HTTP endpoint.
 """
 
 import random
@@ -12,7 +11,6 @@ import urllib.request
 
 import pytest
 
-from repro.serve.loadgen import slo_summary
 from repro.serve.telemetry import (
     MetricsHTTPServer,
     RequestContext,
@@ -186,47 +184,3 @@ class TestMetricsHTTPServer:
         finally:
             endpoint.stop()
 
-
-class TestSloSummary:
-    def test_all_within_slo(self):
-        slo = slo_summary([10.0, 20.0, 30.0], 3, 100.0, 0.99)
-        assert slo["attained"] == 1.0
-        assert slo["burn"] == 0.0
-        assert slo["met"]
-
-    def test_misses_burn_the_budget(self):
-        # 90% attained against a 99% target: 10x the error budget.
-        latencies = [10.0] * 90 + [500.0] * 10
-        slo = slo_summary(latencies, 100, 100.0, 0.99)
-        assert slo["attained"] == pytest.approx(0.9)
-        assert slo["burn"] == pytest.approx(10.0)
-        assert not slo["met"]
-
-    def test_errors_and_drops_count_as_misses(self):
-        # Offered 10, only 5 latencies recorded: the other 5 failed or
-        # were dropped, and they count against the SLO.
-        slo = slo_summary([1.0] * 5, 10, 100.0, 0.5)
-        assert slo["attained"] == pytest.approx(0.5)
-        assert slo["met"]
-
-    def test_boundary_value_is_within(self):
-        slo = slo_summary([100.0], 1, 100.0, 0.99)
-        assert slo["attained"] == 1.0
-
-    def test_target_one_with_perfect_attainment(self):
-        slo = slo_summary([1.0], 1, 100.0, 1.0)
-        assert slo["burn"] == 0.0 and slo["met"]
-
-    def test_target_one_with_any_miss_is_infinite_burn(self):
-        slo = slo_summary([500.0], 1, 100.0, 1.0)
-        assert slo["burn"] == float("inf") and not slo["met"]
-
-    def test_zero_offered_is_vacuously_met(self):
-        slo = slo_summary([], 0, 100.0, 0.99)
-        assert slo["attained"] == 1.0 and slo["met"]
-
-    def test_invalid_target_rejected(self):
-        with pytest.raises(ValueError):
-            slo_summary([], 0, 100.0, 0.0)
-        with pytest.raises(ValueError):
-            slo_summary([], 0, 100.0, 1.5)

@@ -1,11 +1,11 @@
 """The pool's one-call-deep miss path against the path it replaced.
 
 ``ReferencePool`` keeps the former ``fetch → _admit → _evict_if_needed →
-_pick_victim`` chain (with its per-eviction ``getattr(disk,
-"decoded_cache")``) verbatim, as the reference the collapsed path is held
-to: on a seeded trace of fetches, allocations, pins, batch windows, frees
-and flushes, both pools must evict the same victims in the same order
-and count the same I/O, field for field.
+_pick_victim`` chain as the reference the collapsed path is held to: on a
+seeded trace of fetches, allocations, pins, batch windows, frees and
+flushes, both pools must evict the same victims in the same order and
+count the same I/O, field for field — over the in-memory page map and
+over a file that decodes every read alike.
 """
 
 import random
@@ -14,11 +14,7 @@ import pytest
 
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import FileDiskManager, InMemoryDiskManager
-from repro.storage.serialization import (
-    DecodedPageCache,
-    RecordCodec,
-    register_codec,
-)
+from repro.storage.serialization import RecordCodec, register_codec
 
 KIND = "twin-raw"
 register_codec(KIND, RecordCodec(fmt="<q", to_tuple=lambda r: (r,),
@@ -78,11 +74,6 @@ class ReferencePool(BufferPool):
                 self.disk.write(victim)
                 self.stats.writes += 1
                 victim.dirty = False
-            else:
-                decoded = getattr(self.disk, "decoded_cache", None)
-                if decoded is not None and victim.records is not None:
-                    decoded.put(victim_id, victim.kind, victim.records,
-                                victim.capacity)
 
     def _pick_victim(self, keep=None):
         if not self._batch_depth:
@@ -189,19 +180,15 @@ def test_same_victims_and_same_iostats(seed, locking):
     assert stats.coalesced_writes and stats.overcommit
 
 
-def test_clean_victims_still_park_in_the_decoded_cache(tmp_path):
-    """The pool reads ``disk.decoded_cache`` when it evicts, so a cache
-    attached after the pool was built is honoured too."""
+def test_same_victims_on_a_file_disk(tmp_path):
+    """Over a file every miss is a fresh decode, so a page re-read after
+    its eviction is a new object: the twins still agree step for step."""
     ops = trace(4, steps=1500)
-    pools = []
-    for name, cls in (("ref", ReferencePool), ("new", BufferPool)):
-        disk = FileDiskManager(str(tmp_path / name), page_bytes=128,
-                               default_capacity=4,
-                               decoded_cache=DecodedPageCache(capacity=8))
-        pools.append(cls(disk, capacity=5))
+    pools = [cls(FileDiskManager(str(tmp_path / name), page_bytes=128,
+                                 default_capacity=4), capacity=5)
+             for name, cls in (("ref", ReferencePool), ("new", BufferPool))]
     for reference, collapsed in zip(replay(pools[0], ops),
                                     replay(pools[1], ops)):
         assert collapsed == reference
-    cache_stats = [vars(pool.disk.decoded_cache.stats) for pool in pools]
-    assert cache_stats[1] == cache_stats[0]
-    assert cache_stats[1]["hits"] > 0
+    stats = pools[1].stats
+    assert stats.reads and stats.writes and stats.frees

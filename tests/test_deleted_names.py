@@ -38,7 +38,21 @@ DELETED = [
     ("SUM and COUNT ride one MVSBT pair: no per-aggregate trees to ask for",
      r"aggregates=",
      ["src/repro/core", "src/repro/serve", "src/repro/bench/harness.py"]),
+    ("a file read decodes: no decoded-page cache, the pool parks nothing",
+     r"DecodedPageCache|decoded_cache",
+     ["src/repro"]),
+    ("one load generator, benchmarks/stack's: only percentile stays here",
+     r"run_load|slo_summary|hot_rectangles|argparse",
+     ["src/repro/serve/loadgen.py"]),
+    ("one meter, benchmarks/stack: no BENCH_*.json envelope to read",
+     r"repro\.bench\.envelope|BENCH_PR",
+     ["src/repro"]),
 ]
+
+#: The serving-era benches ``benchmarks/stack`` replaced.
+DELETED_BENCHES = ["bench_multicore", "bench_cluster", "bench_mvcc",
+                   "bench_batchscan", "bench_read_cache",
+                   "bench_telemetry_overhead"]
 
 
 def sources(where):
@@ -65,3 +79,12 @@ def test_the_point_memo_is_a_flat_table():
     body = body[:body.index("\nclass ", 1)]
     assert "def _place" in body        # the slice really is the class
     assert "OrderedDict" not in body
+
+
+def test_the_serving_era_benches_and_envelopes_stay_deleted():
+    benchmarks = ROOT / "benchmarks"
+    assert (benchmarks / "stack").is_dir()      # the meter that replaced them
+    back = [name for name in DELETED_BENCHES
+            if (benchmarks / f"{name}.py").exists()]
+    assert not back, back
+    assert not sorted((benchmarks / "results").glob("BENCH_*.json"))
