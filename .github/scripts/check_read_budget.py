@@ -1,4 +1,4 @@
-"""Gate the read path's counters, not its clock (CI `cache-smoke`).
+"""Gate the read path's counters, not its clock (CI `stack-smoke`).
 
 Reads the record ``python -m benchmarks.stack run --smoke --out FILE``
 wrote and fails unless, in every traced pass, the workloads whose reads

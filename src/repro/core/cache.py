@@ -307,8 +307,8 @@ class PointMemo:
     a whole entry for its own probe, never a mixture.  A race can lose
     an entry or a counter increment: ``stats`` are exact single-threaded
     (the benchmark's counted replay) and approximate under concurrent
-    readers.  The list is allocated by the first ``put``, so a memo
-    attached and detached around one batch costs nothing until used.
+    readers.  The list is allocated by the first ``put``, so a memo on
+    a tree that is never read costs nothing.
     """
 
     __slots__ = ("capacity", "stats", "_slots", "_mask")

@@ -195,45 +195,6 @@ class RTAIndex:
         """SUM, COUNT and AVG of one rectangle in a single result."""
         return self._reduce(key_range, interval)
 
-    def query_batch(self, requests, stats=None) -> list:
-        """Many rectangle queries, one MVSBT sweep per tree.
-
-        ``requests`` is a sequence of ``(key_range, interval, aggregate)``
-        triples; the result list is byte-identical to calling
-        :meth:`query` for each — an aggregate of ``None`` requests the
-        full :class:`RTAResult` (the batch twin of
-        :meth:`aggregate_all`).  Every request's Theorem-1 boundary
-        probes are collected per tree, each tree answers its whole probe
-        set through :meth:`~repro.mvsbt.tree.MVSBT.query_batch`
-        (duplicates asked once, same-instant neighbours descending as
-        pairs), and Equation (1) is then evaluated per request in the
-        exact serial operation order — the float rounding matches
-        :meth:`_reduce` bit for bit.  ``stats`` (a
-        :class:`repro.core.batch.BatchScanStats`) receives the probe and
-        page accounting of both sweeps.
-        """
-        lk: list = []
-        lt: list = []
-        fields = []
-        for key_range, interval, aggregate in requests:
-            fields.append(None if aggregate is None else _field(aggregate))
-            self._validate_rectangle(key_range, interval)
-            k1, k2 = key_range.low, key_range.high
-            t1, t3 = interval.start, interval.end - 1
-            lk += ((k2, t3), (k1, t3))
-            lt += ((k2, t3), (k1, t3), (k2, t1), (k1, t1))
-        lk = self._lkst.query_batch(lk, stats)
-        lt = self._lklt.query_batch(lt, stats)
-        results = []
-        for n, field in enumerate(fields):
-            i, j = 2 * n, 4 * n
-            result = lk[i] - lk[i + 1]
-            result += lt[j] - lt[j + 1]
-            result -= lt[j + 2] - lt[j + 3]
-            both = RTAResult(sum=result.real, count=result.imag)
-            results.append(both if field is None else getattr(both, field))
-        return results
-
     def timeline(self, key_range: KeyRange, interval: Interval,
                  buckets: int, aggregate: Aggregate = SUM
                  ) -> list[Tuple[Interval, Optional[float]]]:

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.aggregates import Aggregate, AVG, COUNT, MAX, MIN, SUM
-from repro.core.batch import BatchScanStats
 from repro.core.cache import CacheConfig, CacheSnapshot, ResultCache
 from repro.core.model import Interval, KeyRange, MAX_KEY, TemporalTuple
 from repro.core.rta import RTAIndex, RTAResult
@@ -111,9 +110,6 @@ class TemporalWarehouse:
     #: Write epoch open-present cache entries validate against; bumped by
     #: every update.  Class attribute so loaded warehouses start at 0.
     write_epoch = 0
-    #: Accounting for :meth:`aggregate_batch` sweeps; class attribute so
-    #: ``cls.__new__``-built warehouses degrade to unaccounted batches.
-    batch_stats = None
     #: Records applied so far by the :meth:`load_events` in flight on a
     #: durable warehouse (one WAL append per load); ``None`` otherwise.
     _load_log = None
@@ -121,7 +117,6 @@ class TemporalWarehouse:
     def __init__(self, key_space: Tuple[int, int] = (1, MAX_KEY + 1),
                  page_capacity: int = 32, buffer_pages: int = 64,
                  strong_factor: float = 0.9, start_time: int = 1) -> None:
-        self.batch_stats = BatchScanStats()
         self.key_space = key_space
         self.tuples = MVBT(
             BufferPool(InMemoryDiskManager(), capacity=buffer_pages),
@@ -417,144 +412,6 @@ class TemporalWarehouse:
             return self.aggregates.aggregate_all(key_range, interval)
         return self.run_plan(plan, key_range, interval, aggregate)
 
-    def aggregate_batch(self, queries) -> List[object]:
-        """Answer many aggregate queries through one batched read sweep.
-
-        ``queries`` is a sequence of ``(key_range, interval, aggregate)``
-        triples.  Returns a list with one entry per query holding exactly
-        what :meth:`aggregate` would return for it — or, when that query
-        would raise, the raised exception instance itself: a failing
-        query fails only itself, and callers re-raise or report per
-        query.  An aggregate of ``None`` requests :meth:`aggregate_all`
-        semantics for that slot (an :class:`~repro.core.rta.RTAResult`
-        — the sharded router's AVG gather needs the per-shard partials).
-
-        Two passes: every distinct cache entry is looked up once —
-        queries that read the same entry (the same triple, or
-        SUM/COUNT/AVG of one rectangle) share its outcome, a hit or one
-        executed slot whose answer fans out; then every
-        additive survivor is answered by one
-        :meth:`~repro.core.rta.RTAIndex.query_batch` sweep — identical
-        boundary probes answered once — while MIN/MAX retrieve
-        individually.  Cache stores happen after the sweep against the
-        per-query epoch captured before execution (parking in the
-        calling thread's deferred-store section when one is open).
-        Answers are byte-identical to serial :meth:`aggregate` calls.
-        """
-        queries = list(queries)
-        n = len(queries)
-        results: List[object] = [None] * n
-        errored = [False] * n
-        metrics = self.metrics
-        cache = self.result_cache
-        stats = self.batch_stats
-        if stats is not None:
-            stats.note_batch(n)
-        if metrics is not None:
-            ios_before = (self.tuples.pool.stats.total_ios
-                          + self.aggregates.pool.stats.total_ios)
-
-        # Pass 1: one cache lookup per distinct entry (epoch and
-        # closedness captured before any execution, as the serial path
-        # does).  Read-hot batches repeat whole queries, and SUM/COUNT/AVG
-        # of one rectangle read one entry, so every later position that
-        # reads the same entry shares its first position's outcome — the
-        # hit, or the executed slot's answer or error — and counts no
-        # lookup of its own.
-        pending: List[int] = []
-        meta: dict = {}
-        dup_of: dict = {}
-        rep_for: dict = {}
-        for qi, (key_range, interval, aggregate) in enumerate(queries):
-            entry = (key_range, interval, _entry_of(aggregate))
-            rep = rep_for.setdefault(entry, qi)
-            if rep != qi:
-                dup_of[qi] = rep
-                continue
-            if cache is not None:
-                epoch = self.write_epoch
-                closed = interval.end <= self.now
-                cache_key = ResultCache.key(entry[2], key_range, interval)
-                hit = cache.lookup(cache_key, epoch)
-                if hit is not None:
-                    results[qi] = hit[0]
-                    if metrics is not None:
-                        metrics.result_cache_hits.inc()
-                    continue
-                meta[qi] = (cache_key, epoch, closed)
-            pending.append(qi)
-
-        # Pass 2: validate, then execute.  Additive queries (and
-        # aggregate_all slots, additive by construction) join the one
-        # sweep, each for its rectangle's RTAResult; MIN/MAX retrieve.
-        plans: dict = {}
-        sweep: List[int] = []
-        for qi in pending:
-            key_range, interval, aggregate = queries[qi]
-            try:
-                plan = _plan_of(aggregate) if aggregate is not None \
-                    else "mvsbt"
-                self.aggregates._validate_rectangle(key_range, interval)
-                if plan == "mvsbt":
-                    sweep.append(qi)
-                else:
-                    results[qi] = self.run_plan(plan, key_range, interval,
-                                                aggregate)
-            except Exception as exc:
-                results[qi] = exc
-                errored[qi] = True
-                continue
-            plans[qi] = plan
-
-        # One instant-ordered sweep answers every additive query; a
-        # sweep-level failure degrades to per-query execution so one bad
-        # query cannot take the batch down.
-        if sweep:
-            try:
-                answers = self.aggregates.query_batch(
-                    [queries[qi][:2] + (None,) for qi in sweep], stats)
-                for qi, value in zip(sweep, answers):
-                    results[qi] = value
-            except Exception:
-                for qi in sweep:
-                    try:
-                        results[qi] = self.aggregates.aggregate_all(
-                            *queries[qi][:2])
-                    except Exception as exc:
-                        results[qi] = exc
-                        errored[qi] = True
-
-        for qi, rep in dup_of.items():
-            results[qi] = results[rep]
-            errored[qi] = errored[rep]
-
-        if cache is not None:
-            for qi in pending:
-                if errored[qi] or qi not in meta:
-                    continue
-                cache_key, epoch, closed = meta[qi]
-                cache.store(cache_key, results[qi], closed=closed,
-                            epoch=epoch)
-                if metrics is not None:
-                    metrics.result_cache_misses.inc()
-        if metrics is not None:
-            ios_after = (self.tuples.pool.stats.total_ios
-                         + self.aggregates.pool.stats.total_ios)
-            metrics.query_ios.observe(ios_after - ios_before)
-            for qi, plan in plans.items():
-                if errored[qi]:
-                    continue
-                if plan == "mvsbt":
-                    metrics.plan_mvsbt.inc()
-                else:
-                    metrics.plan_mvbt_scan.inc()
-        # Every slot holds its cache entry's value; an additive query
-        # reads its share of the rectangle's RTAResult.
-        for qi, (_kr, _iv, aggregate) in enumerate(queries):
-            if aggregate is not None and type(results[qi]) is RTAResult:
-                results[qi] = results[qi].of(aggregate)
-        return results
-
     def run_plan(self, plan: str, key_range: KeyRange, interval: Interval,
                  aggregate: Aggregate = SUM) -> Optional[float]:
         """Execute one aggregate query by the named plan.
@@ -635,11 +492,6 @@ class TemporalWarehouse:
                                          interval), self.write_epoch)
         return "hit" if hit else "miss"
 
-    def batch_snapshot(self) -> dict:
-        """Counters of :attr:`batch_stats` (empty when unaccounted)."""
-        return self.batch_stats.as_dict() if self.batch_stats is not None \
-            else {}
-
     def cache_snapshot(self) -> CacheSnapshot:
         """Current counters of every cache layer behind this warehouse."""
         snapshot = CacheSnapshot()
@@ -704,7 +556,6 @@ class TemporalWarehouse:
         warehouse._page_capacity = warehouse.tuples.config.capacity
         warehouse._wal = None
         warehouse._durable_dir = None
-        warehouse.batch_stats = BatchScanStats()
         return warehouse
 
     # -- durability (checkpoint + write-ahead log) ---------------------------------------

@@ -353,7 +353,7 @@ class MVSBT:
         tracer = self.pool.tracer if self.pool.tracer.enabled else None
         memo = self.memo
         if memo is None and tracer is None:
-            hi, _, lo, _, _ = self._descend_pair(key_hi, key_lo, t, None)
+            hi, _, lo, _ = self._descend_pair(key_hi, key_lo, t, None)
             return hi, lo
         epoch = self._memo_epoch    # before the descent, as in query()
         hit_hi = hit_lo = None
@@ -368,7 +368,7 @@ class MVSBT:
                 span.attrs["memo_hits"] = ((hit_hi is not None)
                                            + (hit_lo is not None))
             if hit_hi is None and hit_lo is None:
-                hi, pages_hi, lo, pages_lo, _ = self._descend_pair(
+                hi, pages_hi, lo, pages_lo = self._descend_pair(
                     key_hi, key_lo, t, tracer)
             else:   # one hit (a ``(value, pages)`` tuple), one descent
                 root_id = self.roots.find(t).root_id
@@ -383,88 +383,6 @@ class MVSBT:
             if hit_lo is None:
                 memo.put(key_lo, t, lo, pages_lo, closed=closed, epoch=epoch)
         return hi, lo
-
-    def query_batch(self, probes, stats=None) -> List[float]:
-        """Answer many point queries, same-instant neighbours as pairs.
-
-        ``probes`` is a sequence of ``(key, t)`` pairs; the result list is
-        byte-identical to ``[self.query(key, t) for key, t in probes]``.
-        Identical probes collapse to one, memo hits drop out, and the
-        rest is sorted by ``(t, key)``: adjacent same-instant probes
-        descend together (:meth:`_descend_pair`), an odd one out alone.
-        Every computed value is put back into an attached memo with its
-        descent length, exactly as serial misses would.  ``stats`` (a
-        :class:`repro.core.batch.BatchScanStats`) receives the probe/page
-        accounting when provided.
-        """
-        if self._buffer is not None:
-            return [self._buffer.query(key, t) for key, t in probes]
-        tracer = self.pool.tracer
-        if not tracer.enabled:
-            return self._batch(probes, stats, None)
-        with tracer.span("mvsbt.query_batch", probes=len(probes)):
-            return self._batch(probes, stats, tracer)
-
-    def _batch(self, probes, stats, tracer) -> List[float]:
-        """:meth:`query_batch` behind its window check and its span."""
-        lo, hi = self.key_space
-        memo, epoch, start = self.memo, self._memo_epoch, self.start_time
-        answers: dict = {}      # distinct (t, key) -> value
-        again: dict = {}        # (t, key) asked more than once -> extra asks
-        order: List[Tuple[int, int]] = []   # per probe, its (t, key)
-        todo: List[Tuple[int, int]] = []
-        for key, t in probes:
-            at = (t, key)
-            order.append(at)
-            if at in answers:
-                again[at] = again.get(at, 0) + 1
-            elif not lo <= key < hi:
-                self._check_key(key)    # raises
-            elif t < start:
-                answers[at] = 0.0
-            elif memo is not None and (
-                    hit := memo.get(key, t, epoch)) is not None:
-                answers[at] = hit[0]
-            else:
-                answers[at] = None      # claimed; the descent fills it
-                todo.append(at)
-        todo.sort()     # by instant, then key
-
-        # ``serial``: what one descent per time a descended probe was
-        # asked would have fetched (``pages_saved`` is measured against
-        # it).  Values go back into the memo as serial misses would put
-        # them.
-        fetch, find_root, closed_before = (self.pool.fetch, self.roots.find,
-                                           self.now)
-        fetched = serial = 0
-        i, n = 0, len(todo)
-        while i < n:
-            at = todo[i]
-            t, key = at
-            i += 1
-            if i < n and todo[i][0] == t:
-                other = todo[i]
-                i += 1
-                value, pages, answers[other], pages_o, shared = (
-                    self._descend_pair(key, other[1], t, tracer))
-                fetched += pages_o - shared
-                serial += pages_o * (1 + again.get(other, 0))
-                if memo is not None:
-                    memo.put(other[1], t, answers[other], pages_o,
-                             closed=t < closed_before, epoch=epoch)
-            else:
-                value, pages = self._descend(key, t, tracer, fetch,
-                                             find_root(t).root_id)
-            answers[at] = value
-            fetched += pages
-            serial += pages * (1 + again.get(at, 0))
-            if memo is not None:
-                memo.put(key, t, value, pages, closed=t < closed_before,
-                         epoch=epoch)
-        if stats is not None:
-            stats.note_probes(len(order), len(order) - len(answers),
-                              fetched, serial - fetched)
-        return [answers[at] for at in order]
 
     def _check_key(self, key: int) -> None:
         if not (self.key_space[0] <= key < self.key_space[1]):
@@ -518,9 +436,9 @@ class MVSBT:
         return acc, pages
 
     def _descend_pair(self, key_a: int, key_b: int, t: int, tracer
-                      ) -> Tuple[float, int, float, int, int]:
+                      ) -> Tuple[float, int, float, int]:
         """Two point queries at one instant, one path while they share it:
-        ``(V(key_a, t), pages_a, V(key_b, t), pages_b, shared pages)``.
+        ``(V(key_a, t), pages_a, V(key_b, t), pages_b)``.
 
         While both keys route to the same child each page is fetched once
         and — a sealed page — walked once, each key adding its own
@@ -569,12 +487,12 @@ class MVSBT:
                                                  pid, acc_a, pages)
                 value_b, pages_b = self._descend(key_b, t, tracer, fetch,
                                                  pid_b, acc_b, pages)
-                return value_a, pages_a, value_b, pages_b, pages
+                return value_a, pages_a, value_b, pages_b
         # Both keys ended in one leaf.
         if self.metrics is not None:
             self.metrics.descent_pages.observe(pages)
             self.metrics.descent_pages.observe(pages)
-        return acc_a, pages, acc_b, pages, pages
+        return acc_a, pages, acc_b, pages
 
     @staticmethod
     def _scan_page(page: Page, key: int, t: int, logical: bool

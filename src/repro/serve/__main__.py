@@ -57,10 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="execution backend: shared thread pool "
                              "(default) or one worker process per shard "
                              "(escapes the GIL; see docs/SERVING.md)")
-    parser.add_argument("--scan-batch", type=int, default=8,
-                        help="process executor: max consecutive reads a "
-                             "shard worker answers in one shared-scan "
-                             "pass (1 disables batching)")
     parser.add_argument("--trace-sample-rate", type=float, default=0.0,
                         help="fraction of requests recorded by the "
                              "distributed tracer (0.0 disables sampling; "
@@ -141,7 +137,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         cache=args.cache,
         cache_result_entries=args.cache_result_entries,
         cache_memo_entries=args.cache_memo_entries,
-        executor=args.executor, scan_batch=args.scan_batch,
+        executor=args.executor,
         trace_sample_rate=args.trace_sample_rate,
         trace_path=args.trace_out, trace_max_bytes=args.trace_max_bytes,
         metrics_port=args.metrics_port, slow_ms=args.slow_ms,

@@ -108,7 +108,6 @@ class ClusterWarehouse(ProcessShardedWarehouse):
                  durable_dir: Optional[str] = None,
                  fsync: bool = False,
                  cache_config: Optional[CacheConfig] = None,
-                 scan_batch: int = 8,
                  replicas: int = 1,
                  autosplit: bool = False,
                  split_qps: float = 64.0,
@@ -152,8 +151,7 @@ class ClusterWarehouse(ProcessShardedWarehouse):
         self._boot(durable_dir, start_timeout, ShardSpec(
             index=-1, key_space=key_space, page_capacity=page_capacity,
             buffer_pages=buffer_pages, strong_factor=strong_factor,
-            start_time=start_time, fsync=fsync, cache_config=cache_config,
-            scan_batch=scan_batch),
+            start_time=start_time, fsync=fsync, cache_config=cache_config),
             version, plan)
         try:
             self._persist_topology()
@@ -521,8 +519,7 @@ class ClusterWarehouse(ProcessShardedWarehouse):
         group = self.handle(gid)
         for client in group.replicas:
             if client.spec.replica_id == replica and not client.dead:
-                return group._rpc(client, method,
-                                  group._wire(method, args),
+                return group._rpc(client, method, group._wire(args),
                                   group.acked_seq)
         raise ShardDownError(f"group {gid} has no live replica {replica}")
 
@@ -530,7 +527,7 @@ class ClusterWarehouse(ProcessShardedWarehouse):
         """Serve ``method`` from the group's primary, bypassing the
         round-robin read rotation."""
         group = self.handle(gid)
-        return group._rpc(group.primary, method, group._wire(method, args))
+        return group._rpc(group.primary, method, group._wire(args))
 
     def close(self) -> None:
         """Stop the planner, then every worker (idempotent)."""

@@ -29,19 +29,6 @@ undefined behavior).  A spawned worker imports the library fresh, builds
 its warehouse from the :class:`ShardSpec`, and sends a hello carrying its
 pid and clock before serving.
 
-Shared-scan query batching
---------------------------
-A worker is single-threaded, so requests queue in its pipe while it
-executes.  Instead of answering one read per wakeup, the worker drains up
-to ``scan_batch`` *consecutive read-only* requests and answers them in
-one pass with a :class:`~repro.core.cache.PointMemo` attached: the
-Theorem 1 reduction probes tree boundaries that repeat across overlapping
-rectangles, so descents computed for the first query answer the rest from
-memory.  Batching never reorders: requests execute in arrival order and a
-write ends the batch (it arrived after every read in it).  With read-path
-caching enabled the shard's persistent memo serves the same role; the
-temporary memo is only attached when caching is off.
-
 Failure semantics
 -----------------
 A worker death (crash, kill -9) surfaces as EOF on the pipe: the parent's
@@ -62,7 +49,6 @@ import os
 import pickle
 import struct
 import threading
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -90,12 +76,11 @@ _AGGREGATES: Dict[str, Aggregate] = {
     a.name: a for a in (SUM, COUNT, AVG, MIN, MAX)
 }
 
-#: Warehouse methods that never mutate — eligible for shared-scan batching.
+#: Warehouse methods that never mutate (a worker counts them as reads).
 _READ_METHODS = frozenset({
     "aggregate", "aggregate_all", "sum", "count", "avg", "min", "max",
     "snapshot", "tuples_in", "history", "explain", "cache_snapshot",
-    "page_count", "check_invariants", "wal_seq", "aggregate_batch",
-    "batch_snapshot", "explain_trace",
+    "page_count", "check_invariants", "wal_seq", "explain_trace",
 })
 
 #: Worker-level control methods (handled by the loop, not the warehouse).
@@ -112,17 +97,13 @@ _PROMOTE = "__promote__"
 #: Read methods a replica serves; everything else goes to the primary
 #: (cache snapshots, invariant audits, EXPLAIN traces, ...).
 REPLICA_READS = frozenset({
-    "aggregate", "aggregate_all", "aggregate_batch",
-    "sum", "count", "avg", "min", "max",
+    "aggregate", "aggregate_all", "sum", "count", "avg", "min", "max",
     "snapshot", "tuples_in", "history", "explain",
 })
 
 #: WAL records an acknowledged write appends, by method (``apply_batch``
 #: and bulk loads are counted from their results).
 _LOGGED = {"insert": 1, "delete": 1, "update": 2}
-
-#: Memo capacity for the temporary shared-scan memo (caching off).
-_BATCH_MEMO_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -264,7 +245,6 @@ class ShardSpec:
     durable_dir: Optional[str] = None
     fsync: bool = False
     cache_config: Optional[CacheConfig] = None
-    scan_batch: int = 8
 
 
 def _build_warehouse(spec: ShardSpec):
@@ -290,25 +270,11 @@ def _build_warehouse(spec: ShardSpec):
     return warehouse
 
 
-def _resolve_method_args(method: str,
-                         args: Tuple[Any, ...]) -> Tuple[Any, ...]:
+def _resolve_method_args(args: Tuple[Any, ...]) -> Tuple[Any, ...]:
     """Swap :class:`_AggRef` tokens back for real descriptors (the
-    inverse of :meth:`WorkerGroup._wire`).
-
-    ``aggregate_batch`` ships its queries as one list argument whose
-    triples carry the tokens (or ``None`` for ``aggregate_all`` slots) —
-    those never surface among the top-level arguments, so they are
-    swapped separately.
-    """
-    args = tuple(
+    inverse of :meth:`WorkerGroup._wire`)."""
+    return tuple(
         _AGGREGATES[a.name] if isinstance(a, _AggRef) else a for a in args)
-    if method == "aggregate_batch" and args:
-        queries = [
-            (kr, iv, _AGGREGATES[a.name] if isinstance(a, _AggRef) else a)
-            for kr, iv, a in args[0]
-        ]
-        args = (queries,) + args[1:]
-    return args
 
 
 def _worker_main(conn, spec: ShardSpec) -> None:
@@ -327,45 +293,23 @@ def _worker_main(conn, spec: ShardSpec) -> None:
             conn.close()
         return
     conn.send(("hello", os.getpid(), warehouse.now))
-    stats = {
-        "requests": 0, "reads": 0, "writes": 0, "errors": 0,
-        "shared_batches": 0, "batched_reads": 0, "load_bytes": 0,
-        "batch_scans": 0, "batch_queries": 0,
-    }
-    memoized = spec.cache_config is not None and spec.cache_config.memo_entries > 0
-    pending: deque = deque()
-    running = True
-    while running:
-        if not pending:
-            try:
-                pending.append(_recv_request(conn))
-            except (EOFError, OSError):
-                break
-        rid, method, args = pending.popleft()
+    stats = {"requests": 0, "reads": 0, "writes": 0, "errors": 0,
+             "load_bytes": 0}
+    while True:
+        try:
+            rid, method, args = _recv_request(conn)
+        except (EOFError, OSError):
+            break
         if method == _SHUTDOWN:
             warehouse.close()
             _respond(conn, rid, True, "closed", warehouse.now)
-            running = False
+            break
+        # These two count themselves.
+        if method == _TRACED:
+            _serve_traced(conn, warehouse, rid, args, stats, spec.index)
             continue
-        if _batchable_read(method, args) and spec.scan_batch > 1:
-            batch = [(rid, method, args)]
-            # Drain whatever reads are already queued behind this one;
-            # stop at the first write (it must run after them) or when
-            # the pipe is momentarily empty.
-            while len(batch) < spec.scan_batch and not pending \
-                    and conn.poll(0):
-                try:
-                    nxt = _recv_request(conn)
-                except (EOFError, OSError):
-                    running = False
-                    break
-                if _batchable_read(nxt[1], nxt[2]):
-                    batch.append(nxt)
-                else:
-                    pending.append(nxt)
-                    break
-            _serve_read_batch(conn, warehouse, batch, stats, memoized,
-                              spec.index)
+        if method == _REGISTRY:
+            _serve_registry(conn, warehouse, rid, stats)
             continue
         stats["requests"] += 1
         if method == _STATS:
@@ -373,143 +317,13 @@ def _worker_main(conn, spec: ShardSpec) -> None:
                            shard=spec.index, wal_seq=warehouse.wal_seq())
             _respond(conn, rid, True, payload, warehouse.now)
             continue
-        if method == _TRACED:
-            _serve_traced(conn, warehouse, rid, args, stats, spec.index)
-            continue
-        if method == _REGISTRY:
-            _serve_registry(conn, warehouse, rid, stats)
-            continue
-        stats["writes"] += 1
+        stats["reads" if method in _READ_METHODS else "writes"] += 1
         if method == "load_events_packed" and args:
             # Bytes-on-pipe for the packed LOAD fan-out (one columnar
             # blob per shard; surfaces as a repro_procpool_* gauge).
             stats["load_bytes"] += len(args[0])
         _serve_one(conn, warehouse, rid, method, args, stats)
-        if method == "enable_cache":
-            config = args[0] if args else None
-            memoized = bool(config and config.memo_entries)
-        elif method == "disable_cache":
-            memoized = False
     conn.close()
-
-
-def _batchable_read(method: str, args) -> bool:
-    """Can this request join a shared-scan read batch?
-
-    Plain reads always can.  A light-traced read (``_TRACED`` wrapping a
-    read method, no ``detail``) can too: batch entries execute
-    sequentially, so its watch-only I/O deltas stay exact.  Deep-traced
-    reads attach pool tracers and run alone — a sampled request must
-    not fragment everyone else's batches, but an explicit ``"trace":
-    true`` asked for full instrumentation.
-    """
-    if method in _READ_METHODS:
-        return True
-    return (method == _TRACED and args[0] in _READ_METHODS
-            and not args[2].get("detail"))
-
-
-#: ``sum``/``count``/… wrapper methods answerable by the batch sweep.
-_AGG_WRAPPERS = {name.lower(): agg for name, agg in _AGGREGATES.items()}
-
-
-def _as_batch_query(method: str, args) -> Optional[Tuple]:
-    """The ``(key_range, interval, aggregate)`` sweep query of one
-    request, or ``None`` when it is not aggregate-shaped.
-
-    ``aggregate_all`` maps to aggregate ``None`` — the
-    :class:`~repro.core.rta.RTAResult` slot of the batch kernel.  Odd
-    shapes (wrong arity, unknown descriptor) fall back to individual
-    execution rather than failing classification.
-    """
-    if method == "aggregate" and len(args) == 3:
-        key_range, interval, agg = args
-        if isinstance(agg, _AggRef):
-            agg = _AGGREGATES.get(agg.name)
-        if isinstance(agg, Aggregate) and type(key_range) is KeyRange \
-                and type(interval) is Interval:
-            return key_range, interval, agg
-        return None
-    if method == "aggregate_all" and len(args) == 2:
-        key_range, interval = args
-        if type(key_range) is KeyRange and type(interval) is Interval:
-            return key_range, interval, None
-        return None
-    agg = _AGG_WRAPPERS.get(method)
-    if agg is not None and len(args) == 2:
-        key_range, interval = args
-        if type(key_range) is KeyRange and type(interval) is Interval:
-            return key_range, interval, agg
-    return None
-
-
-def _serve_read_batch(conn, warehouse, batch, stats, memoized: bool,
-                      shard: int) -> None:
-    """Answer a run of read requests in one shared pass.
-
-    Aggregate-shaped reads (``aggregate``, the ``sum``/…/``max``
-    wrappers, ``aggregate_all``) are peeled off and answered by a single
-    :meth:`~repro.core.warehouse.TemporalWarehouse.aggregate_batch`
-    call — identical probes collapse, same-instant neighbours share one
-    MVSBT descent; a failing query fails only its own
-    response.  Everything else (snapshots, histories, light-traced
-    reads) executes individually, and every response still ships in
-    arrival order.
-
-    With no persistent memo attached (caching off), a temporary
-    :class:`~repro.core.cache.PointMemo` is installed for the batch: the
-    sweep prefills it with every boundary value it computed, so
-    non-sweep stragglers reuse those descents; it is detached at the
-    end, leaving the uncached single-request path byte-identical to
-    before.
-    """
-    shared = len(batch) > 1
-    temp_memo = shared and not memoized
-    if temp_memo:
-        warehouse.aggregates.enable_memo(_BATCH_MEMO_ENTRIES)
-    try:
-        answers: Dict[int, Any] = {}
-        if shared:
-            positions: List[int] = []
-            queries: List[Tuple] = []
-            for pos, (_rid, method, args) in enumerate(batch):
-                query = _as_batch_query(method, args)
-                if query is not None:
-                    positions.append(pos)
-                    queries.append(query)
-            if len(queries) > 1:
-                try:
-                    results = warehouse.aggregate_batch(queries)
-                except Exception:
-                    answers = {}  # degrade to per-request execution
-                else:
-                    answers = dict(zip(positions, results))
-                    stats["batch_scans"] += 1
-                    stats["batch_queries"] += len(queries)
-        for pos, (rid, method, args) in enumerate(batch):
-            if method == _TRACED:
-                # Light-traced read riding the batch: does its own
-                # request/read accounting and span bookkeeping.
-                _serve_traced(conn, warehouse, rid, args, stats, shard)
-                continue
-            stats["requests"] += 1
-            stats["reads"] += 1
-            if pos in answers:
-                result = answers[pos]
-                if isinstance(result, BaseException):
-                    stats["errors"] += 1
-                    _respond(conn, rid, False, error_payload(result),
-                             warehouse.now)
-                else:
-                    _respond(conn, rid, True, result, warehouse.now)
-                continue
-            _serve_one(conn, warehouse, rid, method, args, stats)
-    finally:
-        if temp_memo:
-            warehouse.aggregates.disable_memo()
-    if shared:
-        stats["shared_batches"] += 1
-        stats["batched_reads"] += len(batch) - 1
 
 
 def _serve_one(conn, warehouse, rid, method: str, args, stats) -> None:
@@ -517,8 +331,7 @@ def _serve_one(conn, warehouse, rid, method: str, args, stats) -> None:
     try:
         if method.startswith("_"):
             raise AttributeError(f"method {method!r} is not exposed")
-        result = getattr(warehouse, method)(*_resolve_method_args(method,
-                                                                  args))
+        result = getattr(warehouse, method)(*_resolve_method_args(args))
     except BaseException as exc:  # noqa: BLE001 — boundary: all -> payload
         stats["errors"] += 1
         _respond(conn, rid, False, error_payload(exc), warehouse.now)
@@ -588,15 +401,14 @@ def _serve_traced(conn, warehouse, rid, args, stats, shard: int) -> None:
 
             with traced(warehouse) as tracer:
                 with tracer.span(f"worker.{inner_method}", **lineage):
-                    result = fn(*_resolve_method_args(inner_method,
-                                                      inner_args))
+                    result = fn(*_resolve_method_args(inner_args))
             record = span_to_record(tracer.last_root)
         else:
             pools = _worker_pools(warehouse)
             before = [(p.stats.reads, p.stats.writes, p.stats.logical_reads)
                       for _, p in pools]
             cpu_started = time.process_time()
-            result = fn(*_resolve_method_args(inner_method, inner_args))
+            result = fn(*_resolve_method_args(inner_args))
             cpu_s = time.process_time() - cpu_started
             reads = writes = logical = 0
             for (r0, w0, l0), (_, pool) in zip(before, pools):
@@ -885,13 +697,9 @@ class WorkerGroup:
     # -- the one RPC site --------------------------------------------------------------
 
     @staticmethod
-    def _wire(method: str, args: Tuple[Any, ...]) -> Tuple[Any, ...]:
+    def _wire(args: Tuple[Any, ...]) -> Tuple[Any, ...]:
         """Swap :class:`Aggregate` descriptors for name tokens (their
-        lambdas never cross the pipe) — including the nested triples of
-        an ``aggregate_batch``, whose ``None`` slots pass through."""
-        if method == "aggregate_batch":
-            return ([(kr, iv, _AggRef(a.name) if isinstance(a, Aggregate)
-                      else a) for kr, iv, a in args[0]],) + tuple(args[1:])
+        lambdas never cross the pipe)."""
         return tuple(
             _AggRef(a.name) if isinstance(a, Aggregate) else a for a in args)
 
@@ -939,7 +747,7 @@ class WorkerGroup:
         on additionally kicks a background heal.  Only when *every*
         target fails does the read block on a synchronous heal.
         """
-        wired = self._wire(method, args)
+        wired = self._wire(args)
         primary = self.primary
         last_exc: Optional[BaseException] = None
         for client in self._read_targets(method):
@@ -957,18 +765,12 @@ class WorkerGroup:
             raise last_exc or exc
         return self._rpc(self.primary, method, wired)
 
-    def read_batch(self, requests: List[Tuple]) -> List[Any]:
-        """One sub-batch as a single ``aggregate_batch`` RPC — the whole
-        batch rides one worker sweep; per-query failures come back as
-        exception instances in-band."""
-        return self.read("aggregate_batch", (requests,))
-
     def write(self, method: str, args: Tuple[Any, ...]) -> Any:
         """One call on the primary, exclusive by construction (the worker
         is single-threaded and its pipe is FIFO).  A dead primary blocks
         on the heal — a respawn replays the WAL, so the call applies to
         a state containing every previously acked write."""
-        wired = self._wire(method, args)
+        wired = self._wire(args)
         with self.write_lock:
             if self.primary.dead:
                 self._heal(self)
@@ -1016,7 +818,7 @@ class WorkerGroup:
             if self.primary.dead:
                 self._heal(self)
             sent = self.primary.call_async(method,
-                                           *self._wire(method, args))
+                                           *self._wire(args))
         except BaseException:
             self.write_lock.release()
             raise
@@ -1130,7 +932,7 @@ class WorkerGroup:
 
     def publish_metrics(self, registry) -> None:
         """This group's rows: each worker's request counters,
-        shared-scan batching stats, liveness and replica lag as
+        liveness and replica lag as
         ``repro_procpool_<counter>{shard=N}`` gauges, then every series
         of the primary's own registry republished with a ``shard``
         label — so one scrape carries e.g.
@@ -1143,8 +945,6 @@ class WorkerGroup:
                 # label keeps the series distinct.
                 labels["replica"] = str(row.get("replica", ""))
             for counter in ("requests", "reads", "writes", "errors",
-                            "shared_batches", "batched_reads",
-                            "batch_scans", "batch_queries",
                             "load_bytes"):
                 if counter in row:
                     registry.gauge(
@@ -1200,8 +1000,7 @@ class ProcessShardedWarehouse(ShardRouter):
     ``<dir>/shard-NN``, layout frozen in the same ``layout.json`` — a
     directory created by one backend reopens under the other),
     ``cache_config`` (workers attach their own read-path caches; parent
-    processes hold no cache state), and ``scan_batch`` (shared-scan batch
-    ceiling per worker; 1 disables batching).
+    processes hold no cache state).
     """
 
     def __init__(self, shards: int = 4,
@@ -1211,7 +1010,6 @@ class ProcessShardedWarehouse(ShardRouter):
                  durable_dir: Optional[str] = None,
                  fsync: bool = False,
                  cache_config: Optional[CacheConfig] = None,
-                 scan_batch: int = 8,
                  start_timeout: float = 60.0) -> None:
         if durable_dir is not None:
             key_space, boundaries = load_or_freeze_layout(
@@ -1221,8 +1019,7 @@ class ProcessShardedWarehouse(ShardRouter):
         self._boot(durable_dir, start_timeout, ShardSpec(
             index=-1, key_space=key_space, page_capacity=page_capacity,
             buffer_pages=buffer_pages, strong_factor=strong_factor,
-            start_time=start_time, fsync=fsync, cache_config=cache_config,
-            scan_batch=scan_batch),
+            start_time=start_time, fsync=fsync, cache_config=cache_config),
             1, [(sid, lo, hi, (lo, hi), shard_dir_name(sid))
                 for sid, (lo, hi) in enumerate(
                     zip(boundaries, boundaries[1:]))])

@@ -113,6 +113,12 @@ def decode(line: bytes) -> Dict[str, Any]:
     return message
 
 
+def is_int(value: Any) -> bool:
+    """Whether a decoded request field is a JSON integer.  ``bool`` is an
+    ``int`` subclass, so without this ``true`` would pass as ``1``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _json_default(value: Any) -> Any:
     if isinstance(value, float) and value in (float("inf"), float("-inf")):
         return str(value)

@@ -247,10 +247,8 @@ def _replica_main(conn, spec: ReplicaSpec) -> None:
             conn.close()
         return
     conn.send(("hello", os.getpid(), applier.warehouse.now))
-    stats = {
-        "requests": 0, "reads": 0, "writes": 0, "errors": 0,
-        "shared_batches": 0, "batched_reads": 0, "load_bytes": 0,
-    }
+    stats = {"requests": 0, "reads": 0, "writes": 0, "errors": 0,
+             "load_bytes": 0}
     promoted = False
     running = True
     while running:

@@ -27,7 +27,7 @@ built it, the server uses the router surface only.  The moving parts:
 * **Hit lane** — a plain ``SELECT`` aggregate whose answer is already in
   the result cache at the current epoch
   (:meth:`~repro.serve.sharded.ShardRouter.probe`) is answered on the
-  event loop: no admission slot, no thread hop, no scan group.  On a
+  event loop: no admission slot, no thread hop.  On a
   miss, a SUM/COUNT/AVG over in-thread shards is *executed* there after
   one yield (:meth:`~repro.serve.sharded.ShardRouter.attempt`): three
   pair descents per shard whatever the rectangle, one seqlock-validated
@@ -42,8 +42,7 @@ built it, the server uses the router surface only.  The moving parts:
   into the registry the ``metrics`` op exports.
 
 :func:`serve_in_thread` runs the whole event loop in a daemon thread and
-returns a handle — the harness tests and the load generator's
-``--spawn-server`` mode use it.
+returns a handle — the harness tests use it.
 """
 
 from __future__ import annotations
@@ -126,7 +125,6 @@ class ServerConfig:
     cache_result_entries: int = 4096   # per-shard result-cache capacity
     cache_memo_entries: int = 8192     # per-shard MVSBT path-memo capacity
     executor: str = "thread"           # "thread" (default) or "process"
-    scan_batch: int = 8                # scan-group ceiling, every backend
     trace_sample_rate: float = 0.0     # fraction of requests traced (0: only
                                        # per-request "trace": true overrides)
     trace_path: Optional[str] = None   # JSONL sink for sampled traces
@@ -180,16 +178,6 @@ class TQLServer:
         self._commit_groups = 0
         self._commit_records = 0
         self._commit_max_group = 0
-        # The shared-scan queue (scan_batch > 1): queued ``(statement,
-        # as_of, future)`` triples of plain SELECT aggregates plus the
-        # inline-leader flag — the read-side mirror of the commit
-        # groups.  Each drained group is answered by one vectorized
-        # ``aggregate_batch`` sweep instead of a serial loop.
-        self._scan_queue: list = []
-        self._scan_leader_active = False
-        self._scan_groups = 0
-        self._scan_group_queries = 0
-        self._scan_max_group = 0
         # Text -> parsed SELECT (frozen dataclasses, safe to share); only
         # the event loop touches it.
         self._statements: "OrderedDict[str, SelectStatement]" = OrderedDict()
@@ -248,8 +236,7 @@ class TQLServer:
             page_capacity=config.page_capacity,
             buffer_pages=config.buffer_pages)
         workers = dict(shape, durable_dir=config.durable_dir,
-                       fsync=config.fsync, cache_config=cache_config,
-                       scan_batch=config.scan_batch)
+                       fsync=config.fsync, cache_config=cache_config)
         if (config.replicas > 0 or config.autosplit
                 or config.merge_qps is not None):
             if config.executor != "process":
@@ -627,7 +614,7 @@ class TQLServer:
             return self._render_metrics_text(), None
         if op == "slowlog":
             limit = message.get("limit")
-            if limit is not None and (not isinstance(limit, int)
+            if limit is not None and (not protocol.is_int(limit)
                                       or limit < 0):
                 raise ProtocolError('"limit" must be a non-negative '
                                     'integer')
@@ -677,7 +664,7 @@ class TQLServer:
             await self._maybe_checkpoint()
             return result, None
         as_of = message.get("as_of", session.snapshot)
-        if not isinstance(as_of, int) or as_of < 0:
+        if not protocol.is_int(as_of) or as_of < 0:
             raise ProtocolError('"as_of" must be a non-negative integer')
         plain_select = (isinstance(statement, SelectStatement)
                         and statement.agg.timeline_buckets is None)
@@ -698,8 +685,6 @@ class TQLServer:
         elif result is not MISS:
             ctx.lane = "loop"
             self.metrics.loop_reads.inc()
-        elif plain_select and self.config.scan_batch > 1:
-            result = await self._group_scan(statement, as_of, ctx)
         else:
             result = await self._admitted(
                 lambda: tql_executor.execute(self.warehouse, statement,
@@ -845,83 +830,6 @@ class TQLServer:
                 future.set_exception(error_from_payload(payload))
         await self._maybe_checkpoint()
 
-    # -- shared-scan groups (scan_batch > 1) ---------------------------------------------
-
-    async def _group_scan(self, statement: Any, as_of: int,
-                          ctx: RequestContext) -> Any:
-        """Admit one plain SELECT aggregate through the shared-scan queue.
-
-        The read-side mirror of :meth:`_group_commit`: enqueue
-        ``(statement, as_of, future)``; if no leader is draining, become
-        the inline leader and flush groups of up to ``scan_batch``
-        queries until the queue is empty.  Each group is answered with
-        *one* executor hop and one
-        :meth:`~repro.core.warehouse.TemporalWarehouse.aggregate_batch`
-        call — identical probes collapse, same-instant neighbours share
-        one MVSBT descent, and (MVCC) the shard epoch is validated once
-        for the whole group.  Queries that pile up while a flush is in
-        flight form the next group; answers are byte-identical to serial
-        execution and a failing query fails only its own future.
-        """
-        loop = asyncio.get_running_loop()
-        future: "asyncio.Future" = loop.create_future()
-        self._scan_queue.append((statement, as_of, future))
-        if not self._scan_leader_active:
-            self._scan_leader_active = True
-            try:
-                while self._scan_queue:
-                    batch = self.config.scan_batch
-                    group = self._scan_queue[:batch]
-                    del self._scan_queue[:batch]
-                    await self._flush_scan_group(group, ctx)
-            finally:
-                self._scan_leader_active = False
-        return await future
-
-    async def _flush_scan_group(self, group: list,
-                                ctx: RequestContext) -> None:
-        """Answer one drained scan group and publish each member's result.
-
-        A single query skips the batch machinery entirely (the serial
-        path is the batch path for N=1, minus overhead).  A failed
-        *admission* fails the whole group; inside an admitted batch the
-        executor returns per-query exceptions in-band, so one bad
-        rectangle fails only its own future.
-        """
-        if len(group) == 1:
-            statement, as_of, future = group[0]
-            try:
-                result = await self._admitted(
-                    lambda: tql_executor.execute(self.warehouse, statement,
-                                                 as_of=as_of), ctx)
-            except Exception as exc:  # noqa: BLE001 — fanned to the future
-                if not future.done():
-                    future.set_exception(exc)
-            else:
-                if not future.done():
-                    future.set_result(result)
-            return
-        requests = [(stmt, as_of) for stmt, as_of, _ in group]
-        try:
-            results = await self._admitted(
-                lambda: tql_executor.execute_select_batch(self.warehouse,
-                                                          requests), ctx)
-        except Exception as exc:  # noqa: BLE001 — fanned out per member
-            for _, _, future in group:
-                if not future.done():
-                    future.set_exception(exc)
-            return
-        self._scan_groups += 1
-        self._scan_group_queries += len(group)
-        self._scan_max_group = max(self._scan_max_group, len(group))
-        for (_, _, future), result in zip(group, results):
-            if future.done():
-                continue
-            if isinstance(result, BaseException):
-                future.set_exception(result)
-            else:
-                future.set_result(result)
-
     async def _all_shards_write(self, fn, ctx: RequestContext) -> Any:
         """Run a bulk load holding *every* shard's writer lock (in id
         order), so it cannot interleave with single-statement DML."""
@@ -951,7 +859,7 @@ class TQLServer:
         if not isinstance(events, list):
             raise ProtocolError('op "load" needs an "events" array')
         batch_size = message.get("batch_size", 1024)
-        if not isinstance(batch_size, int) or batch_size < 1:
+        if not protocol.is_int(batch_size) or batch_size < 1:
             raise ProtocolError('"batch_size" must be a positive integer')
         report = await self._all_shards_write(
             lambda: self.warehouse.load_events(events, batch_size), ctx)
@@ -967,7 +875,7 @@ class TQLServer:
         routers without workers).  Durable shards recover via checkpoint
         + WAL replay inside the fresh worker; returns its pid."""
         shard = message.get("shard")
-        if not isinstance(shard, int) or shard < 0:
+        if not protocol.is_int(shard) or shard < 0:
             raise ProtocolError('"shard" must be a non-negative integer')
         shards = self.warehouse.shard_ids()
         if shard not in shards:
@@ -989,31 +897,31 @@ class TQLServer:
         if op == "merge":
             gids = message.get("gids")
             if (not isinstance(gids, list) or len(gids) != 2
-                    or not all(isinstance(g, int) for g in gids)):
+                    or not all(protocol.is_int(g) for g in gids)):
                 raise ProtocolError(
                     'op "merge" needs a two-element integer "gids" array')
             return await self._admitted(
                 lambda: warehouse.merge(gids[0], gids[1]), ctx)
         gid = message.get("gid")
-        if not isinstance(gid, int) or gid < 0:
+        if not protocol.is_int(gid) or gid < 0:
             raise ProtocolError(f'op "{op}" needs a non-negative integer '
                                 '"gid" field')
         if op == "split":
             at = message.get("at")
-            if at is not None and not isinstance(at, int):
+            if at is not None and not protocol.is_int(at):
                 raise ProtocolError('"at" must be an integer split key')
             return await self._admitted(lambda: warehouse.split(gid, at),
                                         ctx)
         replica = message.get("replica")
-        if replica is not None and not isinstance(replica, int):
+        if replica is not None and not protocol.is_int(replica):
             raise ProtocolError('"replica" must be an integer id')
         return await self._admitted(
             lambda: warehouse.promote(gid, replica), ctx)
 
     def _publish_gauges(self) -> None:
-        """Refresh every sampled gauge: the merged cache and batch-scan
-        counters, whatever rows the router's handles publish, and the
-        server's commit-group totals."""
+        """Refresh every sampled gauge: the merged cache counters,
+        whatever rows the router's handles publish, and the server's
+        commit-group totals."""
         self._publish_cache_gauges()
         self.warehouse.publish_metrics(self.registry)
         self.registry.gauge(
@@ -1028,39 +936,6 @@ class TQLServer:
             "repro_commit_group_max_size",
             "largest commit group flushed", {}).set(
                 self._commit_max_group)
-        self._publish_batchscan_gauges()
-
-    def _publish_batchscan_gauges(self) -> None:
-        """Vectorized batch-read counters as ``repro_batchscan_<name>``.
-
-        The snapshot merges every shard's :class:`BatchScanStats` (over
-        RPC for the process backend), so one scrape shows batch sizes,
-        probe/page dedup savings, and the once-per-batch MVCC epoch
-        accounting for the whole warehouse.  No-op until the first batch
-        sweep runs (the merged snapshot is empty).
-        """
-        try:
-            snapshot = self.warehouse.batch_snapshot()
-        except ShardDownError:
-            # A worker died mid-scrape; keep the last published values
-            # (same serviceability contract as the cache gauges).
-            return
-        for name, value in snapshot.items():
-            self.registry.gauge(
-                f"repro_batchscan_{name}",
-                f"batch read-path counter {name}", {}).set(value)
-        self.registry.gauge(
-            "repro_batchscan_server_groups",
-            "shared-scan groups flushed by the server (queries > 1)",
-            {}).set(self._scan_groups)
-        self.registry.gauge(
-            "repro_batchscan_server_group_queries",
-            "SELECT aggregates answered through shared-scan groups",
-            {}).set(self._scan_group_queries)
-        self.registry.gauge(
-            "repro_batchscan_server_max_group",
-            "largest shared-scan group flushed", {}).set(
-                self._scan_max_group)
 
     def _publish_cache_gauges(self) -> None:
         """Mirror merged cache counters into the exported registry.

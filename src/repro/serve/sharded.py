@@ -14,9 +14,9 @@ The whole layer is one picture — router → topology → handle:
   order) lives *only* here, which is what makes answers byte-identical
   across backends.
 * A **shard handle** is how the router reaches one shard: ``read``,
-  ``read_batch``, ``write``, ``call_async`` (a write whose answer is
-  awaited later — the fan-out primitive), ``probe``, ``now``, ``dead``,
-  ``close`` and ``publish_metrics``.  Two implementations exist and no
+  ``write``, ``call_async`` (a write whose answer is awaited later — the
+  fan-out primitive), ``probe``, ``now``, ``dead``, ``close`` and
+  ``publish_metrics``.  Two implementations exist and no
   third: :class:`LocalShard` below (a warehouse in this process, reached
   through the seqlock read protocol) and
   :class:`~repro.serve.procpool.WorkerGroup` (worker processes behind a
@@ -214,15 +214,6 @@ class LocalShard:
             return self._spanned(method, self._optimistic, fn, args)
         return self._spanned(method, fn, *args)
 
-    def read_batch(self, requests: List[Tuple]) -> List[Any]:
-        """One sub-batch through the warehouse batch kernel, errors
-        in-band (an aggregate of ``None`` requests ``aggregate_all``)."""
-        if self.thread_safe:
-            return self._spanned("aggregate_batch", self._optimistic_batch,
-                                 requests)
-        return self._spanned("aggregate_batch",
-                             self.warehouse.aggregate_batch, requests)
-
     def write(self, method: str, args: Tuple[Any, ...]) -> Any:
         """Invoke ``method`` under exclusive access: every mutation, and
         the diagnostics that must not share the shard (``explain_trace``
@@ -351,44 +342,6 @@ class LocalShard:
                 return fn(*args)
             finally:
                 self.epoch.end_write()
-
-    def _optimistic_batch(self, requests: List[Tuple]) -> List[Any]:
-        """One seqlock hop for a whole batch, per-query fallback isolation.
-
-        The whole batch sweep is one :meth:`_attempt` — one epoch
-        capture, no lock held, a single validation for every answer
-        (counted as one ``epoch_validations``, passed or not), and cache
-        stores committed only if it passes.  A torn read does *not*
-        retry the batch wholesale: each query re-runs through its own
-        :meth:`_optimistic` (own retry budget, own read-lock fallback),
-        so one conflicting writer costs re-execution, never a batch-wide
-        retry storm.
-        """
-        shard = self.warehouse
-        bstats = shard.batch_stats
-        try:
-            results = self._attempt(shard.aggregate_batch, (requests,))
-        finally:
-            if bstats is not None:
-                bstats.note_epoch_validation()
-        if results is not MISS:
-            return results
-        # Torn (or a write was mid-bracket at capture): isolate the
-        # fallback per query so one conflict cannot fail its batchmates.
-        if bstats is not None:
-            bstats.note_epoch_fallback(len(requests))
-        out: List[Any] = []
-        for key_range, interval, aggregate in requests:
-            try:
-                if aggregate is None:
-                    out.append(self._optimistic(
-                        shard.aggregate_all, (key_range, interval)))
-                else:
-                    out.append(self._optimistic(
-                        shard.aggregate, (key_range, interval, aggregate)))
-            except Exception as exc:
-                out.append(exc)
-        return out
 
     def _attempt(self, fn, args) -> Any:
         """One read with **no lock held**, validated by the shard epoch —
@@ -799,83 +752,6 @@ class ShardRouter:
         if aggregate.name == AVG.name:
             return self._gather_all(partials).avg
         return sum(partial.of(aggregate) for partial in partials)
-
-    def aggregate_batch(self, queries) -> List[Any]:
-        """Scatter-gather many aggregate queries with one batch per shard.
-
-        ``queries`` is a sequence of ``(key_range, interval, aggregate)``
-        triples.  Each query's rectangle is split over the shards it
-        touches exactly as :meth:`aggregate` does, but all sub-queries
-        landing on one shard travel together through the handle's
-        ``read_batch`` — one shard acquisition (one epoch validation, or
-        one RPC), one MVSBT sweep — and the gather arithmetic (iteration
-        order included) is the same code shape as the serial path, so
-        answers are byte-identical.  AVG queries ship per-part
-        ``aggregate_all`` sub-queries (aggregate ``None``) and recombine
-        SUM/COUNT totals, never per-shard averages.  A failing query
-        yields its exception instance in its slot; the rest of the batch
-        is unaffected.
-        """
-        queries = list(queries)
-        shard_requests: Dict[int, List[Tuple]] = {}
-        recipes: List[Tuple] = []
-        for key_range, interval, aggregate in queries:
-            name = getattr(aggregate, "name", None)
-            if name == AVG.name:
-                kind, sub = "avg", None  # per-part aggregate_all
-            elif name in (MIN.name, MAX.name):
-                kind, sub = name, aggregate
-            elif name in (SUM.name, COUNT.name):
-                kind, sub = "sum", aggregate
-            else:
-                recipes.append(("error",
-                                QueryError(f"unknown aggregate {name!r}")))
-                continue
-            slots: List[Tuple[int, int]] = []
-            for i, part in self.parts_for(key_range):
-                requests = shard_requests.setdefault(i, [])
-                slots.append((i, len(requests)))
-                requests.append((part, interval, sub))
-            recipes.append((kind, slots))
-        shard_results: Dict[int, List[Any]] = {
-            i: self._on(i, self.handle(i).read_batch, requests)
-            for i, requests in sorted(shard_requests.items())
-        }
-        out: List[Any] = []
-        for recipe in recipes:
-            kind = recipe[0]
-            if kind == "error":
-                out.append(recipe[1])
-                continue
-            partials = [shard_results[i][slot] for i, slot in recipe[1]]
-            failed = next((p for p in partials
-                           if isinstance(p, BaseException)), None)
-            if failed is not None:
-                out.append(failed)
-                continue
-            if kind == "avg":
-                out.append(self._gather_all(partials).avg)
-            elif kind in (MIN.name, MAX.name):
-                extrema = [x for x in partials if x is not None]
-                if not extrema:
-                    out.append(None)
-                else:
-                    out.append(min(extrema) if kind == MIN.name
-                               else max(extrema))
-            else:
-                out.append(sum(partials))
-        return out
-
-    def batch_snapshot(self) -> Dict[str, int]:
-        """Batch-sweep counters merged across every shard."""
-        from repro.core.batch import BatchScanStats
-
-        totals = BatchScanStats()
-        for sid in self.shard_ids():
-            snapshot = self._read(sid, "batch_snapshot")
-            if snapshot:
-                totals.merge(snapshot)
-        return totals.as_dict()
 
     def sum(self, key_range: KeyRange, interval: Interval) -> float:
         """Scatter-gather SUM."""

@@ -133,44 +133,6 @@ def execute(warehouse: TemporalWarehouse,
     raise QueryError(f"cannot execute {type(statement).__name__}")
 
 
-def execute_select_batch(warehouse: TemporalWarehouse,
-                         requests) -> list:
-    """Answer many plain ``SELECT`` aggregates with one batched sweep.
-
-    ``requests`` is a sequence of ``(SelectStatement, as_of)`` pairs —
-    each statement resolves its own rectangle (AS OF clipping included),
-    then every query rides a single
-    :meth:`~repro.core.warehouse.TemporalWarehouse.aggregate_batch`
-    call.  The returned list is positional: each slot holds the value
-    serial :func:`execute` would have produced, or the *exception
-    instance* that statement would have raised (resolution errors and
-    per-query sweep errors alike), so one bad rectangle fails only
-    itself.  TIMELINE selects and non-SELECT statements are rejected
-    in-band the same way.
-    """
-    queries = []
-    slots = []
-    results: list = [None] * len(requests)
-    for i, (statement, as_of) in enumerate(requests):
-        try:
-            if not isinstance(statement, SelectStatement) \
-                    or statement.agg.timeline_buckets is not None:
-                raise QueryError(
-                    "batch execution supports plain SELECT aggregates")
-            key_range, interval = _resolve_rectangle(warehouse, statement,
-                                                     as_of)
-            aggregate = _aggregate_named(statement.agg.name)
-        except Exception as exc:  # noqa: BLE001 — in-band per slot
-            results[i] = exc
-            continue
-        slots.append(i)
-        queries.append((key_range, interval, aggregate))
-    if queries:
-        for i, answer in zip(slots, warehouse.aggregate_batch(queries)):
-            results[i] = answer
-    return results
-
-
 def explain(warehouse: TemporalWarehouse,
             statement: StatementLike, *,
             as_of: Optional[int] = None) -> QueryPlan:

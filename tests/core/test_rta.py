@@ -103,15 +103,12 @@ class TestValidation:
             index.delete(100, t=5)
 
     def test_non_additive_aggregate_rejected(self, index):
-        """Before any descent, serial and batched."""
+        """Before any descent."""
         index.insert(100, 1.0, t=5)
         reads = index.pool.stats.logical_reads
         for aggregate in (MIN, MAX):
             with pytest.raises(QueryError, match="not maintained"):
                 index.query(KeyRange(1, 10), Interval(1, 5), aggregate)
-            with pytest.raises(QueryError, match="not maintained"):
-                index.query_batch([(KeyRange(1, 10), Interval(1, 5),
-                                    aggregate)])
         assert index.pool.stats.logical_reads == reads
 
     def test_key_outside_space(self, index):
@@ -372,13 +369,6 @@ class TestMergedPairEdges:
         assert any(t2 - t1 == 1 for _k1, _k2, t1, t2 in rectangles)
         index = warehouse.aggregates
         assert edge_answers(index, rectangles) == self.expected(rectangles)
-        batch = index.query_batch(
-            [(KeyRange(k1, k2), Interval(t1, t2), aggregate)
-             for k1, k2, t1, t2 in rectangles
-             for aggregate in (SUM, COUNT, AVG, None)])
-        assert [repr(tuple(batch[i:i + 4]))
-                for i in range(0, len(batch), 4)] \
-            == self.expected(rectangles)
         warehouse.check_invariants()
 
     def test_a_zero_value_is_an_insertion(self, warehouse):

@@ -167,9 +167,9 @@ class TestPlanner:
 
 @pytest.fixture()
 def descents(monkeypatch):
-    """Counts of ``MVSBT.query`` / ``query_pair`` / ``query_batch`` calls."""
+    """Counts of ``MVSBT.query`` / ``query_pair`` calls."""
     from repro.mvsbt.tree import MVSBT
-    calls = {"query": 0, "query_pair": 0, "query_batch": 0}
+    calls = {"query": 0, "query_pair": 0}
 
     def counting(name):
         inner = getattr(MVSBT, name)
@@ -250,35 +250,18 @@ class TestProbeBudget:
         warehouse, _ = loaded_warehouse()
         for r, iv in self.RECTANGLES:
             warehouse.aggregate(r, iv, aggregate)
-        assert descents == {"query": 0, "query_pair": 0, "query_batch": 0}
-
-    @pytest.mark.parametrize("aggregates",
-                             [(SUM,), (SUM, COUNT), (SUM, AVG),
-                              (SUM, MIN, MAX)],
-                             ids=["SUM", "SUM+COUNT", "SUM+AVG",
-                                  "SUM+MIN+MAX"])
-    def test_batch_sweeps_each_involved_tree_once(self, descents,
-                                                  aggregates):
-        warehouse, _ = loaded_warehouse()
-        queries = [(r, iv, aggregate) for r, iv in self.RECTANGLES
-                   for aggregate in aggregates]
-        tuple_reads = warehouse.tuples.pool.stats.logical_reads
-        warehouse.aggregate_batch(queries)
-        assert descents == {"query": 0, "query_pair": 0, "query_batch": 2}
-        if MIN not in aggregates:
-            assert warehouse.tuples.pool.stats.logical_reads == tuple_reads
+        assert descents == {"query": 0, "query_pair": 0}
 
 
 class TestSelectiveRectangles:
     """The rectangles an additive aggregate used to answer by retrieval
     (few or no qualifying tuples) get Equation (1)'s answer: equal to the
-    oracle, serial and batched alike, before and after a reopen."""
+    oracle, before and after a reopen."""
 
     def check(self, warehouse, oracle, rectangles):
         queries = [(r, iv, aggregate) for r, iv in rectangles
                    for aggregate in (SUM, COUNT, AVG)]
         serial = [warehouse.aggregate(*query) for query in queries]
-        assert repr(warehouse.aggregate_batch(queries)) == repr(serial)
         for r, iv in rectangles:
             box = (r.low, r.high, iv.start, iv.end)
             assert oracle.rta_count(*box) <= 5
@@ -287,7 +270,7 @@ class TestSelectiveRectangles:
             assert warehouse.avg(r, iv) == oracle.rta_avg(*box)
         return repr(serial)
 
-    def test_oracle_serial_and_batch_agree_across_reopen(self, tmp_path):
+    def test_oracle_and_serial_agree_across_reopen(self, tmp_path):
         directory = str(tmp_path / "wh")
         warehouse, oracle = loaded_warehouse(
             warehouse=TemporalWarehouse.open_durable(

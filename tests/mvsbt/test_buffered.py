@@ -138,7 +138,7 @@ class TestWindowLifecycle:
 
         def reader():
             for ask in (lambda: tree.query(10, 3),
-                        lambda: tree.query_batch([(10, 3), (20, 5)])):
+                        lambda: tree.query_pair(20, 10, 5)):
                 try:
                     ask()
                 except ConcurrentAccessError as exc:

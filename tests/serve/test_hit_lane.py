@@ -828,25 +828,6 @@ class TestAllEntry:
                   (KeyRange(1, KEYS + 1), Interval(1, 40)),
                   (KeyRange(60, 61), Interval(1, 2))]
 
-    def test_serial_and_batch_twins_hit_each_other(self):
-        plain = _single(cache=False)
-        want = [plain.aggregate_all(kr, iv) for kr, iv in self.RECTANGLES]
-        serial_first, batch_first = _single(), _single()
-        slots = [(kr, iv, None) for kr, iv in self.RECTANGLES]
-        assert [serial_first.aggregate_all(kr, iv)
-                for kr, iv in self.RECTANGLES] == want
-        assert batch_first.aggregate_batch(slots) == want
-        for warehouse in (serial_first, batch_first):
-            stats = warehouse.result_cache.stats
-            assert (stats.hits, stats.misses) == (0, 3)
-        # Each twin now answers the other shape from the cache.
-        assert serial_first.aggregate_batch(slots) == want
-        assert [batch_first.aggregate_all(kr, iv)
-                for kr, iv in self.RECTANGLES] == want
-        for warehouse in (serial_first, batch_first):
-            stats = warehouse.result_cache.stats
-            assert (stats.hits, stats.misses) == (3, 3)
-
     def test_closed_entry_is_pinned_open_entry_goes_stale(self):
         warehouse = _single()
         key_range = KeyRange(1, KEYS + 1)
@@ -868,7 +849,7 @@ class TestAllEntry:
 
     def test_sum_then_avg_of_one_rectangle_is_one_miss_and_one_hit(self):
         """One entry a rectangle: whichever additive aggregate came
-        first paid for all three, serial and batched."""
+        first paid for all three."""
         warehouse = _single()
         kr, iv = self.RECTANGLES[0]
         plain = _single(cache=False)
@@ -877,31 +858,13 @@ class TestAllEntry:
         assert warehouse.aggregate(kr, iv, AVG) == plain.avg(kr, iv)
         assert warehouse.aggregate(kr, iv, COUNT) == plain.count(kr, iv)
         assert warehouse.aggregate_all(kr, iv) == plain.aggregate_all(kr, iv)
-        assert warehouse.aggregate_batch([(kr, iv, AVG), (kr, iv, None)]) \
-            == [plain.avg(kr, iv), plain.aggregate_all(kr, iv)]
         result = warehouse.cache_snapshot().result
-        # The batch's two positions read one entry: one lookup, one hit.
-        assert (result["misses"], result["hits"]) == (1, 4)
+        assert (result["misses"], result["hits"]) == (1, 3)
         assert len(warehouse.result_cache) == 1
         # MIN reads its own entry.
         warehouse.aggregate(kr, iv, MIN)
         assert warehouse.cache_snapshot().result["misses"] == 2
-        # In one batch the three look the entry up once (and miss), then
-        # they are one executed slot — six probes — and one store.
-        kr, iv = self.RECTANGLES[1]
-        probes = warehouse.batch_snapshot()["probes"]
-        assert warehouse.aggregate_batch(
-            [(kr, iv, SUM), (kr, iv, AVG), (kr, iv, COUNT)]) \
-            == [plain.sum(kr, iv), plain.avg(kr, iv), plain.count(kr, iv)]
-        assert warehouse.cache_snapshot().result["misses"] == 3
-        assert warehouse.batch_snapshot()["probes"] == probes + 6
-        assert len(warehouse.result_cache) == 3
-        # And the next batch of the three is one hit, shared.
-        assert warehouse.aggregate_batch(
-            [(kr, iv, COUNT), (kr, iv, SUM), (kr, iv, AVG)]) \
-            == [plain.count(kr, iv), plain.sum(kr, iv), plain.avg(kr, iv)]
-        result = warehouse.cache_snapshot().result
-        assert (result["misses"], result["hits"]) == (3, 5)
+        assert len(warehouse.result_cache) == 2
 
 
 # -- (d) the statement LRU --------------------------------------------------------------

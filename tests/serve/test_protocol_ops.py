@@ -121,6 +121,26 @@ class TestSlowlogOp:
         assert "request_id" in entry and "queue_ms" in entry
 
 
+class TestIntegerFields:
+    @pytest.mark.parametrize("field, message", [
+        ("as_of", {"op": "query", "tql": "SELECT SUM(value)",
+                   "as_of": True}),
+        ("limit", {"op": "slowlog", "limit": True}),
+        ("batch_size", {"op": "load", "events": [], "batch_size": True}),
+        ("shard", {"op": "respawn", "shard": True}),
+        ("gid", {"op": "split", "gid": True}),
+        ("at", {"op": "split", "gid": 0, "at": True}),
+        ("replica", {"op": "promote", "gid": 0, "replica": True}),
+        ("gids", {"op": "merge", "gids": [True, 1]}),
+    ])
+    def test_a_json_boolean_is_not_an_integer(self, client, field, message):
+        """``bool`` is an ``int`` subclass: ``true`` must not pass as 1."""
+        with pytest.raises(ServerReplyError) as err:
+            client.request(message)
+        assert err.value.code == "PROTOCOL"
+        assert f'"{field}"' in err.value.message
+
+
 class TestUnknownOp:
     def test_error_names_request_id(self, server):
         with socket.create_connection((server.host, server.port),

@@ -109,20 +109,9 @@ def transcript(router):
                      repr(router.aggregate_all(key_range, interval))))
         rows.append((f"tuples{key_range}{interval}",
                      repr(router.tuples_in(key_range, interval))))
-    queries = [(kr, iv, agg) for kr, iv in RECTANGLES
-               for agg in (SUM, AVG, MAX)]
-    queries.insert(2, (KeyRange(*KEY_SPACE), Interval(1, 9),
-                       SimpleNamespace(name="MEDIAN")))  # fails, in-band
-    answers = router.aggregate_batch(queries)
-    assert isinstance(answers[2], QueryError)
-    assert not any(isinstance(a, Exception)
-                   for i, a in enumerate(answers) if i != 2)
-    rows.append(("batch", repr([str(a) if isinstance(a, Exception) else a
-                                for a in answers])))
-    additive = [(kr, iv, agg) for kr, iv in RECTANGLES + [open_present]
-                for agg in ADDITIVE]
-    assert repr(router.aggregate_batch(additive)) == \
-        repr([router.aggregate(*query) for query in additive])
+    with pytest.raises(QueryError):
+        router.aggregate(KeyRange(*KEY_SPACE), Interval(1, 9),
+                         SimpleNamespace(name="MEDIAN"))
     for agg in ADDITIVE:    # the plan EXPLAIN names is the plan that ran
         plans = [router.explain(kr, iv, agg) for kr, iv in RECTANGLES]
         assert {part.plan.plan for parts in plans for part in parts} \
@@ -173,7 +162,6 @@ def scenario(name, directory):
         snapshot = router.cache_snapshot()
         assert isinstance(snapshot, CacheSnapshot)
         assert snapshot.result["hits"] + snapshot.result["misses"] > 0
-        assert router.batch_snapshot()["batches"] > 0
         assert router.page_count() > 0
         router.check_invariants()
         router.checkpoint()
@@ -224,13 +212,6 @@ def test_sum_then_avg_of_one_rectangle_is_one_miss_and_one_hit(
         assert (result["misses"], result["hits"]) == (parts, parts)
         count = router.aggregate(key_range, interval, COUNT)
         assert average == total / count
-        assert router.aggregate_batch([(key_range, interval, AVG),
-                                       (key_range, interval, SUM)]) \
-            == [average, total]
-        result = router.cache_snapshot().result
-        # A shard's sub-batch reads the one entry at both positions: one
-        # lookup, one hit.
-        assert (result["misses"], result["hits"]) == (parts, 3 * parts)
     finally:
         router.close()
 

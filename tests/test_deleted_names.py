@@ -47,6 +47,10 @@ DELETED = [
     ("one meter, benchmarks/stack: no BENCH_*.json envelope to read",
      r"repro\.bench\.envelope|BENCH_PR",
      ["src/repro"]),
+    ("a read has one path: no batch sweep, no scan group",
+     r"aggregate_batch|query_batch|execute_select_batch|scan_batch"
+     r"|BatchScanStats|batch_snapshot|read_batch|repro_batchscan",
+     ["src/repro"]),
 ]
 
 #: The serving-era benches ``benchmarks/stack`` replaced.
