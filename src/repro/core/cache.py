@@ -19,7 +19,11 @@ caches here exploit that single fact at two granularities:
   rectangles, and every probe at ``t`` below the tree clock is a closed
   version.  The memo also records the length of the root-to-leaf
   descent, so EXPLAIN can report how many page visits a hit
-  short-circuited.
+  short-circuited.  Only rectangles that reach the open present consult
+  it: a closed rectangle's whole answer is the result cache's to keep,
+  so its probes recur only when another rectangle shares them, which
+  pays less than a lookup and a store each
+  (:meth:`repro.core.rta.RTAIndex._reduce`).
 
 Both caches are **opt-in** and *absent by default*: an unconfigured
 warehouse holds ``None`` and pays one attribute check on the query path,
@@ -86,12 +90,13 @@ class CacheConfig:
 
     ``result_entries`` bounds the warehouse-level :class:`ResultCache`
     (an LRU: about 300 bytes of bookkeeping per entry beside the answer).
-    ``memo_entries`` bounds each MVSBT's :class:`PointMemo` — two trees
-    per maintained aggregate, so eight tables per warehouse and as many
-    per shard; a table has the largest power of two of slots within the
-    bound (8 bytes each, allocated on the first store) and an entry is
-    one five-field tuple, so a full default memo holds about 1.4 MB per
-    tree.  Zero disables the respective layer.
+    ``memo_entries`` bounds each MVSBT's :class:`PointMemo` — one
+    (LKST, LKLT) tree pair, so two tables per warehouse and as many per
+    shard; a table has the largest power of two of slots within the
+    bound (8 bytes each, allocated on the first store, which only an
+    open-present rectangle makes) and an entry is one five-field tuple,
+    so a full default memo holds about 1.4 MB per tree.  Zero disables
+    the respective layer.
     """
 
     result_entries: int = 4096
@@ -282,6 +287,12 @@ class ResultCache:
 class PointMemo:
     """Per-MVSBT memo of point queries with descent-length bookkeeping:
     a flat, two-way table.
+
+    It serves the open present: an Equation (1) reduction consults it
+    only for a rectangle that ends after the index clock, and a closed
+    rectangle descends with the memo untouched — no ``get``, no ``put``
+    (``MVSBT.query_pair(..., use_memo=False)``).  Its counters therefore
+    count open-present probes only.
 
     ``get``/``put`` carry the tree's insertion epoch: entries for closed
     instants (``t`` below the tree clock at store time) are pinned

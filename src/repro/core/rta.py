@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.core.aggregates import Aggregate, SUM
-from repro.core.model import Interval, KeyRange, MAX_KEY
+from repro.core.model import Interval, KeyRange, MAX_KEY, NOW
 from repro.errors import DuplicateKeyError, KeyNotFoundError, QueryError
 from repro.mvsbt.tree import MVSBT, MVSBTConfig
 from repro.storage.buffer import BufferPool
@@ -249,41 +249,52 @@ class RTAIndex:
 
     def _reduce(self, key_range: KeyRange, interval: Interval) -> RTAResult:
         """Equation (1): its six point queries as three same-instant
-        pairs, one shared MVSBT descent each."""
+        pairs, one shared MVSBT descent each.
+
+        Only a rectangle that reaches the open present (ends after the
+        clock) consults the trees' point memos.  A closed one reads
+        immutable history, whose whole answer the result cache keeps, so
+        its probes recur only if another rectangle shares them — too
+        rarely to pay for a lookup and a store each.  Traced or not, the
+        same choice is made.
+        """
         self._validate_rectangle(key_range, interval)
         k1, k2 = key_range.low, key_range.high
         t1, t3 = interval.start, interval.end - 1
+        use_memo = interval.end > self.now
         lkst, lklt = self._lkst, self._lklt
         tracer = self.pool.tracer
         if not tracer.enabled:
             return self._equation_one(lkst.query_pair, lklt.query_pair,
-                                      k1, k2, t1, t3)
+                                      k1, k2, t1, t3, use_memo)
 
         def spanned(tree: MVSBT, label: str):
-            def pair(k_hi: int, k_lo: int, t: int) -> Tuple[float, float]:
+            def pair(k_hi: int, k_lo: int, t: int,
+                     use_memo: bool) -> Tuple[float, float]:
                 with tracer.span("rta.pair", tree=label, k_hi=k_hi,
                                  k_lo=k_lo, t=t):
-                    return tree.query_pair(k_hi, k_lo, t)
+                    return tree.query_pair(k_hi, k_lo, t, use_memo)
             return pair
 
         with tracer.span("rta.reduce", key_range=str(key_range),
                          interval=str(interval)):
             return self._equation_one(spanned(lkst, "lkst"),
-                                      spanned(lklt, "lklt"), k1, k2, t1, t3)
+                                      spanned(lklt, "lklt"), k1, k2, t1, t3,
+                                      use_memo)
 
     @staticmethod
     def _equation_one(lkst_pair, lklt_pair, k1: int, k2: int, t1: int,
-                      t3: int) -> RTAResult:
+                      t3: int, use_memo: bool) -> RTAResult:
         """The arithmetic of Equation (1) over two pair-query callables —
         one evaluation order (and hence float rounding), traced or not.
         ``complex`` arithmetic is component-wise, so each half rounds as
         a tree of plain floats would have rounded it."""
-        hi, lo = lkst_pair(k2, k1, t3)
+        hi, lo = lkst_pair(k2, k1, t3, use_memo)
         result = hi - lo
-        dead = lklt_pair(k2, k1, t3)
+        dead = lklt_pair(k2, k1, t3, use_memo)
         result += dead[0] - dead[1]
         # A one-instant window asks the same LKLT pair twice.
-        hi, lo = dead if t1 == t3 else lklt_pair(k2, k1, t1)
+        hi, lo = dead if t1 == t3 else lklt_pair(k2, k1, t1, use_memo)
         result -= hi - lo
         return RTAResult(sum=result.real, count=result.imag)
 
@@ -296,6 +307,9 @@ class RTAIndex:
             )
         if interval.start < 1:
             raise QueryError(f"interval {interval} starts before time 1")
+        if interval.end > NOW:
+            raise QueryError(f"interval {interval} ends after NOW "
+                             f"({NOW}), the end of time")
 
     def _check_key(self, key: int) -> None:
         if not (self.key_space[0] <= key < self.key_space[1]):

@@ -303,15 +303,20 @@ class MVSBT:
         if new_children:
             self._install_new_root(new_children, t)
 
-    def query(self, key: int, t: int) -> float:
-        """``V(key, t)`` — Appendix A's ``PointQuery``/``PagePointQuery``."""
+    def query(self, key: int, t: int, use_memo: bool = True) -> float:
+        """``V(key, t)`` — Appendix A's ``PointQuery``/``PagePointQuery``.
+
+        ``use_memo=False`` descends with an attached memo untouched: no
+        lookup, no store (an Equation (1) reduction over a closed
+        rectangle, :meth:`repro.core.rta.RTAIndex._reduce`).
+        """
         if self._buffer is not None:
             return self._buffer.query(key, t)
         self._check_key(key)
         if t < self.start_time:
             return 0.0
         tracer = self.pool.tracer if self.pool.tracer.enabled else None
-        memo = self.memo
+        memo = self.memo if use_memo else None
         if memo is None and tracer is None:
             return self._descend(key, t, None, self.pool.fetch,
                                  self.roots.find(t).root_id)[0]
@@ -333,8 +338,8 @@ class MVSBT:
             memo.put(key, t, value, pages, closed=t < self.now, epoch=epoch)
         return value
 
-    def query_pair(self, key_hi: int, key_lo: int,
-                   t: int) -> Tuple[float, float]:
+    def query_pair(self, key_hi: int, key_lo: int, t: int,
+                   use_memo: bool = True) -> Tuple[float, float]:
         """``(V(key_hi, t), V(key_lo, t))`` in one shared descent.
 
         The two halves of an Equation (1) pair enter through the same
@@ -342,16 +347,18 @@ class MVSBT:
         so each shared page is fetched and walked once
         (:meth:`_descend_pair`).  Either value is bit-identical to its own
         :meth:`query`; an attached memo sees each probe on its own, with
-        its own descent length.
+        its own descent length — unless ``use_memo`` is false, which
+        leaves it untouched as in :meth:`query`.
         """
         if self._buffer is not None or key_hi == key_lo:
-            return self.query(key_hi, t), self.query(key_lo, t)
+            return (self.query(key_hi, t, use_memo),
+                    self.query(key_lo, t, use_memo))
         self._check_key(key_hi)
         self._check_key(key_lo)
         if t < self.start_time:
             return 0.0, 0.0
         tracer = self.pool.tracer if self.pool.tracer.enabled else None
-        memo = self.memo
+        memo = self.memo if use_memo else None
         if memo is None and tracer is None:
             hi, _, lo, _ = self._descend_pair(key_hi, key_lo, t, None)
             return hi, lo

@@ -51,7 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-result-entries", type=int, default=4096,
                         help="per-shard result-cache capacity")
     parser.add_argument("--cache-memo-entries", type=int, default=8192,
-                        help="per-shard MVSBT point-memo capacity")
+                        help="per-shard MVSBT point-memo capacity (the "
+                             "memo serves open-present rectangles only)")
     parser.add_argument("--executor", choices=("thread", "process"),
                         default="thread",
                         help="execution backend: shared thread pool "

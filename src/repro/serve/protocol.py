@@ -119,6 +119,12 @@ def is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def is_number(value: Any) -> bool:
+    """Whether a decoded request field is a JSON number (integer or
+    float), again not a ``bool``."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _json_default(value: Any) -> Any:
     if isinstance(value, float) and value in (float("inf"), float("-inf")):
         return str(value)

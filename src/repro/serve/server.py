@@ -54,10 +54,11 @@ import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
+from math import inf
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.cache import CacheConfig
-from repro.core.model import MAX_KEY, KeyRange
+from repro.core.model import MAX_KEY, NOW, KeyRange
 from repro.errors import (
     ProtocolError,
     ReproError,
@@ -635,7 +636,10 @@ class TQLServer:
             self._request_shutdown()
             return "draining", None
         if op == "sleep":
-            seconds = float(message.get("seconds", 0.0))
+            seconds = message.get("seconds", 0.0)
+            if not protocol.is_number(seconds) or not 0 <= seconds < inf:
+                raise ProtocolError('"seconds" must be a finite, '
+                                    'non-negative number')
             await self._admitted(lambda: time.sleep(seconds), ctx)
             return f"slept {seconds}s", None
         # op == "query"
@@ -664,8 +668,9 @@ class TQLServer:
             await self._maybe_checkpoint()
             return result, None
         as_of = message.get("as_of", session.snapshot)
-        if not protocol.is_int(as_of) or as_of < 0:
-            raise ProtocolError('"as_of" must be a non-negative integer')
+        if not protocol.is_int(as_of) or not 0 <= as_of < NOW:
+            raise ProtocolError('"as_of" must be a non-negative integer '
+                                'below NOW (2**62)')
         plain_select = (isinstance(statement, SelectStatement)
                         and statement.agg.timeline_buckets is None)
         if plain_select:

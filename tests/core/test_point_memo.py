@@ -15,6 +15,8 @@ from repro.core.cache import (CacheConfig, PointMemo, begin_deferred_stores,
                               discard_deferred_stores)
 from repro.core.model import Interval, KeyRange
 from repro.core.warehouse import TemporalWarehouse
+from repro.obs import traced
+from repro.obs.explain import explain_query
 from repro.serve.sharded import ShardedWarehouse
 
 from tests.oracles import ReferencePointMemo
@@ -213,6 +215,10 @@ class TestDeferredStores:
         yield warehouse.handle(0)
         warehouse.close()
 
+    #: Ends one past the fixture's clock (59): an open-present rectangle,
+    #: the only kind whose probes reach the memo.
+    OPEN = Interval(5, 60)
+
     def test_an_optimistic_read_commits_its_stores_after_validation(
             self, shard):
         seen = []
@@ -222,7 +228,7 @@ class TestDeferredStores:
             seen.append(memo_entries(shard.warehouse))  # still parked
             return out
 
-        shard._optimistic(read, (KeyRange(1, 201), Interval(5, 40)))
+        shard._optimistic(read, (KeyRange(1, 201), self.OPEN))
         assert seen == [0]
         assert memo_entries(shard.warehouse) > 0
 
@@ -238,10 +244,99 @@ class TestDeferredStores:
             return out
 
         shard.read_retries = 1
-        shard._optimistic(read, (KeyRange(1, 201), Interval(5, 40)))
+        shard._optimistic(read, (KeyRange(1, 201), self.OPEN))
         assert seen == [0, 0]       # the torn attempt left no entry behind
         assert memo_entries(shard.warehouse) > 0    # the retry's landed
         assert shard.stats.as_dict()["retries"] == 1
+
+
+class TestOnlyTheOpenPresentReachesTheMemo:
+    """A rectangle that ends at or before the clock (the result cache's
+    *closed*) runs Equation (1) with both trees' memos untouched — no
+    lookup, no store, no table allocated — traced or not; one that ends
+    after the clock keeps the memo path."""
+
+    WHOLE = KeyRange(1, 201)
+    CLOSED = [(WHOLE, Interval(5, 40)), (KeyRange(3, 90), Interval(1, 59)),
+              (KeyRange(7, 8), Interval(30, 31)), (WHOLE, Interval(58, 59))]
+
+    @staticmethod
+    def loaded(cache=None):
+        """Clock 59 with deletes from t=31 on, so both trees' clocks
+        advance and the LKLT pair at ``t1`` is a closed probe."""
+        warehouse = TemporalWarehouse(key_space=(1, 201), page_capacity=8)
+        if cache is not None:
+            warehouse.enable_cache(cache)
+        for t in range(1, 60):
+            warehouse.insert(t, t * 0.1, t)
+            if t > 30:
+                warehouse.delete(t - 30, t)
+        return warehouse
+
+    @staticmethod
+    def untouched(warehouse):
+        return all(tree.memo._slots is None
+                   and not any(tree.memo.stats.as_dict().values())
+                   for tree in warehouse.aggregates.trees())
+
+    def test_a_closed_rectangle_leaves_the_memo_untouched(self):
+        memoed = self.loaded(CacheConfig(result_entries=0))
+        twin = self.loaded()
+        for kr, iv in self.CLOSED:
+            for _ in range(2):
+                assert repr(memoed.aggregate_all(kr, iv)) \
+                    == repr(twin.aggregate_all(kr, iv))
+        assert self.untouched(memoed)
+
+    def test_traced_and_explained_closed_reads_skip_it_too(self):
+        memoed = self.loaded(CacheConfig())
+        twin = self.loaded()
+        for kr, iv in self.CLOSED:
+            with traced(memoed):
+                got = memoed.aggregate_all(kr, iv)
+            assert repr(got) == repr(twin.aggregate_all(kr, iv))
+            report = explain_query(memoed, kr, iv, AVG)
+            assert report.cache["memo_hits"] == 0
+            assert repr(report.result) == repr(twin.avg(kr, iv))
+        assert self.untouched(memoed)
+
+    def test_the_boundary_is_the_clock(self):
+        at_now = self.loaded(CacheConfig(result_entries=0))
+        at_now.sum(self.WHOLE, Interval(5, at_now.now))
+        assert self.untouched(at_now)
+        past_now = self.loaded(CacheConfig(result_entries=0))
+        with traced(past_now):
+            past_now.sum(self.WHOLE, Interval(5, past_now.now + 1))
+        memo = past_now.cache_snapshot().memo
+        assert memo["misses"] == 6 and memo_entries(past_now) == 6
+
+    def test_an_open_rectangle_rereads_its_closed_probes_after_a_write(self):
+        memoed = self.loaded(CacheConfig(result_entries=0))
+        twin = self.loaded()
+        open_present = Interval(5, memoed.now + 1)
+        assert memoed.sum(self.WHOLE, open_present) \
+            == twin.sum(self.WHOLE, open_present)
+        for target in (memoed, twin):     # same instant: still open
+            target.delete(40, target.now)
+        before = memoed.cache_snapshot().memo
+        assert repr(memoed.aggregate_all(self.WHOLE, open_present)) \
+            == repr(twin.aggregate_all(self.WHOLE, open_present))
+        after = memoed.cache_snapshot().memo
+        # The LKLT pair at t1 = 5 was pinned closed and hits; the four
+        # probes at the clock were stored at the old epochs and drop.
+        assert after["hits"] - before["hits"] == 2
+        assert after["stale_drops"] - before["stale_drops"] == 4
+        assert after["pages_saved"] > before["pages_saved"]
+
+    def test_the_pair_fallbacks_make_the_same_choice(self):
+        memoed = self.loaded(CacheConfig(result_entries=0))
+        lkst, _ = memoed.aggregates.trees()
+        pair = lkst.query_pair(40, 40, 20, use_memo=False)  # two query()s
+        assert lkst.memo._slots is None and lkst.memo.stats.misses == 0
+        assert pair == (lkst.query(40, 20),) * 2
+        lkst.query_pair(41, 41, 20)         # a miss, then its own hit
+        stats = lkst.memo.stats
+        assert (stats.misses, stats.hits, len(lkst.memo)) == (2, 1, 2)
 
 
 class TestRacingThreads:

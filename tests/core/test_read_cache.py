@@ -158,8 +158,9 @@ class TestCacheMechanics:
         warehouse.enable_cache()
         warehouse.insert(1, 1.0, 1)
         warehouse.insert(2, 2.0, 4)
-        warehouse.sum(KeyRange(1, 201), Interval(1, 3))
-        warehouse.sum(KeyRange(1, 201), Interval(1, 3))
+        # Open-present (ends after the clock, 4): its probes reach the memo.
+        warehouse.sum(KeyRange(1, 201), Interval(1, 5))
+        warehouse.sum(KeyRange(1, 201), Interval(1, 5))
         snapshot = warehouse.cache_snapshot().as_dict()
         # The two caches above the buffer pool, nothing under it.
         assert set(snapshot) == {"result", "memo"}
@@ -174,7 +175,7 @@ class TestPointMemo:
         warehouse.enable_cache()
         for k in range(1, 40):
             warehouse.insert(k, float(k), k)
-        interval = Interval(5, 20)
+        interval = Interval(5, 40)      # open-present: the clock is 39
         kr = KeyRange(1, 201)
         first = warehouse.sum(kr, interval)
         warehouse.result_cache.clear()  # force a re-descent

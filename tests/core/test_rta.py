@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core.aggregates import AVG, COUNT, MAX, MIN, SUM
-from repro.core.model import Interval, KeyRange
+from repro.core.model import NOW, Interval, KeyRange
 from repro.core.rta import RTAIndex
 from repro.core.warehouse import TemporalWarehouse
 from repro.errors import DuplicateKeyError, KeyNotFoundError, QueryError
@@ -122,6 +122,30 @@ class TestValidation:
             index.sum(KeyRange(1, 5000), Interval(1, 10))
         with pytest.raises(QueryError):
             index.sum(KeyRange(1, 10), Interval(0, 10))
+
+    @pytest.mark.parametrize("loaded", [False, True], ids=["empty", "loaded"])
+    def test_a_rectangle_past_now_is_a_query_error(self, loaded):
+        """``NOW`` (2**62) is the end of time: a window reaching past it
+        has no last instant a tree covers.  Every read surface refuses it
+        as a query error, the same way as one starting before time 1."""
+        from repro.tql.executor import execute
+
+        warehouse = TemporalWarehouse(key_space=(1, 101))
+        if loaded:
+            for t in range(1, 40):
+                warehouse.insert(t, float(t), t)
+        kr, past_now = KeyRange(1, 5), Interval(1, 10**30)
+        for aggregate in (SUM, COUNT, AVG, MIN, MAX):
+            with pytest.raises(QueryError, match="ends after NOW"):
+                warehouse.aggregate(kr, past_now, aggregate)
+        with pytest.raises(QueryError, match="ends after NOW"):
+            warehouse.aggregate_all(kr, Interval(1, NOW + 1))
+        with pytest.raises(QueryError, match="ends after NOW"):
+            execute(warehouse, "SELECT TIMELINE(SUM, 4) WHERE key "
+                               f"IN [1, 5) AND time DURING [1, {10**30})")
+        # The sentinel itself is the last end there is.
+        assert warehouse.sum(kr, Interval(1, NOW)) \
+            == (10.0 if loaded else 0.0)
 
     def test_delete_without_tracking_needs_value(self, pool):
         index = RTAIndex(pool, key_space=KEY_SPACE, track_values=False)

@@ -44,7 +44,9 @@ def test_miss_then_hit_outcomes():
 def test_memo_delta_counts_this_query_only():
     warehouse = make_warehouse()
     warehouse.enable_cache()
-    kr, interval = KeyRange(1, 201), Interval(1, 30)
+    # Open-present (the clock is 59): only such a rectangle's probes
+    # reach the memo; a closed one's delta is 0.
+    kr, interval = KeyRange(1, 201), Interval(1, 60)
     explain_query(warehouse, kr, interval)          # warms the memos
     report = explain_query(warehouse, kr, interval)
     assert report.cache["memo_hits"] > 0

@@ -22,9 +22,10 @@ import pytest
 
 from repro.core.aggregates import AVG, COUNT, MAX, MIN, SUM
 from repro.core.cache import CacheConfig
-from repro.core.model import Interval, KeyRange
+from repro.core.model import NOW, Interval, KeyRange
 from repro.core.warehouse import RTA_ENTRY, TemporalWarehouse
-from repro.errors import ReproError, ServerShuttingDownError
+from repro.errors import (ProtocolError, QueryError, ReproError,
+                          ServerShuttingDownError)
 from repro.serve.client import Client, ServerReplyError
 from repro.serve.cluster import ClusterWarehouse
 from repro.serve.procpool import ProcessShardedWarehouse, WorkerGroup
@@ -519,7 +520,7 @@ TEXT = ("SELECT SUM(value) WHERE key IN [20, 180) "
 
 
 def _lane(monkeypatch, warehouse, tql=TEXT, prepare=None, on_admitted=None,
-          sampled=False):
+          sampled=False, as_of=None):
     """One statement through ``TQLServer._query`` on a fresh loop.
 
     Returns ``(answer or raised error, ctx, admitted, yields)``:
@@ -527,7 +528,8 @@ def _lane(monkeypatch, warehouse, tql=TEXT, prepare=None, on_admitted=None,
     result-cache size at that moment; ``yields`` counts the lane's
     ``asyncio.sleep`` calls.  ``prepare(server)`` runs on the loop just
     before the statement; ``on_admitted()`` when it reaches the admitted
-    path, before that path runs."""
+    path, before that path runs.  ``as_of`` is the request's own field
+    (the session's snapshot when ``None``)."""
     server = TQLServer(ServerConfig(shards=2, key_space=KEY_SPACE),
                        warehouse)
     admitted, yields = [], []
@@ -553,7 +555,10 @@ def _lane(monkeypatch, warehouse, tql=TEXT, prepare=None, on_admitted=None,
     async def main():
         if prepare is not None:
             prepare(server)
-        return await server._query({"tql": tql},
+        message = {"tql": tql}
+        if as_of is not None:
+            message["as_of"] = as_of
+        return await server._query(message,
                                    _Session(snapshot=warehouse.now), ctx)
 
     try:
@@ -692,6 +697,25 @@ class TestLoopLane:
         error, _, admitted, _ = _lane(monkeypatch, warehouse, tql=text)
         assert repr(error) == _want(text) and "before time 1" in str(error)
         assert admitted == []
+
+
+    def test_a_snapshot_at_now_is_refused_before_the_lane(self,
+                                                          monkeypatch):
+        """``as_of = NOW`` would make the window end past the alive
+        sentinel: a protocol error, with nothing probed, run or stored."""
+        warehouse = _warehouse()
+        error, ctx, admitted, yields = _lane(monkeypatch, warehouse,
+                                             as_of=NOW)
+        assert isinstance(error, ProtocolError) and '"as_of"' in str(error)
+        assert admitted == [] and yields == [] and ctx.lane is None
+        assert [len(shard.result_cache) for shard in warehouse.shards] \
+            == [0, 0]
+
+    def test_a_window_past_now_is_a_query_error_in_the_attempt(self):
+        warehouse = _warehouse()
+        run = warehouse.attempt(BOTH, Interval(1, 10**30), SUM)
+        with pytest.raises(QueryError, match="ends after NOW"):
+            run()
 
 
 class TestLaneVisibility:

@@ -7,10 +7,12 @@ multiplexing requests can attribute the rejection.
 
 import socket
 import threading
+import time
 import urllib.request
 
 import pytest
 
+from repro.core.model import NOW
 from repro.serve import protocol
 from repro.serve.client import Client, ServerReplyError
 from repro.serve.server import ServerConfig, serve_in_thread
@@ -139,6 +141,52 @@ class TestIntegerFields:
             client.request(message)
         assert err.value.code == "PROTOCOL"
         assert f'"{field}"' in err.value.message
+
+
+class TestSleepSeconds:
+    @pytest.mark.parametrize("seconds", [
+        -1, "abc", float("nan"), float("inf"), [1], True, "1",
+    ], ids=["negative", "text", "nan", "inf", "list", "bool", "numeric-text"])
+    def test_only_a_finite_non_negative_number_sleeps(self, client, seconds):
+        started = time.monotonic()
+        with pytest.raises(ServerReplyError) as err:
+            client.request({"op": "sleep", "seconds": seconds})
+        assert err.value.code == "PROTOCOL"
+        assert '"seconds"' in err.value.message
+        assert time.monotonic() - started < 0.5     # refused, not slept
+
+    @pytest.mark.parametrize("message", [
+        {"op": "sleep"}, {"op": "sleep", "seconds": 0},
+        {"op": "sleep", "seconds": 0.01}])
+    def test_a_number_or_nothing_still_sleeps(self, client, message):
+        assert client.request(message)["ok"] is True
+
+
+class TestAsOfBound:
+    """``NOW`` (2**62) is the alive sentinel, not a time a snapshot can
+    be pinned at: ``as_of`` at or past it is refused before any read,
+    whatever lane the statement would take."""
+
+    @pytest.mark.parametrize("tql", [
+        "SELECT SUM(value) WHERE key IN [1, 5)",
+        "SELECT MAX(value) WHERE key IN [1, 5)",
+        "SELECT TIMELINE(COUNT, 2) WHERE key IN [1, 5)",
+    ], ids=["sum", "max", "timeline"])
+    @pytest.mark.parametrize("as_of", [NOW, NOW + 5])
+    @pytest.mark.parametrize("loaded", [False, True], ids=["empty", "loaded"])
+    def test_as_of_at_or_past_now_is_a_protocol_error(self, client, loaded,
+                                                      as_of, tql):
+        if loaded:
+            client.execute("INSERT KEY 3 VALUE 1.5 AT 2")
+        with pytest.raises(ServerReplyError) as err:
+            client.request({"op": "query", "tql": tql, "as_of": as_of})
+        assert err.value.code == "PROTOCOL"
+        assert '"as_of"' in err.value.message
+
+    def test_the_last_time_below_now_still_answers(self, client):
+        client.execute("INSERT KEY 3 VALUE 1.5 AT 2")
+        assert client.execute("SELECT SUM(value) WHERE key IN [1, 5)",
+                              as_of=NOW - 1) == 1.5
 
 
 class TestUnknownOp:
