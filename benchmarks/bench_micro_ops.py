@@ -50,13 +50,13 @@ def test_mvsbt_insert_op(benchmark):
 
 def test_mvsbt_point_query_op(benchmark, loaded):
     _, dataset, rta, _ = loaded
-    lkst, _lklt = rta.trees()
+    lks, _lklt = rta.trees()
     t_end = dataset.config.time_space[1]
     counter = itertools.count(1)
 
     def op():
         i = next(counter)
-        lkst.query((i * 104729) % (10**9) + 1, (i * 31) % (t_end - 1) + 1)
+        lks.query((i * 104729) % (10**9) + 1, (i * 31) % (t_end - 1) + 1)
 
     benchmark(op)
 

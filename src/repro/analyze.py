@@ -144,9 +144,9 @@ def _describe_rta(index: RTAIndex) -> Dict[str, Any]:
         "type": "rta-index",
         "alive_tuples": index.alive_count() if index.track_values else None,
     }
-    lkst, lklt = (_describe_mvsbt(tree) for tree in index.trees())
-    report["trees"] = {"lkst": lkst, "lklt": lklt}
-    report["pages"] = lkst["pages"] + lklt["pages"]
+    lks, lklt = (_describe_mvsbt(tree) for tree in index.trees())
+    report["trees"] = {"lks": lks, "lklt": lklt}
+    report["pages"] = lks["pages"] + lklt["pages"]
     return report
 
 

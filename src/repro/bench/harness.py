@@ -101,7 +101,7 @@ def fresh_pool(settings: BenchSettings,
 def build_rta_index(settings: BenchSettings, dataset: WorkloadDataset,
                     buffer_pages: Optional[int] = None,
                     **config_overrides) -> RTAIndex:
-    """The paper's approach: the two-MVSBT (LKST, LKLT) form of its
+    """The paper's approach: the two-MVSBT (LKS, LKLT) form of its
     space/query comparison, each record carrying SUM and COUNT."""
     config = MVSBTConfig(
         capacity=settings.mvsbt_capacity,

@@ -5,8 +5,8 @@
 * :mod:`repro.core.aggregates` — SUM / COUNT / AVG (and MIN/MAX for the
   SB-tree extension) aggregate descriptors.
 * :mod:`repro.core.rta` — :class:`~repro.core.rta.RTAIndex`, the paper's
-  headline structure: two MVSBTs (LKST + LKLT) answering range-temporal
-  aggregates via the Theorem 1 reduction.
+  headline structure: two MVSBTs (LKS + LKLT) answering range-temporal
+  aggregates via the Theorem 1 reduction, in four point queries.
 """
 
 from repro.core.aggregates import Aggregate, AVG, COUNT, MAX, MIN, SUM

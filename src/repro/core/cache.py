@@ -15,7 +15,7 @@ caches here exploit that single fact at two granularities:
   (and dropped) at lookup time, never served.
 
 * :class:`PointMemo` memoizes MVSBT point queries ``V(key, t)`` — the
-  paper's six-probe reduction repeats boundary probes across overlapping
+  four-probe Equation (1) repeats boundary probes across overlapping
   rectangles, and every probe at ``t`` below the tree clock is a closed
   version.  The memo also records the length of the root-to-leaf
   descent, so EXPLAIN can report how many page visits a hit
@@ -91,7 +91,7 @@ class CacheConfig:
     ``result_entries`` bounds the warehouse-level :class:`ResultCache`
     (an LRU: about 300 bytes of bookkeeping per entry beside the answer).
     ``memo_entries`` bounds each MVSBT's :class:`PointMemo` — one
-    (LKST, LKLT) tree pair, so two tables per warehouse and as many per
+    (LKS, LKLT) tree pair, so two tables per warehouse and as many per
     shard; a table has the largest power of two of slots within the
     bound (8 bytes each, allocated on the first store, which only an
     open-present rectangle makes) and an entry is one five-field tuple,

@@ -28,7 +28,7 @@ same on both sides of the constant.
 
 Supported targets (duck-typed, so wrappers compose):
 
-* :class:`~repro.core.rta.RTAIndex` — every (LKST, LKLT) MVSBT pair;
+* :class:`~repro.core.rta.RTAIndex` — every (LKS, LKLT) MVSBT pair;
 * :class:`~repro.core.warehouse.TemporalWarehouse` — the tuple MVBT's pool
   plus the RTA index's pool and MVSBTs;
 * :class:`~repro.baselines.mvbt_rta.MVBTRTABaseline` and

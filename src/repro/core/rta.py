@@ -2,29 +2,32 @@
 
 An RTA query asks for SUM / COUNT / AVG over every tuple whose key lies in a
 range *and* whose validity interval intersects a time interval.  Theorem 1
-reduces it to six point queries against two auxiliary indexes:
+reduces it to six point queries against two auxiliary indexes, LKST
+(less-key, single-time: tuples with ``key < k`` alive at ``t``) and LKLT
+(less-key, less-time: tuples with ``key < k`` whose intervals ended at or
+before ``t``).  A tuple alive at ``t`` or dead by ``t`` is exactly a tuple
+that *started* by ``t``, so ``LKST + LKLT`` is one surface, kept here as
+its own index:
 
-* **LKST** (less-key, single-time): aggregate of tuples with ``key < k``
-  alive at instant ``t``;
-* **LKLT** (less-key, less-time): aggregate of tuples with ``key < k`` whose
-  intervals ended at or before ``t``.
+* **LKS** (less-key, started): aggregate of tuples with ``key < k`` whose
+  intervals started at or before ``t``;
+* **LKLT**, as in the paper.
 
 Both are maintained by MVSBTs under the transformation of Figure 1: a tuple
 insertion at ``t1`` adds its value over the quadrant ``[key+1, maxkey] x
-[t1, maxtime]`` of the LKST surface; a logical deletion at ``t2`` subtracts
-it from the LKST surface and adds it to the LKLT surface from ``t2`` on.
+[t1, maxtime]`` of the LKS surface; a logical deletion at ``t2`` adds it
+to the LKLT surface from ``t2`` on and leaves LKS alone.
 
 With half-open query rectangles ``[k1, k2) x [t1, t2)`` and ``t3 = t2 - 1``
-(the window's last instant), Equation (1) reads::
+(the window's last instant), Equation (1) reads, in four point queries::
 
-    RTA = LKST(k2, t3) - LKST(k1, t3)          # tuples alive at t3
-        + LKLT(k2, t3) - LKLT(k1, t3)          # tuples dead by t3 ...
+    RTA = LKS(k2, t3) - LKS(k1, t3)            # tuples started by t3 ...
         - LKLT(k2, t1) + LKLT(k1, t1)          # ... but not dead by t1
 
-:class:`RTAIndex` packages the reduction over ONE (LKST, LKLT) MVSBT pair
+:class:`RTAIndex` packages the reduction over ONE (LKS, LKLT) MVSBT pair
 whose record value is ``complex(sum, count)`` — a pair of reals is an
 additive group, which is all sections 2-3 ask of MVSBT values — so a tuple
-insertion is one tree insertion, a deletion two, and one evaluation of
+insertion or deletion is one tree insertion, and one evaluation of
 Equation (1) yields SUM, COUNT and (their quotient) AVG, each component
 added up in exactly the order a tree of its own would add it.  Around it
 sits the transaction-time warehouse API (``insert``/``delete`` in time
@@ -34,7 +37,7 @@ order, 1TNF enforced).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.aggregates import Aggregate, SUM
 from repro.core.model import Interval, KeyRange, MAX_KEY, NOW
@@ -101,10 +104,10 @@ class RTAIndex:
                  track_values: bool = True) -> None:
         self.pool = pool
         self.key_space = key_space
-        # LKST inserts go to key+1; queries probe up to key_space top.
+        # Inserts go to key+1; queries probe up to key_space top.
         mvsbt_space = (key_space[0], key_space[1] + 1)
-        self._lkst = MVSBT(pool, config, key_space=mvsbt_space,
-                          start_time=start_time, paged_roots=paged_roots)
+        self._lks = MVSBT(pool, config, key_space=mvsbt_space,
+                         start_time=start_time, paged_roots=paged_roots)
         self._lklt = MVSBT(pool, config, key_space=mvsbt_space,
                           start_time=start_time, paged_roots=paged_roots)
         self.track_values = track_values
@@ -120,7 +123,7 @@ class RTAIndex:
             raise DuplicateKeyError(
                 f"key {key} is alive since t={self._alive[key][0]}"
             )
-        self._lkst.insert(key + 1, t, complex(value, 1))
+        self._lks.insert(key + 1, t, complex(value, 1))
         if self.track_values:
             self._alive[key] = (t, value)
         self.now = max(self.now, t)
@@ -140,9 +143,7 @@ class RTAIndex:
             raise KeyNotFoundError(
                 "delete needs the tuple value when track_values is off"
             )
-        both = complex(value, 1)
-        self._lkst.insert(key + 1, t, -both)
-        self._lklt.insert(key + 1, t, both)
+        self._lklt.insert(key + 1, t, complex(value, 1))
         self.now = max(self.now, t)
         return value
 
@@ -150,16 +151,6 @@ class RTAIndex:
         """Replace the alive tuple's value at ``t`` (delete + insert)."""
         self.delete(key, t)
         self.insert(key, value, t)
-
-    def load(self, events: Iterable[Tuple[str, int, float, int]]) -> None:
-        """Replay a stream of ``("insert"|"delete", key, value, t)`` events."""
-        for op, key, value, t in events:
-            if op == "insert":
-                self.insert(key, value, t)
-            elif op == "delete":
-                self.delete(key, t, value=None if self.track_values else value)
-            else:
-                raise ValueError(f"unknown event kind {op!r}")
 
     def alive_count(self) -> int:
         """Number of currently alive tuples (needs ``track_values``)."""
@@ -172,7 +163,7 @@ class RTAIndex:
         """The RTA of one rectangle for one aggregate.
 
         AVG returns ``None`` on an empty rectangle; SUM and COUNT return 0.
-        Cost: one Equation (1) reduction — three pair descents, whichever
+        Cost: one Equation (1) reduction — two pair descents, whichever
         aggregate is asked (Theorem 1 / Corollary 1: ``O(log_b n)`` I/Os).
         """
         field = _field(aggregate)   # a MIN/MAX fails before any descent
@@ -248,7 +239,7 @@ class RTAIndex:
         return self.query(key_range, Interval(start, t + 1), aggregate)
 
     def _reduce(self, key_range: KeyRange, interval: Interval) -> RTAResult:
-        """Equation (1): its six point queries as three same-instant
+        """Equation (1): its four point queries as two same-instant
         pairs, one shared MVSBT descent each.
 
         Only a rectangle that reaches the open present (ends after the
@@ -262,10 +253,10 @@ class RTAIndex:
         k1, k2 = key_range.low, key_range.high
         t1, t3 = interval.start, interval.end - 1
         use_memo = interval.end > self.now
-        lkst, lklt = self._lkst, self._lklt
+        lks, lklt = self._lks, self._lklt
         tracer = self.pool.tracer
         if not tracer.enabled:
-            return self._equation_one(lkst.query_pair, lklt.query_pair,
+            return self._equation_one(lks.query_pair, lklt.query_pair,
                                       k1, k2, t1, t3, use_memo)
 
         def spanned(tree: MVSBT, label: str):
@@ -278,23 +269,20 @@ class RTAIndex:
 
         with tracer.span("rta.reduce", key_range=str(key_range),
                          interval=str(interval)):
-            return self._equation_one(spanned(lkst, "lkst"),
+            return self._equation_one(spanned(lks, "lks"),
                                       spanned(lklt, "lklt"), k1, k2, t1, t3,
                                       use_memo)
 
     @staticmethod
-    def _equation_one(lkst_pair, lklt_pair, k1: int, k2: int, t1: int,
+    def _equation_one(lks_pair, lklt_pair, k1: int, k2: int, t1: int,
                       t3: int, use_memo: bool) -> RTAResult:
         """The arithmetic of Equation (1) over two pair-query callables —
         one evaluation order (and hence float rounding), traced or not.
         ``complex`` arithmetic is component-wise, so each half rounds as
         a tree of plain floats would have rounded it."""
-        hi, lo = lkst_pair(k2, k1, t3, use_memo)
+        hi, lo = lks_pair(k2, k1, t3, use_memo)
         result = hi - lo
-        dead = lklt_pair(k2, k1, t3, use_memo)
-        result += dead[0] - dead[1]
-        # A one-instant window asks the same LKLT pair twice.
-        hi, lo = dead if t1 == t3 else lklt_pair(k2, k1, t1, use_memo)
+        hi, lo = lklt_pair(k2, k1, t1, use_memo)
         result -= hi - lo
         return RTAResult(sum=result.real, count=result.imag)
 
@@ -329,7 +317,7 @@ class RTAIndex:
             "track_values": self.track_values,
             "alive": [[key, start, value]
                       for key, (start, value) in sorted(self._alive.items())],
-            "lkst": self._lkst.state(),
+            "lks": self._lks.state(),
             "lklt": self._lklt.state(),
         }
         write_checkpoint(self.pool, meta, directory)
@@ -352,7 +340,7 @@ class RTAIndex:
         index._alive = {
             key: (start, value) for key, start, value in meta["alive"]
         }
-        index._lkst = MVSBT.restore(pool, meta["lkst"])
+        index._lks = MVSBT.restore(pool, meta["lks"])
         index._lklt = MVSBT.restore(pool, meta["lklt"])
         return index
 
@@ -393,8 +381,8 @@ class RTAIndex:
         return sum(tree.page_count() for tree in self.trees())
 
     def trees(self) -> Tuple[MVSBT, MVSBT]:
-        """The ``(LKST, LKLT)`` pair, for inspection and tests."""
-        return self._lkst, self._lklt
+        """The ``(LKS, LKLT)`` pair, for inspection and tests."""
+        return self._lks, self._lklt
 
     def check_invariants(self) -> None:
         """Audit both underlying MVSBTs."""

@@ -8,7 +8,7 @@ logarithmic I/Os.  :class:`TemporalWarehouse` maintains both over one
 update stream and picks each aggregate query's plan by rule, with no I/O:
 
 * additive aggregates (SUM/COUNT/AVG) run Equation (1) on the MVSBT
-  pair — six point queries as three pair descents, ~``3 x height`` page
+  pair — four point queries as two pair descents, ~``2 x height`` page
   reads whatever the rectangle's size or the aggregate (Theorem 1);
 * MIN/MAX have no known logarithmic index (open problem (ii)) and take
   the MVBT retrieve-then-aggregate plan at ~``log_b n + s/b`` reads for
@@ -283,7 +283,7 @@ class TemporalWarehouse:
         plan = _plan_of(aggregate)
         tuples = self._estimate_tuples(key_range, interval)
         if plan == "mvsbt":
-            reason = ("additive: Equation (1), three pair descents, "
+            reason = ("additive: Equation (1), two pair descents, "
                       "cost independent of rectangle size")
             mvsbt_cost = self._mvsbt_cost()
         else:
@@ -309,10 +309,10 @@ class TemporalWarehouse:
                 "cache": report.cache}
 
     def _mvsbt_cost(self) -> float:
-        # Three pair descents (between one and two root-to-leaf paths
+        # Two pair descents (between one and two root-to-leaf paths
         # each: the two keys share pages until they part), whichever
         # additive aggregate is asked; +1 for the root* lookup.
-        return 3 * (self.aggregates.trees()[0].height() + 1)
+        return 2 * (self.aggregates.trees()[0].height() + 1)
 
     def _estimate_tuples(self, key_range: KeyRange,
                          interval: Interval) -> float:

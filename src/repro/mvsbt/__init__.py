@@ -9,7 +9,7 @@ everywhere) under two operations, both in logarithmic I/Os:
 * ``query(k, t)`` — read ``V(k, t)``.
 
 Those are exactly the primitives the paper's Theorem 1 reduction needs: a
-range-temporal aggregate decomposes into six such point queries over two
+range-temporal aggregate decomposes into four such point queries over two
 MVSBTs (see :mod:`repro.core.rta`).
 
 The implementation includes all three optimizations of section 4.2 —

@@ -59,8 +59,8 @@ def discover_trees(target: Any) -> List[Tuple[str, Any]]:
     """Unique ``(label, tree)`` pairs behind ``target`` (duck-typed).
 
     Covers bare MVSBT/MVBT/SB-trees (anything with ``pool`` and ``query``),
-    :class:`~repro.core.rta.RTAIndex` (its (LKST, LKLT) pair, labelled
-    ``SUM+COUNT.lkst`` / ``SUM+COUNT.lklt``), warehouses (the tuple MVBT plus the RTA trees),
+    :class:`~repro.core.rta.RTAIndex` (its (LKS, LKLT) pair, labelled
+    ``SUM+COUNT.lks`` / ``SUM+COUNT.lklt``), warehouses (the tuple MVBT plus the RTA trees),
     and the MVBT baseline wrapper.
     """
     found: dict[int, Tuple[str, Any]] = {}
@@ -74,8 +74,8 @@ def discover_trees(target: Any) -> List[Tuple[str, Any]]:
 
     def visit_rta(prefix: str, index: Any) -> None:
         if callable(getattr(index, "trees", None)):
-            lkst, lklt = index.trees()
-            visit(f"{prefix}SUM+COUNT.lkst", lkst)
+            lks, lklt = index.trees()
+            visit(f"{prefix}SUM+COUNT.lks", lks)
             visit(f"{prefix}SUM+COUNT.lklt", lklt)
 
     visit("tree", target)

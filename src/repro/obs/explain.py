@@ -8,7 +8,7 @@ indented ASCII form the TQL shell prints for ``EXPLAIN SELECT ...``::
 
     explain aggregate=SUM                       [ios=9 reads=9 ... ]
       plan choice=mvsbt                         [ios=4 ...]
-        rta.pair tree=lkst k_hi=900 k_lo=100 t=699   ...
+        rta.pair tree=lks k_hi=900 k_lo=100 t=699    ...
           mvsbt.query_pair k_hi=900 k_lo=100 t=699
             mvsbt.page page=12 probes=2 level=1 kind=index
               buffer.miss page=12

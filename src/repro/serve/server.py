@@ -29,7 +29,7 @@ built it, the server uses the router surface only.  The moving parts:
   (:meth:`~repro.serve.sharded.ShardRouter.probe`) is answered on the
   event loop: no admission slot, no thread hop.  On a
   miss, a SUM/COUNT/AVG over in-thread shards is *executed* there after
-  one yield (:meth:`~repro.serve.sharded.ShardRouter.attempt`): three
+  one yield (:meth:`~repro.serve.sharded.ShardRouter.attempt`): two
   pair descents per shard whatever the rectangle, one seqlock-validated
   attempt that never waits.  Anything the lane cannot answer now takes
   the admitted path unchanged.

@@ -642,10 +642,8 @@ class ShardRouter:
             return min(extrema) if aggregate.name == MIN.name else max(extrema)
         if aggregate.name not in (SUM.name, COUNT.name):
             raise QueryError(f"unknown aggregate {aggregate.name!r}")
-        return sum(
-            self._read(i, "aggregate", part, interval, aggregate)
-            for i, part in parts
-        )
+        return sum((self._read(i, "aggregate", part, interval, aggregate)
+                    for i, part in parts), 0.0)
 
     def aggregate_all(self, key_range: KeyRange,
                       interval: Interval) -> RTAResult:
@@ -717,7 +715,7 @@ class ShardRouter:
         callable that computes it on the calling thread.
 
         The callable runs each part's ``aggregate_all`` as one
-        :meth:`LocalShard.attempt` — Equation (1), three pair descents,
+        :meth:`LocalShard.attempt` — Equation (1), two pair descents,
         ``O(log_b n)`` pages each by Theorem 1, so bounded whatever the
         rectangle — and gathers exactly as :meth:`probe` does, so the
         answer is byte-identical to :meth:`aggregate`'s.  The first part
@@ -751,7 +749,7 @@ class ShardRouter:
         added as :meth:`aggregate` / :meth:`aggregate_all` add them."""
         if aggregate.name == AVG.name:
             return self._gather_all(partials).avg
-        return sum(partial.of(aggregate) for partial in partials)
+        return sum((partial.of(aggregate) for partial in partials), 0.0)
 
     def sum(self, key_range: KeyRange, interval: Interval) -> float:
         """Scatter-gather SUM."""

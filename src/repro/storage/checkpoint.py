@@ -37,7 +37,7 @@ from repro.storage.serialization import (
 
 PAGES_FILE = "pages.dat"
 META_FILE = "meta.json"
-MAGIC = "repro-checkpoint-v2"
+MAGIC = "repro-checkpoint-v3"
 
 
 @dataclass(frozen=True)

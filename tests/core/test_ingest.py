@@ -163,7 +163,7 @@ def warehouse_class(**toggles):
 
 def named_trees(warehouse):
     trees = {"tuples": warehouse.tuples}
-    trees["lkst"], trees["lklt"] = warehouse.aggregates.trees()
+    trees["lks"], trees["lklt"] = warehouse.aggregates.trees()
     return trees
 
 

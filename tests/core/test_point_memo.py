@@ -308,7 +308,7 @@ class TestOnlyTheOpenPresentReachesTheMemo:
         with traced(past_now):
             past_now.sum(self.WHOLE, Interval(5, past_now.now + 1))
         memo = past_now.cache_snapshot().memo
-        assert memo["misses"] == 6 and memo_entries(past_now) == 6
+        assert memo["misses"] == 4 and memo_entries(past_now) == 4
 
     def test_an_open_rectangle_rereads_its_closed_probes_after_a_write(self):
         memoed = self.loaded(CacheConfig(result_entries=0))
@@ -322,21 +322,32 @@ class TestOnlyTheOpenPresentReachesTheMemo:
         assert repr(memoed.aggregate_all(self.WHOLE, open_present)) \
             == repr(twin.aggregate_all(self.WHOLE, open_present))
         after = memoed.cache_snapshot().memo
-        # The LKLT pair at t1 = 5 was pinned closed and hits; the four
-        # probes at the clock were stored at the old epochs and drop.
+        # A delete feeds LKLT only: its pair at t1 = 5 was pinned closed
+        # and the LKS pair at the clock is still at its tree's epoch, so
+        # all four probes hit.
+        assert after["hits"] - before["hits"] == 4
+        assert after["stale_drops"] == before["stale_drops"]
+        for target in (memoed, twin):
+            target.insert(40, 2.5, target.now)
+        before = after
+        assert repr(memoed.aggregate_all(self.WHOLE, open_present)) \
+            == repr(twin.aggregate_all(self.WHOLE, open_present))
+        after = memoed.cache_snapshot().memo
+        # An insert feeds LKS: the LKLT pair at t1 = 5 hits again, the
+        # LKS pair at the clock was stored at the old epoch and drops.
         assert after["hits"] - before["hits"] == 2
-        assert after["stale_drops"] - before["stale_drops"] == 4
+        assert after["stale_drops"] - before["stale_drops"] == 2
         assert after["pages_saved"] > before["pages_saved"]
 
     def test_the_pair_fallbacks_make_the_same_choice(self):
         memoed = self.loaded(CacheConfig(result_entries=0))
-        lkst, _ = memoed.aggregates.trees()
-        pair = lkst.query_pair(40, 40, 20, use_memo=False)  # two query()s
-        assert lkst.memo._slots is None and lkst.memo.stats.misses == 0
-        assert pair == (lkst.query(40, 20),) * 2
-        lkst.query_pair(41, 41, 20)         # a miss, then its own hit
-        stats = lkst.memo.stats
-        assert (stats.misses, stats.hits, len(lkst.memo)) == (2, 1, 2)
+        lks, _ = memoed.aggregates.trees()
+        pair = lks.query_pair(40, 40, 20, use_memo=False)   # two query()s
+        assert lks.memo._slots is None and lks.memo.stats.misses == 0
+        assert pair == (lks.query(40, 20),) * 2
+        lks.query_pair(41, 41, 20)          # a miss, then its own hit
+        stats = lks.memo.stats
+        assert (stats.misses, stats.hits, len(lks.memo)) == (2, 1, 2)
 
 
 class TestRacingThreads:

@@ -251,8 +251,8 @@ class TestAgainstOracle:
         for i in range(1, 40):
             index.insert(i * 20, 1.0, t=i)
         assert index.page_count() >= 2  # at least one page per MVSBT
-        lkst, lklt = index.trees()
-        assert index.page_count() == lkst.page_count() + lklt.page_count()
+        lks, lklt = index.trees()
+        assert index.page_count() == lks.page_count() + lklt.page_count()
 
 
 #: Dyadic, so a sum is exact in any order and ``repr`` can be compared

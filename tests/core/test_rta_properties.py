@@ -27,6 +27,27 @@ def op_streams(draw):
     ))
 
 
+@st.composite
+def closing_streams(draw):
+    """Op streams whose deletes always close an alive tuple (a delete of a
+    random key rarely finds one alive, so :func:`op_streams` seldom
+    deletes anything)."""
+    alive, stream = [], []
+    for closes, key, dt, value in draw(st.lists(
+            st.tuples(st.booleans(),
+                      st.integers(min_value=KEY_SPACE[0],
+                                  max_value=KEY_SPACE[1] - 1),
+                      st.integers(min_value=0, max_value=3),
+                      st.integers(min_value=-9, max_value=9)),
+            min_size=1, max_size=100)):
+        if closes and alive:
+            stream.append(("delete", alive.pop(key % len(alive)), dt, value))
+        elif key not in alive:
+            alive.append(key)
+            stream.append(("insert", key, dt, value))
+    return stream
+
+
 def replay(stream):
     pool = BufferPool(InMemoryDiskManager(), capacity=4096)
     index = RTAIndex(pool, MVSBTConfig(capacity=5), key_space=KEY_SPACE)
@@ -98,3 +119,28 @@ def test_key_partition_additivity(stream, rect, cut):
     whole = index.sum(KeyRange(k1, k2), iv)
     parts = index.sum(KeyRange(k1, cut), iv) + index.sum(KeyRange(cut, k2), iv)
     assert whole == pytest.approx(parts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(closing_streams(), rectangles(),
+       st.integers(min_value=KEY_SPACE[0], max_value=KEY_SPACE[1]))
+def test_started_less_dead_is_alive_and_answers_are_exact(stream, rect, k):
+    """At every instant ``t``, ``LKS(k, t) - LKLT(k, t)`` is the SUM and
+    COUNT of the tuples with ``key < k`` alive at ``t`` — the identity
+    that lets Equation (1) drop LKST — and so is the one-instant RTA of
+    ``[lo, k)``.  With integer values every answer is exact, so each
+    equals the oracle's with no tolerance."""
+    index, oracle, clock = replay(stream)
+    lks, lklt = index.trees()
+    lo = KEY_SPACE[0]
+    for t in range(1, clock + 2):
+        alive = [value for key, value in oracle.snapshot(t) if key < k]
+        assert lks.query(k, t) - lklt.query(k, t) \
+            == complex(sum(alive), len(alive))
+        if k > lo:
+            assert index.sum(KeyRange(lo, k), Interval(t, t + 1)) \
+                == sum(alive)
+    k1, k2, t1, t2 = rect
+    got = index.aggregate_all(KeyRange(k1, k2), Interval(t1, t2))
+    assert got.sum == oracle.rta_sum(k1, k2, t1, t2)
+    assert got.count == oracle.rta_count(k1, k2, t1, t2)

@@ -81,9 +81,9 @@ class TestExplainQuery:
         assert "rta.pair" in text
         assert "mvsbt.query_pair" in text
 
-    def test_equation_one_is_three_pair_descents(self, warehouse):
-        """The traced read runs what the untraced one runs: per tree pair
-        one ``rta.pair`` span for each of the three same-instant pairs,
+    def test_equation_one_is_two_pair_descents(self, warehouse):
+        """The traced read runs what the untraced one runs: one
+        ``rta.pair`` span for each of the two same-instant pairs,
         around one ``mvsbt.query_pair`` whose pages serve both probes
         until the keys part and one probe after."""
         lo, hi = warehouse.key_space
@@ -99,8 +99,7 @@ class TestExplainQuery:
         assert execute_span.io.logical_reads == untraced.logical_reads
         pairs = execute_span.find("rta.pair")
         assert [(s.attrs["tree"], s.attrs["t"]) for s in pairs] == [
-            ("lkst", interval.end - 1), ("lklt", interval.end - 1),
-            ("lklt", interval.start)]
+            ("lks", interval.end - 1), ("lklt", interval.start)]
         assert not execute_span.find("mvsbt.query")
         for pair in pairs:
             assert pair.attrs["k_hi"] == key_range.high

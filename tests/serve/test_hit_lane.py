@@ -464,7 +464,7 @@ class TestLaneSelection:
         assert empty[0] == "QUERY" and "empty at snapshot time 10" in empty[1]
         assert before_one[0] == "QUERY"
         assert "starts before time 1" in before_one[1]
-        assert (reaching, outside) == ("1.0", "0")
+        assert (reaching, outside) == ("1.0", "0.0")   # SUM is a float
 
     def test_admission_covers_the_worker_path_only(self):
         """With the one worker slot held and no queue, a SUM is still

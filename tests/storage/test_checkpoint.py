@@ -56,34 +56,36 @@ class TestCheckpointPrimitives:
 
     def test_the_one_field_value_format_is_refused_everywhere(self, tmp_path):
         """``repro-checkpoint-v1`` pages hold MVSBT records of one double
-        (a SUM tree and a COUNT tree apart); there is no reader for them,
+        (a SUM tree and a COUNT tree apart); ``repro-checkpoint-v2`` pages
+        hold an LKST tree where an LKS tree is now read, which would
+        answer wrong without an error.  There is no reader for either,
         whichever door the directory comes in by."""
-        old = "repro-checkpoint-v1"
-        refusal = "unrecognized checkpoint format .*" + old
-        index = RTAIndex(fresh_pool(), MVSBTConfig(capacity=6),
-                         key_space=(1, 1001))
-        index.insert(100, 4.0, t=1)
-        bare = str(tmp_path / "index")
-        index.save(bare)
-        set_magic(bare, old)
-        with pytest.raises(StorageError, match=refusal):
-            read_checkpoint(bare)
-        with pytest.raises(StorageError, match=refusal):
-            RTAIndex.load(bare)
+        for old in ("repro-checkpoint-v1", "repro-checkpoint-v2"):
+            refusal = "unrecognized checkpoint format .*" + old
+            index = RTAIndex(fresh_pool(), MVSBTConfig(capacity=6),
+                             key_space=(1, 1001))
+            index.insert(100, 4.0, t=1)
+            bare = str(tmp_path / old / "index")
+            index.save(bare)
+            set_magic(bare, old)
+            with pytest.raises(StorageError, match=refusal):
+                read_checkpoint(bare)
+            with pytest.raises(StorageError, match=refusal):
+                RTAIndex.load(bare)
 
-        durable = str(tmp_path / "wh")
-        warehouse = TemporalWarehouse.open_durable(
-            durable, key_space=(1, 1001), page_capacity=8)
-        warehouse.insert(100, 4.0, t=1)
-        warehouse.checkpoint()
-        warehouse.close()
-        checkpoint, _ = TemporalWarehouse.current_checkpoint(durable)
-        for part in ("tuples", "aggregates"):
-            set_magic(os.path.join(checkpoint, part), old)
-        with pytest.raises(StorageError, match=refusal):
-            TemporalWarehouse.open_durable(durable)
-        with pytest.raises(StorageError, match=refusal):
-            TemporalWarehouse.load(checkpoint)
+            durable = str(tmp_path / old / "wh")
+            warehouse = TemporalWarehouse.open_durable(
+                durable, key_space=(1, 1001), page_capacity=8)
+            warehouse.insert(100, 4.0, t=1)
+            warehouse.checkpoint()
+            warehouse.close()
+            checkpoint, _ = TemporalWarehouse.current_checkpoint(durable)
+            for part in ("tuples", "aggregates"):
+                set_magic(os.path.join(checkpoint, part), old)
+            with pytest.raises(StorageError, match=refusal):
+                TemporalWarehouse.open_durable(durable)
+            with pytest.raises(StorageError, match=refusal):
+                TemporalWarehouse.load(checkpoint)
 
     def test_truncated_pages_file_rejected(self, tmp_path):
         pool = fresh_pool()

@@ -65,7 +65,7 @@ class TestDescribe:
             index.insert(t * 20, 1.0, t)
         report = describe(index)
         assert report["type"] == "rta-index"
-        assert set(report["trees"]) == {"lkst", "lklt"}
+        assert set(report["trees"]) == {"lks", "lklt"}
         assert report["alive_tuples"] == 39
         assert report["pages"] == index.pool.disk.live_page_count
 

@@ -51,6 +51,9 @@ DELETED = [
      r"aggregate_batch|query_batch|execute_select_batch|scan_batch"
      r"|BatchScanStats|batch_snapshot|read_batch|repro_batchscan",
      ["src/repro"]),
+    ("Equation (1) is four point queries: a start tree, no LKST tree",
+     r"lkst",
+     ["src/repro"]),
 ]
 
 #: The serving-era benches ``benchmarks/stack`` replaced.
